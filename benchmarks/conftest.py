@@ -1,8 +1,11 @@
 """Shared benchmark infrastructure.
 
 Every benchmark regenerates one of the paper's tables/figures, printing the
-series and writing it to ``benchmarks/results/`` so the output survives
-pytest's capture. Heavy simulations run once per benchmark
+series and writing it to its ``results_dir`` so the output survives
+pytest's capture — a temporary directory, or ``benchmarks/results/`` when
+pytest runs with ``--bench-write`` (registered in the root ``conftest.py``):
+two ``BENCH_*.json`` files there are tracked, and a plain test run must
+leave ``git status`` clean. Heavy simulations run once per benchmark
 (``benchmark.pedantic`` with a single round) — these are model evaluations,
 not microbenchmarks.
 """
@@ -30,8 +33,10 @@ def pytest_collection_modifyitems(config, items):
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> pathlib.Path:
+def results_dir(request, tmp_path_factory) -> pathlib.Path:
     """Directory collecting the regenerated figures/tables."""
+    if not request.config.getoption("--bench-write"):
+        return tmp_path_factory.mktemp("bench-results")
     RESULTS.mkdir(exist_ok=True)
     return RESULTS
 

@@ -379,11 +379,11 @@ class StepFunction:
                 nb = nbytes // dp if shards is not None else nbytes
                 for actor, uid in placements:
                     executor.place(replica * P + actor, BufferRef(uid), v, nb, pinned=True)
-        for actor, uid, lit in getattr(compiled, "literal_placements", []):
+        for actor, uid, lit in compiled.literal_placements:
             for replica in range(dp):
                 executor.place(
                     replica * P + actor, BufferRef(uid), np.asarray(lit.value),
-                    lit.aval.nbytes, pinned=True,
+                    lit.aval.nbytes, pinned=True, constant=True,
                 )
 
         # seed the event engine's ready-queue from the schedule IR: ranks
@@ -426,7 +426,7 @@ class StepFunction:
                 for actor, uid in placements:
                     for replica in range(dp):
                         initial.append((replica * P + actor, uid))
-            for actor, uid, _lit in getattr(compiled, "literal_placements", []):
+            for actor, uid, _lit in compiled.literal_placements:
                 for replica in range(dp):
                     initial.append((replica * P + actor, uid))
             out_keys = [
@@ -454,7 +454,7 @@ class StepFunction:
                 v = shards[replica] if shards is not None else value
                 for actor, uid in placements:
                     placed[(replica * P + actor, uid)] = v
-        for actor, uid, lit in getattr(compiled, "literal_placements", []):
+        for actor, uid, lit in compiled.literal_placements:
             v = np.asarray(lit.value)
             for replica in range(dp):
                 placed[(replica * P + actor, uid)] = v

@@ -132,6 +132,9 @@ class CompiledStep:
         opt_report: the per-task :class:`~repro.ir.opt.OptReport`
             (before/after eqn counts and boundary bytes) when the
             optimizer ran, else ``None``.
+        literal_placements: ``(actor, uid, literal)`` compile-time
+            constants every run needs placed (pinned) on ``actor`` —
+            once per data-parallel replica.
     """
 
     n_actors: int
@@ -151,6 +154,9 @@ class CompiledStep:
     )
     opt_level: int = 0
     opt_report: Any = None
+    literal_placements: list[tuple[int, str, Any]] = dataclasses.field(
+        default_factory=list
+    )
 
     @property
     def instruction_counts(self) -> dict[str, int]:
@@ -1081,9 +1087,8 @@ def compile_train_step(
         program_key=f"step-{next(_PROGRAM_KEYS)}.{task_backend}.L{opt_level}",
         opt_level=opt_level,
         opt_report=opt_report,
+        literal_placements=literal_placements + const_loop_outputs,
     )
-    literal_placements.extend(const_loop_outputs)
-    compiled.literal_placements = literal_placements  # type: ignore[attr-defined]
     _insert_deletions(compiled, jaxpr)
     return compiled
 
@@ -1097,7 +1102,7 @@ def _insert_deletions(compiled: CompiledStep, jaxpr: Jaxpr) -> None:
     for placements in compiled.input_placements:
         for _, uid in placements:
             protected_global.add(uid)
-    for _, uid, _ in getattr(compiled, "literal_placements", []):
+    for _, uid, _ in compiled.literal_placements:
         protected_global.add(uid)
     for src in compiled.output_sources:
         if src[0] == "buffer":

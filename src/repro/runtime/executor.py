@@ -148,6 +148,15 @@ class TimelineEvent:
     nbytes: int = 0
     meta: dict = dataclasses.field(default_factory=dict)
 
+    def __reduce__(self):
+        # positional: an mp worker's report carries hundreds of events,
+        # and the default per-instance state dict doubles their pickle cost
+        return (
+            TimelineEvent,
+            (self.actor, self.kind, self.name, self.start, self.end,
+             self.nbytes, self.meta),
+        )
+
 
 @dataclasses.dataclass
 class WaitStat:
@@ -902,9 +911,14 @@ class MpmdExecutor:
         self.stores = [ObjectStore(i) for i in range(n_actors)]
 
     # -- store management (driver-facing) -------------------------------------
-    def place(self, actor: int, ref: BufferRef, value: Any, nbytes: int, pinned: bool = False) -> None:
-        """Put an input buffer on an actor before execution."""
-        self.stores[actor].put(ref, value, nbytes, pinned=pinned)
+    def place(
+        self, actor: int, ref: BufferRef, value: Any, nbytes: int,
+        pinned: bool = False, constant: bool = False,
+    ) -> None:
+        """Put an input buffer on an actor before execution.  ``constant``
+        marks a compile-time constant of the programs (see
+        :class:`~repro.runtime.store.Buffer`)."""
+        self.stores[actor].put(ref, value, nbytes, pinned=pinned, constant=constant)
 
     def fetch(self, actor: int, ref: BufferRef) -> Any:
         """Read a buffer's payload from an actor."""

@@ -83,9 +83,11 @@ import threading
 import time
 import traceback
 from collections import deque
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import multiprocessing as _mp
+
+import numpy as np
 
 from repro.runtime.executor import (
     CommMismatchError,
@@ -131,8 +133,6 @@ _HEARTBEAT_S = 1.0
 
 def _encode_payload(value: Any, shm_threshold: int) -> tuple:
     """``("inline", value)`` or ``("shm", name, shape, dtype, nbytes)``."""
-    import numpy as np
-
     if (
         isinstance(value, np.ndarray)
         and value.nbytes >= shm_threshold
@@ -143,19 +143,8 @@ def _encode_payload(value: Any, shm_threshold: int) -> tuple:
         shm = shared_memory.SharedMemory(create=True, size=value.nbytes)
         view = np.ndarray(value.shape, value.dtype, buffer=shm.buf)
         view[...] = value
-        name = shm.name
-        tracked = shm._name  # registered form ("/name" on POSIX)
-        shm.close()
-        # hand ownership to the receiver: without this, the sender's
-        # resource tracker would warn about (and destroy) a segment the
-        # receiver is responsible for unlinking
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(tracked, "shared_memory")
-        except Exception:  # pragma: no cover - tracker impl detail
-            pass
-        return ("shm", name, value.shape, value.dtype.str, value.nbytes)
+        _hand_over(shm)
+        return ("shm", shm.name, value.shape, value.dtype.str, value.nbytes)
     return ("inline", value)
 
 
@@ -163,44 +152,157 @@ def _decode_payload(payload: tuple) -> Any:
     """Materialise a transported payload (copy + unlink for shm)."""
     if payload[0] == "inline":
         return payload[1]
-    import numpy as np
     from multiprocessing import shared_memory
 
     _, name, shape, dtype, _ = payload
     shm = shared_memory.SharedMemory(name=name)
     try:
-        out = np.array(np.ndarray(shape, np.dtype(dtype), buffer=shm.buf))
+        return np.array(np.ndarray(shape, np.dtype(dtype), buffer=shm.buf))
     finally:
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already reclaimed
-            pass
+        _unlink(shm)
+
+
+#: byte alignment of every array inside a slab.
+_SLAB_ALIGN = 64
+
+
+class _Resident(np.ndarray):
+    """Private owner of one pool output's bytes (see :func:`_resident`)."""
+
+    origin = None
+
+
+def _resident(view, origin: tuple):
+    """A read-only copy of ``view`` that remembers where a pool worker
+    still holds the same value.
+
+    The array handed to the user is a plain ``ndarray`` over a private
+    owner whose ``origin`` is ``(pool token, submission id, rank, uid)``:
+    the worker keeps the value under ``uid`` until its next run starts,
+    so :meth:`ActorPool.submit` can send a reference instead of the
+    bytes.  Nothing can write through the user's array, so what the
+    worker holds and what the user sees never diverge; any view or copy
+    the user derives has another ``base`` and travels by value."""
+    owner = _Resident(view.shape, view.dtype)
+    owner[...] = view
+    owner.flags.writeable = False
+    owner.origin = origin
+    return np.ndarray(view.shape, view.dtype, buffer=owner)
+
+
+class _Slab(NamedTuple):
+    """The buffers of one ``run`` / ``done`` message, arrays packed back
+    to back in one shared-memory segment (``name``) or one inline
+    ``blob``; exactly one of the two is set."""
+
+    name: str | None
+    blob: bytearray | None
+    nbytes: int  # array bytes carried (alignment padding not counted)
+    table: list  # (uid, offset, shape, dtype, logical nbytes, pinned) per array
+    other: dict  # uid -> (value, nbytes, pinned) for values that are not arrays
+
+
+def _encode_buffers(buffers: dict[str, tuple[Any, int, bool]], shm_threshold: int) -> _Slab:
+    """Many-buffers form of :func:`_encode_payload` for ``run`` / ``done``
+    messages: every ndarray of ``uid -> (value, nbytes, pinned)`` is packed
+    into ONE slab — a shared-memory segment when the slab reaches
+    ``shm_threshold`` bytes, an inline blob below it."""
+    table, other, total, payload = [], {}, 0, 0
+    for uid, (value, nbytes, pinned) in buffers.items():
+        if isinstance(value, np.ndarray) and not value.dtype.hasobject:
+            table.append((uid, total, value.shape, value.dtype.str, nbytes, pinned))
+            total += value.nbytes + -value.nbytes % _SLAB_ALIGN
+            payload += value.nbytes
+        else:
+            other[uid] = (value, nbytes, pinned)
+    shm = None
+    if total >= shm_threshold and total > 0:
+        from multiprocessing import shared_memory
+
+        shm = shared_memory.SharedMemory(create=True, size=total)
+        slab = shm.buf
+    else:
+        slab = bytearray(total)
+    for uid, offset, shape, dtype, _, _ in table:
+        np.ndarray(shape, dtype, buffer=slab, offset=offset)[...] = buffers[uid][0]
+    if shm is None:
+        return _Slab(None, slab, payload, table, other)
+    _hand_over(shm)
+    return _Slab(shm.name, None, payload, table, other)
+
+
+def _decode_buffers(enc: _Slab, origin: tuple | None = None) -> dict[str, tuple[Any, int, bool]]:
+    """Inverse of :func:`_encode_buffers` (one map, one unlink).  Arrays
+    are private copies; with ``origin`` (a pool's ``(token, sid, rank)``)
+    each is instead read-only and tagged, see :func:`_resident`."""
+    if enc.name is None:
+        return {**enc.other, **_unpack(enc.blob, enc.table, origin)}
+    from multiprocessing import shared_memory
+
+    shm = shared_memory.SharedMemory(name=enc.name)
+    try:
+        return {**enc.other, **_unpack(shm.buf, enc.table, origin)}
+    finally:
+        _unlink(shm)
+
+
+def _unpack(slab, table, origin) -> dict[str, tuple[Any, int, bool]]:
+    out = {}
+    for uid, offset, shape, dtype, nbytes, pinned in table:
+        view = np.ndarray(shape, dtype, buffer=slab, offset=offset)
+        if origin is None or view.nbytes == 0:
+            value = np.array(view)
+        else:
+            value = _resident(view, (*origin, uid))
+        out[uid] = (value, nbytes, pinned)
     return out
 
 
-def _discard_payload(obj) -> None:
-    """Reclaim every shm payload nested in ``obj`` — a message that will
-    never be consumed (mismatch bail-out, abnormal stop)."""
-    if isinstance(obj, tuple):
-        if len(obj) == 5 and obj[0] == "shm":
-            from multiprocessing import shared_memory
+def _hand_over(shm) -> None:
+    """Close a freshly written segment and give it to the receiver:
+    without the unregister, the sender's resource tracker would warn
+    about (and destroy) a segment the receiver is responsible for
+    unlinking."""
+    tracked = shm._name  # registered form ("/name" on POSIX)
+    shm.close()
+    try:
+        from multiprocessing import resource_tracker
 
-            try:
-                shm = shared_memory.SharedMemory(name=obj[1])
-                shm.close()
-                shm.unlink()
-            except Exception:
-                pass
-            return
-        for item in obj:
-            _discard_payload(item)
-    elif isinstance(obj, list):
-        for item in obj:
-            _discard_payload(item)
-    elif isinstance(obj, dict):
-        for item in obj.values():
-            _discard_payload(item)
+        resource_tracker.unregister(tracked, "shared_memory")
+    except Exception:  # pragma: no cover - tracker impl detail
+        pass
+
+
+def _unlink(shm) -> None:
+    shm.close()
+    try:
+        shm.unlink()
+    except FileNotFoundError:  # pragma: no cover - already reclaimed
+        pass
+
+
+def _discard_payload(obj) -> None:
+    """Reclaim every shm payload or slab nested in ``obj`` — a message
+    that will never be consumed (mismatch bail-out, abnormal stop)."""
+    if isinstance(obj, _Slab):
+        name = obj.name  # None: an inline slab owns no segment
+    elif isinstance(obj, tuple) and len(obj) == 5 and obj[0] == "shm":
+        name = obj[1]
+    else:
+        if isinstance(obj, (tuple, list, deque)):
+            for item in obj:
+                _discard_payload(item)
+        elif isinstance(obj, dict):
+            for item in obj.values():
+                _discard_payload(item)
+        return
+    if name is not None:
+        from multiprocessing import shared_memory
+
+        try:
+            _unlink(shared_memory.SharedMemory(name=name))
+        except Exception:
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +352,9 @@ class _Worker:
         self.ctrl = ctrl
 
         self.store = ObjectStore(spec.rank)
+        #: uid -> (value, nbytes, pinned) of what the program produced;
+        #: filled by :meth:`_finish_report`
+        self.outputs: dict[str, tuple[Any, int, bool]] = {}
         self.initial_uids = set(spec.buffers)
         for uid, (value, nbytes, pinned) in spec.buffers.items():
             self.store.put(BufferRef(uid), value, nbytes, pinned=pinned)
@@ -385,18 +490,15 @@ class _Worker:
     def _finish_report(self) -> dict:
         self.pc = len(self.program)
         finish = self.now()
-        live = {}
-        for uid in self.store.live_refs():
-            if uid in self.initial_uids:
-                continue  # the driver already holds every placed input
-            buf = self.store.get(BufferRef(uid))
-            # large results (updated parameters, stacked losses) take the
-            # shared-memory path home too, not a pickle through the pipe
-            live[uid] = (
-                _encode_payload(buf.value, self.shm_threshold),
-                buf.nbytes,
-                buf.pinned,
-            )
+        # the driver already holds every placed input; what the program
+        # produced goes home as one slab and stays here as ``outputs``
+        # (the pool worker keeps it as its resident generation)
+        self.outputs = {
+            uid: (buf.value, buf.nbytes, buf.pinned)
+            for uid in self.store.live_refs()
+            if uid not in self.initial_uids
+            for buf in [self.store.get(BufferRef(uid))]
+        }
         return {
             "rank": self.rank,
             "pc": self.pc,
@@ -407,7 +509,7 @@ class _Worker:
             "p2p_bytes": self.p2p_bytes,
             "p2p_count": self.p2p_count,
             "peak_bytes": self.store.peak_bytes,
-            "buffers": live,
+            "buffers": _encode_buffers(self.outputs, self.shm_threshold),
         }
 
     def exec_task(self, instr: RunTask) -> None:
@@ -816,6 +918,7 @@ def _drive(procs, ctrl, data_qs, stores, watchdog_s, n) -> ExecutionResult:
             pcs[rank] = pc
             states[rank] = (pc, note, label)
         elif kind == "done":
+            msg[2]["buffers"] = _decode_buffers(msg[2]["buffers"])
             results[msg[1]] = msg[2]
             pcs[msg[1]] = msg[2]["pc"]  # fully retired
         elif kind == "error":
@@ -836,11 +939,13 @@ def _merge_results(
 ) -> ExecutionResult:
     """Merge per-worker reports into one :class:`ExecutionResult`.
 
-    New live buffers (and the peak-memory statistic) land back in the
-    driver-side ``stores``; the wall-clock timeline is rebased to the
-    first executed instruction.  Shared by the one-shot driver above and
-    the persistent :class:`~repro.runtime.pool.ActorPool`, which calls
-    this once per completed submission.
+    New live buffers (each report's ``"buffers"``, already decoded by
+    the driver loop that received it) and the peak-memory statistic land
+    back in the driver-side ``stores``; the wall-clock timeline is
+    rebased to the first executed instruction.  Shared by the one-shot
+    driver above and the persistent
+    :class:`~repro.runtime.pool.ActorPool`, which calls this once per
+    completed submission.
     """
     timeline: list[TimelineEvent] = []
     wait_profile: dict[str, WaitStat] = {}
@@ -860,9 +965,8 @@ def _merge_results(
             for r, t in stat.by_rank.items():
                 agg.by_rank[r] = agg.by_rank.get(r, 0.0) + t
         store = stores[rank]
-        for uid, (payload, nbytes, pinned) in res["buffers"].items():
+        for uid, (value, nbytes, pinned) in res["buffers"].items():
             ref = BufferRef(uid)
-            value = _decode_payload(payload)
             if ref not in store:
                 store.put(ref, value, nbytes, pinned=pinned)
         store.peak_bytes = max(store.peak_bytes, res["peak_bytes"])

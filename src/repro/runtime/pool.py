@@ -12,11 +12,26 @@ thousands of steps.  :class:`ActorPool` is that runtime:
   All IPC plumbing — one inbox queue per rank plus a control queue back
   to the driver — is created up front and lives for the pool's lifetime.
 
-- **Ship once.**  A program set is pickled to the workers a single time
-  and cached worker-side under a program key; every later submission of
-  the same programs sends only the key (:attr:`ship_count` counts actual
-  shipments, so tests can assert the cache hit).  Many independent
-  compiled steps multiplex one warm mesh.
+- **Ship once.**  A program set — with its compile-time constants — is
+  pickled to the workers a single time and cached worker-side under a
+  program key; every later submission of the same programs sends only
+  the key (:attr:`ship_count` counts actual shipments, so tests can
+  assert the cache hit).  Many independent compiled steps multiplex one
+  warm mesh.
+
+- **Resident step state.**  A worker keeps what its previous run
+  produced until its next run starts.  :meth:`submit` sends an input as
+  a *reference* (a uid, no bytes) when the value is an output the same
+  rank produced in the immediately preceding submission of this pool —
+  the training loop ``state, loss = step(state, batch)`` — and by value
+  otherwise: the first step, a state object kept from an older step, a
+  value another rank or another pool produced, a submission that raced a
+  concurrent submitter, a respawned pool.  Outputs come back read-only,
+  each over a private owner that records where it is resident
+  (:func:`repro.runtime.mp._resident`), so a reference can never stand
+  for bytes the user has since changed.  :attr:`resident_hits`,
+  :attr:`resident_misses` and :attr:`input_bytes` count what the cache
+  did.
 
 - **Step stream.**  :meth:`submit` enqueues a step — per-rank input
   buffers plus the program key — and returns a :class:`PoolFuture`
@@ -42,13 +57,16 @@ thousands of steps.  :class:`ActorPool` is that runtime:
   code instead of hanging the driver; the pool is then dead and a fresh
   one must be spawned (``RemoteMesh`` does this automatically).
 
-- **Per-submission shm accounting.**  Large tensors still travel through
-  ``multiprocessing.shared_memory`` segments, but every segment is
-  consumed within its own submission — inputs when the worker starts the
-  step, in-flight transfers by the pairwise-matching drain, results when
-  the driver merges — so a long-lived pool returns to its segment
-  baseline after every step.  Only an abnormal stop (crash, deadlock,
-  forced shutdown) runs the bulk drain-and-unlink reclaim.
+- **One slab per message, per-submission shm accounting.**  The arrays
+  of a ``run`` command or a ``done`` report travel as one slab with an
+  offset/shape/dtype table (:func:`repro.runtime.mp._encode_buffers`):
+  one ``multiprocessing.shared_memory`` segment at or above
+  ``shm_threshold`` bytes, one inline blob below.  Every segment is
+  consumed within its own submission — inputs when the worker starts
+  the step, in-flight transfers by the pairwise-matching drain, results
+  when the driver receives the report — so a long-lived pool returns to
+  its segment baseline after every step.  Only an abnormal stop (crash,
+  deadlock, forced shutdown) runs the bulk drain-and-unlink reclaim.
 
 Message routing
 ===============
@@ -76,7 +94,7 @@ import time
 import traceback
 import weakref
 from collections import deque
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import multiprocessing as _mp
 
@@ -92,12 +110,13 @@ from repro.runtime.mp import (
     _HEARTBEAT_S,
     _SPAWN_GRACE_S,
     _Worker,
+    _Resident,
+    _Slab,
     _WorkerSpec,
     _WorkerStop,
     _deadlock_error,
-    _decode_payload,
-    _discard_payload,
-    _encode_payload,
+    _decode_buffers,
+    _encode_buffers,
     _merge_results,
     _reclaim_in_flight,
 )
@@ -116,8 +135,30 @@ DEFAULT_MAX_INFLIGHT = 4
 #: driver-thread control-queue poll period (watchdog / liveness cadence).
 _POLL_S = 0.2
 
-#: route key for driver -> worker commands on the inbox.
+#: route key for driver -> worker commands on the inbox.  A command is a
+#: :class:`_Ship`, a :class:`_Run`, or ``None`` (shut down).
 _CMD = ("cmd",)
+
+
+class _Ship(NamedTuple):
+    """One rank's program and compile-time constants, cached under ``key``."""
+
+    key: str
+    program: list
+    constants: dict  # uid -> (value, nbytes); pinned inputs of every run
+
+
+class _Run(NamedTuple):
+    """One submission's work for one rank."""
+
+    sid: int
+    key: str
+    buffers: _Slab  # the inputs sent by value
+    refs: dict  # uid -> (uid in the worker's resident generation, nbytes, pinned)
+    comm_mode: CommMode
+    shm_threshold: int
+    epoch: float
+    codegen_actor: bool
 
 
 class PoolBackpressureTimeout(TimeoutError):
@@ -291,9 +332,11 @@ def _pool_worker_main(
     """Spawn entry point: serve ship/run commands until shutdown.
 
     One :class:`~repro.runtime.mp._Worker` is built per *run* (fresh
-    object store, fresh posted-receive state) over worker-lifetime queue
-    shims, so cross-step channel order is exactly the concatenation of
-    the per-step orders.
+    posted-receive state; an object store seeded with the command's
+    by-value inputs, the values it references in the previous run's
+    outputs, and the program's shipped constants) over worker-lifetime
+    queue shims, so cross-step channel order is exactly the
+    concatenation of the per-step orders.
 
     ``fault_plan``/``generation`` arm deterministic chaos
     (:mod:`repro.runtime.faults`): faults match against this worker's
@@ -317,59 +360,69 @@ def _pool_worker_main(
         ack_send = {s: _RoutePut(peers[s], ("ack", rank)) for s in range(n) if s != rank}
         ack_wait = {d: _RouteGet(inbox, ("ack", d)) for d in range(n) if d != rank}
         coll = _CollMap(rank, inbox, peers)
-        programs: dict[str, list[Instruction]] = {}
+        programs: dict[str, _Ship] = {}
+        # what the previous run produced, uid -> (value, nbytes, pinned):
+        # the one generation a later command may reference instead of
+        # carrying the bytes again
+        resident: dict[str, tuple] = {}
         ctrl.put(("hello", rank))
         while True:
             cmd = inbox.get(_CMD)
-            kind = cmd[0]
-            if kind == "shutdown":
+            if cmd is None:
                 ctrl.put(("bye", rank))
                 return
-            if kind == "ship":
-                _, key, program = cmd
-                programs[key] = program
+            if isinstance(cmd, _Ship):
+                programs[cmd.key] = cmd
                 continue
-            if kind != "run":  # pragma: no cover - future-proofing
-                raise RuntimeError(f"unknown pool command {cmd!r}")
-            _, sid, key, enc_buffers, comm_mode, shm_threshold, epoch, cga = (
-                cmd if len(cmd) == 8 else (*cmd, False)
-            )
+            sid = cmd.sid
             sub_ctrl = _SubCtrl(ctrl, sid)
-            program = programs.get(key)
-            if program is None:
+            shipped = programs.get(cmd.key)
+            if shipped is None:
                 sub_ctrl.put(
                     ("error", rank, -1, "protocol",
-                     f"program {key!r} was never shipped to actor {rank}")
+                     f"program {cmd.key!r} was never shipped to actor {rank}")
                 )
                 return
             step_idx += 1
             if faults is not None:
                 # kill-before / wedge fire here, with the step's encoded
-                # inputs discarded so an injected death leaks no segments
-                faults.begin_step(step_idx, payloads=enc_buffers)
-            buffers = {
-                uid: (_decode_payload(payload), nbytes, pinned)
-                for uid, (payload, nbytes, pinned) in enc_buffers.items()
-            }
+                # inputs — and the transfers of a peer that started first,
+                # already parked in the demultiplexer — discarded so an
+                # injected death leaks no segments
+                faults.begin_step(step_idx, payloads=(cmd.buffers, inbox.buf))
+            buffers = _decode_buffers(cmd.buffers)
+            for uid, (held, nbytes, pinned) in cmd.refs.items():
+                buffers[uid] = (resident[held][0], nbytes, pinned)
+            for uid, (value, nbytes) in shipped.constants.items():
+                buffers[uid] = (value, nbytes, True)
+            # what the command did not reference goes before the run
+            # starts: the high-water mark stays inputs + outputs
+            resident = {}
             spec = _WorkerSpec(
                 rank=rank,
-                program=program,
+                program=shipped.program,
                 buffers=buffers,
-                comm_mode=comm_mode,
-                shm_threshold=shm_threshold,
-                epoch=epoch,
-                codegen_actor=cga,
+                comm_mode=cmd.comm_mode,
+                shm_threshold=cmd.shm_threshold,
+                epoch=cmd.epoch,
+                codegen_actor=cmd.codegen_actor,
                 faults=faults,
             )
             worker = _Worker(
                 spec, send_qs, recv_qs, ack_wait, ack_send, coll, sub_ctrl
             )
+            del buffers, spec
             result = worker.run()
             if faults is not None:
                 # kill-after: the step fully executed but its report is
                 # lost — recovery must replay work that already happened
-                faults.end_step(step_idx, payloads=result["buffers"])
+                faults.end_step(
+                    step_idx, payloads=(result["buffers"], inbox.buf),
+                    flush=[q for r, q in peers.items() if r != rank],
+                )
             sub_ctrl.put(("done", rank, result))
+            resident = worker.outputs
+            del worker, result  # the run's inputs and its report
     except _WorkerStop:
         pass  # error already reported; the pool is dead
     except BaseException:
@@ -522,6 +575,19 @@ class ActorPool:
     every pending future carries the failure and later ``submit`` calls
     raise.  Spawn a new pool to continue —
     :class:`~repro.core.api.RemoteMesh` does so automatically.
+
+    Counters (cumulative over the pool's lifetime):
+
+    - ``ship_count``: program sets actually pickled to the workers.
+    - ``submit_count``: submissions accepted.
+    - ``resident_hits``: input buffers sent as a reference to a value the
+      worker still held from its previous run.
+    - ``resident_misses``: input buffers that a pool had returned earlier
+      but that travelled by value again — a stale generation, another
+      rank's or another pool's output.  Fresh data (a batch, the first
+      step's state) is neither a hit nor a miss.
+    - ``input_bytes``: ndarray bytes ``submit`` put into ``run``
+      commands; the once-per-program ship is not counted.
     """
 
     def __init__(
@@ -562,14 +628,21 @@ class ActorPool:
         self._stop = threading.Event()
 
         # -- program cache bookkeeping (driver side) --
-        # id(programs) -> (key, strong ref); the strong ref pins the list
-        # so a recycled id can never alias a different program set
-        self._program_keys: dict[int, tuple[str, Any]] = {}
+        # id(programs) -> (key, strong ref, per-rank uids of the shipped constants);
+        # the strong ref pins the list so a recycled id can never alias a
+        # different program set
+        self._program_keys: dict[int, tuple[str, Any, list[frozenset]]] = {}
         #: distinct program sets actually pickled to the workers — a
         #: resubmission that hits the worker-side cache does not bump it.
         self.ship_count = 0
         #: total submissions accepted over the pool's lifetime.
         self.submit_count = 0
+        # residency counters, see the class docstring
+        self.resident_hits = 0
+        self.resident_misses = 0
+        self.input_bytes = 0
+        # stamped into every output this pool returns (``_Resident.origin``)
+        self._token = object()
 
         # -- watchdog / diagnostics (driver thread only) --
         self._hello: set[int] = set()
@@ -650,6 +723,10 @@ class ActorPool:
                 (fresh ones are created when omitted — read them back via
                 ``future.stores``).  New live buffers merge into them when
                 the step completes, exactly like the one-shot driver.
+                Buffers placed as ``constant`` belong to the programs,
+                not the step: the values present the first time this
+                ``programs`` object is submitted travel with the ship
+                message, and no ``run`` command carries those uids again.
             comm_mode: per-submission override of the pool default.
             program_key: readable prefix for the program's cache key
                 (diagnostics only; identity still keys the cache).
@@ -686,7 +763,7 @@ class ActorPool:
                     raise ValueError(
                         f"expected {self.n_actors} stores, got {len(stores)}"
                     )
-                key = self._ensure_shipped(programs, program_key)
+                key, constants = self._ensure_shipped(programs, program_key, stores)
                 sid = self._next_sid
                 self._next_sid += 1
                 future = PoolFuture(sid, stores)
@@ -695,20 +772,30 @@ class ActorPool:
                 self._last_progress = time.monotonic()
                 cm = self.comm_mode if comm_mode is None else comm_mode
                 epoch = time.monotonic()
+                # the generation each worker holds when it reaches this
+                # command: submissions run in sid order on every rank
                 for rank in range(self.n_actors):
+                    held = (self._token, sid - 1, rank)
                     store = stores[rank]
-                    buffers = {}
+                    values, refs = {}, {}
                     for uid in store.live_refs():
+                        if uid in constants[rank]:
+                            continue  # the worker has it since the ship
                         buf = store.get(BufferRef(uid))
-                        buffers[uid] = (
-                            _encode_payload(buf.value, self.shm_threshold),
-                            buf.nbytes,
-                            buf.pinned,
-                        )
+                        owner = getattr(buf.value, "base", None)
+                        if isinstance(owner, _Resident):
+                            if owner.origin[:3] == held:
+                                refs[uid] = (owner.origin[3], buf.nbytes, buf.pinned)
+                                continue
+                            self.resident_misses += 1
+                        values[uid] = (buf.value, buf.nbytes, buf.pinned)
+                    enc = _encode_buffers(values, self.shm_threshold)
+                    self.resident_hits += len(refs)
+                    self.input_bytes += enc.nbytes
                     self._inboxes[rank].put(
                         (_CMD,
-                         ("run", sid, key, buffers, cm, self.shm_threshold,
-                          epoch, codegen_actor))
+                         _Run(sid, key, enc, refs, cm, self.shm_threshold,
+                              epoch, codegen_actor))
                     )
             return future
         except BaseException:
@@ -723,20 +810,28 @@ class ActorPool:
         if self._closing or self._closed:
             raise RuntimeError("ActorPool is shut down; spawn a new pool")
 
-    def _ensure_shipped(self, programs, program_key: str | None) -> str:
-        """Ship ``programs`` to every worker unless already cached there."""
+    def _ensure_shipped(self, programs, program_key: str | None, stores):
+        """Ship ``programs`` — with the constants placed in ``stores`` —
+        to every worker unless already cached there.  Returns the cache
+        key and, per rank, the uids that went with the ship."""
         pid = id(programs)
         entry = self._program_keys.get(pid)
         if entry is not None:
-            return entry[0]
+            return entry[0], entry[2]
         base = "prog" if program_key is None else str(program_key)
         key = f"{base}#{self.ship_count}"
+        shipped = []
+        for rank, store in enumerate(stores):
+            held = ((uid, store.get(BufferRef(uid))) for uid in store.live_refs())
+            consts = {uid: (b.value, b.nbytes) for uid, b in held if b.constant}
+            shipped.append(frozenset(consts))
+            self._inboxes[rank].put(
+                (_CMD, _Ship(key, list(programs[rank]), consts))
+            )
         # the strong reference pins the object so its id stays unique
-        self._program_keys[pid] = (key, programs)
+        self._program_keys[pid] = (key, programs, shipped)
         self.ship_count += 1
-        for rank in range(self.n_actors):
-            self._inboxes[rank].put((_CMD, ("ship", key, list(programs[rank]))))
-        return key
+        return key, shipped
 
     # -- driver thread -----------------------------------------------------
     def _drive_once(self) -> bool:
@@ -784,6 +879,11 @@ class ActorPool:
             self._states[rank] = (pc, note, label)
         elif kind == "done":
             _, rank, result = inner
+            # decoded as each report lands, not at merge: rank 0's slab
+            # is copied out while rank 1 is still finishing
+            result["buffers"] = _decode_buffers(
+                result["buffers"], origin=(self._token, sid, rank)
+            )
             self._pcs[rank] = result["pc"]
             self._states.pop(rank, None)
             completed = None
@@ -871,9 +971,6 @@ class ActorPool:
             pending = list(self._subs.values())
             self._subs.clear()
         for sub in pending:
-            # partial done-reports from surviving ranks hold encoded shm
-            # payloads that will never be merged — reclaim them
-            _discard_payload(sub.results)
             sub.future._finish(exc=exc)
             self._slots.release()
         _terminate_procs(self._procs)
@@ -897,7 +994,7 @@ class ActorPool:
             if not already_dead:
                 for q in self._inboxes:
                     try:
-                        q.put((_CMD, ("shutdown",)))
+                        q.put((_CMD, None))
                     except (OSError, ValueError):  # pragma: no cover
                         pass
         if not already_dead:
@@ -922,7 +1019,6 @@ class ActorPool:
         if leftover:  # pragma: no cover - workers wedged during shutdown
             exc = RuntimeError("ActorPool was shut down before completion")
             for sub in leftover:
-                _discard_payload(sub.results)
                 sub.future._finish(exc=exc)
                 self._slots.release()
         _cleanup_queues([*self._inboxes, self._ctrl])

@@ -25,11 +25,15 @@ class Buffer:
             ``None`` in simulation mode.
         nbytes: logical size used for memory accounting.
         pinned: inputs/weights that deletes must never reclaim.
+        constant: a compile-time constant of the program about to run —
+            the same value on every run, so a warm pool ships it once
+            with the program instead of with every step.
     """
 
     value: Any
     nbytes: int
     pinned: bool = False
+    constant: bool = False
 
 
 class ObjectStore:
@@ -46,11 +50,14 @@ class ObjectStore:
     def __contains__(self, ref: BufferRef) -> bool:
         return ref.uid in self._buffers
 
-    def put(self, ref: BufferRef, value: Any, nbytes: int, pinned: bool = False) -> None:
+    def put(
+        self, ref: BufferRef, value: Any, nbytes: int, pinned: bool = False,
+        constant: bool = False,
+    ) -> None:
         """Store a buffer; replacing an existing uid is a compiler bug."""
         if ref.uid in self._buffers:
             raise KeyError(f"actor {self.actor_id}: buffer {ref} already exists")
-        self._buffers[ref.uid] = Buffer(value, int(nbytes), pinned)
+        self._buffers[ref.uid] = Buffer(value, int(nbytes), pinned, constant)
         self.bytes_in_use += int(nbytes)
         self.peak_bytes = max(self.peak_bytes, self.bytes_in_use)
 

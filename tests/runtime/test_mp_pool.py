@@ -16,10 +16,13 @@ run with the benchmarks lane.
 """
 
 import signal
+import threading
 
+import numpy as np
 import pytest
 
-from repro import core
+from repro import core, ir
+from repro.ir import nn, ops, pipeline_yield
 from repro.runtime import CommMode
 from tests.core.test_linear_backend import GALLERY, assert_bit_identical, make_problem
 
@@ -166,22 +169,41 @@ class TestTrainingLoop:
             assert_bit_identical(want_l, got_l)
         finally:
             mesh.close()
+        # the one-shot driver is untouched by residency: plain writable
+        # arrays, nothing stamped
+        assert all(v.flags.writeable and v.base is None for v in want_p.values())
 
     def test_20_step_loop_matches_event(self):
         """20 steps through one pool — one spawn, one ship, 20 warm
-        submissions — match the event engine's loop exactly."""
+        submissions — match the event engine's loop exactly, and after
+        step 0 only the batch travels: every weight is a reference to
+        what its worker already holds."""
         schedule = core.OneFOneB(4)
         ts, params, batch = make_problem(4, n_mbs=8)
         want_p, want_l = _loop(
             core.RemoteMesh((4,)), ts, params, batch, 20, schedule
         )
+        batch_bytes = sum(a.nbytes for a in batch)
         mesh = core.RemoteMesh((4,), engine="mp", mp_watchdog_s=WATCHDOG_S)
         try:
-            got_p, got_l = _loop(mesh, ts, params, batch, 20, schedule)
-            assert mesh._mp_pool.submit_count == 20
-            assert mesh._mp_pool.ship_count == 1
+            step = mesh.distributed(ts, schedule=schedule)
+            got_p, got_l, sent = params, [], []
+            for _ in range(20):
+                before = mesh._mp_pool.input_bytes if mesh._mp_pool else 0
+                got_p, loss = step(got_p, batch)
+                got_l.append(loss)
+                sent.append(mesh._mp_pool.input_bytes - before)
+            pool = mesh._mp_pool
+            assert pool.submit_count == 20
+            assert pool.ship_count == 1
             assert_bit_identical(want_p, got_p)
             assert_bit_identical(want_l, got_l)
+            # step 0 ships the weights; 19 steps reference all 4 of them
+            assert sent[0] > batch_bytes
+            assert pool.resident_hits == 19 * len(params)
+            assert pool.resident_misses == 0
+            # X feeds the first stage and Y the last; nothing else moves
+            assert set(sent[1:]) == {batch_bytes}
         finally:
             mesh.close()
 
@@ -286,5 +308,216 @@ class TestOptLevelMultiplex:
             # each variant pickled to the workers exactly once; the four
             # re-submissions hit the worker-side cache
             assert pool.ship_count == 2
+        finally:
+            mesh.close()
+
+
+class TestResidency:
+    """Step state stays on its worker: what is a reference, what falls
+    back to by-value, and that neither changes a bit."""
+
+    def test_returned_arrays_are_read_only(self):
+        ts, params, batch = make_problem(2, n_mbs=4)
+        mesh = _mesh(core.OneFOneB(2), "mp")
+        try:
+            new, loss = mesh.distributed(ts, schedule=core.OneFOneB(2))(params, batch)
+            for arr in [*new.values(), loss]:
+                assert type(arr) is np.ndarray
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0
+                with pytest.raises(ValueError):
+                    arr.setflags(write=True)
+        finally:
+            mesh.close()
+        # ordinary driver-side memory: still readable after the pool is gone
+        assert all(np.isfinite(v).all() for v in new.values())
+
+    def test_derived_and_stale_state_travels_by_value(self):
+        """Only the array the pool returned, fed to the very next
+        submission, is a reference.  A state kept from step k and passed
+        again at step k+5, and views or copies of the current state, go
+        by value — and give the event engine's bits."""
+        schedule = core.OneFOneB(2)
+        ts, params, batch = make_problem(2, n_mbs=4)
+        ev = core.RemoteMesh((2,)).distributed(ts, schedule=schedule)
+        mesh = _mesh(schedule, "mp")
+        try:
+            step = mesh.distributed(ts, schedule=schedule)
+            want = got = params
+            kept = {}
+            for k in range(7):
+                kept[k] = (want, got)
+                want, got = ev(want, batch)[0], step(got, batch)[0]
+            pool = mesh._mp_pool
+            assert (pool.resident_hits, pool.resident_misses) == (6 * len(params), 0)
+
+            want_old, got_old = kept[1]  # produced by step 0, now 6 steps stale
+            assert_bit_identical(ev(want_old, batch), step(got_old, batch))
+            assert (pool.resident_hits, pool.resident_misses) == (12, len(params))
+
+            # the current state: a miss too, the worker has since moved on
+            want, got = ev(want, batch)[0], step(got, batch)[0]
+            assert_bit_identical(want, got)
+            assert pool.resident_misses == 2 * len(params)
+
+            # views and copies carry no stamp: fresh data, not misses
+            hits = pool.resident_hits
+            derived = {k: (v[:] if k == "w0" else v.copy()) for k, v in got.items()}
+            direct = step(got, batch)
+            assert_bit_identical(direct, step(derived, batch))
+            assert_bit_identical(ev(want, batch), direct)
+            assert pool.resident_hits == hits + len(params)
+            assert pool.resident_misses == 2 * len(params)
+        finally:
+            mesh.close()
+
+    def test_interleaved_loops_fall_back_to_by_value(self):
+        """Two training loops alternating on one pool: each loop's state
+        is one submission too old when it comes back, so every weight
+        travels by value — bit-identical to the event engine's loops."""
+        ts_a, params_a, batch_a = make_problem(2, n_mbs=4)
+        ts_b, params_b, batch_b = make_problem(2, n_mbs=4, d=16, seed=7)
+        ev = core.RemoteMesh((2,))
+        want_a, _ = _loop(ev, ts_a, params_a, batch_a, 3, core.OneFOneB(2))
+        want_b, _ = _loop(ev, ts_b, params_b, batch_b, 3, core.GPipe(2))
+        mesh = _mesh(core.OneFOneB(2), "mp")
+        try:
+            step_a = mesh.distributed(ts_a, schedule=core.OneFOneB(2))
+            step_b = mesh.distributed(ts_b, schedule=core.GPipe(2))
+            for _ in range(3):
+                params_a, _ = step_a(params_a, batch_a)
+                params_b, _ = step_b(params_b, batch_b)
+            assert_bit_identical(want_a, params_a)
+            assert_bit_identical(want_b, params_b)
+            pool = mesh._mp_pool
+            assert pool.resident_hits == 0
+            assert pool.resident_misses == 2 * (len(params_a) + len(params_b))
+        finally:
+            mesh.close()
+
+    def test_references_cross_programs(self):
+        """Residency belongs to the worker, not to a program: the output
+        of one compiled step is a reference for another compiled step
+        submitted right after it."""
+        ts, params, batch = make_problem(2, n_mbs=4)
+        ev = core.RemoteMesh((2,))
+        ev_a = ev.distributed(ts, schedule=core.OneFOneB(2))
+        ev_b = ev.distributed(ts, schedule=core.GPipe(2))
+        mesh = _mesh(core.OneFOneB(2), "mp")
+        try:
+            step_a = mesh.distributed(ts, schedule=core.OneFOneB(2))
+            step_b = mesh.distributed(ts, schedule=core.GPipe(2))
+            want = got = params
+            for _ in range(2):
+                want, got = ev_a(want, batch)[0], step_a(got, batch)[0]
+                want, got = ev_b(want, batch)[0], step_b(got, batch)[0]
+            assert_bit_identical(want, got)
+            pool = mesh._mp_pool
+            assert (pool.resident_hits, pool.resident_misses) == (3 * len(params), 0)
+        finally:
+            mesh.close()
+
+    def test_constant_loop_output_is_fetched_from_the_driver_store(self):
+        """The gradient of a weight the loss never reads is a compile-time
+        constant that is also a step output.  It ships once with the
+        program — no ``run`` command carries it — yet the step still
+        returns it, every time."""
+        r = np.random.RandomState(3)
+        batch = tuple(r.randn(4, 6, 8).astype(np.float32) for _ in range(2))
+        params = {f"w{i}": (r.randn(8, 8) * 0.3).astype(np.float32) for i in range(2)}
+        params["unused"] = r.randn(3, 5).astype(np.float32)
+
+        def loss_fn(p, mb):
+            x, y = mb
+            h = pipeline_yield(nn.relu(ops.matmul(x, p["w0"])))
+            return ops.mean((ops.matmul(h, p["w1"]) - y) ** 2.0)
+
+        def train_step(params, batch):
+            def microbatch_grads(mb):
+                loss, grads = ir.value_and_grad(loss_fn)(params, mb)
+                return grads, loss
+
+            return core.accumulate_grads(microbatch_grads, None)(batch)
+
+        schedule = core.OneFOneB(2)
+        ev_step = core.RemoteMesh((2,)).distributed(train_step, schedule=schedule)
+        want = ev_step(params, batch)
+        assert any(
+            src[0] == "buffer" and src[2].startswith("loopconst.")
+            for src in ev_step.compiled.output_sources
+        )
+        mesh = _mesh(schedule, "mp")
+        try:
+            step = mesh.distributed(train_step, schedule=schedule)
+            sent = []
+            for _ in range(3):
+                before = mesh._mp_pool.input_bytes if mesh._mp_pool else 0
+                assert_bit_identical(want, step(params, batch))
+                sent.append(mesh._mp_pool.input_bytes - before)
+            # every step sends the batch and the two weights the program
+            # reads; the constants are in none of the commands
+            used = (*batch, params["w0"], params["w1"])
+            assert sent == [sum(a.nbytes for a in used)] * 3
+        finally:
+            mesh.close()
+
+    def test_data_parallel_replicas_receive_values(self):
+        """dp=2: replica 1's ranks are handed replica 0's arrays, which
+        they never produced — by value, every step."""
+        ts, params, batch = make_problem(2, n_mbs=4, mbsz=8)
+        want, _ = _loop(core.RemoteMesh((2, 2)), ts, params, batch, 3, core.OneFOneB(2))
+        mesh = core.RemoteMesh((2, 2), engine="mp", mp_watchdog_s=WATCHDOG_S)
+        try:
+            got, _ = _loop(mesh, ts, params, batch, 3, core.OneFOneB(2))
+            assert_bit_identical(want, got)
+            pool = mesh._mp_pool
+            assert pool.resident_hits == 2 * len(params)
+            assert pool.resident_misses == 2 * len(params)
+        finally:
+            mesh.close()
+
+    def test_four_concurrent_submitters(self):
+        """4 threads, each with its own training loop, share one pool.
+        Whether a thread's state is still resident when it comes back
+        depends on the interleaving; the result never does."""
+        schedule = core.OneFOneB(2)
+        n_threads, n_steps = 4, 5
+        problems = [make_problem(2, n_mbs=4, seed=10 + i) for i in range(n_threads)]
+        ev = core.RemoteMesh((2,))
+        want = [
+            _loop(ev, ts, params, batch, n_steps, schedule)
+            for ts, params, batch in problems
+        ]
+        mesh = _mesh(schedule, "mp")
+        got: list = [None] * n_threads
+        errors: list = []
+        try:
+            steps = [mesh.distributed(ts, schedule=schedule) for ts, _, _ in problems]
+            steps[0](problems[0][1], problems[0][2])  # spawn the pool once
+
+            def run(i):
+                try:
+                    _, params, batch = problems[i]
+                    losses = []
+                    for _ in range(n_steps):
+                        params, loss = steps[i](params, batch)
+                        losses.append(loss)
+                    got[i] = (params, losses)
+                except BaseException as e:  # surfaced by the main thread
+                    errors.append(e)
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=HARD_TIMEOUT_S)
+            assert not errors, errors
+            assert not any(t.is_alive() for t in threads)
+            for w, g in zip(want, got):
+                assert_bit_identical(w, g)
+            pool = mesh._mp_pool
+            # every fed-back weight was one or the other
+            fed_back = n_threads * (n_steps - 1) * 2
+            assert pool.resident_hits + pool.resident_misses == fed_back
         finally:
             mesh.close()

@@ -413,3 +413,125 @@ class TestRespawnHygiene:
             mesh.close()
         _assert_reaped(dead_pids)
         assert _settle_to(baseline) <= baseline
+
+
+class TestResidencyLifecycle:
+    """References and slabs under failure: nothing a dead worker held is
+    needed to continue, and nothing undelivered stays in ``/dev/shm``."""
+
+    def test_kill_while_next_command_holds_references(self):
+        """Rank 1 dies on receiving step 2's command, which refers to the
+        step-1 outputs only that worker held.  The user's arrays are
+        ordinary driver memory: the respawned pool's first step ships
+        them by value and matches the event engine; the step after it is
+        all references again."""
+        from repro.runtime import FaultPlan
+
+        ts, params, batch = make_problem(2, n_mbs=4)
+        ev = core.RemoteMesh((2,)).distributed(ts, schedule=core.OneFOneB(2))
+        want = [params]
+        for _ in range(4):
+            want.append(ev(want[-1], batch)[0])
+        baseline = _shm_count()
+        mesh = core.RemoteMesh(
+            (2,), engine="mp", mp_watchdog_s=WATCHDOG_S, mp_shm_threshold=1,
+            fault_plan=FaultPlan(kill_rank=1, at_step=2),
+        )
+        try:
+            step = mesh.distributed(ts, schedule=core.OneFOneB(2))
+            got = params
+            for _ in range(2):
+                got, _ = step(got, batch)
+            dead = mesh._mp_pool
+            assert dead.resident_hits == len(params)
+            with pytest.raises(RuntimeError, match="died without reporting"):
+                step(got, batch)
+            assert dead.resident_hits == 2 * len(params)  # the lost command
+            assert _settle_to(baseline) <= baseline
+
+            got, _ = step(got, batch)  # generation 1, its step 0
+            pool = mesh._mp_pool
+            assert pool is not dead
+            assert (pool.resident_hits, pool.resident_misses) == (0, len(params))
+            assert pool.input_bytes >= sum(v.nbytes for v in params.values())
+            assert_bit_identical(want[3], got)
+            got, _ = step(got, batch)
+            assert pool.resident_hits == len(params)
+            assert_bit_identical(want[4], got)
+        finally:
+            mesh.close()
+        assert _settle_to(baseline) <= baseline
+
+    def test_undelivered_slab_is_reclaimed(self):
+        """A slab descriptor nested in a command nobody will consume —
+        a drained inbox, a fault-injected death — is found and unlinked."""
+        from repro.runtime.faults import RankFaultState
+        from collections import deque
+
+        from repro.runtime.mp import _discard_payload, _encode_buffers, _encode_payload
+        from repro.runtime.pool import _CMD, _Run
+
+        def slab():
+            buffers = {
+                "a": (np.arange(6, dtype=np.float32).reshape(2, 3), 24, True),
+                "b": (np.ones(5, np.int64), 40, False),
+                "n": (None, 0, False),
+            }
+            enc = _encode_buffers(buffers, 1)
+            assert os.path.exists(f"/dev/shm/{enc.name}")
+            return enc
+
+        enc = slab()
+        cmd = _Run(3, "k", enc, {"w": ("v9", 4, True)}, CommMode.ASYNC, 1, 0.0, False)
+        _discard_payload([(_CMD, cmd)])
+        assert not os.path.exists(f"/dev/shm/{enc.name}")
+
+        # what an injected kill hands over: the command's slab plus the
+        # transfers parked in the inbox demultiplexer (route -> deque)
+        enc = slab()
+        parked = _encode_payload(np.ones(4, np.float32), 1)
+        assert os.path.exists(f"/dev/shm/{parked[1]}")
+        RankFaultState._discard(
+            (enc, {("data", 0): deque([("data", "k", 16, parked)])})
+        )
+        assert not os.path.exists(f"/dev/shm/{enc.name}")
+        assert not os.path.exists(f"/dev/shm/{parked[1]}")
+
+        # below the threshold the slab is an inline blob: nothing to reclaim
+        inline = _encode_buffers({"a": (np.zeros(3), 24, False)}, 1 << 20)
+        assert inline.name is None
+        _discard_payload(inline)
+
+    @pytest.mark.parametrize("threshold", [1, 1 << 30], ids=["shm", "inline"])
+    def test_slab_round_trip(self, threshold):
+        """Every value of a message comes back as it went in, whichever
+        form the slab takes: mixed dtypes, a non-contiguous view, a 0-d
+        and an empty array, and non-array values riding beside the slab."""
+        from repro.runtime.mp import _decode_buffers, _encode_buffers
+
+        base = np.arange(24, dtype=np.float64).reshape(4, 6)
+        buffers = {
+            "f32": (np.linspace(0, 1, 7, dtype=np.float32), 28, True),
+            "strided": (base[::2, 1::2], 48, False),
+            "i8": (np.array([-3, 5], np.int8), 2, False),
+            "scalar": (np.array(2.5), 8, False),
+            "empty": (np.zeros((0, 3), np.float32), 0, False),
+            "none": (None, 16, False),
+            "pyint": (7, 0, True),
+        }
+        baseline = _shm_count()
+        enc = _encode_buffers(buffers, threshold)
+        assert enc.nbytes == sum(
+            v.nbytes for v, _, _ in buffers.values() if isinstance(v, np.ndarray)
+        )
+        out = _decode_buffers(enc)
+        assert _shm_count() <= baseline
+        assert set(out) == set(buffers)
+        for uid, (value, nbytes, pinned) in buffers.items():
+            got, got_nbytes, got_pinned = out[uid]
+            assert (got_nbytes, got_pinned) == (nbytes, pinned)
+            if isinstance(value, np.ndarray):
+                assert got.dtype == value.dtype and got.flags.writeable
+                np.testing.assert_array_equal(got, value)
+            else:
+                assert got == value
