@@ -3,11 +3,12 @@
 Two measurements, both persisted to ``BENCH_mp.json``:
 
 1. **Overhead** — one pp=4 transformer training step executed by the
-   in-process event engine vs the process-per-rank ``engine="mp"``
-   backend (spawn, channels, shared-memory transport included), results
-   asserted bit-identical.  The mp wall-clock is dominated by process
-   start-up at this scale; the record tracks the trajectory across PRs
-   rather than enforcing a ratio.
+   in-process event engine vs a *cold* process-per-rank ``engine="mp"``
+   step: fresh mesh, one step, ``close()`` (spawn, program shipping,
+   channels and teardown included), results asserted bit-identical.
+   The mp wall-clock is dominated by process start-up at this scale;
+   the record tracks the trajectory across PRs rather than enforcing a
+   ratio.
 
 2. **Replay-tune acceptance (ISSUE 5)** — a *measured* mp run of a
    skewed pp=8 workload feeds ``CostModel.from_result``; ``tune()`` on
@@ -105,14 +106,16 @@ def test_mp_overhead_and_replay_tune(results_dir):
     want = event_step(params, batch)
     event_s = time.perf_counter() - t0
 
-    # mp_persistent=False on purpose: this record tracks the *cold*
-    # spawn-per-step trajectory; the warm-pool numbers live in
-    # BENCH_mp_pool.json (benchmarks/test_mp_pool.py)
-    mp_step = core.RemoteMesh(
-        (4,), engine="mp", mp_persistent=False, mp_watchdog_s=WATCHDOG_S
-    ).distributed(train_step, schedule=core.OneFOneB(4))
+    # a fresh mesh, one step, close(): this record tracks the *cold*
+    # trajectory; the warm-pool numbers live in BENCH_mp_pool.json
+    # (benchmarks/test_mp_pool.py)
+    mesh = core.RemoteMesh((4,), engine="mp", mp_watchdog_s=WATCHDOG_S)
+    mp_step = mesh.distributed(train_step, schedule=core.OneFOneB(4))
     t0 = time.perf_counter()
-    got = mp_step(params, batch)
+    try:
+        got = mp_step(params, batch)
+    finally:
+        mesh.close()
     mp_s = time.perf_counter() - t0
     assert_bit_identical(want, got)
 
@@ -144,10 +147,12 @@ def test_mp_overhead_and_replay_tune(results_dir):
     analytic = tune(analytic_cm, PP, N_MBS).best
 
     # measured table: one real mp run of the baseline schedule
-    mp_step = core.RemoteMesh(
-        (PP,), engine="mp", mp_persistent=False, mp_watchdog_s=WATCHDOG_S
-    ).distributed(train_step, schedule=core.OneFOneB(PP))
-    mp_step(params, batch)
+    mesh = core.RemoteMesh((PP,), engine="mp", mp_watchdog_s=WATCHDOG_S)
+    mp_step = mesh.distributed(train_step, schedule=core.OneFOneB(PP))
+    try:
+        mp_step(params, batch)
+    finally:
+        mesh.close()
     measured_res = mp_step.last_result
     measured_cm = CostModel.from_result(measured_res, n_stages=PP)
     assert measured_cm.skew > 1.5, (

@@ -53,7 +53,11 @@ class RemoteMesh:
             event engine), ``"roundrobin"`` (polling reference,
             differential testing), or ``"mp"`` (process-per-rank: every
             actor is a real OS process executing its program on real
-            wall-clock time; see :mod:`repro.runtime.mp`).
+            wall-clock time).  An ``"mp"`` mesh keeps one warm
+            :class:`~repro.runtime.pool.ActorPool`: processes spawn on
+            the first step, programs ship once, and every later step
+            reuses them until :meth:`close` — the step after that starts
+            cold again.
         tie_break: event-engine ready-queue ordering for actors runnable
             at the same virtual time (``"fifo"`` / ``"depth_first"`` /
             ``"rank"``); results are identical under every policy.
@@ -61,13 +65,8 @@ class RemoteMesh:
             progress before the driver reports a deadlock.
         mp_shm_threshold: ``engine="mp"`` only — ndarray bytes at which
             transfers switch to shared-memory segments.
-        mp_persistent: ``engine="mp"`` only — keep one warm
-            :class:`~repro.runtime.pool.ActorPool` per mesh (default):
-            processes spawn once, programs ship once, and every step
-            submission reuses them.  ``False`` restores the one-shot
-            spawn-per-step driver (cold-start measurement, debugging).
-        mp_max_inflight: ``engine="mp"`` only — the persistent pool's
-            bound on outstanding submissions (backpressure).
+        mp_max_inflight: ``engine="mp"`` only — the pool's bound on
+            outstanding submissions (backpressure).
         recovery: optional :class:`~repro.runtime.recovery.RecoveryPolicy`.
             With one set, ``distributed`` returns a
             :class:`~repro.runtime.recovery.ResilientStepFunction`:
@@ -107,7 +106,6 @@ class RemoteMesh:
         tie_break: str = "fifo",
         mp_watchdog_s: float | None = None,
         mp_shm_threshold: int | None = None,
-        mp_persistent: bool = True,
         mp_max_inflight: int = 4,
         codegen_actor: bool = False,
         recovery: Any = None,
@@ -148,7 +146,6 @@ class RemoteMesh:
         self.tie_break = tie_break
         self.mp_watchdog_s = mp_watchdog_s
         self.mp_shm_threshold = mp_shm_threshold
-        self.mp_persistent = bool(mp_persistent)
         self.mp_max_inflight = int(mp_max_inflight)
         self.recovery = recovery
         self.fault_plan = fault_plan
@@ -185,7 +182,7 @@ class RemoteMesh:
         return pool
 
     def close(self) -> None:
-        """Shut down the mesh's persistent actor pool (if one is warm).
+        """Shut down the mesh's actor pool (if one is warm).
 
         Idempotent; the mesh stays usable — the next ``engine="mp"`` step
         simply spawns a fresh pool.  An unclosed mesh cleans up via GC
@@ -330,11 +327,19 @@ class StepFunction:
             optimize=self.optimize,
         )
         self._out_tree = out_tree
+        # compile-time constants: the same placements (see _placements) every step
+        self._constants = [
+            ((replica * self.mesh.n_pipeline_actors + actor, uid),
+             np.asarray(lit.value), lit.aval.nbytes, True)
+            for actor, uid, lit in self.compiled.literal_placements
+            for replica in range(dp)
+        ]
 
     # -- execution ---------------------------------------------------------------
     def __call__(self, *args: Any) -> Any:
         flat, in_tree = tree_flatten(args)
-        shape_key = tuple(repr(abstractify(x)) for x in flat)
+        avals = [abstractify(x) for x in flat]
+        shape_key = tuple(repr(a) for a in avals)
         if self.compiled is None or shape_key != self._shape_key:
             self._compile(args)
             self._shape_key = shape_key
@@ -342,10 +347,10 @@ class StepFunction:
         assert compiled is not None
 
         if self.mesh.codegen_actor and self.mesh.engine != "mp":
-            return self._call_fused(compiled, flat)
+            return self._call_fused(compiled, flat, avals)
 
         mp_pool = None
-        if self.mesh.engine == "mp" and self.mesh.mp_persistent:
+        if self.mesh.engine == "mp":
             mp_pool = self.mesh._acquire_mp_pool(compiled.n_actors)
         executor = MpmdExecutor(
             compiled.n_actors,
@@ -353,8 +358,6 @@ class StepFunction:
             comm_mode=self.mesh.comm_mode,
             engine=self.mesh.engine,
             tie_break=self.mesh.tie_break,
-            mp_watchdog_s=self.mesh.mp_watchdog_s,
-            mp_shm_threshold=self.mesh.mp_shm_threshold,
             mp_pool=mp_pool,
             mp_program_key=compiled.program_key,
             mp_codegen_actor=self.mesh.codegen_actor,
@@ -362,29 +365,12 @@ class StepFunction:
 
         P = self.mesh.n_pipeline_actors
         dp = compiled.dp_size
-        for k, placements in enumerate(compiled.input_placements):
-            if not placements:
-                continue
-            value = np.asarray(flat[k])
-            nbytes = abstractify(flat[k]).nbytes
-            shards: list[np.ndarray] | None = None
-            if dp > 1 and k in compiled.batch_input_indices:
-                if value.shape[1] % dp != 0:
-                    raise ValueError(
-                        f"microbatch size {value.shape[1]} not divisible by dp={dp}"
-                    )
-                shards = np.split(value, dp, axis=1)
-            for replica in range(dp):
-                v = shards[replica] if shards is not None else value
-                nb = nbytes // dp if shards is not None else nbytes
-                for actor, uid in placements:
-                    executor.place(replica * P + actor, BufferRef(uid), v, nb, pinned=True)
-        for actor, uid, lit in compiled.literal_placements:
-            for replica in range(dp):
-                executor.place(
-                    replica * P + actor, BufferRef(uid), np.asarray(lit.value),
-                    lit.aval.nbytes, pinned=True, constant=True,
-                )
+        for (actor, uid), value, nbytes, constant in self._placements(
+            compiled, flat, avals
+        ):
+            executor.place(
+                actor, BufferRef(uid), value, nbytes, pinned=True, constant=constant
+            )
 
         # seed the event engine's ready-queue from the schedule IR: ranks
         # whose first slot is dependency-free are polled first (replicated
@@ -409,7 +395,33 @@ class StepFunction:
                 outs.append(executor.fetch(actor, BufferRef(uid)))
         return tree_unflatten(self._out_tree, outs)
 
-    def _call_fused(self, compiled: CompiledStep, flat: list) -> Any:
+    def _placements(self, compiled: CompiledStep, flat: list, avals: list):
+        """Where this call's inputs go: yields ``((replica·P + actor,
+        uid), value, nbytes, constant)`` for every placed input — a batch
+        input split ``dp`` ways along the microbatch-size axis, anything
+        else replicated — and every compile-time constant."""
+        P = self.mesh.n_pipeline_actors
+        dp = compiled.dp_size
+        for k, placements in enumerate(compiled.input_placements):
+            if not placements:
+                continue
+            value = np.asarray(flat[k])
+            nbytes = avals[k].nbytes
+            if dp > 1 and k in compiled.batch_input_indices:
+                if value.shape[1] % dp != 0:
+                    raise ValueError(
+                        f"microbatch size {value.shape[1]} not divisible by dp={dp}"
+                    )
+                shards = np.split(value, dp, axis=1)
+                nbytes //= dp
+            else:
+                shards = [value] * dp
+            for replica, shard in enumerate(shards):
+                for actor, uid in placements:
+                    yield (replica * P + actor, uid), shard, nbytes, False
+        yield from self._constants
+
+    def _call_fused(self, compiled: CompiledStep, flat: list, avals: list) -> Any:
         """``codegen_actor=True`` in-process fast path: run the whole mesh's
         step through one exec-compiled driver (:mod:`repro.runtime.actorgen`),
         skipping the instruction-level engine entirely."""
@@ -417,47 +429,19 @@ class StepFunction:
 
         from repro.runtime.actorgen import fuse_mesh
 
-        P = self.mesh.n_pipeline_actors
-        dp = compiled.dp_size
+        placed = {
+            key: value for key, value, _, _ in self._placements(compiled, flat, avals)
+        }
         cached = self._fused
         if cached is None or cached[0] is not compiled:
-            initial = []
-            for placements in compiled.input_placements:
-                for actor, uid in placements:
-                    for replica in range(dp):
-                        initial.append((replica * P + actor, uid))
-            for actor, uid, _lit in compiled.literal_placements:
-                for replica in range(dp):
-                    initial.append((replica * P + actor, uid))
             out_keys = [
                 (src[1], src[2])
                 for src in compiled.output_sources
                 if src[0] == "buffer"
             ]
-            driver = fuse_mesh(compiled.programs, out_keys, initial)
+            driver = fuse_mesh(compiled.programs, out_keys, list(placed))
             cached = self._fused = (compiled, driver, out_keys)
         _, driver, out_keys = cached
-
-        placed: dict[tuple[int, str], Any] = {}
-        for k, placements in enumerate(compiled.input_placements):
-            if not placements:
-                continue
-            value = np.asarray(flat[k])
-            shards: list[np.ndarray] | None = None
-            if dp > 1 and k in compiled.batch_input_indices:
-                if value.shape[1] % dp != 0:
-                    raise ValueError(
-                        f"microbatch size {value.shape[1]} not divisible by dp={dp}"
-                    )
-                shards = np.split(value, dp, axis=1)
-            for replica in range(dp):
-                v = shards[replica] if shards is not None else value
-                for actor, uid in placements:
-                    placed[(replica * P + actor, uid)] = v
-        for actor, uid, lit in compiled.literal_placements:
-            v = np.asarray(lit.value)
-            for replica in range(dp):
-                placed[(replica * P + actor, uid)] = v
 
         t0 = time.perf_counter()
         fetched = driver(placed)

@@ -1,7 +1,8 @@
 """Single-controller MPMD runtime (§4): per-actor instruction streams,
 object stores, ordered P2P channels, and the deterministic dataflow
 executor that doubles as a discrete-event performance simulator — plus
-the process-per-rank backend (``engine="mp"``,
+the process-per-rank runtime (``engine="mp"``: the
+:class:`~repro.runtime.pool.ActorPool` driver over the workers of
 :mod:`repro.runtime.mp`) that executes the same programs on real OS
 processes and real wall-clock time.  Deterministic fault injection
 (:mod:`repro.runtime.faults`) and fault-tolerant step replay
@@ -38,7 +39,7 @@ from repro.runtime.faults import (
     KillRank,
     WedgeRank,
 )
-from repro.runtime.mp import DEFAULT_SHM_THRESHOLD, DEFAULT_WATCHDOG_S, execute_mp
+from repro.runtime.mp import DEFAULT_SHM_THRESHOLD, DEFAULT_WATCHDOG_S
 from repro.runtime.pool import (
     DEFAULT_MAX_INFLIGHT,
     ActorPool,
@@ -55,7 +56,7 @@ from repro.runtime.recovery import (
 from repro.runtime.store import Buffer, ObjectStore
 
 __all__ = [
-    "execute_mp", "DEFAULT_SHM_THRESHOLD", "DEFAULT_WATCHDOG_S",
+    "DEFAULT_SHM_THRESHOLD", "DEFAULT_WATCHDOG_S",
     "ActorPool", "PoolFuture", "PoolBackpressureTimeout", "DEFAULT_MAX_INFLIGHT",
     "FaultPlan", "KillRank", "WedgeRank", "DropMessage", "DelayMessage",
     "CorruptCheckpoint",

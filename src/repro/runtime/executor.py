@@ -95,7 +95,7 @@ from repro.runtime.instructions import (
     RunTask,
     Send,
 )
-from repro.runtime.store import ObjectStore
+from repro.runtime.store import ObjectStore, fold_contributions
 
 __all__ = [
     "CommMode",
@@ -688,17 +688,9 @@ class _RunState:
                 actor, [instr.value] + ([instr.acc] if instr.acc in actor.store else [])
             )
             self._exec_start = start
-            vbuf = actor.store.get(instr.value)
-            if instr.acc in actor.store:
-                abuf = actor.store.get(instr.acc)
-                if abuf.value is not None and vbuf.value is not None:
-                    actor.store.update(instr.acc, abuf.value + vbuf.value)
-            else:
-                actor.store.put(instr.acc, vbuf.value, vbuf.nbytes)
+            if actor.store.accumulate(instr.acc, instr.value, instr.delete_value):
                 self.on_put(actor.id, instr.acc.uid)
             self.arrivals[(actor.id, instr.acc.uid)] = start
-            if instr.delete_value:
-                actor.store.delete(instr.value)
             self.timeline.append(TimelineEvent(actor.id, "accum", instr.acc.uid, start, start))
             actor.pc += 1
             return None
@@ -733,14 +725,9 @@ class _RunState:
             # timeline event is attributed to the lowest-id participant so
             # both engines record identical timelines.
             if instr.group_key not in self.allreduce_done:
-                vals = [
+                total = fold_contributions([
                     self.stores[a].get(ref).value for a, (_, ref) in sorted(posts.items())
-                ]
-                total = None
-                if all(v is not None for v in vals):
-                    total = vals[0]
-                    for v in vals[1:]:
-                        total = total + v
+                ])
                 for a, (_, ref) in posts.items():
                     if total is not None:
                         self.stores[a].update(ref, total)
@@ -841,23 +828,19 @@ class MpmdExecutor:
         engine: ``"event"`` (default, O(1) visits per instruction),
             ``"roundrobin"`` (the polling-fixpoint reference; identical
             results, kept for differential testing), or ``"mp"`` (the
-            process-per-rank backend of :mod:`repro.runtime.mp`: real OS
-            processes, real wall-clock timing; requires pickle-clean
+            process-per-rank runtime of :mod:`repro.runtime.pool`: real
+            OS processes, real wall-clock timing; requires pickle-clean
             programs and accepts no virtual cost model).
         tie_break: event-engine ready-queue ordering for actors runnable
             at the same virtual time — one of :data:`TIE_BREAKS`
             (``"fifo"`` default).  Results are identical under every
             policy (dataflow determinism); only scheduler visit patterns
             differ.  Ignored by the round-robin reference.
-        mp_watchdog_s: ``engine="mp"`` only — driver-side no-progress
-            window before a run is declared deadlocked.
-        mp_shm_threshold: ``engine="mp"`` only — ndarray payload size (in
-            bytes) at which point-to-point transfers switch from inline
-            pickling to shared-memory segments.
-        mp_pool: ``engine="mp"`` only — a warm
+        mp_pool: ``engine="mp"`` only — the warm
             :class:`~repro.runtime.pool.ActorPool` to submit steps to
-            instead of spawning a fresh process mesh per
-            :meth:`execute` (the pool's watchdog / shm settings apply).
+            (its watchdog / shm settings apply).  Without one, every
+            :meth:`execute` runs on a default pool of its own that lives
+            for that call — a cold start each time.
         mp_program_key: advisory cache-key prefix for the pool's
             worker-side program cache (diagnostics only).
         mp_codegen_actor: ``engine="mp"`` only — workers execute their
@@ -873,8 +856,6 @@ class MpmdExecutor:
         comm_mode: CommMode = CommMode.ASYNC,
         engine: str = "event",
         tie_break: str = "fifo",
-        mp_watchdog_s: float | None = None,
-        mp_shm_threshold: int | None = None,
         mp_pool: Any = None,
         mp_program_key: str | None = None,
         mp_codegen_actor: bool = False,
@@ -903,8 +884,6 @@ class MpmdExecutor:
         self.comm_mode = comm_mode
         self.engine = engine
         self.tie_break = tie_break
-        self.mp_watchdog_s = mp_watchdog_s
-        self.mp_shm_threshold = mp_shm_threshold
         self.mp_pool = mp_pool
         self.mp_program_key = mp_program_key
         self.mp_codegen_actor = mp_codegen_actor
@@ -970,28 +949,11 @@ class MpmdExecutor:
             raise ValueError(f"expected {self.n_actors} programs, got {len(programs)}")
         if self.engine == "mp":
             if self.mp_pool is not None:
-                # persistent path: submit to the warm mesh and wait — the
-                # one-step one-result contract of this method is preserved,
-                # but the process spawn/teardown is amortised pool-wide
-                future = self.mp_pool.submit(
-                    programs,
-                    self.stores,
-                    comm_mode=self.comm_mode,
-                    program_key=self.mp_program_key,
-                    codegen_actor=self.mp_codegen_actor,
-                )
-                return future.result()
-            from repro.runtime import mp as _mp_backend
+                return self._execute_on(self.mp_pool, programs)
+            from repro.runtime.pool import ActorPool
 
-            kw: dict = {}
-            if self.mp_watchdog_s is not None:
-                kw["watchdog_s"] = self.mp_watchdog_s
-            if self.mp_shm_threshold is not None:
-                kw["shm_threshold"] = self.mp_shm_threshold
-            return _mp_backend.execute_mp(
-                programs, self.stores, comm_mode=self.comm_mode,
-                codegen_actor=self.mp_codegen_actor, **kw
-            )
+            with ActorPool(self.n_actors, comm_mode=self.comm_mode) as pool:
+                return self._execute_on(pool, programs)
         actors = [_Actor(i, prog, self.stores[i]) for i, prog in enumerate(programs)]
         state = _RunState(actors, self.stores, self.cost, self.comm_mode)
 
@@ -1021,6 +983,18 @@ class MpmdExecutor:
             repolls=state.repolls,
             wait_profile=state.wait_profile,
         )
+
+    def _execute_on(self, pool, programs) -> ExecutionResult:
+        """Submit to the process mesh and wait: the one-step one-result
+        contract of :meth:`execute` on a runtime that streams steps."""
+        future = pool.submit(
+            programs,
+            self.stores,
+            comm_mode=self.comm_mode,
+            program_key=self.mp_program_key,
+            codegen_actor=self.mp_codegen_actor,
+        )
+        return future.result()
 
     # -- scheduling loops --------------------------------------------------------
     def _drive_event(

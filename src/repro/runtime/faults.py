@@ -5,10 +5,10 @@ is inherently flaky: the signal lands wherever the scheduler happened to
 put the worker, so every run exercises a *different* interleaving and a
 recovery bug reproduces once a week.  This module replaces wall-clock
 racing with a declarative :class:`FaultPlan` — *which* rank fails, at
-*which* step, in *which* way — threaded through the worker loops of
-:mod:`repro.runtime.mp` and :mod:`repro.runtime.pool` behind a hook that
-costs nothing when no plan is armed (``self.faults is None`` is the
-entire steady-state overhead).
+*which* step, in *which* way — threaded through the pool's worker loop
+(:mod:`repro.runtime.pool`) and the send path of :mod:`repro.runtime.mp`
+behind a hook that costs nothing when no plan is armed (``self.faults is
+None`` is the entire steady-state overhead).
 
 Fault kinds
 ===========
@@ -186,8 +186,7 @@ class FaultPlan:
         FaultPlan(kill_rank=1, at_step=7, when="after")
 
     Hand the plan to :class:`~repro.core.api.RemoteMesh`
-    (``fault_plan=``), :class:`~repro.runtime.pool.ActorPool`
-    (``fault_plan=``) or :func:`~repro.runtime.mp.execute_mp`
+    (``fault_plan=``) or :class:`~repro.runtime.pool.ActorPool`
     (``fault_plan=``); workers receive it at spawn and arm only the
     faults naming their rank and pool generation — every other code path
     is untouched (``faults is None``).
@@ -239,15 +238,12 @@ class FaultPlan:
 
 class RankFaultState:
     """One rank's armed faults plus the step/send counters that match
-    them — the object the worker loops consult.  Hook points:
+    them — the object the pool's worker loop consults.  Hook points:
 
     - :meth:`begin_step` at the top of a step (kill-before / wedge),
     - :meth:`end_step` after execution, before the result report
       (kill-after),
     - :meth:`on_send` in the channel send path (drop / delay).
-
-    Picklable (plain data), so the one-shot driver can ship it inside
-    :class:`~repro.runtime.mp._WorkerSpec`.
     """
 
     def __init__(self, faults: Sequence[Any]):

@@ -1,28 +1,41 @@
-"""True multi-process MPMD backend: one OS process per rank.
+"""Process-per-rank MPMD runtime, worker side: one OS process per rank.
 
 Everything upstream of this module executes the paper's design inside a
-single Python process on virtual time.  This backend is the real thing —
-the reproduction of JaxPP's Ray+NCCL runtime (§4): each pipeline rank is
-an independent **actor process** (``multiprocessing`` *spawn* context)
-that owns its object store and asynchronously executes its fused
-instruction program; timing is real wall-clock, not simulated.
+single Python process on virtual time.  ``engine="mp"`` is the real
+thing — the reproduction of JaxPP's Ray+NCCL runtime (§4): each pipeline
+rank is an independent, long-lived **actor process**
+(``multiprocessing`` *spawn* context) that owns its object store and
+asynchronously executes its fused instruction program; timing is real
+wall-clock, not simulated.  :class:`repro.runtime.pool.ActorPool` is the
+driver: it spawns the processes, streams step submissions to them and
+enforces the watchdog.  This module is what runs inside a process —
+:class:`_Worker` and the transport under it — plus the report helpers
+the driver shares.
 
 Design
 ======
 
 Channels (§4.2's ordering contract)
-    One FIFO queue per *directed* rank pair that the programs actually
-    use.  The k-th message a worker takes from channel ``src->dst`` is
-    matched against the k-th receive it posted on that channel — the same
+    Each rank owns ONE inbox queue for its whole life, so a pool can run
+    programs it has never seen.  Every message carries a route key —
+    ``("data", src)``, ``("ack", dst)``, ``("gather", group)``,
+    ``("collres", group)``, the barrier's pair, the pool's command
+    route — and :class:`_Inbox` buffers out-of-route arrivals until
+    their consumer asks.  Per-route FIFO order holds because each
+    producer's puts are FIFO and routes never share a producer stream,
+    so the k-th message a worker takes from ``("data", src)`` is matched
+    against the k-th receive it posted on channel ``src->dst`` — the same
     pairwise-FIFO contract the in-process engine implements and NCCL
-    imposes on P2P ops.  Matched keys are cross-checked; a mismatch
-    surfaces as :class:`~repro.runtime.executor.CommMismatchError` at the
-    driver instead of silent data corruption.  Under
+    imposes on P2P ops, across steps as within one.  Matched keys are
+    cross-checked; a mismatch surfaces as
+    :class:`~repro.runtime.executor.CommMismatchError` at the driver
+    instead of silent data corruption.  Under
     :attr:`CommMode.SYNC <repro.runtime.executor.CommMode>` every send
-    additionally blocks on a per-channel ack (the NCCL-rendezvous
-    semantics under which Figure 5's naive ordering genuinely deadlocks);
-    under ``ASYNC`` (JaxPP's mode) sends return immediately and posted
-    receives are drained lazily by the first consuming instruction.
+    additionally blocks on an ack from its destination (the
+    NCCL-rendezvous semantics under which Figure 5's naive ordering
+    genuinely deadlocks); under ``ASYNC`` (JaxPP's mode) sends return
+    immediately and posted receives are drained lazily by the first
+    consuming instruction.
 
 Shared-memory transport
     ndarray payloads at or above ``shm_threshold`` bytes travel through
@@ -32,32 +45,34 @@ Shared-memory transport
     pickled inline.  Ownership is handed over explicitly (the sender
     unregisters the segment from its resource tracker), so the normal
     path neither leaks nor double-frees; on an abnormal stop the driver
-    drains the channels and unlinks whatever was still in flight.
+    drains the queues and unlinks whatever was still in flight.
 
 Collectives
     Data-parallel all-reduce is a **barrier-backed reduce**: every
-    participant enters a per-group ``Barrier`` (the rendezvous), members
-    then funnel their contribution to the lowest rank, which reduces in
-    sorted-rank order — bit-identical to the in-process engine — and
-    broadcasts the result back.  The barrier serialises successive
-    collectives of the same group, so gather/result traffic can never
-    interleave across ``group_key``\\ s.
+    participant enters the group's :class:`_QueueBarrier` (a rendezvous
+    funnelled through the lowest rank's inbox), members then send their
+    contribution to that rank, which reduces in sorted-rank order —
+    bit-identical to the in-process engine — and sends the result back.
+    The barrier serialises successive collectives of the same group, so
+    gather/result traffic can never interleave across ``group_key``\\ s.
 
-Deadlock watchdog
-    Workers report to a control queue: a state message immediately
-    before every potentially-unbounded block (channel drain, ack wait,
-    barrier), a coarse heartbeat while computing, and a final
-    done/error message.  The driver raises
-    :class:`~repro.runtime.executor.DeadlockError` when no worker has
-    reported progress for ``watchdog_s`` seconds, terminating the
-    processes and aggregating each actor's last program counter and
-    blocking resource into the diagnostic — a hung schedule reports,
-    it never hangs the test suite.
+Watchdog reports
+    A worker reports to the control queue, every message tagged with its
+    submission id: a state message immediately before every
+    potentially-unbounded block (channel drain, ack wait, barrier), a
+    coarse heartbeat while computing, and a final done/error message.
+    The pool raises :class:`~repro.runtime.executor.DeadlockError` when
+    no worker has reported progress for ``watchdog_s`` seconds,
+    terminating the processes and aggregating each actor's last program
+    counter and blocking resource into the diagnostic
+    (:func:`_deadlock_error`) — a hung schedule reports, it never hangs
+    the test suite.
 
-The merged :class:`~repro.runtime.executor.ExecutionResult` carries the
-real wall-clock timeline (per-instruction intervals with their stage /
-unit ``meta``), the per-resource wait profile, per-actor finish times,
-and summed scheduler counters — exactly the shape
+The merged :class:`~repro.runtime.executor.ExecutionResult`
+(:func:`_merge_results`) carries the real wall-clock timeline
+(per-instruction intervals with their stage / unit ``meta``), the
+per-resource wait profile, per-actor finish times, and summed scheduler
+counters — exactly the shape
 :meth:`CostModel.from_result <repro.core.autotune.CostModel.from_result>`
 replays, which is what closes the measure → retune loop on a *real*
 concurrent execution.
@@ -65,32 +80,19 @@ concurrent execution.
 Requirements: per-actor programs must be pickle-clean (the compiler's
 payload contract, ``tests/core/test_pickle.py``); virtual cost models do
 not apply (time is measured, not simulated).
-
-This module is the *one-shot* driver: :func:`execute_mp` spawns the
-mesh, runs a single step, and tears everything down — correct, but ~139×
-per-step overhead on small workloads.  The persistent sibling,
-:class:`repro.runtime.pool.ActorPool`, keeps the same worker loop
-(:class:`_Worker` is reused verbatim through queue-routing shims) alive
-across a *stream* of step submissions; shared-memory segments are
-accounted per submission there, not per process death.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import queue as _queue
 import threading
 import time
-import traceback
 from collections import deque
 from typing import Any, NamedTuple, Sequence
-
-import multiprocessing as _mp
 
 import numpy as np
 
 from repro.runtime.executor import (
-    CommMismatchError,
     CommMode,
     DeadlockError,
     ExecutionResult,
@@ -102,14 +104,13 @@ from repro.runtime.instructions import (
     AllReduce,
     BufferRef,
     Delete,
-    Instruction,
     Recv,
     RunTask,
     Send,
 )
-from repro.runtime.store import ObjectStore
+from repro.runtime.store import ObjectStore, fold_contributions
 
-__all__ = ["execute_mp", "DEFAULT_SHM_THRESHOLD", "DEFAULT_WATCHDOG_S"]
+__all__ = ["DEFAULT_SHM_THRESHOLD", "DEFAULT_WATCHDOG_S"]
 
 #: ndarray payloads at or above this many bytes use shared-memory segments
 #: instead of inline pickling through the channel queue.
@@ -306,22 +307,88 @@ def _discard_payload(obj) -> None:
 
 
 # ---------------------------------------------------------------------------
-# worker
+# channels: one inbox per rank, route keys, queue barrier
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass
-class _WorkerSpec:
-    """Everything one actor process needs, shipped by pickle at spawn."""
+class _Inbox:
+    """Demultiplexes one worker's inbox queue into per-route streams.
 
-    rank: int
-    program: list[Instruction]
-    buffers: dict[str, tuple[Any, int, bool]]  # uid -> (value, nbytes, pinned)
-    comm_mode: CommMode
-    shm_threshold: int
-    epoch: float  # driver's monotonic base; CLOCK_MONOTONIC is system-wide
-    codegen_actor: bool = False  # fuse the instruction loop (runtime.actorgen)
-    faults: Any = None  # RankFaultState for injected chaos (runtime.faults)
+    ``get(route)`` blocks for the next message on ``route``; anything
+    else that arrives meanwhile is buffered (per route, FIFO) until its
+    consumer asks.  This is what lets one queue per rank carry every
+    directed pair's channel without losing the pairwise-FIFO contract.
+    """
+
+    def __init__(self, q):
+        self.q = q
+        self.buf: dict[tuple, deque] = {}
+
+    def get(self, route: tuple):
+        d = self.buf.get(route)
+        if d:
+            return d.popleft()
+        while True:
+            r, msg = self.q.get()
+            if r == route:
+                return msg
+            self.buf.setdefault(r, deque()).append(msg)
+
+
+class _QueueBarrier:
+    """``Barrier.wait`` over the inbox queues, for one collective group.
+
+    A pool learns its groups from programs that arrive after spawn, so
+    no OS barrier can be allocated for them up front.  Rendezvous
+    instead funnels through the group root: members send an arrive
+    message (tagged with a generation counter), the root releases them
+    once all have arrived.  The generation stash keeps back-to-back
+    barriers of the same group from stealing each other's arrivals; the
+    serialising property the collective protocol relies on is preserved
+    because no member can reach barrier ``g+1`` before the root finished
+    collective ``g``.  One instance per (rank, group) lives as long as
+    the worker process: the generation counts across runs.
+    """
+
+    def __init__(self, rank: int, group: tuple, inbox: _Inbox, peers):
+        self.rank = rank
+        self.group = group
+        self.root = group[0]
+        self.inbox = inbox
+        self.peers = peers
+        self.gen = 0
+        self._early: dict[int, int] = {}  # root: arrivals for future gens
+
+    def wait(self) -> None:
+        gen = self.gen
+        self.gen += 1
+        arrive = ("barrier", self.group)
+        release = ("barrier-go", self.group)
+        if self.rank == self.root:
+            need = len(self.group) - 1
+            have = self._early.pop(gen, 0)
+            while have < need:
+                g = self.inbox.get(arrive)
+                if g == gen:
+                    have += 1
+                else:
+                    self._early[g] = self._early.get(g, 0) + 1
+            for r in self.group:
+                if r != self.root:
+                    self.peers[r].put((release, gen))
+        else:
+            self.peers[self.root].put((arrive, gen))
+            g = self.inbox.get(release)
+            if g != gen:  # pragma: no cover - releases are FIFO from root
+                raise RuntimeError(
+                    f"barrier generation skew in group {self.group}: "
+                    f"rank {self.rank} at {gen} got release {g}"
+                )
+
+
+# ---------------------------------------------------------------------------
+# worker
+# ---------------------------------------------------------------------------
 
 
 class _WorkerStop(Exception):
@@ -329,34 +396,42 @@ class _WorkerStop(Exception):
 
 
 class _Worker:
-    """Single-threaded interpreter for one actor's instruction stream.
+    """Single-threaded interpreter for one run of one actor's program.
 
     Semantically the numeric-mode subset of the in-process engine's
     ``step``; the differential suite (``tests/runtime/test_mp_equivalence``)
     asserts bit-identical results across the whole schedule gallery.
+
+    The pool's worker loop builds one per ``run`` command (fresh
+    posted-receive state, an object store seeded with ``buffers``) over
+    the plumbing that lives as long as the process: the rank's
+    :class:`_Inbox`, the peer inbox queues by rank, the control queue
+    and the per-group :class:`_QueueBarrier` table.  ``cmd`` is the
+    command being served (:class:`repro.runtime.pool._Run`): its ``sid``
+    tags every report, its ``epoch`` is the driver's monotonic base
+    (``CLOCK_MONOTONIC`` is system-wide).
     """
 
-    def __init__(self, spec, send_qs, recv_qs, ack_wait, ack_send, coll, ctrl):
-        self.rank = spec.rank
-        self.program = spec.program
-        self.codegen_actor = getattr(spec, "codegen_actor", False)
-        self.faults = getattr(spec, "faults", None)
-        self.comm_mode = spec.comm_mode
-        self.shm_threshold = spec.shm_threshold
-        self.epoch = spec.epoch
-        self.send_qs = send_qs  # dst -> data queue (self -> dst)
-        self.recv_qs = recv_qs  # src -> data queue (src -> self)
-        self.ack_wait = ack_wait  # dst -> ack queue (dst -> self)
-        self.ack_send = ack_send  # src -> ack queue (self -> src)
-        self.coll = coll  # group tuple -> (barrier, gather_q, result_qs)
+    def __init__(self, rank, program, buffers, cmd, inbox, peers, ctrl, barriers, faults):
+        self.rank = rank
+        self.program = program
+        self.sid = cmd.sid
+        self.comm_mode = cmd.comm_mode
+        self.shm_threshold = cmd.shm_threshold
+        self.epoch = cmd.epoch
+        self.codegen_actor = cmd.codegen_actor  # fuse the loop (runtime.actorgen)
+        self.faults = faults  # RankFaultState for injected chaos (runtime.faults)
+        self.inbox = inbox
+        self.peers = peers  # rank -> that rank's inbox queue
         self.ctrl = ctrl
+        self.barriers = barriers  # sorted group tuple -> _QueueBarrier
 
-        self.store = ObjectStore(spec.rank)
+        self.store = ObjectStore(rank)
         #: uid -> (value, nbytes, pinned) of what the program produced;
         #: filled by :meth:`_finish_report`
         self.outputs: dict[str, tuple[Any, int, bool]] = {}
-        self.initial_uids = set(spec.buffers)
-        for uid, (value, nbytes, pinned) in spec.buffers.items():
+        self.initial_uids = set(buffers)
+        for uid, (value, nbytes, pinned) in buffers.items():
             self.store.put(BufferRef(uid), value, nbytes, pinned=pinned)
 
         self.pending_by_src: dict[int, deque[Recv]] = {}
@@ -382,7 +457,7 @@ class _Worker:
     def _heartbeat_loop(self) -> None:
         while not self._stop_heartbeat.wait(_HEARTBEAT_S):
             if self._busy:
-                self.ctrl.put(("hb", self.rank, self.pc))
+                self.ctrl.put(("sub", self.sid, ("hb", self.rank, self.pc)))
 
     def blocking(self, label: str, note: str):
         """Context manager: report the imminent block, time it, charge the
@@ -390,7 +465,9 @@ class _Worker:
         return _BlockScope(self, label, note)
 
     def fail(self, kind: str, message: str) -> None:
-        self.ctrl.put(("error", self.rank, self.pc, kind, message))
+        self.ctrl.put(
+            ("sub", self.sid, ("error", self.rank, self.pc, kind, message))
+        )
         raise _WorkerStop
 
     # -- channel plumbing --------------------------------------------------
@@ -411,9 +488,7 @@ class _Worker:
                 f"channel {src}->{self.rank}",
                 f"send of {rec.key!r} on channel {src}->{self.rank}",
             ) as t0:
-                msg = self.recv_qs[src].get()
-            tag, key, nbytes, payload = msg
-            assert tag == "data"
+                key, nbytes, payload = self.inbox.get(("data", src))
             posted.popleft()
             if key != rec.key:
                 _discard_payload(payload)
@@ -433,7 +508,7 @@ class _Worker:
                 TimelineEvent(self.rank, "recv", key, t0, end, nbytes)
             )
             if self.comm_mode is CommMode.SYNC:
-                self.ack_send[src].put(key)
+                self.peers[src].put((("ack", self.rank), key))
             if until_uid is None or rec.ref.uid == until_uid:
                 return
 
@@ -547,7 +622,9 @@ class _Worker:
         buf = self.store.get(instr.ref)
         start = self.now()
         payload = _encode_payload(buf.value, self.shm_threshold)
-        self.send_qs[instr.dst].put(("data", instr.key, buf.nbytes, payload))
+        self.peers[instr.dst].put(
+            (("data", self.rank), (instr.key, buf.nbytes, payload))
+        )
         self.timeline.append(
             TimelineEvent(
                 self.rank, "send", instr.key, start, self.now(), buf.nbytes
@@ -558,7 +635,7 @@ class _Worker:
                 f"channel {self.rank}->{instr.dst}",
                 f"recv of {instr.key!r} on channel {self.rank}->{instr.dst}",
             ):
-                ack = self.ack_wait[instr.dst].get()
+                ack = self.inbox.get(("ack", instr.dst))
             if ack != instr.key:  # pragma: no cover - FIFO acks
                 self.fail(
                     "mismatch",
@@ -576,23 +653,20 @@ class _Worker:
     def exec_accumulate(self, instr: Accumulate) -> None:
         self.require(instr.value)
         start = self.now()
-        vbuf = self.store.get(instr.value)
-        if instr.acc in self.store:
-            abuf = self.store.get(instr.acc)
-            if abuf.value is not None and vbuf.value is not None:
-                self.store.update(instr.acc, abuf.value + vbuf.value)
-        else:
-            self.store.put(instr.acc, vbuf.value, vbuf.nbytes)
-        if instr.delete_value:
-            self.store.delete(instr.value)
+        self.store.accumulate(instr.acc, instr.value, instr.delete_value)
         self.timeline.append(
             TimelineEvent(self.rank, "accum", instr.acc.uid, start, start)
         )
 
     def exec_allreduce(self, instr: AllReduce) -> None:
         group = tuple(sorted(instr.group))
-        barrier, gather_q, result_qs = self.coll[group]
+        barrier = self.barriers.get(group)
+        if barrier is None:
+            barrier = self.barriers[group] = _QueueBarrier(
+                self.rank, group, self.inbox, self.peers
+            )
         root = group[0]
+        gather, collres = ("gather", group), ("collres", group)
         key = instr.group_key
         self.require(instr.ref)
         with self.blocking(
@@ -610,7 +684,7 @@ class _Worker:
                     f"all-reduce contributions for {key!r} "
                     f"(have {sorted(contribs)})",
                 ):
-                    gk, r, payload = gather_q.get()
+                    gk, r, payload = self.inbox.get(gather)
                 if gk != key:  # pragma: no cover - barrier serialises groups
                     self.fail(
                         "protocol",
@@ -618,18 +692,13 @@ class _Worker:
                         f"{key!r}",
                     )
                 contribs[r] = _decode_payload(payload)
-            vals = [contribs[r] for r in sorted(contribs)]
-            total = None
-            if all(v is not None for v in vals):
-                total = vals[0]
-                for v in vals[1:]:
-                    total = total + v
+            total = fold_contributions([contribs[r] for r in sorted(contribs)])
             for r in group:
                 if r != root:
                     # one payload per member: a shm segment is consumed
                     # (copied + unlinked) by exactly one receiver
-                    result_qs[r].put(
-                        (key, _encode_payload(total, self.shm_threshold))
+                    self.peers[r].put(
+                        (collres, (key, _encode_payload(total, self.shm_threshold)))
                     )
             if total is not None:
                 self.store.update(instr.ref, total)
@@ -639,13 +708,14 @@ class _Worker:
                 )
             )
         else:
-            gather_q.put(
-                (key, self.rank, _encode_payload(buf.value, self.shm_threshold))
+            self.peers[root].put(
+                (gather,
+                 (key, self.rank, _encode_payload(buf.value, self.shm_threshold)))
             )
             with self.blocking(
                 f"allreduce {key!r}", f"all-reduce result for {key!r}"
             ):
-                gk, payload = result_qs[self.rank].get()
+                gk, payload = self.inbox.get(collres)
             if gk != key:  # pragma: no cover - barrier serialises groups
                 self.fail(
                     "protocol",
@@ -668,7 +738,7 @@ class _BlockScope:
     def __enter__(self) -> float:
         w = self.worker
         w._busy = False  # silence the heartbeat: a block is not progress
-        w.ctrl.put(("wait", w.rank, w.pc, self.note, self.label))
+        w.ctrl.put(("sub", w.sid, ("wait", w.rank, w.pc, self.note, self.label)))
         self.start = w.now()
         return self.start
 
@@ -684,174 +754,9 @@ class _BlockScope:
         stat.by_rank[w.rank] = stat.by_rank.get(w.rank, 0.0) + parked
 
 
-def _worker_main(spec, send_qs, recv_qs, ack_wait, ack_send, coll, ctrl) -> None:
-    """Spawn entry point: build the worker, announce, run, report."""
-    try:
-        worker = _Worker(spec, send_qs, recv_qs, ack_wait, ack_send, coll, ctrl)
-        ctrl.put(("hello", spec.rank))
-        # a one-shot run is step 0 of a one-step stream; the fault hooks
-        # mirror the pool worker loop's boundaries exactly
-        if worker.faults is not None:
-            worker.faults.begin_step(0)
-        result = worker.run()
-        if worker.faults is not None:
-            worker.faults.end_step(0, payloads=result["buffers"])
-        ctrl.put(("done", spec.rank, result))
-    except _WorkerStop:
-        pass  # error already reported
-    except BaseException:
-        try:
-            ctrl.put(
-                ("error", spec.rank, -1, "exception", traceback.format_exc())
-            )
-        except Exception:  # pragma: no cover - ctrl queue gone
-            pass
-
-
 # ---------------------------------------------------------------------------
-# driver
+# driver-side helpers (used by runtime.pool)
 # ---------------------------------------------------------------------------
-
-
-def _scan_programs(
-    programs: Sequence[Sequence[Instruction]],
-) -> tuple[set[tuple[int, int]], set[tuple[int, ...]]]:
-    """Directed channels and collective groups the programs use."""
-    pairs: set[tuple[int, int]] = set()
-    groups: set[tuple[int, ...]] = set()
-    for rank, prog in enumerate(programs):
-        for instr in prog:
-            if isinstance(instr, Send):
-                pairs.add((rank, instr.dst))
-            elif isinstance(instr, Recv):
-                pairs.add((instr.src, rank))
-            elif isinstance(instr, AllReduce):
-                groups.add(tuple(sorted(instr.group)))
-    return pairs, groups
-
-
-def execute_mp(
-    programs: Sequence[Sequence[Instruction]],
-    stores: Sequence[ObjectStore],
-    comm_mode: CommMode = CommMode.ASYNC,
-    *,
-    watchdog_s: float = DEFAULT_WATCHDOG_S,
-    shm_threshold: int = DEFAULT_SHM_THRESHOLD,
-    codegen_actor: bool = False,
-    fault_plan: Any = None,
-    generation: int = 0,
-) -> ExecutionResult:
-    """Run one fused program per actor, each in its own OS process.
-
-    ``stores`` are the driver-side object stores holding the placed
-    inputs; each worker starts from a copy of its store's buffers and the
-    driver merges every *new* live buffer (and the worker's peak-memory
-    statistic) back afterwards, so
-    :meth:`~repro.runtime.executor.MpmdExecutor.fetch` works unchanged.
-
-    Raises:
-        DeadlockError: when no worker reports progress for ``watchdog_s``
-            seconds — the message aggregates each stuck actor's program
-            counter and the resource it last blocked on.
-        CommMismatchError: when pairwise-FIFO matching pairs a send and a
-            recv that disagree on the logical value.
-        RuntimeError: when a worker raises (the traceback is embedded) or
-            dies without reporting.
-    """
-    n = len(programs)
-    if len(stores) != n:
-        raise ValueError(f"expected {n} stores, got {len(stores)}")
-    # a window shorter than two heartbeat periods would flag healthy
-    # compute-bound workers (first "hb" arrives after _HEARTBEAT_S)
-    watchdog_s = max(watchdog_s, 2.0 * _HEARTBEAT_S)
-
-    ctx = _mp.get_context("spawn")
-    pairs, groups = _scan_programs(programs)
-    data_qs = {pair: ctx.Queue() for pair in pairs}
-    ack_qs = {pair: ctx.Queue() for pair in pairs} if comm_mode is CommMode.SYNC else {}
-    coll: dict[tuple[int, ...], tuple] = {}
-    for group in groups:
-        barrier = ctx.Barrier(len(group))
-        gather_q = ctx.Queue()
-        result_qs = {r: ctx.Queue() for r in group if r != group[0]}
-        coll[group] = (barrier, gather_q, result_qs)
-    ctrl = ctx.Queue()
-    epoch = time.monotonic()
-
-    procs: list = []
-    try:
-        for rank in range(n):
-            spec = _WorkerSpec(
-                rank=rank,
-                program=list(programs[rank]),
-                buffers={
-                    uid: (buf.value, buf.nbytes, buf.pinned)
-                    for uid in stores[rank].live_refs()
-                    for buf in [stores[rank].get(BufferRef(uid))]
-                },
-                comm_mode=comm_mode,
-                shm_threshold=shm_threshold,
-                epoch=epoch,
-                codegen_actor=codegen_actor,
-                faults=(
-                    fault_plan.for_rank(rank, generation)
-                    if fault_plan is not None
-                    else None
-                ),
-            )
-            send_qs = {d: q for (s, d), q in data_qs.items() if s == rank}
-            recv_qs = {s: q for (s, d), q in data_qs.items() if d == rank}
-            ack_wait = {d: q for (s, d), q in ack_qs.items() if s == rank}
-            ack_send = {s: q for (s, d), q in ack_qs.items() if d == rank}
-            my_coll = {g: c for g, c in coll.items() if rank in g}
-            p = ctx.Process(
-                target=_worker_main,
-                args=(spec, send_qs, recv_qs, ack_wait, ack_send, my_coll, ctrl),
-                name=f"mpmd-actor-{rank}",
-                daemon=True,
-            )
-            try:
-                p.start()
-            except Exception as e:
-                raise TypeError(
-                    f"engine='mp' could not ship actor {rank}'s program to a "
-                    "spawn-context worker; task payloads must be pickle-clean "
-                    f"(offender: {e})"
-                ) from e
-            procs.append(p)
-
-        return _drive(procs, ctrl, data_qs, stores, watchdog_s, n)
-    finally:
-        for p in procs:
-            if p.is_alive():
-                p.terminate()
-        for p in procs:
-            p.join(timeout=5.0)
-            if p.is_alive():  # pragma: no cover - stubborn child
-                p.kill()
-                p.join(timeout=5.0)
-        coll_qs = [
-            q
-            for _, gather_q, result_qs in coll.values()
-            for q in (gather_q, *result_qs.values())
-        ]
-        all_qs = [*data_qs.values(), *coll_qs, ctrl]
-        # drain in a bounded daemon thread: a message truncated by
-        # terminate() can make a queue read block forever, and cleanup
-        # must never convert a reported failure into a hang.  Closing the
-        # queues below unsticks (OSError) a drain still in flight.
-        drain = threading.Thread(
-            target=_reclaim_in_flight, args=(all_qs,), daemon=True
-        )
-        drain.start()
-        drain.join(timeout=5.0)
-        # drop queue feeder threads promptly
-        for q in all_qs:
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except Exception:  # pragma: no cover - already closed
-                pass
 
 
 def _reclaim_in_flight(queues: Sequence[Any]) -> None:
@@ -865,75 +770,6 @@ def _reclaim_in_flight(queues: Sequence[Any]) -> None:
             _discard_payload(msg)
 
 
-def _drive(procs, ctrl, data_qs, stores, watchdog_s, n) -> ExecutionResult:
-    """Collect worker reports; enforce the no-progress watchdog."""
-    states: dict[int, tuple[int, str, str]] = {}  # rank -> (pc, note, label)
-    pcs: dict[int, int] = {}
-    hello: set[int] = set()
-    results: dict[int, dict] = {}
-    last_progress = time.monotonic()
-
-    while len(results) < n:
-        grace = watchdog_s if len(hello) == n else max(watchdog_s, _SPAWN_GRACE_S)
-        try:
-            msg = ctrl.get(timeout=0.2)
-        except _queue.Empty:
-            dead = [
-                rank
-                for rank, p in enumerate(procs)
-                if rank not in results and not p.is_alive()
-            ]
-            if dead:
-                # the final done/error report may still be in the pipe
-                # (the worker can flush and exit between our poll and the
-                # liveness check) — give it one beat before declaring a
-                # silent death
-                try:
-                    msg = ctrl.get(timeout=1.0)
-                except _queue.Empty:
-                    p = procs[dead[0]]
-                    raise RuntimeError(
-                        f"mp worker for actor {dead[0]} died without "
-                        f"reporting (exitcode {p.exitcode})"
-                    ) from None
-            elif time.monotonic() - last_progress > grace:
-                _raise_deadlock(procs, states, pcs, results, watchdog_s)
-                continue  # pragma: no cover - _raise_deadlock raises
-            else:
-                continue
-        last_progress = time.monotonic()
-        kind = msg[0]
-        if kind == "hello":
-            hello.add(msg[1])
-        elif kind == "hb":
-            _, rank, pc = msg
-            pcs[rank] = pc
-            # clear a recorded wait only when the worker demonstrably
-            # moved past it — the heartbeat thread can race a block and
-            # emit one stale "hb" carrying the same pc as the "wait"
-            if rank in states and states[rank][0] != pc:
-                states.pop(rank)
-        elif kind == "wait":
-            _, rank, pc, note, label = msg
-            pcs[rank] = pc
-            states[rank] = (pc, note, label)
-        elif kind == "done":
-            msg[2]["buffers"] = _decode_buffers(msg[2]["buffers"])
-            results[msg[1]] = msg[2]
-            pcs[msg[1]] = msg[2]["pc"]  # fully retired
-        elif kind == "error":
-            _, rank, pc, err_kind, text = msg
-            if err_kind == "mismatch":
-                raise CommMismatchError(text)
-            raise RuntimeError(
-                f"mp worker for actor {rank} failed at [{pc}]:\n{text}"
-            )
-        else:  # pragma: no cover - future-proofing
-            raise RuntimeError(f"unknown control message {msg!r}")
-
-    return _merge_results(results, stores, n)
-
-
 def _merge_results(
     results: dict[int, dict], stores: Sequence[ObjectStore], n: int
 ) -> ExecutionResult:
@@ -942,10 +778,9 @@ def _merge_results(
     New live buffers (each report's ``"buffers"``, already decoded by
     the driver loop that received it) and the peak-memory statistic land
     back in the driver-side ``stores``; the wall-clock timeline is
-    rebased to the first executed instruction.  Shared by the one-shot
-    driver above and the persistent
-    :class:`~repro.runtime.pool.ActorPool`, which calls this once per
-    completed submission.
+    rebased to the first executed instruction.
+    :class:`~repro.runtime.pool.ActorPool` calls this once per completed
+    submission.
     """
     timeline: list[TimelineEvent] = []
     wait_profile: dict[str, WaitStat] = {}
@@ -971,10 +806,11 @@ def _merge_results(
                 store.put(ref, value, nbytes, pinned=pinned)
         store.peak_bytes = max(store.peak_bytes, res["peak_bytes"])
 
-    # rebase to the first executed instruction: interpreter start-up
-    # (spawn + import, hundreds of ms per worker) is driver overhead, not
-    # part of the program's measured makespan — callers timing the whole
-    # dispatch still see it on their own wall clock
+    # rebase to the first executed instruction: what precedes it (the
+    # command's queue hop and decode; on a fresh pool spawn + import,
+    # hundreds of ms per worker) is driver overhead, not part of the
+    # program's measured makespan — callers timing the whole dispatch
+    # still see it on their own wall clock
     t0 = min((e.start for e in timeline), default=0.0)
     if t0 > 0.0:
         for e in timeline:
@@ -996,17 +832,9 @@ def _merge_results(
     )
 
 
-def _raise_deadlock(procs, states, pcs, results, watchdog_s) -> None:
-    stuck = [rank for rank in range(len(procs)) if rank not in results]
-    raise _deadlock_error(stuck, range(len(procs)), states, pcs, watchdog_s)
-
-
-def _deadlock_error(
-    stuck_ranks, all_ranks, states, pcs, watchdog_s, context: str = "mp run"
-) -> DeadlockError:
+def _deadlock_error(stuck_ranks, all_ranks, states, pcs, watchdog_s) -> DeadlockError:
     """Build the watchdog diagnostic: one line per stuck actor (its last
-    program counter and blocked resource) plus the aggregated counters.
-    Shared by the one-shot driver and the persistent pool."""
+    program counter and blocked resource) plus the aggregated counters."""
     lines = []
     for rank in stuck_ranks:
         pc = pcs.get(rank, "?")
@@ -1022,7 +850,7 @@ def _deadlock_error(
         f"{rank}: pc={pcs.get(rank, '?')}" for rank in all_ranks
     )
     return DeadlockError(
-        f"{context} made no progress for {watchdog_s:.1f}s "
+        f"mp pool made no progress for {watchdog_s:.1f}s "
         "(watchdog expired; workers terminated):\n"
         + "\n".join(lines)
         + f"\naggregated per-actor program counters: {{{counters}}}"

@@ -1,11 +1,12 @@
-"""Persistent multi-process actor pool: a warm mesh serving step streams.
+"""The process-per-rank runtime's driver: a mesh of actor processes
+serving step streams.
 
-:func:`repro.runtime.mp.execute_mp` is the one-shot driver — it spawns
-the process mesh, pickles every program across, runs one step, and tears
-everything down, which costs ~139× the useful work on small steps
-(``BENCH_mp.json``).  The paper's runtime (and its PipeDream-style
-lineage) assumes *long-lived* actors that amortise that setup across
-thousands of steps.  :class:`ActorPool` is that runtime:
+The paper's runtime (and its PipeDream-style lineage) assumes
+*long-lived* actors that amortise spawn and program shipping across
+thousands of steps.  :class:`ActorPool` is that runtime, and the only
+driver ``engine="mp"`` has — a cold start is a pool that lives for one
+step.  What runs inside each process (the instruction interpreter, the
+inbox routing, the shared-memory transport) is :mod:`repro.runtime.mp`.
 
 - **Spawn once.**  ``ActorPool(n)`` starts one spawn-context OS process
   per rank at construction and keeps it alive until :meth:`shutdown`.
@@ -17,7 +18,8 @@ thousands of steps.  :class:`ActorPool` is that runtime:
   program key; every later submission of the same programs sends only
   the key (:attr:`ship_count` counts actual shipments, so tests can
   assert the cache hit).  Many independent compiled steps multiplex one
-  warm mesh.
+  warm mesh.  The pickling happens inside the first :meth:`submit`, so a
+  program that is not pickle-clean raises there and the pool lives on.
 
 - **Resident step state.**  A worker keeps what its previous run
   produced until its next run starts.  :meth:`submit` sends an input as
@@ -49,8 +51,8 @@ thousands of steps.  :class:`ActorPool` is that runtime:
 - **Pool-lifetime watchdog.**  The no-progress watchdog only arms while
   submissions are outstanding — an *idle* pool never trips it, however
   long it sits warm.  A genuinely stuck submission fails every pending
-  future with the same ``DeadlockError`` diagnostic as the one-shot
-  driver (per-actor program counters + blocked resources).
+  future with a ``DeadlockError`` naming each actor's program counter
+  and the resource it last blocked on.
 
 - **Crash detection.**  A worker that dies (``kill -9``, OOM, a bug)
   fails all pending futures with a diagnostic naming the actor and exit
@@ -67,33 +69,16 @@ thousands of steps.  :class:`ActorPool` is that runtime:
   when the driver receives the report — so a long-lived pool returns to
   its segment baseline after every step.  Only an abnormal stop (crash,
   deadlock, forced shutdown) runs the bulk drain-and-unlink reclaim.
-
-Message routing
-===============
-
-The one-shot backend allocates one queue per *directed rank pair*, which
-only works because the pair set is known from the programs before spawn.
-A pool must run programs it has never seen, so each worker instead owns a
-single **inbox** queue; every message carries a route key — ``("data",
-src)``, ``("ack", from)``, ``("gather", group)``, ``("cmd",)``, … — and a
-tiny demultiplexer (:class:`_Inbox`) buffers out-of-route messages until
-someone asks for them.  Per-route FIFO order is preserved because each
-producer's puts are FIFO and routes never share a producer stream.  Thin
-shims re-expose the ``put``/``get``/``wait`` surfaces the one-shot
-:class:`~repro.runtime.mp._Worker` expects, so the instruction
-interpreter — and therefore bit-identical semantics — is reused verbatim,
-including the queue-emulated barrier that serialises collectives per
-group.
 """
 
 from __future__ import annotations
 
+import pickle
 import queue as _queue
 import threading
 import time
 import traceback
 import weakref
-from collections import deque
 from typing import Any, NamedTuple, Sequence
 
 import multiprocessing as _mp
@@ -109,10 +94,10 @@ from repro.runtime.mp import (
     DEFAULT_WATCHDOG_S,
     _HEARTBEAT_S,
     _SPAWN_GRACE_S,
-    _Worker,
+    _Inbox,
     _Resident,
     _Slab,
-    _WorkerSpec,
+    _Worker,
     _WorkerStop,
     _deadlock_error,
     _decode_buffers,
@@ -136,7 +121,7 @@ DEFAULT_MAX_INFLIGHT = 4
 _POLL_S = 0.2
 
 #: route key for driver -> worker commands on the inbox.  A command is a
-#: :class:`_Ship`, a :class:`_Run`, or ``None`` (shut down).
+#: pickled :class:`_Ship` (bytes), a :class:`_Run`, or ``None`` (shut down).
 _CMD = ("cmd",)
 
 
@@ -166,184 +151,26 @@ class PoolBackpressureTimeout(TimeoutError):
 
 
 # ---------------------------------------------------------------------------
-# worker side: inbox demultiplexer + queue shims
+# worker side
 # ---------------------------------------------------------------------------
 
 
-class _Inbox:
-    """Demultiplexes one worker's inbox queue into per-route streams.
-
-    ``get(route)`` blocks for the next message on ``route``; anything
-    else that arrives meanwhile is buffered (per route, FIFO) until its
-    consumer asks.  This is what lets one queue per rank replace one
-    queue per directed pair without losing the pairwise-FIFO contract.
-    """
-
-    def __init__(self, q):
-        self.q = q
-        self.buf: dict[tuple, deque] = {}
-
-    def get(self, route: tuple):
-        d = self.buf.get(route)
-        if d:
-            return d.popleft()
-        while True:
-            r, msg = self.q.get()
-            if r == route:
-                return msg
-            self.buf.setdefault(r, deque()).append(msg)
-
-
-class _RoutePut:
-    """``put`` surface: wraps messages with a route key for a peer inbox."""
-
-    __slots__ = ("q", "route")
-
-    def __init__(self, q, route):
-        self.q = q
-        self.route = route
-
-    def put(self, msg) -> None:
-        self.q.put((self.route, msg))
-
-
-class _RouteGet:
-    """``get`` surface: one route of the local inbox."""
-
-    __slots__ = ("inbox", "route")
-
-    def __init__(self, inbox: _Inbox, route):
-        self.inbox = inbox
-        self.route = route
-
-    def get(self):
-        return self.inbox.get(self.route)
-
-
-class _Duplex:
-    """Queue shim with both ends: ``put`` targets a peer inbox route,
-    ``get`` reads the same route off the local inbox (gather/result
-    queues of the collective protocol)."""
-
-    __slots__ = ("put_q", "route", "inbox")
-
-    def __init__(self, put_q, route, inbox: _Inbox):
-        self.put_q = put_q
-        self.route = route
-        self.inbox = inbox
-
-    def put(self, msg) -> None:
-        self.put_q.put((self.route, msg))
-
-    def get(self):
-        return self.inbox.get(self.route)
-
-
-class _QueueBarrier:
-    """``Barrier.wait`` emulated over the inbox queues.
-
-    The one-shot backend hands each collective group a real
-    ``mp.Barrier``, which must be allocated before spawn — impossible for
-    a pool that learns its groups from later programs.  Rendezvous
-    instead funnels through the group root: members send an arrive
-    message (tagged with a generation counter), the root releases them
-    once all have arrived.  The generation stash keeps back-to-back
-    barriers of the same group from stealing each other's arrivals; the
-    serialising property the collective protocol relies on is preserved
-    because no member can reach barrier ``g+1`` before the root finished
-    collective ``g``.
-    """
-
-    def __init__(self, rank: int, group: tuple, inbox: _Inbox, peers):
-        self.rank = rank
-        self.group = group
-        self.root = group[0]
-        self.inbox = inbox
-        self.peers = peers
-        self.gen = 0
-        self._early: dict[int, int] = {}  # root: arrivals for future gens
-
-    def wait(self) -> None:
-        gen = self.gen
-        self.gen += 1
-        arrive = ("barrier", self.group)
-        release = ("barrier-go", self.group)
-        if self.rank == self.root:
-            need = len(self.group) - 1
-            have = self._early.pop(gen, 0)
-            while have < need:
-                g = self.inbox.get(arrive)
-                if g == gen:
-                    have += 1
-                else:
-                    self._early[g] = self._early.get(g, 0) + 1
-            for r in self.group:
-                if r != self.root:
-                    self.peers[r].put((release, gen))
-        else:
-            self.peers[self.root].put((arrive, gen))
-            g = self.inbox.get(release)
-            if g != gen:  # pragma: no cover - releases are FIFO from root
-                raise RuntimeError(
-                    f"barrier generation skew in group {self.group}: "
-                    f"rank {self.rank} at {gen} got release {g}"
-                )
-
-
-class _CollMap(dict):
-    """Lazily builds collective plumbing for any group a program uses."""
-
-    def __init__(self, rank: int, inbox: _Inbox, peers):
-        super().__init__()
-        self.rank = rank
-        self.inbox = inbox
-        self.peers = peers
-
-    def __missing__(self, group):
-        root = group[0]
-        barrier = _QueueBarrier(self.rank, group, self.inbox, self.peers)
-        gather_q = _Duplex(self.peers[root], ("gather", group), self.inbox)
-        result_qs = {
-            r: _Duplex(self.peers[r], ("collres", group), self.inbox)
-            for r in group
-            if r != root
-        }
-        value = (barrier, gather_q, result_qs)
-        self[group] = value
-        return value
-
-
-class _SubCtrl:
-    """Control-queue shim tagging every report with its submission id."""
-
-    __slots__ = ("q", "sid")
-
-    def __init__(self, q, sid: int):
-        self.q = q
-        self.sid = sid
-
-    def put(self, msg) -> None:
-        self.q.put(("sub", self.sid, msg))
-
-
-def _pool_worker_main(
-    rank: int, n: int, inboxes, ctrl, fault_plan=None, generation: int = 0
-) -> None:
+def _pool_worker_main(rank: int, inboxes, ctrl, fault_plan=None, generation: int = 0) -> None:
     """Spawn entry point: serve ship/run commands until shutdown.
 
     One :class:`~repro.runtime.mp._Worker` is built per *run* (fresh
     posted-receive state; an object store seeded with the command's
     by-value inputs, the values it references in the previous run's
-    outputs, and the program's shipped constants) over worker-lifetime
-    queue shims, so cross-step channel order is exactly the
-    concatenation of the per-step orders.
+    outputs, and the program's shipped constants) over the inbox, peer
+    queues and barrier table that live as long as this process, so
+    cross-step channel order is exactly the concatenation of the
+    per-step orders.
 
     ``fault_plan``/``generation`` arm deterministic chaos
     (:mod:`repro.runtime.faults`): faults match against this worker's
     0-based *run counter* — the pool's submission stream index — at the
-    same step boundaries the one-shot driver uses.  ``faults is None``
-    (no plan, or nothing targeting this rank+generation) is the entire
-    steady-state cost.
+    run's boundaries.  ``faults is None`` (no plan, or nothing targeting
+    this rank+generation) is the entire steady-state cost.
     """
     sid = -1
     faults = (
@@ -352,14 +179,7 @@ def _pool_worker_main(
     step_idx = -1
     try:
         inbox = _Inbox(inboxes[rank])
-        peers = dict(enumerate(inboxes))
-        send_qs = {d: _RoutePut(peers[d], ("data", rank)) for d in range(n) if d != rank}
-        recv_qs = {s: _RouteGet(inbox, ("data", s)) for s in range(n) if s != rank}
-        # this worker acks a transfer TO its sender; it awaits acks FROM
-        # the destinations of its own sends
-        ack_send = {s: _RoutePut(peers[s], ("ack", rank)) for s in range(n) if s != rank}
-        ack_wait = {d: _RouteGet(inbox, ("ack", d)) for d in range(n) if d != rank}
-        coll = _CollMap(rank, inbox, peers)
+        barriers: dict = {}  # collective group -> _QueueBarrier, built on first use
         programs: dict[str, _Ship] = {}
         # what the previous run produced, uid -> (value, nbytes, pinned):
         # the one generation a later command may reference instead of
@@ -371,16 +191,16 @@ def _pool_worker_main(
             if cmd is None:
                 ctrl.put(("bye", rank))
                 return
-            if isinstance(cmd, _Ship):
-                programs[cmd.key] = cmd
+            if isinstance(cmd, bytes):  # a _Ship, pickled by _ensure_shipped
+                ship = pickle.loads(cmd)
+                programs[ship.key] = ship
                 continue
             sid = cmd.sid
-            sub_ctrl = _SubCtrl(ctrl, sid)
             shipped = programs.get(cmd.key)
             if shipped is None:
-                sub_ctrl.put(
-                    ("error", rank, -1, "protocol",
-                     f"program {cmd.key!r} was never shipped to actor {rank}")
+                ctrl.put(
+                    ("sub", sid, ("error", rank, -1, "protocol",
+                     f"program {cmd.key!r} was never shipped to actor {rank}"))
                 )
                 return
             step_idx += 1
@@ -398,29 +218,20 @@ def _pool_worker_main(
             # what the command did not reference goes before the run
             # starts: the high-water mark stays inputs + outputs
             resident = {}
-            spec = _WorkerSpec(
-                rank=rank,
-                program=shipped.program,
-                buffers=buffers,
-                comm_mode=cmd.comm_mode,
-                shm_threshold=cmd.shm_threshold,
-                epoch=cmd.epoch,
-                codegen_actor=cmd.codegen_actor,
-                faults=faults,
-            )
             worker = _Worker(
-                spec, send_qs, recv_qs, ack_wait, ack_send, coll, sub_ctrl
+                rank, shipped.program, buffers, cmd, inbox, inboxes, ctrl,
+                barriers, faults,
             )
-            del buffers, spec
+            del buffers
             result = worker.run()
             if faults is not None:
                 # kill-after: the step fully executed but its report is
                 # lost — recovery must replay work that already happened
                 faults.end_step(
                     step_idx, payloads=(result["buffers"], inbox.buf),
-                    flush=[q for r, q in peers.items() if r != rank],
+                    flush=[q for r, q in enumerate(inboxes) if r != rank],
                 )
-            sub_ctrl.put(("done", rank, result))
+            ctrl.put(("sub", sid, ("done", rank, result)))
             resident = worker.outputs
             del worker, result  # the run's inputs and its report
     except _WorkerStop:
@@ -559,7 +370,8 @@ class ActorPool:
         comm_mode: default point-to-point semantics for submissions.
         watchdog_s: no-progress window while submissions are outstanding
             (an idle pool never trips it); clamped to at least two worker
-            heartbeat periods like the one-shot driver.
+            heartbeat periods, below which healthy compute-bound workers
+            would be flagged (the first "hb" arrives after one period).
         shm_threshold: ndarray bytes at which payloads (inputs, transfers
             and results) switch to shared-memory segments.
         max_inflight: bound on outstanding submissions — ``submit``
@@ -658,7 +470,7 @@ class ActorPool:
         for rank in range(n_actors):
             p = ctx.Process(
                 target=_pool_worker_main,
-                args=(rank, n_actors, list(self._inboxes), self._ctrl,
+                args=(rank, list(self._inboxes), self._ctrl,
                       fault_plan, generation),
                 name=f"mpmd-pool-actor-{rank}",
                 daemon=True,
@@ -722,7 +534,7 @@ class ActorPool:
             stores: driver-side object stores holding the placed inputs
                 (fresh ones are created when omitted — read them back via
                 ``future.stores``).  New live buffers merge into them when
-                the step completes, exactly like the one-shot driver.
+                the step completes.
                 Buffers placed as ``constant`` belong to the programs,
                 not the step: the values present the first time this
                 ``programs`` object is submitted travel with the ship
@@ -813,21 +625,33 @@ class ActorPool:
     def _ensure_shipped(self, programs, program_key: str | None, stores):
         """Ship ``programs`` — with the constants placed in ``stores`` —
         to every worker unless already cached there.  Returns the cache
-        key and, per rank, the uids that went with the ship."""
+        key and, per rank, the uids that went with the ship.
+
+        Every rank's :class:`_Ship` is pickled here, on the submitting
+        thread, before any of them is enqueued: a queue's feeder thread
+        would only print the error and drop the message, leaving the
+        workers without a program and the pool dead."""
         pid = id(programs)
         entry = self._program_keys.get(pid)
         if entry is not None:
             return entry[0], entry[2]
         base = "prog" if program_key is None else str(program_key)
         key = f"{base}#{self.ship_count}"
-        shipped = []
+        shipped, blobs = [], []
         for rank, store in enumerate(stores):
             held = ((uid, store.get(BufferRef(uid))) for uid in store.live_refs())
             consts = {uid: (b.value, b.nbytes) for uid, b in held if b.constant}
             shipped.append(frozenset(consts))
-            self._inboxes[rank].put(
-                (_CMD, _Ship(key, list(programs[rank]), consts))
-            )
+            try:
+                blobs.append(pickle.dumps(_Ship(key, list(programs[rank]), consts)))
+            except Exception as e:
+                raise TypeError(
+                    f"engine='mp' could not ship actor {rank}'s program to a "
+                    "spawn-context worker; task payloads must be pickle-clean "
+                    f"(offender: {e})"
+                ) from e
+        for inbox, blob in zip(self._inboxes, blobs):
+            inbox.put((_CMD, blob))
         # the strong reference pins the object so its id stays unique
         self._program_keys[pid] = (key, programs, shipped)
         self.ship_count += 1
@@ -868,8 +692,8 @@ class ActorPool:
             _, rank, pc = inner
             self._pcs[rank] = pc
             # clear a recorded wait only when the worker demonstrably
-            # moved past it (same stale-heartbeat race as the one-shot
-            # driver)
+            # moved past it — the heartbeat thread can race a block and
+            # emit one stale "hb" carrying the same pc as the "wait"
             st = self._states.get(rank)
             if st is not None and st[0] != pc:
                 self._states.pop(rank, None)
@@ -956,7 +780,7 @@ class ActorPool:
         ]
         self._fail(_deadlock_error(
             stuck, range(self.n_actors), self._states, self._pcs,
-            self.watchdog_s, context="mp pool",
+            self.watchdog_s,
         ))
         return True
 

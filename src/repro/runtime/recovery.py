@@ -95,7 +95,7 @@ __all__ = [
 #: diagnostic substrings that mark an *infrastructure* failure — the
 #: kinds a respawn-restore-replay cycle can actually cure.
 _RECOVERABLE_PATTERNS = (
-    "died without reporting",        # worker killed (pool & one-shot)
+    "died without reporting",        # worker killed
     "ActorPool is dead",             # submission raced the pool's death
     "driver thread crashed",         # pool driver thread fell over
     "shut down before completion",   # workers wedged during shutdown

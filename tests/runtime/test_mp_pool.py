@@ -1,18 +1,15 @@
-"""Differential suite: the persistent mp actor pool vs cold mp vs event.
+"""Differential suite: the mp actor pool vs the event engine.
 
-``mp_persistent=True`` (the ``engine="mp"`` default since the pool
-landed) must change *performance only*: results stay bit-identical to
-the in-process event engine for every schedule, and a multi-step
-training loop through one warm pool produces exactly what the same loop
-produces through cold spawn-per-step meshes.  Every test runs under a
+A warm pool must change *performance only*: results stay bit-identical
+to the in-process event engine for every schedule, for one step and for
+a multi-step training loop through one pool.  Every test runs under a
 hard SIGALRM timeout so a pool regression can never wedge CI (the same
 guard as ``test_mp_equivalence.py``; pytest-timeout is not in the
 image).
 
-The tier-1 lane runs the small gallery subset plus a short cold-vs-warm
-loop (cold spawns cost real seconds per step); the full 10-schedule
-sweep and the 20-step loop of the issue carry the ``slow`` marker and
-run with the benchmarks lane.
+The tier-1 lane runs the small gallery subset and the 20-step loop; the
+full 10-schedule sweep carries the ``slow`` marker and runs with the
+benchmarks lane.
 """
 
 import signal
@@ -104,9 +101,8 @@ class TestGalleryEquivalence:
             mesh.close()
 
     def test_data_parallel_bit_identical(self):
-        """dp=2 on one pool exercises the queue-emulated barrier and the
-        routed gather/result collective plumbing (the pool cannot use the
-        one-shot backend's pre-spawned ``mp.Barrier``)."""
+        """dp=2 on one pool exercises the queue barrier and the routed
+        gather/result collective plumbing."""
         ts, params, batch = make_problem(2, n_mbs=4, mbsz=8)
         want = core.RemoteMesh((2, 2)).distributed(
             ts, schedule=core.OneFOneB(2)
@@ -120,6 +116,25 @@ class TestGalleryEquivalence:
             again = step(params, batch)
             assert_bit_identical(want, got)
             assert_bit_identical(want, again)
+        finally:
+            mesh.close()
+
+    def test_sync_data_parallel_bit_identical(self):
+        """SYNC dp=2: acks, the queue barrier and the gather/collres
+        routes share each rank's one inbox in a single run — and again in
+        a second run on the same workers."""
+        ts, params, batch = make_problem(2, n_mbs=4, mbsz=8)
+        want = core.RemoteMesh((2, 2), comm_mode=CommMode.SYNC).distributed(
+            ts, schedule=core.OneFOneB(2)
+        )(params, batch)
+        mesh = core.RemoteMesh(
+            (2, 2), engine="mp", comm_mode=CommMode.SYNC, mp_watchdog_s=WATCHDOG_S
+        )
+        try:
+            step = mesh.distributed(ts, schedule=core.OneFOneB(2))
+            assert_bit_identical(want, step(params, batch))
+            assert_bit_identical(want, step(params, batch))
+            assert step.last_result.wait_profile  # acks really blocked
         finally:
             mesh.close()
 
@@ -149,30 +164,6 @@ def _loop(mesh, ts, params, batch, n_steps, schedule):
 
 
 class TestTrainingLoop:
-    def test_loop_matches_cold_execute(self):
-        """A short training loop through one warm pool is bit-identical
-        to the same loop through cold spawn-per-step meshes (tier-1
-        miniature of the slow 20-step version — cold spawns cost ~2s per
-        step)."""
-        schedule = core.OneFOneB(4)
-        ts, params, batch = make_problem(4, n_mbs=8)
-        cold = core.RemoteMesh(
-            (4,), engine="mp", mp_persistent=False, mp_watchdog_s=WATCHDOG_S
-        )
-        want_p, want_l = _loop(cold, ts, params, batch, 3, schedule)
-        mesh = core.RemoteMesh((4,), engine="mp", mp_watchdog_s=WATCHDOG_S)
-        try:
-            got_p, got_l = _loop(mesh, ts, params, batch, 3, schedule)
-            assert mesh._mp_pool.submit_count == 3
-            assert mesh._mp_pool.ship_count == 1  # shipped once, reused twice
-            assert_bit_identical(want_p, got_p)
-            assert_bit_identical(want_l, got_l)
-        finally:
-            mesh.close()
-        # the one-shot driver is untouched by residency: plain writable
-        # arrays, nothing stamped
-        assert all(v.flags.writeable and v.base is None for v in want_p.values())
-
     def test_20_step_loop_matches_event(self):
         """20 steps through one pool — one spawn, one ship, 20 warm
         submissions — match the event engine's loop exactly, and after
@@ -207,42 +198,8 @@ class TestTrainingLoop:
         finally:
             mesh.close()
 
-    @pytest.mark.slow
-    def test_20_step_loop_matches_cold_execute(self):
-        """The issue's acceptance check verbatim: a 20-step training loop
-        through one pool matches 20 cold ``execute()`` calls exactly."""
-        schedule = core.OneFOneB(4)
-        ts, params, batch = make_problem(4, n_mbs=8)
-        cold = core.RemoteMesh(
-            (4,), engine="mp", mp_persistent=False, mp_watchdog_s=WATCHDOG_S
-        )
-        want_p, want_l = _loop(cold, ts, params, batch, 20, schedule)
-        mesh = core.RemoteMesh((4,), engine="mp", mp_watchdog_s=WATCHDOG_S)
-        try:
-            got_p, got_l = _loop(mesh, ts, params, batch, 20, schedule)
-            assert mesh._mp_pool.ship_count == 1
-            assert_bit_identical(want_p, got_p)
-            assert_bit_identical(want_l, got_l)
-        finally:
-            mesh.close()
-
 
 class TestWiring:
-    def test_persistent_is_default_and_opt_out(self):
-        mesh = core.RemoteMesh((2,), engine="mp")
-        assert mesh.mp_persistent is True
-        cold = core.RemoteMesh((2,), engine="mp", mp_persistent=False)
-        assert cold.mp_persistent is False
-
-    def test_cold_path_spawns_no_pool(self):
-        ts, params, batch = make_problem(2, n_mbs=4)
-        mesh = core.RemoteMesh(
-            (2,), engine="mp", mp_persistent=False, mp_watchdog_s=WATCHDOG_S
-        )
-        step = mesh.distributed(ts, schedule=core.OneFOneB(2))
-        step(params, batch)
-        assert mesh._mp_pool is None
-
     def test_executor_rejects_pool_mismatches(self):
         from repro.runtime import ActorPool, MpmdExecutor
 

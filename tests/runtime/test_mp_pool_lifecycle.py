@@ -320,6 +320,24 @@ class TestChaos:
         finally:
             pool.shutdown()
 
+    def test_unpicklable_program_raises_in_submit_and_pool_survives(self):
+        """A task payload that cannot be pickled is diagnosed by the
+        ``submit`` that would have shipped it — nothing is enqueued, no
+        key is recorded — and the pool keeps serving."""
+        with ActorPool(1, watchdog_s=WATCHDOG_S) as pool:
+            bad = _one_rank_program(lambda vals: [vals[0] * 2.0])
+            with pytest.raises(TypeError, match="pickle-clean") as err:
+                pool.submit(bad, _one_rank_stores())
+            assert "actor 0" in str(err.value)
+            assert pool.alive() and pool.inflight == 0 and pool.ship_count == 0
+            stores = _one_rank_stores()
+            pool.submit(_one_rank_program(_double), stores).result(timeout=60)
+            np.testing.assert_array_equal(
+                stores[0].get(BufferRef("y")).value,
+                np.arange(8, dtype=np.float32) * 2.0,
+            )
+            assert pool.ship_count == 1
+
 
 def _raise_boom(vals):
     raise ValueError("boom")
@@ -492,7 +510,7 @@ class TestResidencyLifecycle:
         parked = _encode_payload(np.ones(4, np.float32), 1)
         assert os.path.exists(f"/dev/shm/{parked[1]}")
         RankFaultState._discard(
-            (enc, {("data", 0): deque([("data", "k", 16, parked)])})
+            (enc, {("data", 0): deque([("k", 16, parked)])})
         )
         assert not os.path.exists(f"/dev/shm/{enc.name}")
         assert not os.path.exists(f"/dev/shm/{parked[1]}")
