@@ -203,7 +203,7 @@ class RemoteMesh:
         schedule: Schedule | str | None = None,
         comm_strategy: str = "topo",
         cost_fn: Callable[..., float] | None = None,
-        task_backend: str = "linear",
+        task_backend: str = "codegen",
         memory_budget: float | None = None,
         optimize: bool | int = True,
     ) -> "StepFunction":
@@ -219,15 +219,15 @@ class RemoteMesh:
         the winner is compiled — the ranked
         :class:`~repro.core.autotune.TuneReport` is available afterwards
         as ``step_fn.compiled.tune_report``.
-        ``task_backend`` picks the stage-task payload: ``"linear"``
-        (default; jaxprs compile once into slot-indexed
-        :class:`~repro.ir.linearize.LinearProgram` s), ``"codegen"``
-        (each jaxpr is emitted as straight-line Python source and
-        exec-compiled once — :class:`~repro.ir.codegen.CodegenProgram`;
-        bit-identical to ``"linear"``, fastest steady state, pairs with
-        the mesh's ``codegen_actor`` whole-actor fusion), or
-        ``"interpret"`` (the tree-walking reference, for differential
-        testing).
+        ``task_backend`` picks the task payload: ``"codegen"`` (default;
+        each task jaxpr lowers once into a slot-indexed
+        :class:`~repro.ir.linearize.LinearProgram` and is emitted as
+        straight-line Python source, exec-compiled once —
+        :class:`~repro.ir.codegen.CodegenProgram`; pairs with the mesh's
+        ``codegen_actor`` whole-actor fusion), ``"linear"`` (the slot VM
+        over the same program; bit-identical, the reference codegen is
+        differential-tested against), or ``"interpret"`` (the
+        tree-walking reference).
         ``optimize`` sets the algebraic-optimizer level applied to the
         stage jaxprs before lowering (:mod:`repro.ir.opt`): ``True``
         (default) runs the exact level-1 pipeline — CSE, identity
@@ -269,7 +269,7 @@ class StepFunction:
         schedule: Schedule | str | None,
         comm_strategy: str,
         cost_fn: Callable[..., float] | None,
-        task_backend: str = "linear",
+        task_backend: str = "codegen",
         memory_budget: float | None = None,
         optimize: bool | int = True,
     ):

@@ -22,15 +22,28 @@ This is the pipeline of §3-§4 end to end:
 The result is a :class:`CompiledStep` the driver executes with
 :class:`repro.runtime.executor.MpmdExecutor`.
 
-Task payloads are lowered once more through the linear task VM
-(:mod:`repro.ir.linearize`): each stage jaxpr compiles to a slot-indexed
+Every equation of the step runs inside a compiled task payload.  The
+train-level equations around the loop are not tasks of their own: each
+actor gets one *pre cluster* (every pre-loop equation it needs, as one
+closed sub-jaxpr) and one *post cluster* per wave (the optimizer update;
+a second wave on an actor only where a post equation reads another
+actor's post output), cut by the same builder that cuts the loop body
+into stage tasks (:func:`~repro.core.stage_split.closed_subprograms`).
+Only values that escape a cluster — read by the loop, another cluster, or
+returned by the step — get a ``pre.e{i}.o{j}`` / ``post.e{i}.o{j}`` buffer.
+
+Stage, memo and cluster jaxprs all lower once through
+:mod:`repro.ir.linearize` into a slot-indexed
 :class:`~repro.ir.linearize.LinearProgram` (pre-bound impls, elementwise
 fusion, liveness-driven frees and buffer donation), cached on jaxpr
 identity so the one-time lowering amortizes over every microbatch of every
 step — the paper's "pay trace/compile once, dispatch cheaply at steady
-state".  ``task_backend="interpret"`` keeps the tree-walking
-:func:`~repro.ir.interpreter.eval_jaxpr` as a differential-testing
-reference, mirroring the runtime's ``engine="roundrobin"``.
+state".  ``task_backend="codegen"`` (the default) emits each program as
+exec-compiled straight-line Python (:mod:`repro.ir.codegen`);
+``"linear"`` runs it on the slot VM and ``"interpret"`` keeps the
+tree-walking :func:`~repro.ir.interpreter.eval_jaxpr` — the two references
+the differential suites compare against, mirroring the runtime's
+``engine="roundrobin"``.
 """
 
 from __future__ import annotations
@@ -45,10 +58,17 @@ from repro.core.accumulate import ADD, STACK, pipeline_loop_p
 from repro.core.loop_commute import commute_shared_gradients
 from repro.core.schedule_ir import ScheduleIR
 from repro.core.schedules import BWD, BWD_I, BWD_W, FWD, Schedule
-from repro.core.stage_split import BWD_KIND, FUSED_KIND, SplitResult, StageTask, split_stages
+from repro.core.stage_split import (
+    BWD_KIND,
+    FUSED_KIND,
+    SplitResult,
+    StageTask,
+    closed_subprograms,
+    split_stages,
+)
 from repro.ir.codegen import codegen
 from repro.ir.interpreter import eval_jaxpr
-from repro.ir.jaxpr import Atom, Eqn, Jaxpr, Literal, Var
+from repro.ir.jaxpr import Atom, Jaxpr, Literal, Var
 from repro.ir.linearize import linearize
 from repro.ir.opt import normalize_opt_level, optimize_split
 from repro.runtime.instructions import (
@@ -110,11 +130,12 @@ class CompiledStep:
         schedule_ir: the lowered :class:`~repro.core.schedule_ir.ScheduleIR`
             the programs were emitted from (drives runtime ready-queue
             seeding and introspection).
-        task_backend: how stage-task payloads execute — ``"linear"`` (the
-            slot-indexed :class:`~repro.ir.linearize.LinearProgram` VM),
-            ``"codegen"`` (exec-compiled straight-line Python source per
-            program, :mod:`repro.ir.codegen`) or ``"interpret"`` (the
-            tree-walking reference interpreter).
+        task_backend: how task payloads (stage tasks, memo prologues,
+            pre/post clusters) execute — ``"codegen"`` (exec-compiled
+            straight-line Python source per program,
+            :mod:`repro.ir.codegen`), ``"linear"`` (the slot-indexed
+            :class:`~repro.ir.linearize.LinearProgram` VM) or
+            ``"interpret"`` (the tree-walking reference interpreter).
         program_key: process-unique readable id for this compiled step —
             the cache-key prefix under which the persistent mp pool ships
             and caches its programs worker-side.  One traced jaxpr can
@@ -147,7 +168,7 @@ class CompiledStep:
     dp_size: int
     n_commuted: int
     schedule_ir: ScheduleIR | None = None
-    task_backend: str = "linear"
+    task_backend: str = "codegen"
     tune_report: Any = None
     program_key: str = dataclasses.field(
         default_factory=lambda: f"step-{next(_PROGRAM_KEYS)}"
@@ -227,24 +248,8 @@ def _sum_fn(vals: list) -> list:
     return [total]
 
 
-@dataclasses.dataclass
-class _EqnFn:
-    """Payload for a single pre/post-loop train-level equation."""
-
-    eqn: Eqn
-
-    def __call__(self, vals: list) -> list:
-        eqn = self.eqn
-        full: list[Any] = []
-        it = iter(vals)
-        for a in eqn.invars:
-            full.append(a.value if isinstance(a, Literal) else next(it))
-        out = eqn.prim.impl(*full, **eqn.params)
-        return list(out) if eqn.prim.multiple_results else [out]
-
-
-def _make_task_fn(jaxpr: Jaxpr, spmd_config=None, task_backend: str = "linear") -> Callable[[list], list]:
-    """Executable payload for a stage task.
+def _make_task_fn(jaxpr: Jaxpr, spmd_config, task_backend: str) -> Callable[[list], list]:
+    """Executable payload for a stage task, memo prologue or pre/post cluster.
 
     With an inner SPMD mesh configured, the task is partitioned once here
     and executed lock-step across the actor's devices on every call; the
@@ -252,12 +257,11 @@ def _make_task_fn(jaxpr: Jaxpr, spmd_config=None, task_backend: str = "linear") 
 
     Otherwise the payload is chosen by ``task_backend``: ``"linear"``
     compiles the jaxpr once into a cached slot-indexed
-    :class:`~repro.ir.linearize.LinearProgram` (the steady-state fast
-    path); ``"codegen"`` additionally emits that program as straight-line
-    Python source exec-compiled once (:mod:`repro.ir.codegen`);
-    ``"interpret"`` re-walks the jaxpr through ``tracer.bind`` on every
-    call (the reference both compiled backends are differential-tested
-    against).
+    :class:`~repro.ir.linearize.LinearProgram`; ``"codegen"`` (the
+    default) additionally emits that program as straight-line Python
+    source exec-compiled once (:mod:`repro.ir.codegen`); ``"interpret"``
+    re-walks the jaxpr through ``tracer.bind`` on every call (the
+    reference both compiled backends are differential-tested against).
     """
     if spmd_config is not None:
         from repro.spmd import Mesh, SpmdExecutor, partition
@@ -285,11 +289,6 @@ def _make_task_fn(jaxpr: Jaxpr, spmd_config=None, task_backend: str = "linear") 
     return _InterpretFn(jaxpr)
 
 
-def _make_eqn_fn(eqn: Eqn) -> Callable[[list], list]:
-    """Executable payload for a single pre/post-loop equation."""
-    return _EqnFn(eqn)
-
-
 def compile_train_step(
     jaxpr: Jaxpr,
     schedule: Schedule | str | None = None,
@@ -298,7 +297,7 @@ def compile_train_step(
     comm_strategy: str = "topo",
     spmd_config=None,
     cost_fn: Callable[[StageTask], float] | None = None,
-    task_backend: str = "linear",
+    task_backend: str = "codegen",
     n_actors: int | None = None,
     memory_budget: float | None = None,
     optimize: bool | int = True,
@@ -323,10 +322,10 @@ def compile_train_step(
         spmd_config: optional ``(mesh_axes, rules)`` giving each actor an
             inner SPMD mesh for its tasks.
         cost_fn: optional per-task virtual cost (simulation mode).
-        task_backend: stage-task execution backend — ``"linear"``
-            (default; slot-indexed :class:`~repro.ir.linearize.LinearProgram`
-            compiled once per task), ``"codegen"`` (each program emitted as
-            straight-line Python source and exec-compiled once) or
+        task_backend: task execution backend — ``"codegen"`` (default;
+            each task's :class:`~repro.ir.linearize.LinearProgram` emitted
+            as straight-line Python source and exec-compiled once),
+            ``"linear"`` (the slot-indexed VM over the same program) or
             ``"interpret"`` (tree-walking reference interpreter).
         n_actors: pipeline rank count for ``schedule="auto"`` (the driver
             mesh's width; defaults to one rank per model stage).
@@ -489,9 +488,11 @@ def compile_train_step(
         for j, v in enumerate(jaxpr.eqns[i].outvars):
             pre_out_uid[id(v)] = f"pre.e{i}.o{j}"
     post_out_uid: dict[int, str] = {}
+    post_eqn_of: dict[int, int] = {}  # id(post outvar) -> producing eqn index
     for i in post_idx:
         for j, v in enumerate(jaxpr.eqns[i].outvars):
             post_out_uid[id(v)] = f"post.e{i}.o{j}"
+            post_eqn_of[id(v)] = i
 
     # loop outputs -> uid (+ "dp-averaged" uid when dp_size > 1)
     def acc_uid(j: int) -> str:
@@ -574,9 +575,8 @@ def compile_train_step(
                 if id(a) in loop_out_uid:
                     actor = loop_out_uid[id(a)][1]
                     break
-                if id(a) in post_out_uid:
-                    src_eqn = int(post_out_uid[id(a)].split(".")[1][1:])
-                    actor = post_actor[src_eqn]
+                if id(a) in post_eqn_of:
+                    actor = post_actor[post_eqn_of[id(a)]]
                     break
         post_actor[i] = 0 if actor is None else actor
 
@@ -592,18 +592,22 @@ def compile_train_step(
         uid, _ = train_atom_uid(atom)
         for t in consumers:
             need(uid, task_actor[t])
-    # post equations need their non-loop operands locally
+    # post equations need their non-loop operands locally (their literal
+    # operands are constants of the cluster program, not placed buffers)
     for i in post_idx:
         for a in jaxpr.eqns[i].invars:
             if isinstance(a, Var) and (id(a) in invar_pos or id(a) in pre_out_uid):
                 need(train_atom_uid(a)[0], post_actor[i])
-            elif isinstance(a, Literal):
-                need(train_atom_uid(a)[0], post_actor[i])
     # combine tasks need their parts' accumulators (cross-actor handled below)
-    # train outputs produced by pre eqns / invars / literals: actor 0
+    # train outputs produced by pre eqns / invars: actor 0
     for atom in jaxpr.outvars:
-        if isinstance(atom, Literal) or id(atom) in invar_pos or id(atom) in pre_out_uid:
+        if id(atom) in invar_pos or id(atom) in pre_out_uid:
             need(train_atom_uid(atom)[0], 0)
+
+    # every need so far comes from outside the pre phase, so a pre value
+    # listed here escapes that actor's pre cluster; what the propagation
+    # below adds is read by other pre equations only and stays inside it
+    pre_escapes = {uid: set(actors) for uid, actors in needed_on.items()}
 
     # propagate through pre eqns in reverse order
     for i in reversed(pre_idx):
@@ -614,43 +618,26 @@ def compile_train_step(
         if not actors:
             continue
         for a in eqn.invars:
-            if isinstance(a, (Var, Literal)):
-                uid, _ = train_atom_uid(a) if not isinstance(a, Literal) else (None, None)
-                if isinstance(a, Var):
-                    for act in actors:
-                        need(train_atom_uid(a)[0], act)
+            if isinstance(a, Var):
+                for act in actors:
+                    need(train_atom_uid(a)[0], act)
         # record where this eqn runs
         needed_on[f"pre.e{i}"] = actors
 
     # input placements (and literal placements)
     input_placements: list[list[tuple[int, str]]] = [[] for _ in jaxpr.invars]
     literal_placements: list[tuple[int, str, Any]] = []
-    seen_lit: set[tuple[int, str]] = set()
     for k, v in enumerate(jaxpr.invars):
         uid = f"in.{k}"
         for actor in sorted(needed_on.get(uid, set())):
             input_placements[k].append((actor, uid))
-    # literals used by loop captures or post eqns directly
-    def note_literal(atom: Literal, actor: int) -> None:
-        uid, _ = train_atom_uid(atom)
-        if (actor, uid) not in seen_lit:
-            seen_lit.add((actor, uid))
-            literal_placements.append((actor, uid, atom))
-
+    # literals captured by the loop (pre/post equations keep theirs inline)
     for k, consumers in invar_consumers.items():
         atom = loop_eqn.invars[k]
         if isinstance(atom, Literal):
-            for t in consumers:
-                note_literal(atom, task_actor[t])
-    for i in post_idx:
-        for a in jaxpr.eqns[i].invars:
-            if isinstance(a, Literal):
-                note_literal(a, post_actor[i])
-    for i in pre_idx:
-        for a in jaxpr.eqns[i].invars:
-            if isinstance(a, Literal):
-                for actor in needed_on.get(f"pre.e{i}", set()):
-                    note_literal(a, actor)
+            uid, _ = train_atom_uid(atom)
+            for actor in sorted({task_actor[t] for t in consumers}):
+                literal_placements.append((actor, uid, atom))
 
     # batch inputs for data-parallel sharding
     batch_input_indices: set[int] = set()
@@ -666,6 +653,60 @@ def compile_train_step(
             "data parallelism requires the microbatched batch to be passed "
             "directly to train_step (shape (n_mbs, mbsz, ...)), not computed "
             "inside it"
+        )
+
+    # ------------------------------------------------------------------
+    # pre/post clusters: the train-level equations around the loop run as
+    # one closed sub-program per actor (pre: everything that actor needs,
+    # replicated) or per (actor, wave) (post), lowered like a stage task.
+    # A post equation's wave is the number of actor changes on its longest
+    # chain of post operands, so cluster (a, w) reads only clusters of an
+    # earlier wave, or of its own actor at the same or an earlier one: the
+    # cluster graph is acyclic and emitting by (wave, actor) is a
+    # topological order.  Only values that escape a cluster get a buffer,
+    # under the per-equation uid they always had.
+    # ------------------------------------------------------------------
+    pre_clusters: dict[int, tuple[Jaxpr, list[Atom], list[Var]]] = {}
+    for a_local in range(P):
+        idxs = [i for i in pre_idx if a_local in needed_on.get(f"pre.e{i}", ())]
+        if idxs:
+            (pre_clusters[a_local],) = closed_subprograms(
+                [jaxpr.eqns[i] for i in idxs],
+                [0] * len(idxs),
+                1,
+                {
+                    id(v)
+                    for i in idxs
+                    for v in jaxpr.eqns[i].outvars
+                    if a_local in pre_escapes.get(pre_out_uid[id(v)], ())
+                },
+            )
+
+    post_wave: dict[int, int] = {}
+    for i in post_idx:
+        srcs = [post_eqn_of[id(a)] for a in jaxpr.eqns[i].invars if id(a) in post_eqn_of]
+        post_wave[i] = max(
+            (post_wave[j] + (post_actor[j] != post_actor[i]) for j in srcs), default=0
+        )
+    post_keys = sorted({(post_wave[i], post_actor[i]) for i in post_idx})
+    key_pos = {key: n for n, key in enumerate(post_keys)}
+    post_clusters = closed_subprograms(
+        [jaxpr.eqns[i] for i in post_idx],
+        [key_pos[post_wave[i], post_actor[i]] for i in post_idx],
+        len(post_keys),
+        {id(a) for a in jaxpr.outvars if isinstance(a, Var)},
+    )
+
+    def cluster_task(
+        name: str, phase: str, cluster: tuple[Jaxpr, list[Atom], list[Var]]
+    ) -> RunTask:
+        sub, in_atoms, out_vars = cluster
+        return RunTask(
+            name=name,
+            in_refs=[BufferRef(train_atom_uid(a)[0]) for a in in_atoms],
+            out_refs=[BufferRef(train_atom_uid(v)[0]) for v in out_vars],
+            fn=_make_task_fn(sub, None, task_backend),
+            meta={"phase": phase, "out_nbytes": [v.aval.nbytes for v in out_vars]},
         )
 
     # ------------------------------------------------------------------
@@ -695,25 +736,9 @@ def compile_train_step(
         def prog(a_local: int) -> list[Instruction]:
             return programs[base + a_local]
 
-        # --- pre equations (replicated where needed) ---
-        for i in pre_idx:
-            eqn = jaxpr.eqns[i]
-            for a_local in sorted(needed_on.get(f"pre.e{i}", set())):
-                in_refs = [
-                    BufferRef(train_atom_uid(a)[0])
-                    for a in eqn.invars
-                    if not isinstance(a, Literal)
-                ]
-                out_refs = [BufferRef(f"pre.e{i}.o{j}") for j in range(len(eqn.outvars))]
-                prog(a_local).append(
-                    RunTask(
-                        name=f"pre.{eqn.prim.name}",
-                        in_refs=in_refs,
-                        out_refs=out_refs,
-                        fn=_make_eqn_fn(eqn),
-                        meta={"phase": "pre", "out_nbytes": [v.aval.nbytes for v in eqn.outvars]},
-                    )
-                )
+        # --- pre-loop clusters (replicated where needed) ---
+        for a_local, cluster in pre_clusters.items():
+            prog(a_local).append(cluster_task("pre", "pre", cluster))
 
         # --- microbatch slicing of batch inputs ---
         for k in range(n_batch):
@@ -1013,39 +1038,29 @@ def compile_train_step(
                 )
             )
 
-        # --- post-loop equations ---
-        for i in post_idx:
-            eqn = jaxpr.eqns[i]
-            a_local = post_actor[i]
-            in_refs = []
-            for a in eqn.invars:
-                if isinstance(a, Literal):
-                    continue
+        # --- post-loop clusters, in (wave, actor) order; a loop or post
+        # value that lives on another actor is shipped just before its
+        # first consuming cluster, once per destination ---
+        shipped: set[tuple[str, int]] = set()
+        for (wave, a_local), cluster in zip(post_keys, post_clusters):
+            _, in_atoms, _ = cluster
+            for a in in_atoms:
                 uid, _ = train_atom_uid(a)
                 src_actor = None
                 if id(a) in loop_out_uid:
                     src_actor = loop_out_uid[id(a)][1]
-                elif id(a) in post_out_uid:
-                    src_actor = post_actor[int(uid.split(".")[1][1:])]
-                if src_actor is not None and src_actor != a_local:
-                    key = f"{uid}->post.e{i}"
+                elif id(a) in post_eqn_of:
+                    src_actor = post_actor[post_eqn_of[id(a)]]
+                if (
+                    src_actor is not None
+                    and src_actor != a_local
+                    and (uid, a_local) not in shipped
+                ):
+                    shipped.add((uid, a_local))
+                    key = f"{uid}->post.a{a_local}"
                     prog(src_actor).append(Send(BufferRef(uid), base + a_local, key))
                     prog(a_local).append(Recv(BufferRef(uid), base + src_actor, key, a.aval.nbytes))
-                in_refs.append(BufferRef(uid))
-            out_refs = [BufferRef(f"post.e{i}.o{j}") for j in range(len(eqn.outvars))]
-            prog(a_local).append(
-                RunTask(
-                    name=f"post.{eqn.prim.name}",
-                    in_refs=in_refs,
-                    out_refs=out_refs,
-                    fn=_make_eqn_fn(eqn),
-                    meta={"phase": "post", "out_nbytes": [v.aval.nbytes for v in eqn.outvars]},
-                )
-            )
-
-    # literal placements become driver placements via input_placements of a
-    # pseudo-input list; return them through output of the compiler:
-    # (kept in closure of the driver below)
+            prog(a_local).append(cluster_task(f"post.w{wave}", "post", cluster))
 
     # ------------------------------------------------------------------
     # outputs
@@ -1060,8 +1075,9 @@ def compile_train_step(
             uid, actor = loop_out_uid[id(atom)]
             output_sources.append(("buffer", actor, uid))
         elif id(atom) in post_out_uid:
-            uid = post_out_uid[id(atom)]
-            output_sources.append(("buffer", post_actor[int(uid.split(".")[1][1:])], uid))
+            output_sources.append(
+                ("buffer", post_actor[post_eqn_of[id(atom)]], post_out_uid[id(atom)])
+            )
         elif id(atom) in pre_out_uid:
             uid = pre_out_uid[id(atom)]
             actor = min(needed_on.get(uid, {0}))

@@ -21,11 +21,12 @@ loss, and its backward.
 from __future__ import annotations
 
 import dataclasses
+from typing import Sequence
 
-from repro.ir.jaxpr import Atom, Eqn, Jaxpr, Literal, Var, dce, eqn_dependencies
+from repro.ir.jaxpr import Atom, Eqn, Jaxpr, Var, dce, eqn_dependencies
 from repro.ir.pipeline import BWD, FWD, pipeline_yield_p
 
-__all__ = ["StageTask", "SplitResult", "split_stages"]
+__all__ = ["StageTask", "SplitResult", "split_stages", "closed_subprograms"]
 
 FWD_KIND = "fwd"
 BWD_KIND = "bwd"
@@ -193,89 +194,18 @@ def split_stages(body: Jaxpr) -> SplitResult:
                 candidates.append(assignment[p])
         assignment[i] = max(candidates) if candidates else final_task_id
 
-    return _build_tasks(body, assignment, task_descr, n_stages, has_bwd)
-
-
-def _build_tasks(
-    body: Jaxpr,
-    assignment: dict[int, int],
-    task_descr: list[tuple[str, int]],
-    n_stages: int,
-    has_bwd: bool,
-) -> SplitResult:
-    n_tasks = len(task_descr)
-    eqns_of: list[list[Eqn]] = [[] for _ in range(n_tasks)]
-    for i, eqn in enumerate(body.eqns):
-        eqns_of[assignment[i]].append(eqn)
-
-    producer_task: dict[int, int] = {}
-    for i, eqn in enumerate(body.eqns):
-        for v in eqn.outvars:
-            producer_task[id(v)] = assignment[i]
-
-    body_out_ids = {id(a) for a in body.outvars if isinstance(a, Var)}
-
-    tasks: list[StageTask] = []
-    for t in range(n_tasks):
-        kind, stage = task_descr[t]
-        in_atoms: list[Atom] = []
-        in_ids: dict[int, Var] = {}
-        sub_eqns: list[Eqn] = []
-        local_of: dict[int, Var] = {}
-
-        def local_in(atom: Atom) -> Atom:
-            if isinstance(atom, Literal):
-                return atom
-            if id(atom) in local_of:
-                return local_of[id(atom)]
-            if id(atom) in in_ids:
-                return in_ids[id(atom)]
-            v = Var(atom.aval)
-            in_ids[id(atom)] = v
-            in_atoms.append(atom)
-            return v
-
-        for eqn in eqns_of[t]:
-            new_in = []
-            for a in eqn.invars:
-                if isinstance(a, Var) and producer_task.get(id(a)) == t:
-                    new_in.append(local_of[id(a)])
-                else:
-                    new_in.append(local_in(a))
-            new_out = [Var(v.aval) for v in eqn.outvars]
-            for old, new in zip(eqn.outvars, new_out):
-                local_of[id(old)] = new
-            sub_eqns.append(Eqn(eqn.prim, new_in, new_out, dict(eqn.params)))
-
-        out_vars: list[Var] = []
-        local_outs: list[Var] = []
-        for eqn in eqns_of[t]:
-            for v in eqn.outvars:
-                used_elsewhere = False
-                if id(v) in body_out_ids:
-                    used_elsewhere = True
-                else:
-                    for j, other in enumerate(body.eqns):
-                        if assignment[j] == t:
-                            continue
-                        if any(isinstance(a, Var) and a is v for a in other.invars):
-                            used_elsewhere = True
-                            break
-                if used_elsewhere:
-                    out_vars.append(v)
-                    local_outs.append(local_of[id(v)])
-
-        sub_invars = [in_ids[id(a)] for a in in_atoms]
-        tasks.append(
-            StageTask(
-                index=t,
-                kind=kind,
-                stage=stage,
-                jaxpr=Jaxpr(sub_invars, sub_eqns, list(local_outs)),
-                in_atoms=in_atoms,
-                out_vars=out_vars,
-            )
+    subs = closed_subprograms(
+        body.eqns,
+        [assignment[i] for i in range(len(body.eqns))],
+        len(task_descr),
+        {id(a) for a in body.outvars if isinstance(a, Var)},
+    )
+    tasks = [
+        StageTask(t, kind, stage, jaxpr, in_atoms, out_vars)
+        for t, ((kind, stage), (jaxpr, in_atoms, out_vars)) in enumerate(
+            zip(task_descr, subs)
         )
+    ]
 
     fwd_of = {}
     bwd_of = {}
@@ -285,3 +215,64 @@ def _build_tasks(
         if t.kind in (BWD_KIND, FUSED_KIND):
             bwd_of[t.stage] = t.index
     return SplitResult(tasks, n_stages, fwd_of, bwd_of, dict(assignment), body)
+
+
+def closed_subprograms(
+    eqns: Sequence[Eqn],
+    group_of: Sequence[int],
+    n_groups: int,
+    escaping: set[int],
+) -> list[tuple[Jaxpr, list[Atom], list[Var]]]:
+    """Cut ``eqns`` into ``n_groups`` closed sub-programs.
+
+    ``group_of[i]`` is the group of ``eqns[i]``.  Each group comes back as
+    ``(jaxpr, in_atoms, out_vars)``: ``in_atoms`` are the outer-coordinate
+    atoms the group reads but does not define (first-use order, aligned
+    with ``jaxpr.invars``; literals stay inline), ``out_vars`` the
+    outer-coordinate vars it defines that escape it — read by another
+    group's equation, or with their ``id`` in ``escaping`` — in definition
+    order, aligned with ``jaxpr.outvars``.  One pass over ``eqns``.
+
+    Shared by the stage splitter (groups = pipeline tasks of the loop
+    body) and the MPMD compiler's pre-/post-loop clusters.
+    """
+    readers: dict[int, set[int]] = {}  # id(var) -> groups whose eqns read it
+    for eqn, g in zip(eqns, group_of):
+        for a in eqn.invars:
+            if isinstance(a, Var):
+                readers.setdefault(id(a), set()).add(g)
+
+    in_atoms: list[list[Atom]] = [[] for _ in range(n_groups)]
+    local_of: list[dict[int, Var]] = [{} for _ in range(n_groups)]
+    sub_eqns: list[list[Eqn]] = [[] for _ in range(n_groups)]
+    out_vars: list[list[Var]] = [[] for _ in range(n_groups)]
+    for eqn, g in zip(eqns, group_of):
+        local = local_of[g]
+        new_in: list[Atom] = []
+        for a in eqn.invars:
+            if isinstance(a, Var):
+                v = local.get(id(a))
+                if v is None:  # defined outside the group: a fresh invar
+                    v = local[id(a)] = Var(a.aval)
+                    in_atoms[g].append(a)
+                a = v
+            new_in.append(a)
+        new_out = [Var(v.aval) for v in eqn.outvars]
+        for old, new in zip(eqn.outvars, new_out):
+            local[id(old)] = new
+            if id(old) in escaping or readers.get(id(old), set()) - {g}:
+                out_vars[g].append(old)
+        sub_eqns[g].append(Eqn(eqn.prim, new_in, new_out, dict(eqn.params)))
+
+    return [
+        (
+            Jaxpr(
+                [local_of[g][id(a)] for a in in_atoms[g]],
+                sub_eqns[g],
+                [local_of[g][id(v)] for v in out_vars[g]],
+            ),
+            in_atoms[g],
+            out_vars[g],
+        )
+        for g in range(n_groups)
+    ]

@@ -11,7 +11,8 @@ This is the *reference* backend: it re-resolves atoms through an
 steady-state hot path uses :mod:`repro.ir.linearize`, which lowers a jaxpr
 once into a slot-indexed :class:`~repro.ir.linearize.LinearProgram` and is
 differential-tested against this interpreter (pick with
-``task_backend="linear" | "interpret"``).  Inlining under a trace and
+``task_backend="codegen" | "linear" | "interpret"``; codegen, the default,
+is the same program as generated source).  Inlining under a trace and
 tape recording for autodiff always go through this module.
 """
 

@@ -50,10 +50,13 @@ schedule gallery.  Under an *active trace* the program transparently falls
 back to ``eval_jaxpr`` so inlining semantics (autodiff, accumulate) are
 preserved.
 
-Backend selection: ``compile_train_step(..., task_backend="linear")`` (the
-default) runs stage tasks through this VM; ``task_backend="interpret"``
-keeps the reference interpreter, mirroring the repo's reference-engine +
-differential-test pattern (``engine="roundrobin"`` in the runtime).
+Backend selection: ``compile_train_step(..., task_backend="linear")`` runs
+every task (stage tasks, memo prologues, pre/post clusters) through this
+VM; the default, ``"codegen"`` (:mod:`repro.ir.codegen`), emits the same
+program as generated source and is differential-tested against it;
+``task_backend="interpret"`` keeps the reference interpreter, mirroring
+the repo's reference-engine + differential-test pattern
+(``engine="roundrobin"`` in the runtime).
 """
 
 from __future__ import annotations

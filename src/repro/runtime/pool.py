@@ -88,7 +88,7 @@ from repro.runtime.executor import (
     CommMode,
     ExecutionResult,
 )
-from repro.runtime.instructions import BufferRef, Instruction
+from repro.runtime.instructions import BufferRef, Instruction, RunTask
 from repro.runtime.mp import (
     DEFAULT_SHM_THRESHOLD,
     DEFAULT_WATCHDOG_S,
@@ -177,6 +177,7 @@ def _pool_worker_main(rank: int, inboxes, ctrl, fault_plan=None, generation: int
         fault_plan.for_rank(rank, generation) if fault_plan is not None else None
     )
     step_idx = -1
+    worker = None  # the run in progress: an exception report reads its pc
     try:
         inbox = _Inbox(inboxes[rank])
         barriers: dict = {}  # collective group -> _QueueBarrier, built on first use
@@ -233,14 +234,19 @@ def _pool_worker_main(rank: int, inboxes, ctrl, fault_plan=None, generation: int
                 )
             ctrl.put(("sub", sid, ("done", rank, result)))
             resident = worker.outputs
-            del worker, result  # the run's inputs and its report
+            worker = result = None  # the run's inputs and its report
     except _WorkerStop:
         pass  # error already reported; the pool is dead
     except BaseException:
+        pc, text = -1, traceback.format_exc()
+        if worker is not None:
+            pc = worker.pc
+            if pc < len(worker.program):  # else: past the last instruction
+                instr = worker.program[pc]
+                what = f"task {instr.name!r}" if isinstance(instr, RunTask) else repr(instr)
+                text = f"in {what}\n{text}"
         try:
-            ctrl.put(
-                ("sub", sid, ("error", rank, -1, "exception", traceback.format_exc()))
-            )
+            ctrl.put(("sub", sid, ("error", rank, pc, "exception", text)))
         except Exception:  # pragma: no cover - ctrl queue gone
             pass
 

@@ -44,6 +44,15 @@ def _trace_problem(n_stages=3, n_mbs=4, mbsz=6, d=4, seed=0, label_smooth=False)
     return jaxpr, params, (X, Y), train_step
 
 
+def phase_tasks(compiled, phase):
+    """``{actor: [RunTask, ...]}`` of one phase, program order (every
+    actor is a key)."""
+    return {
+        a: [i for i in prog if isinstance(i, RunTask) and i.meta.get("phase") == phase]
+        for a, prog in enumerate(compiled.programs)
+    }
+
+
 class TestPlacementInference:
     def test_weights_pinned_to_their_stage_actor(self):
         jaxpr, params, batch, _ = _trace_problem()
@@ -63,27 +72,27 @@ class TestPlacementInference:
         assert y_actors == [2]
 
     def test_pre_loop_computation_placed_with_consumer(self):
-        # label smoothing depends only on y -> replicated onto the loss actor
+        # label smoothing depends only on y -> one pre cluster, on the
+        # loss actor, holding both of its equations
         jaxpr, params, batch, _ = _trace_problem(label_smooth=True)
         c = compile_train_step(jaxpr, core.OneFOneB(3))
-        pre_tasks = [
-            (a, i) for a, prog in enumerate(c.programs)
-            for i in prog if isinstance(i, RunTask) and i.meta.get("phase") == "pre"
-        ]
-        assert pre_tasks, "label smoothing must become pre-loop tasks"
-        assert {a for a, _ in pre_tasks} == {2}
+        pre_tasks = phase_tasks(c, "pre")
+        assert pre_tasks[0] == pre_tasks[1] == []
+        (task,) = pre_tasks[2]
+        assert [e.prim.name for e in task.fn.jaxpr.eqns] == ["mul", "add"]
+        # only the smoothed labels escape the cluster
+        assert len(task.out_refs) == 1
 
     def test_post_loop_update_follows_gradient_actor(self):
         jaxpr, params, batch, _ = _trace_problem()
         c = compile_train_step(jaxpr, core.OneFOneB(3))
-        # each actor updates exactly its own stage's weights: the `sub`
-        # tasks are spread across all three actors
-        post_actors = {
-            a for a, prog in enumerate(c.programs)
-            for i in prog
-            if isinstance(i, RunTask) and i.name == "post.sub"
-        }
-        assert post_actors == {0, 1, 2}
+        # each actor updates exactly its own stage's weights: one post
+        # cluster per actor, each ending in that weight's `sub`
+        for a, tasks in phase_tasks(c, "post").items():
+            (task,) = tasks
+            assert [e.prim.name for e in task.fn.jaxpr.eqns] == ["mul", "sub"]
+            (out,) = task.out_refs
+            assert c.output_sources[a] == ("buffer", a, out.uid)
 
     def test_find_batch_inputs(self):
         jaxpr, *_ = _trace_problem()

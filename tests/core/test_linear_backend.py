@@ -95,11 +95,16 @@ class TestGalleryEquivalence:
 
 
 class TestCompilerWiring:
-    def test_linear_is_default_and_recorded(self):
+    def test_codegen_is_default_and_linear_is_recorded_when_named(self):
         ts, params, batch = make_problem(2)
-        step = core.RemoteMesh((2,)).distributed(ts, schedule=core.OneFOneB(2))
+        mesh = core.RemoteMesh((2,))
+        step = mesh.distributed(ts, schedule=core.OneFOneB(2))
+        step(params, batch)
+        assert step.compiled.task_backend == "codegen"
+        step = mesh.distributed(ts, schedule=core.OneFOneB(2), task_backend="linear")
         step(params, batch)
         assert step.compiled.task_backend == "linear"
+        assert ".linear." in step.compiled.program_key
 
     def test_unknown_backend_rejected(self):
         ts, params, batch = make_problem(2)
@@ -114,7 +119,7 @@ class TestCompilerWiring:
 
         ts, params, batch = make_problem(3, n_mbs=6)
         jaxpr, _, _ = ir.trace(ts, params, batch)
-        compiled = compile_train_step(jaxpr, core.OneFOneB(3))
+        compiled = compile_train_step(jaxpr, core.OneFOneB(3), task_backend="linear")
         loop_fns = {
             id(instr.fn)
             for prog in compiled.programs

@@ -161,9 +161,11 @@ class TestCompiledEquivalence:
     def test_numeric_step_identical_across_engines(self, schedule):
         train_step, params, batch = _mlp_problem()
         outs = {}
-        for engine in ("event", "roundrobin"):
+        for engine, backend in (("event", "codegen"), ("roundrobin", "linear")):
             mesh = core.RemoteMesh((schedule.n_actors,), engine=engine)
-            step = mesh.distributed(train_step, schedule=schedule)
+            step = mesh.distributed(
+                train_step, schedule=schedule, task_backend=backend
+            )
             outs[engine] = (step(params, batch), step.last_result)
         (p_a, l_a), res_a = outs["event"]
         (p_b, l_b), res_b = outs["roundrobin"]
@@ -190,7 +192,9 @@ class TestCompiledEquivalence:
         res_a = step.last_result
 
         ref_mesh = core.RemoteMesh((schedule.n_actors,), engine="roundrobin")
-        ref_step = ref_mesh.distributed(train_step, schedule=schedule)
+        ref_step = ref_mesh.distributed(
+            train_step, schedule=schedule, task_backend="linear"
+        )
         (p_b, l_b) = ref_step(params, batch)
         res_b = ref_step.last_result
 
@@ -210,9 +214,11 @@ class TestCompiledEquivalence:
     def test_data_parallel_allreduce_identical(self):
         train_step, params, batch = _mlp_problem(n_stages=2, mbsz=4)
         outs = {}
-        for engine in ("event", "roundrobin"):
+        for engine, backend in (("event", "codegen"), ("roundrobin", "linear")):
             mesh = core.RemoteMesh((2, 2), engine=engine)
-            step = mesh.distributed(train_step, schedule=core.OneFOneB(2))
+            step = mesh.distributed(
+                train_step, schedule=core.OneFOneB(2), task_backend=backend
+            )
             outs[engine] = (step(params, batch), step.last_result)
         (p_a, _), res_a = outs["event"]
         (p_b, _), res_b = outs["roundrobin"]

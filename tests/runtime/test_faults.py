@@ -148,7 +148,11 @@ class TestKill:
         ts, params, batch = make_problem(2, n_mbs=4)
         mesh = _fault_mesh(FaultPlan(kill_rank=0, at_step=0, when="after"))
         try:
-            step = mesh.distributed(ts, schedule=core.OneFOneB(2))
+            # the one fault test kept on the linear VM; the rest of the
+            # battery injects into the default back end's generated tasks
+            step = mesh.distributed(
+                ts, schedule=core.OneFOneB(2), task_backend="linear"
+            )
             with pytest.raises(RuntimeError, match="died without reporting"):
                 step(params, batch)
         finally:
@@ -159,7 +163,9 @@ class TestKill:
         plan is inert: the same step that died now succeeds."""
         ts, params, batch = make_problem(2, n_mbs=4)
         plain = core.RemoteMesh((2,), engine="mp", mp_watchdog_s=WATCHDOG_S)
-        want = plain.distributed(ts, schedule=core.OneFOneB(2))(params, batch)
+        want = plain.distributed(
+            ts, schedule=core.OneFOneB(2), task_backend="linear"
+        )(params, batch)
         plain.close()
         mesh = _fault_mesh(FaultPlan(kill_rank=1, at_step=0))
         try:
@@ -217,9 +223,9 @@ class TestChannelFaults:
         produces bit-identical values (the pairwise-FIFO contract absorbs
         reordering in wall-clock time)."""
         ts, params, batch = make_problem(2, n_mbs=4)
-        want = core.RemoteMesh((2,)).distributed(ts, schedule=core.OneFOneB(2))(
-            params, batch
-        )
+        want = core.RemoteMesh((2,)).distributed(
+            ts, schedule=core.OneFOneB(2), task_backend="linear"
+        )(params, batch)
         mesh = _fault_mesh(
             FaultPlan([DelayMessage(rank=0, dst=1, delay_s=0.05)])
         )

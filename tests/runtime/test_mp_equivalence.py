@@ -61,11 +61,17 @@ def hard_timeout():
 
 
 def _run(schedule, engine, n_mbs=8, comm_mode=CommMode.ASYNC, **mesh_kw):
+    """One step on ``engine``.  The event engine is this suite's reference
+    and runs the linear VM, named explicitly; ``"mp"`` runs the default
+    back end (codegen), so a pair differs in engine *and* task payload."""
     ts, params, batch = make_problem(4, n_mbs=n_mbs)
     mesh = core.RemoteMesh(
         (schedule.n_actors,), comm_mode=comm_mode, engine=engine, **mesh_kw
     )
-    step = mesh.distributed(ts, schedule=schedule)
+    step = mesh.distributed(
+        ts, schedule=schedule,
+        task_backend="linear" if engine == "event" else "codegen",
+    )
     out = step(params, batch)
     return out, step
 
@@ -114,9 +120,10 @@ class TestGalleryEquivalence:
                 (2, 2), engine=engine,
                 **({"mp_watchdog_s": WATCHDOG_S} if engine == "mp" else {}),
             )
-            results[engine] = mesh.distributed(ts, schedule=core.OneFOneB(2))(
-                params, batch
-            )
+            results[engine] = mesh.distributed(
+                ts, schedule=core.OneFOneB(2),
+                task_backend="linear" if engine == "event" else "codegen",
+            )(params, batch)
         assert_bit_identical(results["event"], results["mp"])
 
 

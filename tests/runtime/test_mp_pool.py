@@ -57,9 +57,9 @@ class TestGalleryEquivalence:
     @pytest.mark.parametrize("schedule", SUBSET, ids=lambda s: s.name)
     def test_subset_bit_identical(self, schedule):
         ts, params, batch = make_problem(4, n_mbs=8)
-        want = _mesh(schedule, "event").distributed(ts, schedule=schedule)(
-            params, batch
-        )
+        want = _mesh(schedule, "event").distributed(
+            ts, schedule=schedule, task_backend="linear"
+        )(params, batch)
         mesh = _mesh(schedule, "mp")
         step = mesh.distributed(ts, schedule=schedule)
         got = step(params, batch)
@@ -74,9 +74,9 @@ class TestGalleryEquivalence:
     @pytest.mark.parametrize("schedule", GALLERY, ids=lambda s: s.name)
     def test_full_gallery_bit_identical(self, schedule):
         ts, params, batch = make_problem(4, n_mbs=8)
-        want = _mesh(schedule, "event").distributed(ts, schedule=schedule)(
-            params, batch
-        )
+        want = _mesh(schedule, "event").distributed(
+            ts, schedule=schedule, task_backend="linear"
+        )(params, batch)
         mesh = _mesh(schedule, "mp")
         try:
             got = mesh.distributed(ts, schedule=schedule)(params, batch)
@@ -90,9 +90,9 @@ class TestGalleryEquivalence:
         data."""
         schedule = core.OneFOneB(4)
         ts, params, batch = make_problem(4, n_mbs=8)
-        want = _mesh(schedule, "event").distributed(ts, schedule=schedule)(
-            params, batch
-        )
+        want = _mesh(schedule, "event").distributed(
+            ts, schedule=schedule, task_backend="linear"
+        )(params, batch)
         mesh = _mesh(schedule, "mp", mp_shm_threshold=1)
         try:
             got = mesh.distributed(ts, schedule=schedule)(params, batch)
@@ -105,7 +105,7 @@ class TestGalleryEquivalence:
         gather/result collective plumbing."""
         ts, params, batch = make_problem(2, n_mbs=4, mbsz=8)
         want = core.RemoteMesh((2, 2)).distributed(
-            ts, schedule=core.OneFOneB(2)
+            ts, schedule=core.OneFOneB(2), task_backend="linear"
         )(params, batch)
         mesh = core.RemoteMesh((2, 2), engine="mp", mp_watchdog_s=WATCHDOG_S)
         try:
@@ -125,7 +125,7 @@ class TestGalleryEquivalence:
         a second run on the same workers."""
         ts, params, batch = make_problem(2, n_mbs=4, mbsz=8)
         want = core.RemoteMesh((2, 2), comm_mode=CommMode.SYNC).distributed(
-            ts, schedule=core.OneFOneB(2)
+            ts, schedule=core.OneFOneB(2), task_backend="linear"
         )(params, batch)
         mesh = core.RemoteMesh(
             (2, 2), engine="mp", comm_mode=CommMode.SYNC, mp_watchdog_s=WATCHDOG_S
@@ -143,7 +143,7 @@ class TestGalleryEquivalence:
         schedule = core.OneFOneB(4)
         ts, params, batch = make_problem(4, n_mbs=8)
         want = _mesh(schedule, "event", comm_mode=CommMode.SYNC).distributed(
-            ts, schedule=schedule
+            ts, schedule=schedule, task_backend="linear"
         )(params, batch)
         mesh = _mesh(schedule, "mp", comm_mode=CommMode.SYNC)
         try:
@@ -153,9 +153,10 @@ class TestGalleryEquivalence:
             mesh.close()
 
 
-def _loop(mesh, ts, params, batch, n_steps, schedule):
-    """A training loop: feed updated params back in, collect every loss."""
-    step = mesh.distributed(ts, schedule=schedule)
+def _loop(mesh, ts, params, batch, n_steps, schedule, **kw):
+    """A training loop: feed updated params back in, collect every loss.
+    The reference side passes ``task_backend="linear"``."""
+    step = mesh.distributed(ts, schedule=schedule, **kw)
     losses = []
     for _ in range(n_steps):
         params, loss = step(params, batch)
@@ -172,7 +173,8 @@ class TestTrainingLoop:
         schedule = core.OneFOneB(4)
         ts, params, batch = make_problem(4, n_mbs=8)
         want_p, want_l = _loop(
-            core.RemoteMesh((4,)), ts, params, batch, 20, schedule
+            core.RemoteMesh((4,)), ts, params, batch, 20, schedule,
+            task_backend="linear",
         )
         batch_bytes = sum(a.nbytes for a in batch)
         mesh = core.RemoteMesh((4,), engine="mp", mp_watchdog_s=WATCHDOG_S)
@@ -243,7 +245,7 @@ class TestOptLevelMultiplex:
         want = {}
         for lvl in (False, True):
             want[lvl] = _mesh(schedule, "event").distributed(
-                ts, schedule=schedule, optimize=lvl
+                ts, schedule=schedule, optimize=lvl, task_backend="linear"
             )(params, batch)
         assert_bit_identical(want[False], want[True])  # L1 is exact
 
@@ -296,7 +298,9 @@ class TestResidency:
         by value — and give the event engine's bits."""
         schedule = core.OneFOneB(2)
         ts, params, batch = make_problem(2, n_mbs=4)
-        ev = core.RemoteMesh((2,)).distributed(ts, schedule=schedule)
+        ev = core.RemoteMesh((2,)).distributed(
+            ts, schedule=schedule, task_backend="linear"
+        )
         mesh = _mesh(schedule, "mp")
         try:
             step = mesh.distributed(ts, schedule=schedule)
@@ -335,8 +339,12 @@ class TestResidency:
         ts_a, params_a, batch_a = make_problem(2, n_mbs=4)
         ts_b, params_b, batch_b = make_problem(2, n_mbs=4, d=16, seed=7)
         ev = core.RemoteMesh((2,))
-        want_a, _ = _loop(ev, ts_a, params_a, batch_a, 3, core.OneFOneB(2))
-        want_b, _ = _loop(ev, ts_b, params_b, batch_b, 3, core.GPipe(2))
+        want_a, _ = _loop(
+            ev, ts_a, params_a, batch_a, 3, core.OneFOneB(2), task_backend="linear"
+        )
+        want_b, _ = _loop(
+            ev, ts_b, params_b, batch_b, 3, core.GPipe(2), task_backend="linear"
+        )
         mesh = _mesh(core.OneFOneB(2), "mp")
         try:
             step_a = mesh.distributed(ts_a, schedule=core.OneFOneB(2))
@@ -358,8 +366,8 @@ class TestResidency:
         submitted right after it."""
         ts, params, batch = make_problem(2, n_mbs=4)
         ev = core.RemoteMesh((2,))
-        ev_a = ev.distributed(ts, schedule=core.OneFOneB(2))
-        ev_b = ev.distributed(ts, schedule=core.GPipe(2))
+        ev_a = ev.distributed(ts, schedule=core.OneFOneB(2), task_backend="linear")
+        ev_b = ev.distributed(ts, schedule=core.GPipe(2), task_backend="linear")
         mesh = _mesh(core.OneFOneB(2), "mp")
         try:
             step_a = mesh.distributed(ts, schedule=core.OneFOneB(2))
@@ -397,7 +405,9 @@ class TestResidency:
             return core.accumulate_grads(microbatch_grads, None)(batch)
 
         schedule = core.OneFOneB(2)
-        ev_step = core.RemoteMesh((2,)).distributed(train_step, schedule=schedule)
+        ev_step = core.RemoteMesh((2,)).distributed(
+            train_step, schedule=schedule, task_backend="linear"
+        )
         want = ev_step(params, batch)
         assert any(
             src[0] == "buffer" and src[2].startswith("loopconst.")
@@ -422,7 +432,10 @@ class TestResidency:
         """dp=2: replica 1's ranks are handed replica 0's arrays, which
         they never produced — by value, every step."""
         ts, params, batch = make_problem(2, n_mbs=4, mbsz=8)
-        want, _ = _loop(core.RemoteMesh((2, 2)), ts, params, batch, 3, core.OneFOneB(2))
+        want, _ = _loop(
+            core.RemoteMesh((2, 2)), ts, params, batch, 3, core.OneFOneB(2),
+            task_backend="linear",
+        )
         mesh = core.RemoteMesh((2, 2), engine="mp", mp_watchdog_s=WATCHDOG_S)
         try:
             got, _ = _loop(mesh, ts, params, batch, 3, core.OneFOneB(2))
@@ -442,7 +455,7 @@ class TestResidency:
         problems = [make_problem(2, n_mbs=4, seed=10 + i) for i in range(n_threads)]
         ev = core.RemoteMesh((2,))
         want = [
-            _loop(ev, ts, params, batch, n_steps, schedule)
+            _loop(ev, ts, params, batch, n_steps, schedule, task_backend="linear")
             for ts, params, batch in problems
         ]
         mesh = _mesh(schedule, "mp")

@@ -127,8 +127,12 @@ class TestReuse:
         ts_a, params_a, batch_a = make_problem(2, n_mbs=4)
         ts_b, params_b, batch_b = make_problem(2, n_mbs=4, d=16, seed=7)
         ev = core.RemoteMesh((2,))
-        want_a = ev.distributed(ts_a, schedule=core.OneFOneB(2))(params_a, batch_a)
-        want_b = ev.distributed(ts_b, schedule=core.GPipe(2))(params_b, batch_b)
+        want_a = ev.distributed(
+            ts_a, schedule=core.OneFOneB(2), task_backend="linear"
+        )(params_a, batch_a)
+        want_b = ev.distributed(
+            ts_b, schedule=core.GPipe(2), task_backend="linear"
+        )(params_b, batch_b)
         mesh = core.RemoteMesh((2,), engine="mp", mp_watchdog_s=WATCHDOG_S)
         try:
             step_a = mesh.distributed(ts_a, schedule=core.OneFOneB(2))
@@ -314,11 +318,70 @@ class TestChaos:
         try:
             progs = _one_rank_program(_raise_boom)
             fut = pool.submit(progs, _one_rank_stores())
-            with pytest.raises(RuntimeError, match="boom"):
+            with pytest.raises(RuntimeError, match="boom") as err:
                 fut.result(timeout=60)
+            assert "actor 0 failed at [0]" in str(err.value)
+            assert "in task 't'" in str(err.value)
             assert pool.closed
         finally:
             pool.shutdown()
+
+    @pytest.mark.parametrize("task_backend", ["linear", "codegen"])
+    def test_compiled_task_exception_names_rank_instruction_and_task(
+        self, task_backend
+    ):
+        """A compiled task that raises inside a pool worker (a token id
+        past the embedding table, on a step after a healthy one) reports
+        the rank, the instruction index and the task's name — and, under
+        codegen, the generated line — then tears down with no worker and
+        no ``/dev/shm`` segment left."""
+        import multiprocessing
+
+        from repro import ir
+        from repro.ir import ops, pipeline_yield
+
+        r = np.random.RandomState(0)
+        params = {
+            "emb": r.randn(8, 4).astype(np.float32),
+            "w": r.randn(4, 4).astype(np.float32),
+        }
+        tokens = r.randint(0, 8, size=(2, 3)).astype(np.int32)
+
+        def loss_fn(p, toks):
+            h = pipeline_yield(ops.take(p["emb"], toks))
+            return ops.mean(ops.matmul(h, p["w"]) ** 2.0)
+
+        def train_step(p, batch):
+            def mg(mb):
+                loss, grads = ir.value_and_grad(loss_fn)(p, mb)
+                return grads, loss
+
+            grads, loss = core.accumulate_grads(mg, None)(batch)
+            return ir.tree_map(lambda w, g: ops.sub(w, ops.mul(0.1, g)), p, grads), loss
+
+        baseline = _shm_count()
+        mesh = core.RemoteMesh((2,), engine="mp", mp_watchdog_s=WATCHDOG_S)
+        try:
+            step = mesh.distributed(
+                train_step, schedule=core.OneFOneB(2), task_backend=task_backend
+            )
+            params, _ = step(params, tokens)
+            bad = tokens.copy()
+            bad[1, 2] = 99  # second microbatch: out of the table's range
+            with pytest.raises(RuntimeError, match="out of bounds") as err:
+                step(params, bad)
+            msg = str(err.value)
+            pc = int(msg.split("actor 0 failed at [")[1].split("]")[0])
+            failed = step.compiled.programs[0][pc]
+            assert isinstance(failed, RunTask) and failed.name == "f0(1)"
+            assert "in task 'f0(1)'" in msg
+            if task_backend == "codegen":
+                assert ".take(" in msg  # the generated source line
+            assert mesh._mp_pool.closed
+        finally:
+            mesh.close()
+        assert not multiprocessing.active_children()
+        assert _settle_to(baseline) <= baseline
 
     def test_unpicklable_program_raises_in_submit_and_pool_survives(self):
         """A task payload that cannot be pickled is diagnosed by the
@@ -446,7 +509,9 @@ class TestResidencyLifecycle:
         from repro.runtime import FaultPlan
 
         ts, params, batch = make_problem(2, n_mbs=4)
-        ev = core.RemoteMesh((2,)).distributed(ts, schedule=core.OneFOneB(2))
+        ev = core.RemoteMesh((2,)).distributed(
+            ts, schedule=core.OneFOneB(2), task_backend="linear"
+        )
         want = [params]
         for _ in range(4):
             want.append(ev(want[-1], batch)[0])
