@@ -3,9 +3,10 @@
 Every benchmark regenerates one of the paper's tables/figures, printing the
 series and writing it to its ``results_dir`` so the output survives
 pytest's capture — a temporary directory, or ``benchmarks/results/`` when
-pytest runs with ``--bench-write`` (registered in the root ``conftest.py``):
-two ``BENCH_*.json`` files there are tracked, and a plain test run must
-leave ``git status`` clean. Heavy simulations run once per benchmark
+pytest runs with ``--bench-write`` (registered in the root ``conftest.py``).
+That directory is gitignored and nothing in it is tracked: the files are
+regenerated figures, not a yardstick (``BENCHMARK.json`` +
+``benchmarks/e2e/`` is). Heavy simulations run once per benchmark
 (``benchmark.pedantic`` with a single round) — these are model evaluations,
 not microbenchmarks.
 """

@@ -41,6 +41,7 @@ from repro.ir.codegen import CodegenProgram, codegen
 from repro.ir.linearize import linearize
 from repro.models import TransformerConfig, init_transformer, transformer_loss
 from repro.runtime.instructions import RunTask
+from tests.helpers import payload
 
 from .conftest import emit
 
@@ -128,19 +129,16 @@ def test_backend_matrix_and_step_wallclock_floor(results_dir):
         for instr in prog:
             # loop phase only: memo prologues (ir/opt.py hoisting) carry
             # their own per-step codegen payloads, counted separately
-            if (
-                isinstance(instr, RunTask)
-                and isinstance(instr.fn, CodegenProgram)
-                and instr.meta.get("phase") == "loop"
-            ):
-                s = instr.fn.stats
+            fn = payload(instr.fn) if isinstance(instr, RunTask) else None
+            if isinstance(fn, CodegenProgram) and instr.meta.get("phase") == "loop":
+                s = fn.stats
                 totals["eqns"] += s["n_eqns"]
                 totals["instructions"] += s["n_instructions"]
                 totals["interp_calls"] += s["interp_calls_per_run"]
                 totals["vm_calls"] += s["vm_calls_per_run"]
                 totals["codegen_calls"] += s["codegen_calls_per_run"]
                 totals["codegen_residual_checks"] += s["codegen_residual_checks"]
-                per_task.setdefault(id(instr.fn), s)
+                per_task.setdefault(id(fn), s)
 
     assert totals["instructions"] > 0, "no codegen task payloads found"
     assert totals["instructions"] < totals["eqns"]

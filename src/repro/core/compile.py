@@ -16,7 +16,11 @@ This is the pipeline of §3-§4 end to end:
    global topological order — the §4.2 deadlock-free ordering (the
    ``"naive"`` strategy that Figure 5 warns about is also available, for
    the reproduction of that figure);
-6. insert buffer deletions by liveness (§4.3);
+6. make the stream per task instead of per buffer: the values one task
+   hands one later task of the same actor become one tuple-valued buffer
+   (:func:`_bundle_edges`), and buffer deletions are inserted by liveness
+   (§4.3), one ``Delete`` per point of the program at which anything dies
+   (:func:`_insert_deletions`) — both over one def/use scan;
 7. fuse everything into one instruction list per actor (§4.4).
 
 The result is a :class:`CompiledStep` the driver executes with
@@ -75,6 +79,7 @@ from repro.runtime.instructions import (
     Accumulate,
     AllReduce,
     BufferRef,
+    Bundled,
     Delete,
     Instruction,
     Recv,
@@ -840,18 +845,15 @@ def compile_train_step(
         bwd_frac = schedule.bwd_input_fraction
 
         def emit_accumulates(a_local: int, t_idx: int, mb: int) -> None:
-            """Gradient accumulation for the ADD body outputs of one task."""
-            for pos, src in enumerate(body_out_sources):
-                if src is None or src[0] != t_idx:
-                    continue
-                if out_ops[pos] == ADD:
-                    prog(a_local).append(
-                        Accumulate(
-                            acc=BufferRef(f"acc.{pos}"),
-                            value=out_ref(mb, t_idx, src[1]),
-                            delete_value=False,
-                        )
-                    )
+            """Gradient accumulation for the ADD body outputs of one task
+            instance, as one instruction."""
+            pairs = tuple(
+                (BufferRef(f"acc.{pos}"), out_ref(mb, t_idx, src[1]))
+                for pos, src in enumerate(body_out_sources)
+                if src is not None and src[0] == t_idx and out_ops[pos] == ADD
+            )
+            if pairs:
+                prog(a_local).append(Accumulate(pairs))
 
         for a_local, u in order:
             fused_last = (
@@ -1105,54 +1107,220 @@ def compile_train_step(
         opt_report=opt_report,
         literal_placements=literal_placements + const_loop_outputs,
     )
-    _insert_deletions(compiled, jaxpr)
+    protected = {uid for placements in input_placements for _, uid in placements}
+    protected.update(uid for _, uid, _ in compiled.literal_placements)
+    protected.update(src[2] for src in output_sources if src[0] == "buffer")
+    compiled.programs = _insert_deletions(_bundle_edges(programs, protected), protected)
     return compiled
 
 
-def _insert_deletions(compiled: CompiledStep, jaxpr: Jaxpr) -> None:
-    """Buffer-liveness pass (§4.3): insert a Delete after each buffer's last
-    use on every actor. Driver-placed inputs and output buffers are
-    protected; buffers with in-flight sends are handled by the executor's
-    pending-deletions queue."""
-    protected_global: set[str] = set()
-    for placements in compiled.input_placements:
-        for _, uid in placements:
-            protected_global.add(uid)
-    for _, uid, _ in compiled.literal_placements:
-        protected_global.add(uid)
-    for src in compiled.output_sources:
-        if src[0] == "buffer":
-            protected_global.add(src[2])
+# ---------------------------------------------------------------------------
+# program-level passes: edge bundles, then buffer liveness
+#
+# Both read the same per-actor def/use table (:func:`_scan`) and both are
+# plain functions from delete-free programs to programs, so the program
+# before a pass is the reference for the program after it.  ``protected``
+# names the uids a program does not own: driver-placed inputs,
+# compile-time constants and the step's outputs.
+# ---------------------------------------------------------------------------
 
-    for actor, prog in enumerate(compiled.programs):
-        defined: set[str] = set()
-        last_use: dict[str, int] = {}
-        for idx, instr in enumerate(prog):
-            if isinstance(instr, RunTask):
-                for r in instr.in_refs:
-                    last_use[r.uid] = idx
-                for r in instr.out_refs:
-                    defined.add(r.uid)
-            elif isinstance(instr, Send):
-                last_use[instr.ref.uid] = idx
-            elif isinstance(instr, Recv):
-                defined.add(instr.ref.uid)
-            elif isinstance(instr, Accumulate):
-                last_use[instr.value.uid] = idx
-                defined.add(instr.acc.uid)
-                last_use[instr.acc.uid] = max(last_use.get(instr.acc.uid, idx), idx)
-            elif isinstance(instr, AllReduce):
-                last_use[instr.ref.uid] = idx
 
-        deletions_at: dict[int, list[str]] = {}
-        for uid, idx in last_use.items():
-            if uid in protected_global or uid not in defined:
-                continue
-            deletions_at.setdefault(idx, []).append(uid)
+@dataclasses.dataclass
+class _Use:
+    """How one actor's program touches one buffer.
 
+    Attributes:
+        defined: defined on this actor at all (task output, receive,
+            accumulator) rather than placed by the driver.
+        readers: the index of the reading ``RunTask``, once per operand
+            slot that names the buffer.
+        other: named by something that is not a ``RunTask`` — a transfer,
+            an accumulate, a collective.
+        sent: named by a ``Send``, so its free may have to wait (§4.3).
+        last_use: index of the last instruction that reads it.
+    """
+
+    defined: bool = False
+    readers: list[int] = dataclasses.field(default_factory=list)
+    other: bool = False
+    sent: bool = False
+    last_use: int | None = None
+
+
+def _scan(prog: Sequence[Instruction]) -> dict[str, _Use]:
+    """The def/use table of one actor's program, uid -> :class:`_Use`."""
+    uses: dict[str, _Use] = {}
+
+    def use(ref: BufferRef, other: bool = True) -> _Use:
+        u = uses.get(ref.uid)
+        if u is None:
+            u = uses[ref.uid] = _Use()
+        u.other |= other
+        return u
+
+    for idx, instr in enumerate(prog):
+        if isinstance(instr, RunTask):
+            for r in instr.in_refs:
+                u = use(r, other=False)
+                u.readers.append(idx)
+                u.last_use = idx
+            for r in instr.out_refs:
+                use(r, other=False).defined = True
+        elif isinstance(instr, Send):
+            u = use(instr.ref)
+            u.sent = True
+            u.last_use = idx
+        elif isinstance(instr, Recv):
+            use(instr.ref).defined = True
+        elif isinstance(instr, Accumulate):
+            for acc, value in instr.pairs:
+                use(value).last_use = idx
+                u = use(acc)
+                u.defined = True
+                u.last_use = idx
+        elif isinstance(instr, AllReduce):
+            use(instr.ref).last_use = idx
+    return uses
+
+
+def _bundle_edges(
+    programs: Sequence[Sequence[Instruction]], protected: set[str]
+) -> list[list[Instruction]]:
+    """Edge bundles: the values one task hands to exactly one later task
+    of the same actor become ONE tuple-valued buffer.
+
+    A value qualifies when a ``RunTask`` with a payload defines it, one
+    operand slot of one later ``RunTask`` with a payload reads it, and
+    nothing else names it — no transfer, accumulate or collective, and
+    it is not ``protected``.  Two or more such values on one
+    producer→consumer edge are replaced by a single buffer whose uid is
+    the first member's plus the count of the others (``mb0.t1.o0+22``)
+    and whose ``nbytes`` is the members' sum; producer and consumer get a
+    :class:`~repro.runtime.instructions.Bundled` adaptor over their
+    payload, one per (payload, layout), so the microbatch instances of a
+    task go on sharing one callable.  The members were defined by one
+    instruction and die after one instruction, so the store holds the
+    same bytes after every instruction as before the pass.  A task that
+    does not declare its output sizes (``meta["out_nbytes"]``, which the
+    engines otherwise measure from the array — a tuple has none) is left
+    alone.
+    """
+    adaptors: dict[tuple, Bundled] = {}
+    return [_bundle_program(list(prog), protected, adaptors) for prog in programs]
+
+
+def _bundle_program(
+    prog: list[Instruction], protected: set[str], adaptors: dict[tuple, Bundled]
+) -> list[Instruction]:
+    uses = _scan(prog)
+    # (producer index, consumer index) -> positions in the producer's out_refs
+    edges: dict[tuple[int, int], list[int]] = {}
+    for idx, instr in enumerate(prog):
+        if not isinstance(instr, RunTask) or instr.fn is None:
+            continue
+        sizes = instr.meta.get("out_nbytes", ())
+        if len(sizes) != len(instr.out_refs):
+            continue
+        for j, r in enumerate(instr.out_refs):
+            u = uses[r.uid]
+            if (
+                len(u.readers) == 1
+                and not u.other
+                and r.uid not in protected
+                and sizes[j]
+                and prog[u.readers[0]].fn is not None
+            ):
+                edges.setdefault((idx, u.readers[0]), []).append(j)
+
+    member: dict[str, tuple[BufferRef, int, int]] = {}  # uid -> (bundle, place in it, its size)
+    packs: dict[int, list[tuple[int, ...]]] = {}  # producer index -> out_refs positions per bundle
+    consumers: set[int] = set()
+    for (p_idx, c_idx), js in edges.items():
+        if len(js) < 2:
+            continue
+        refs = prog[p_idx].out_refs
+        bundle = BufferRef(f"{refs[js[0]].uid}+{len(js) - 1}")
+        for k, j in enumerate(js):
+            member[refs[j].uid] = (bundle, k, len(js))
+        packs.setdefault(p_idx, []).append(tuple(js))
+        consumers.add(c_idx)
+
+    for idx in consumers | set(packs):
+        task: RunTask = prog[idx]
+        in_refs, in_index = task.in_refs, None
+        if idx in consumers:
+            # one operand per bundle, where its first member stood
+            in_refs, slots, at = [], [], {}
+            for i, r in enumerate(task.in_refs):
+                if r.uid not in member:
+                    in_refs.append(r)
+                    slots.append([i])
+                    continue
+                bundle, k, size = member[r.uid]
+                if bundle.uid not in at:
+                    at[bundle.uid] = len(slots)
+                    in_refs.append(bundle)
+                    slots.append([0] * size)
+                slots[at[bundle.uid]][k] = i
+            in_index = tuple(map(tuple, slots))
+        out_refs, meta = task.out_refs, task.meta
+        groups = tuple(packs.get(idx, ()))
+        packed = {j for js in groups for j in js}
+        keep = tuple(j for j in range(len(out_refs)) if j not in packed)
+        if groups:
+            # kept outputs first, then one ref per bundle
+            sizes = meta["out_nbytes"]
+            meta = {
+                **meta,
+                "out_nbytes": [sizes[j] for j in keep]
+                + [sum(sizes[j] for j in js) for js in groups],
+            }
+            out_refs = [out_refs[j] for j in keep] + [
+                member[out_refs[js[0]].uid][0] for js in groups
+            ]
+        key = (id(task.fn), in_index, keep, groups)
+        fn = adaptors.get(key)
+        if fn is None:
+            fn = adaptors[key] = Bundled(task.fn, in_index, keep, groups)
+        prog[idx] = dataclasses.replace(
+            task, in_refs=in_refs, out_refs=out_refs, fn=fn, meta=meta
+        )
+    return prog
+
+
+def _insert_deletions(
+    programs: Sequence[Sequence[Instruction]], protected: set[str]
+) -> list[list[Instruction]]:
+    """Buffer-liveness pass (§4.3): after every instruction that is the
+    last use of some buffer the actor defined, ONE ``Delete`` naming all
+    the buffers that die there.  ``protected`` buffers are never freed;
+    buffers with in-flight sends are handled by the executor's
+    pending-deletions queue, ref by ref.
+
+    The values an ``Accumulate`` adds are freed by the instruction itself
+    (``delete_value``: each right after its own add) when all of them die
+    there and none was sent; otherwise the dying ones go into the
+    ``Delete`` that follows.
+    """
+    out: list[list[Instruction]] = []
+    for prog in programs:
+        uses = _scan(prog)
+        dying: dict[int, list[BufferRef]] = {}
+        for uid, u in uses.items():
+            if u.defined and u.last_use is not None and uid not in protected:
+                dying.setdefault(u.last_use, []).append(BufferRef(uid))
         new_prog: list[Instruction] = []
         for idx, instr in enumerate(prog):
+            refs = dying.get(idx, [])
+            if isinstance(instr, Accumulate):
+                values = [value for _, value in instr.pairs]
+                if len(set(values)) == len(values) and all(
+                    v in refs and not uses[v.uid].sent for v in values
+                ):
+                    instr = dataclasses.replace(instr, delete_value=True)
+                    refs = [r for r in refs if r not in values]
             new_prog.append(instr)
-            for uid in deletions_at.get(idx, []):
-                new_prog.append(Delete(BufferRef(uid)))
-        compiled.programs[actor] = new_prog
+            if refs:
+                new_prog.append(Delete(tuple(refs)))
+        out.append(new_prog)
+    return out

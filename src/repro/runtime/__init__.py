@@ -20,11 +20,13 @@ from repro.runtime.executor import (
     MpmdExecutor,
     TimelineEvent,
     WaitStat,
+    WorkerTaskError,
 )
 from repro.runtime.instructions import (
     Accumulate,
     AllReduce,
     BufferRef,
+    Bundled,
     Delete,
     Instruction,
     Recv,
@@ -64,8 +66,9 @@ __all__ = [
     "is_recoverable",
     "CostModel", "ZeroCost", "LinearCost",
     "MpmdExecutor", "CommMode", "DeadlockError", "CommMismatchError",
+    "WorkerTaskError",
     "ExecutionResult", "TimelineEvent", "WaitStat", "ENGINES", "TIE_BREAKS",
     "BufferRef", "Instruction", "RunTask", "Send", "Recv", "Delete",
-    "Accumulate", "AllReduce",
+    "Accumulate", "AllReduce", "Bundled",
     "Buffer", "ObjectStore",
 ]

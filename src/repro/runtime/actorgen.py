@@ -42,11 +42,13 @@ from typing import Any, Callable, Sequence
 from repro.runtime.instructions import (
     Accumulate,
     AllReduce,
+    Bundled,
     Delete,
     Instruction,
     Recv,
     RunTask,
     Send,
+    brief,
 )
 
 __all__ = ["FusionError", "MeshDriver", "fuse_mesh", "worker_driver"]
@@ -157,6 +159,24 @@ def fuse_mesh(
             nm = names[key] = f"b{len(names)}"
         return nm
 
+    # an edge bundle whose layout a Bundled adaptor gives away is never
+    # built: its parts are locals of their own, key -> their names
+    parts: dict[tuple[int, str], list[str]] = {}
+
+    def operand(actor: int, uid: str) -> str:
+        """Source text of one whole buffer."""
+        mem = parts.get((actor, uid))
+        return name(actor, uid) if mem is None else f"({', '.join(mem)})"
+
+    def unpacked(actor: int, uid: str, n: int) -> list[str]:
+        """The member locals of a bundle, unpacking it first when its
+        producer was opaque and built the tuple."""
+        mem = parts.get((actor, uid))
+        if mem is None:
+            mem = parts[(actor, uid)] = [name(actor, f"{uid}[{k}]") for k in range(n)]
+            lines.append(f"    {', '.join(mem)} = {names[(actor, uid)]}")
+        return mem
+
     lines: list[str] = []
     avail: set[tuple[int, str]] = set()
     for actor, uid in initial:
@@ -194,13 +214,40 @@ def fuse_mesh(
                         continue
                     if any((a, r.uid) not in avail for r in instr.in_refs):
                         break
+                    fn = instr.fn
+                    ins = [operand(a, r.uid) for r in instr.in_refs]
+                    if not isinstance(fn, Bundled):
+                        outs = [name(a, r.uid) for r in instr.out_refs]
+                    else:
+                        # see through the adaptor: call the task's own
+                        # payload on the flat operand list, bind its flat
+                        # outputs — no tuple is packed, no wrapper called
+                        if fn.in_index is not None:
+                            flat: dict[int, str] = {}
+                            for r, src, idx in zip(instr.in_refs, ins, fn.in_index):
+                                if len(idx) > 1:
+                                    flat.update(zip(idx, unpacked(a, r.uid, len(idx))))
+                                else:
+                                    flat[idx[0]] = src
+                            ins = [flat[i] for i in range(len(flat))]
+                        bound = {
+                            i: name(a, r.uid) for i, r in zip(fn.out_keep, instr.out_refs)
+                        }
+                        for r, group in zip(instr.out_refs[len(bound):], fn.out_groups):
+                            mem = parts[(a, r.uid)] = [
+                                name(a, f"{r.uid}[{k}]") for k in range(len(group))
+                            ]
+                            bound.update(zip(group, mem))
+                        outs = [bound[i] for i in range(len(bound))]
+                        fn = fn.fn
                     tag = f"_t{n_tasks}"
-                    env[tag] = instr.fn
+                    env[tag] = fn
                     n_tasks += 1
-                    ins = ", ".join(name(a, r.uid) for r in instr.in_refs)
-                    outs = ", ".join(name(a, r.uid) for r in instr.out_refs)
-                    sep = "," if len(instr.out_refs) == 1 else ""
-                    lines.append(f"    {outs}{sep} = {tag}([{ins}])  # {instr.name}")
+                    sep = "," if len(outs) == 1 else ""
+                    lines.append(
+                        f"    {', '.join(outs)}{sep} = {tag}([{', '.join(ins)}])"
+                        f"  # {instr.name}"
+                    )
                     for r in instr.out_refs:
                         avail.add((a, r.uid))
                 elif isinstance(instr, Send):
@@ -219,24 +266,31 @@ def fuse_mesh(
                     if (a, instr.ref.uid) not in avail:
                         break
                 elif isinstance(instr, Delete):
-                    key = (a, instr.ref.uid)
-                    if key in names and key not in out_set:
-                        lines.append(f"    {names[key]} = None")
-                    avail.discard(key)
+                    dead: list[str] = []
+                    for r in instr.refs:
+                        key = (a, r.uid)
+                        if key not in out_set:
+                            dead += parts.get(key, ())
+                            if key in names:
+                                dead.append(names[key])
+                        avail.discard(key)
+                    if dead:
+                        lines.append(f"    {' = '.join(dead)} = None")
                 elif isinstance(instr, Accumulate):
-                    if (a, instr.value.uid) not in avail:
+                    if any((a, value.uid) not in avail for _, value in instr.pairs):
                         break
-                    acc, val = (a, instr.acc.uid), (a, instr.value.uid)
-                    if acc in avail:
-                        lines.append(
-                            f"    {name(*acc)} = {names[acc]} + {names[val]}"
-                        )
-                    else:
-                        lines.append(f"    {name(*acc)} = {names[val]}")
-                        avail.add(acc)
-                    if instr.delete_value:
-                        lines.append(f"    {names[val]} = None")
-                        avail.discard(val)
+                    for acc_ref, value in instr.pairs:
+                        acc, val = (a, acc_ref.uid), (a, value.uid)
+                        if acc in avail:
+                            lines.append(
+                                f"    {name(*acc)} = {names[acc]} + {names[val]}"
+                            )
+                        else:
+                            lines.append(f"    {name(*acc)} = {names[val]}")
+                            avail.add(acc)
+                        if instr.delete_value:
+                            lines.append(f"    {names[val]} = None")
+                            avail.discard(val)
                 elif isinstance(instr, AllReduce):
                     gk = instr.group_key
                     if gk not in done_groups:
@@ -273,7 +327,7 @@ def fuse_mesh(
                 progress = True
     if remaining:
         stuck = [
-            f"actor {a} at [{pcs[a]}] {programs[a][pcs[a]]!r}"
+            f"actor {a} at [{pcs[a]}] {brief(programs[a][pcs[a]])}"
             for a in range(n)
             if pcs[a] < len(programs[a])
         ]
@@ -359,8 +413,8 @@ def worker_driver(program: Sequence[Instruction]) -> Callable:
                 env[f"_i{k}"] = instr
                 lines.append(f"    W.exec_task(_i{k})")
         elif isinstance(instr, Delete):
-            env[f"_i{k}r"] = instr.ref
-            lines.append(f"    _del(_i{k}r)")
+            env[f"_i{k}r"] = instr.refs
+            lines.append(f"    for _r in _i{k}r: _del(_r)")
         elif isinstance(instr, Recv):
             recv_fed.add(instr.ref.uid)
             env[f"_i{k}"] = instr

@@ -94,6 +94,7 @@ from repro.runtime.instructions import (
     Recv,
     RunTask,
     Send,
+    brief,
 )
 from repro.runtime.store import ObjectStore, fold_contributions
 
@@ -101,6 +102,7 @@ __all__ = [
     "CommMode",
     "DeadlockError",
     "CommMismatchError",
+    "WorkerTaskError",
     "TimelineEvent",
     "ExecutionResult",
     "WaitStat",
@@ -134,6 +136,34 @@ class DeadlockError(RuntimeError):
 class CommMismatchError(RuntimeError):
     """Matched send/recv pair disagrees on the logical value (the data
     corruption NCCL would silently produce with mis-ordered P2P ops)."""
+
+
+class WorkerTaskError(RuntimeError):
+    """An instruction raised, or broke the worker protocol, inside a
+    process-per-rank worker (:mod:`repro.runtime.pool`).  A deterministic
+    program failure: replaying the step would fail the same way, so
+    recovery does not retry it.
+
+    Attributes:
+        rank: the actor whose worker failed.
+        pc: index of the failing instruction in that actor's program
+            (``-1``: before the first one).
+        task: the task's name when the instruction is a ``RunTask``,
+            else ``None``.
+        instruction: the instruction in short
+            (:func:`~repro.runtime.instructions.brief`); ``None`` when
+            ``pc`` names no instruction.
+    """
+
+    def __init__(
+        self, message: str, rank: int = -1, pc: int = -1,
+        task: str | None = None, instruction: str | None = None,
+    ):
+        super().__init__(message)
+        self.rank = rank
+        self.pc = pc
+        self.task = task
+        self.instruction = instruction
 
 
 @dataclasses.dataclass
@@ -669,29 +699,35 @@ class _RunState:
 
         if isinstance(instr, Delete):
             self.flush_pending_deletes(actor)
-            posted = actor.outstanding_sends.get(instr.ref.uid)
-            if posted is not None and posted.end_time is None:
-                actor.store.pending_deletions.append(instr.ref)
-            else:
-                actor.outstanding_sends.pop(instr.ref.uid, None)
-                actor.store.delete(instr.ref)
+            for ref in instr.refs:
+                posted = actor.outstanding_sends.get(ref.uid)
+                if posted is not None and posted.end_time is None:
+                    actor.store.pending_deletions.append(ref)
+                else:
+                    actor.outstanding_sends.pop(ref.uid, None)
+                    actor.store.delete(ref)
             actor.pc += 1
             return None
 
         if isinstance(instr, Accumulate):
-            if instr.value not in actor.store:
-                return _Wait(
-                    "buffer", (actor.id, instr.value.uid),
-                    f"buffer {instr.value.uid!r} on actor {actor.id} (accumulate operand)",
-                )
+            store = actor.store
+            for _, value in instr.pairs:
+                if value not in store:
+                    return _Wait(
+                        "buffer", (actor.id, value.uid),
+                        f"buffer {value.uid!r} on actor {actor.id} (accumulate operand)",
+                    )
             start = self.ready_time(
-                actor, [instr.value] + ([instr.acc] if instr.acc in actor.store else [])
+                actor, [r for pair in instr.pairs for r in pair if r in store]
             )
             self._exec_start = start
-            if actor.store.accumulate(instr.acc, instr.value, instr.delete_value):
-                self.on_put(actor.id, instr.acc.uid)
-            self.arrivals[(actor.id, instr.acc.uid)] = start
-            self.timeline.append(TimelineEvent(actor.id, "accum", instr.acc.uid, start, start))
+            for acc, value in instr.pairs:
+                if store.accumulate(acc, value, instr.delete_value):
+                    self.on_put(actor.id, acc.uid)
+                self.arrivals[(actor.id, acc.uid)] = start
+            self.timeline.append(
+                TimelineEvent(actor.id, "accum", instr.name, start, start)
+            )
             actor.pc += 1
             return None
 
@@ -753,7 +789,7 @@ class _RunState:
         for a in stuck:
             wait = a.wait
             if wait is None:  # blocked without a recorded wait (defensive)
-                lines.append(f"  actor {a.id} stuck at [{a.pc}] {a.current()!r}")
+                lines.append(f"  actor {a.id} stuck at [{a.pc}] {brief(a.current())}")
                 continue
             peers = wait.peers
             if wait.kind == "buffer" and not peers:
@@ -771,7 +807,7 @@ class _RunState:
             edges[a.id] = peers
             via = f" (via actor{'s' if len(peers) > 1 else ''} {sorted(peers)})" if peers else ""
             lines.append(
-                f"  actor {a.id} stuck at [{a.pc}] {a.current()!r}: "
+                f"  actor {a.id} stuck at [{a.pc}] {brief(a.current())}: "
                 f"waiting for {wait.note}{via}"
             )
         cycle = _find_cycle(edges)

@@ -107,6 +107,7 @@ from repro.runtime.instructions import (
     Recv,
     RunTask,
     Send,
+    brief,
 )
 from repro.runtime.store import ObjectStore, fold_contributions
 
@@ -466,9 +467,18 @@ class _Worker:
 
     def fail(self, kind: str, message: str) -> None:
         self.ctrl.put(
-            ("sub", self.sid, ("error", self.rank, self.pc, kind, message))
+            ("sub", self.sid,
+             ("error", self.rank, self.pc, kind, message, *self.where()))
         )
         raise _WorkerStop
+
+    def where(self) -> tuple[str | None, str | None]:
+        """``(task name, instruction in short)`` at the current ``pc``,
+        for an error report; ``None`` where there is none to name."""
+        if not 0 <= self.pc < len(self.program):
+            return None, None
+        instr = self.program[self.pc]
+        return (instr.name if isinstance(instr, RunTask) else None), brief(instr)
 
     # -- channel plumbing --------------------------------------------------
     def drain(self, src: int, until_uid: str | None = None) -> None:
@@ -553,7 +563,8 @@ class _Worker:
             elif isinstance(instr, Recv):
                 self.exec_recv(instr)
             elif isinstance(instr, Delete):
-                self.store.delete(instr.ref)
+                for ref in instr.refs:
+                    self.store.delete(ref)
             elif isinstance(instr, Accumulate):
                 self.exec_accumulate(instr)
             elif isinstance(instr, AllReduce):
@@ -651,11 +662,13 @@ class _Worker:
             self.drain(instr.src, until_uid=instr.ref.uid)
 
     def exec_accumulate(self, instr: Accumulate) -> None:
-        self.require(instr.value)
+        for _, value in instr.pairs:
+            self.require(value)
         start = self.now()
-        self.store.accumulate(instr.acc, instr.value, instr.delete_value)
+        for acc, value in instr.pairs:
+            self.store.accumulate(acc, value, instr.delete_value)
         self.timeline.append(
-            TimelineEvent(self.rank, "accum", instr.acc.uid, start, start)
+            TimelineEvent(self.rank, "accum", instr.name, start, start)
         )
 
     def exec_allreduce(self, instr: AllReduce) -> None:

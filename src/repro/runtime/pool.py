@@ -87,8 +87,9 @@ from repro.runtime.executor import (
     CommMismatchError,
     CommMode,
     ExecutionResult,
+    WorkerTaskError,
 )
-from repro.runtime.instructions import BufferRef, Instruction, RunTask
+from repro.runtime.instructions import BufferRef, Instruction
 from repro.runtime.mp import (
     DEFAULT_SHM_THRESHOLD,
     DEFAULT_WATCHDOG_S,
@@ -201,7 +202,8 @@ def _pool_worker_main(rank: int, inboxes, ctrl, fault_plan=None, generation: int
             if shipped is None:
                 ctrl.put(
                     ("sub", sid, ("error", rank, -1, "protocol",
-                     f"program {cmd.key!r} was never shipped to actor {rank}"))
+                     f"program {cmd.key!r} was never shipped to actor {rank}",
+                     None, None))
                 )
                 return
             step_idx += 1
@@ -238,15 +240,17 @@ def _pool_worker_main(rank: int, inboxes, ctrl, fault_plan=None, generation: int
     except _WorkerStop:
         pass  # error already reported; the pool is dead
     except BaseException:
-        pc, text = -1, traceback.format_exc()
+        pc, text, task, instruction = -1, traceback.format_exc(), None, None
         if worker is not None:
             pc = worker.pc
-            if pc < len(worker.program):  # else: past the last instruction
-                instr = worker.program[pc]
-                what = f"task {instr.name!r}" if isinstance(instr, RunTask) else repr(instr)
+            task, instruction = worker.where()
+            if instruction is not None:  # else: past the last instruction
+                what = instruction if task is None else f"task {task!r}"
                 text = f"in {what}\n{text}"
         try:
-            ctrl.put(("sub", sid, ("error", rank, pc, "exception", text)))
+            ctrl.put(
+                ("sub", sid, ("error", rank, pc, "exception", text, task, instruction))
+            )
         except Exception:  # pragma: no cover - ctrl queue gone
             pass
 
@@ -734,12 +738,13 @@ class ActorPool:
                 completed.future._finish(result=merged)
                 self._slots.release()
         elif kind == "error":
-            _, rank, pc, err_kind, text = inner
+            _, rank, pc, err_kind, text, task, instruction = inner
             if err_kind == "mismatch":
                 exc: BaseException = CommMismatchError(text)
             else:
-                exc = RuntimeError(
-                    f"mp pool worker for actor {rank} failed at [{pc}]:\n{text}"
+                exc = WorkerTaskError(
+                    f"mp pool worker for actor {rank} failed at [{pc}]:\n{text}",
+                    rank, pc, task, instruction,
                 )
             self._fail(exc)
             return True

@@ -81,7 +81,7 @@ from repro.models.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.runtime.executor import CommMismatchError, DeadlockError
+from repro.runtime.executor import CommMismatchError, DeadlockError, WorkerTaskError
 
 __all__ = [
     "RecoveryPolicy",
@@ -193,10 +193,11 @@ def is_recoverable(exc: BaseException) -> bool:
     Infrastructure failures qualify: a killed worker, an expired
     watchdog (wedged worker, lost message), a dead pool.  Deterministic
     program failures do not — :class:`CommMismatchError` is a compiler
-    bug and a worker *raising* is a task bug; both would simply recur on
-    replay, so they fail fast exactly as without recovery.
+    bug and a worker *raising* (:class:`WorkerTaskError`) is a task bug;
+    both would simply recur on replay, so they fail fast exactly as
+    without recovery.
     """
-    if isinstance(exc, CommMismatchError):
+    if isinstance(exc, (CommMismatchError, WorkerTaskError)):
         return False
     if isinstance(exc, DeadlockError):
         return True

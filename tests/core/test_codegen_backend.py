@@ -26,6 +26,7 @@ from tests.core.test_linear_backend import (
     assert_bit_identical,
     make_problem,
 )
+from tests.helpers import payload
 
 HARD_TIMEOUT_S = 300
 
@@ -159,7 +160,7 @@ class TestProgramBehaviour:
         }
         assert loop_fns
         assert all(
-            isinstance(fn, CodegenProgram) for fn in loop_fns.values()
+            isinstance(payload(fn), CodegenProgram) for fn in loop_fns.values()
         )
 
 

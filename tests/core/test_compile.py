@@ -8,7 +8,7 @@ from repro import core, ir
 from repro.core.compile import compile_train_step, find_batch_inputs
 from repro.ir import nn, ops, pipeline_yield
 from repro.runtime.instructions import Accumulate, Delete, Recv, RunTask, Send
-from tests.helpers import rng
+from tests.helpers import check_program, payload, rng
 
 
 def _trace_problem(n_stages=3, n_mbs=4, mbsz=6, d=4, seed=0, label_smooth=False):
@@ -79,7 +79,7 @@ class TestPlacementInference:
         pre_tasks = phase_tasks(c, "pre")
         assert pre_tasks[0] == pre_tasks[1] == []
         (task,) = pre_tasks[2]
-        assert [e.prim.name for e in task.fn.jaxpr.eqns] == ["mul", "add"]
+        assert [e.prim.name for e in payload(task.fn).jaxpr.eqns] == ["mul", "add"]
         # only the smoothed labels escape the cluster
         assert len(task.out_refs) == 1
 
@@ -90,7 +90,7 @@ class TestPlacementInference:
         # cluster per actor, each ending in that weight's `sub`
         for a, tasks in phase_tasks(c, "post").items():
             (task,) = tasks
-            assert [e.prim.name for e in task.fn.jaxpr.eqns] == ["mul", "sub"]
+            assert [e.prim.name for e in payload(task.fn).jaxpr.eqns] == ["mul", "sub"]
             (out,) = task.out_refs
             assert c.output_sources[a] == ("buffer", a, out.uid)
 
@@ -153,47 +153,38 @@ class TestCommInference:
 
 class TestLiveness:
     def test_every_defined_nonoutput_buffer_deleted(self):
+        # tests.helpers.check_program: every buffer a program defines is
+        # freed exactly once, step outputs stay live to the end
         jaxpr, *_ = _trace_problem(n_mbs=4)
         c = compile_train_step(jaxpr, core.OneFOneB(3))
-        protected = {src[2] for src in c.output_sources if src[0] == "buffer"}
-        for prog in c.programs:
-            defined, deleted = set(), set()
-            for i in prog:
-                if isinstance(i, RunTask):
-                    defined.update(r.uid for r in i.out_refs)
-                elif isinstance(i, Recv):
-                    defined.add(i.ref.uid)
-                elif isinstance(i, Accumulate):
-                    defined.add(i.acc.uid)
-                elif isinstance(i, Delete):
-                    deleted.add(i.ref.uid)
-            leaked = {
-                u for u in defined - deleted - protected
-                # accumulators feeding cross-actor combines are deleted by
-                # the pending-deletions path after their send completes
-                if not u.startswith(("acc.", "combine.", "dpm."))
-            }
-            assert not leaked, leaked
+        check_program(c)
+        assert all(isinstance(i.refs, tuple) and i.refs for p in c.programs for i in p
+                   if isinstance(i, Delete))
 
     def test_deletes_come_after_last_use(self):
+        # check_program again (nothing reads a freed uid), plus the
+        # placement: a buffer is freed right after its last use, by the
+        # instruction's own delete_value or the Delete that follows it
         jaxpr, *_ = _trace_problem(n_mbs=4)
         c = compile_train_step(jaxpr, core.OneFOneB(3))
+        check_program(c)
         for prog in c.programs:
-            deleted_at: dict[str, int] = {}
+            last_use: dict[str, int] = {}
+            freed_at: dict[str, int] = {}
             for k, i in enumerate(prog):
-                if isinstance(i, Delete):
-                    deleted_at[i.ref.uid] = k
-            for k, i in enumerate(prog):
-                uses = []
                 if isinstance(i, RunTask):
-                    uses = [r.uid for r in i.in_refs]
+                    last_use.update((r.uid, k) for r in i.in_refs)
                 elif isinstance(i, Send):
-                    uses = [i.ref.uid]
+                    last_use[i.ref.uid] = k
                 elif isinstance(i, Accumulate):
-                    uses = [i.value.uid]
-                for u in uses:
-                    if u in deleted_at:
-                        assert deleted_at[u] > k, (u, k)
+                    last_use.update((u.uid, k) for pair in i.pairs for u in pair)
+                    if i.delete_value:
+                        freed_at.update((value.uid, k) for _, value in i.pairs)
+                elif isinstance(i, Delete):
+                    freed_at.update((r.uid, k - 1) for r in i.refs)
+            assert freed_at
+            for uid, k in freed_at.items():
+                assert last_use[uid] == k, (uid, k)
 
     def test_memory_actually_bounded(self):
         # executing with more microbatches must not grow peak memory

@@ -15,7 +15,7 @@ from repro import core, ir
 from repro.core.compile import compile_train_step
 from repro.ir import nn, ops, pipeline_yield
 from repro.ir.linearize import LinearProgram
-from tests.helpers import rng
+from tests.helpers import payload, rng
 
 
 def make_problem(n_stages, n_mbs=4, mbsz=6, d=8, seed=1):
@@ -113,32 +113,31 @@ class TestCompilerWiring:
             compile_train_step(jaxpr, core.OneFOneB(2), task_backend="jit")
 
     def test_task_programs_cached_across_microbatches(self):
-        """Every RunTask of the same stage task shares one LinearProgram:
-        the one-time lowering amortizes over the whole schedule."""
+        """Every RunTask of the same stage task shares one LinearProgram —
+        and, where it packs or unpacks an edge bundle, one ``Bundled``
+        adaptor over it: the one-time lowering amortizes over the whole
+        schedule."""
         from repro.runtime.instructions import RunTask
 
         ts, params, batch = make_problem(3, n_mbs=6)
         jaxpr, _, _ = ir.trace(ts, params, batch)
         compiled = compile_train_step(jaxpr, core.OneFOneB(3), task_backend="linear")
-        loop_fns = {
-            id(instr.fn)
+        loop_fns = [
+            instr.fn
             for prog in compiled.programs
             for instr in prog
             if isinstance(instr, RunTask)
             and instr.meta.get("phase") == "loop"
             and instr.fn is not None
-        }
-        assert all(
-            isinstance(instr.fn, LinearProgram)
-            for prog in compiled.programs
-            for instr in prog
-            if isinstance(instr, RunTask) and instr.meta.get("phase") == "loop" and instr.fn is not None
-        )
+        ]
+        assert all(isinstance(payload(fn), LinearProgram) for fn in loop_fns)
         # distinct programs == distinct tasks with a payload, not n_mbs x tasks
         n_payload_tasks = len(
             {id(t.jaxpr) for t in compiled.split.tasks}
         )
-        assert len(loop_fns) <= n_payload_tasks
+        assert len({id(payload(fn)) for fn in loop_fns}) <= n_payload_tasks
+        # ... and the adaptors are as shared as the payloads under them
+        assert len({id(fn) for fn in loop_fns}) <= n_payload_tasks
 
 
 class TestEagerLoopPath:

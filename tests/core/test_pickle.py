@@ -31,6 +31,7 @@ from repro.ir.primitives import registry
 from repro.runtime.executor import MpmdExecutor
 from repro.runtime.instructions import BufferRef, RunTask
 from tests.core.test_linear_backend import assert_bit_identical, make_problem
+from tests.helpers import payload
 
 PROTOCOLS = (pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL)
 
@@ -152,11 +153,14 @@ class TestLinearProgramPickle:
             for instr in prog
             if isinstance(instr, RunTask)
             and instr.meta.get("phase") == "loop"
-            and isinstance(instr.fn, LinearProgram)
+            and isinstance(payload(instr.fn), LinearProgram)
         ]
+        # ... and so do the Bundled adaptors over them
         n_distinct = len({id(t.fn) for t in loop_tasks})
+        n_payloads = len({id(payload(t.fn)) for t in loop_tasks})
         rebuilt = pickle.loads(pickle.dumps(loop_tasks))
         assert len({id(t.fn) for t in rebuilt}) == n_distinct
+        assert len({id(payload(t.fn)) for t in rebuilt}) == n_payloads
 
 
 class TestCodegenProgramPickle:
@@ -190,12 +194,15 @@ class TestCodegenProgramPickle:
             for instr in prog
             if isinstance(instr, RunTask)
             and instr.meta.get("phase") == "loop"
-            and isinstance(instr.fn, CodegenProgram)
+            and isinstance(payload(instr.fn), CodegenProgram)
         ]
         assert loop_tasks
+        # ... and so do the Bundled adaptors over them
         n_distinct = len({id(t.fn) for t in loop_tasks})
+        n_payloads = len({id(payload(t.fn)) for t in loop_tasks})
         rebuilt = pickle.loads(pickle.dumps(loop_tasks))
         assert len({id(t.fn) for t in rebuilt}) == n_distinct
+        assert len({id(payload(t.fn)) for t in rebuilt}) == n_payloads
 
 
 class TestCompiledProgramsPickle:

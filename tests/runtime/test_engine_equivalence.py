@@ -98,9 +98,9 @@ class TestRandomizedEquivalence:
                 out = []
                 for i, instr in enumerate(prog):
                     out.append(instr)
-                    for uid, k in last_use.items():
-                        if k == i:
-                            out.append(Delete(B(uid)))
+                    dying = tuple(B(uid) for uid, k in last_use.items() if k == i)
+                    if dying:
+                        out.append(Delete(dying))
                 prog[:] = out
             return programs
 

@@ -68,9 +68,9 @@ class TestBasics:
         ex = MpmdExecutor(1)
         progs = [[
             task("a", [], ["v1"], const(2.0)),
-            Accumulate(B("acc"), B("v1"), delete_value=True),
+            Accumulate(((B("acc"), B("v1")),), delete_value=True),
             task("b", [], ["v2"], const(3.0)),
-            Accumulate(B("acc"), B("v2"), delete_value=True),
+            Accumulate(((B("acc"), B("v2")),), delete_value=True),
         ]]
         ex.execute(progs)
         assert ex.fetch(0, B("acc")) == 5.0
@@ -78,7 +78,7 @@ class TestBasics:
 
     def test_delete_frees(self):
         ex = MpmdExecutor(1)
-        ex.execute([[task("a", [], ["x"], const(1.0)), Delete(B("x"))]])
+        ex.execute([[task("a", [], ["x"], const(1.0)), Delete((B("x"),))]])
         assert B("x") not in ex.stores[0]
 
     def test_allreduce_sums_across_actors(self):
@@ -176,9 +176,9 @@ class TestPendingDeletions:
             [
                 task("a", [], ["x"], const(9.0)),
                 Send(B("x"), 1, "x"),
-                Delete(B("x")),  # send not yet matched: deferred
+                Delete((B("x"),)),  # send not yet matched: deferred
                 task("spin", [], ["s"], const(0.0)),
-                Delete(B("s")),  # later delete flushes the queue
+                Delete((B("s"),)),  # later delete flushes the queue
             ],
             [
                 task("b", [], ["w"], const(1.0)),  # delay the recv post
@@ -194,7 +194,7 @@ class TestPendingDeletions:
         ex = MpmdExecutor(1)
         progs = [[
             task("a", [], ["x"], const(1.0)),
-            Delete(B("x")),
+            Delete((B("x"),)),
             Send(B("x"), 0, "x"),
         ]]
         with pytest.raises((KeyError, DeadlockError)):

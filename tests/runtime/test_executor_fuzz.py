@@ -85,7 +85,7 @@ class TestExecutorFuzz:
     @settings(max_examples=20, deadline=None)
     def test_deletions_never_break_execution(self, seed):
         programs, actor_of, ref = build_random_program(seed, 3, 12)
-        # append a Delete after the last instruction touching each buffer
+        # after every instruction, one Delete of the buffers it touched last
         for prog in programs:
             last_use = {}
             for i, instr in enumerate(prog):
@@ -97,9 +97,9 @@ class TestExecutorFuzz:
             out = []
             for i, instr in enumerate(prog):
                 out.append(instr)
-                for uid, k in last_use.items():
-                    if k == i:
-                        out.append(Delete(BufferRef(uid)))
+                dying = tuple(BufferRef(uid) for uid, k in last_use.items() if k == i)
+                if dying:
+                    out.append(Delete(dying))
             prog[:] = out
         ex = MpmdExecutor(3, comm_mode=CommMode.ASYNC)
         ex.execute(programs)

@@ -28,7 +28,10 @@ from repro.runtime import (
     Recv,
     RunTask,
     Send,
+    WorkerTaskError,
+    is_recoverable,
 )
+from repro.runtime.instructions import brief
 from repro.runtime.store import ObjectStore
 from tests.core.test_linear_backend import assert_bit_identical, make_problem
 
@@ -375,6 +378,13 @@ class TestChaos:
             failed = step.compiled.programs[0][pc]
             assert isinstance(failed, RunTask) and failed.name == "f0(1)"
             assert "in task 'f0(1)'" in msg
+            # ... and as a typed error, which recovery does not retry
+            exc = err.value
+            assert type(exc) is WorkerTaskError
+            assert (exc.rank, exc.pc, exc.task) == (0, pc, "f0(1)")
+            assert exc.instruction == brief(failed)
+            assert exc.instruction.startswith("RunTask('f0(1)', ") and len(exc.instruction) < 60
+            assert not is_recoverable(exc)
             if task_backend == "codegen":
                 assert ".take(" in msg  # the generated source line
             assert mesh._mp_pool.closed
