@@ -16,10 +16,15 @@ Persisted to ``BENCH_recovery.json``:
 2. **Recovery latency** — the same loop with rank 1 killed before one
    step via a deterministic :class:`~repro.runtime.faults.FaultPlan`.
    The interrupted step's wall time *is* the end-to-end recovery cost:
-   death detection (the pool's 1s liveness beat), respawning the mesh,
-   re-shipping the program, restoring the snapshot, replaying the
-   window, and re-running the step.  Recorded both raw and with the
-   healthy warm step subtracted.
+   death detection, respawning the mesh, re-shipping the program,
+   restoring the snapshot, replaying the window, and re-running the
+   step.  Recorded both raw and with the healthy warm step subtracted.
+
+3. **Detection latency** (``detect_s``) — the first term of that sum on
+   its own: a policy-less mesh, rank 1 killed as it reads its command,
+   timed from the call to the :class:`WorkerDiedError` the caller sees
+   (the moment a resilient step records its ``RankFailure``).  One
+   sample per pool generation; median and samples recorded.
 """
 
 import json
@@ -27,7 +32,13 @@ import statistics
 import time
 
 from repro import core
-from repro.runtime import FaultPlan, RecoveryPolicy, ResilientStepFunction
+from repro.runtime import (
+    FaultPlan,
+    KillRank,
+    RecoveryPolicy,
+    ResilientStepFunction,
+    WorkerDiedError,
+)
 from tests.core.test_linear_backend import assert_bit_identical
 
 from .conftest import emit
@@ -40,6 +51,9 @@ N_WARM = 20
 
 #: which step the injected kill interrupts in the latency measurement.
 KILL_STEP = 3
+
+#: pool generations killed for the detection-latency reading.
+N_DETECT = 5
 
 
 def test_recovery_overhead_and_latency(results_dir):
@@ -139,10 +153,36 @@ def test_recovery_overhead_and_latency(results_dir):
             "recovery_cost_s": recovery_s - healthy_s,
             "failures": [f.kind for f in step.failures],
         }
-        # detection alone costs ~1s (the pool's liveness beat); respawn,
-        # re-ship, restore, and replay ride on top — well under a minute
+        # detection, respawn, re-ship, restore and replay — well under a
+        # minute
         assert recovery_s < 60.0
         step.close()
+    finally:
+        mesh.close()
+
+    # ---- 3. detection alone: kill -> the failure reaches the caller ------
+    mesh = core.RemoteMesh(
+        (4,), engine="mp", mp_watchdog_s=WATCHDOG_S,
+        fault_plan=FaultPlan(
+            [KillRank(rank=1, at_step=1, generation=g) for g in range(N_DETECT)]
+        ),
+    )
+    try:
+        step = mesh.distributed(train_step, schedule=schedule)
+        detect = []
+        for _ in range(N_DETECT):
+            state, _ = step(params, batch)  # this generation's step 0: spawn
+            t0 = time.perf_counter()
+            try:
+                step(state, batch)
+            except WorkerDiedError:
+                detect.append(time.perf_counter() - t0)
+        assert len(detect) == N_DETECT
+        record["detection"] = {
+            "detect_s": statistics.median(detect),
+            "samples_s": detect,
+            "n_samples": N_DETECT,
+        }
     finally:
         mesh.close()
 

@@ -289,7 +289,7 @@ class StepFunction:
         self._executor = None
 
     # -- compilation -----------------------------------------------------------
-    def _compile(self, args: tuple) -> None:
+    def _compile(self, args: tuple, flat: list, in_tree) -> None:
         from repro.core.compile import find_batch_inputs
 
         jaxpr, _, out_tree = ir_trace(self.train_step, *args)
@@ -300,16 +300,16 @@ class StepFunction:
             # (static shape parameters are baked in at trace time, exactly
             # like XLA). Re-trace with batch leaves pre-split.
             batch_idx = find_batch_inputs(jaxpr)
-            flat, in_tree = tree_flatten(args)
+            sharded = list(flat)
             for k in batch_idx:
-                leaf = np.asarray(flat[k])
+                leaf = np.asarray(sharded[k])
                 if leaf.ndim < 2 or leaf.shape[1] % dp != 0:
                     raise ValueError(
                         f"batch leaf of shape {leaf.shape} cannot be split "
                         f"{dp} ways along the microbatch-size axis"
                     )
-                flat[k] = np.ascontiguousarray(leaf[:, : leaf.shape[1] // dp])
-            sharded_args = tree_unflatten(in_tree, flat)
+                sharded[k] = np.ascontiguousarray(leaf[:, : leaf.shape[1] // dp])
+            sharded_args = tree_unflatten(in_tree, sharded)
             jaxpr, _, out_tree = ir_trace(self.train_step, *sharded_args)
         spmd_config = (
             (self.mesh.spmd_mesh, self.mesh.rules) if self.mesh.spmd_mesh else None
@@ -327,6 +327,13 @@ class StepFunction:
             optimize=self.optimize,
         )
         self._out_tree = out_tree
+        # logical size of every placed input, fixed with the shapes the
+        # program was compiled for (see _placements)
+        self._input_nbytes = {
+            k: abstractify(flat[k]).nbytes
+            for k, placed in enumerate(self.compiled.input_placements)
+            if placed
+        }
         # compile-time constants: the same placements (see _placements) every step
         self._constants = [
             ((replica * self.mesh.n_pipeline_actors + actor, uid),
@@ -338,16 +345,19 @@ class StepFunction:
     # -- execution ---------------------------------------------------------------
     def __call__(self, *args: Any) -> Any:
         flat, in_tree = tree_flatten(args)
-        avals = [abstractify(x) for x in flat]
-        shape_key = tuple(repr(a) for a in avals)
+        # recompile on a changed shape or dtype, read off the leaves (a
+        # non-array leaf is keyed by its type); avals are built in _compile
+        shape_key = [
+            (x.shape, x.dtype) if isinstance(x, np.ndarray) else type(x) for x in flat
+        ]
         if self.compiled is None or shape_key != self._shape_key:
-            self._compile(args)
+            self._compile(args, flat, in_tree)
             self._shape_key = shape_key
         compiled = self.compiled
         assert compiled is not None
 
         if self.mesh.codegen_actor and self.mesh.engine != "mp":
-            return self._call_fused(compiled, flat, avals)
+            return self._call_fused(compiled, flat)
 
         mp_pool = None
         if self.mesh.engine == "mp":
@@ -365,9 +375,7 @@ class StepFunction:
 
         P = self.mesh.n_pipeline_actors
         dp = compiled.dp_size
-        for (actor, uid), value, nbytes, constant in self._placements(
-            compiled, flat, avals
-        ):
+        for (actor, uid), value, nbytes, constant in self._placements(compiled, flat):
             executor.place(
                 actor, BufferRef(uid), value, nbytes, pinned=True, constant=constant
             )
@@ -395,7 +403,7 @@ class StepFunction:
                 outs.append(executor.fetch(actor, BufferRef(uid)))
         return tree_unflatten(self._out_tree, outs)
 
-    def _placements(self, compiled: CompiledStep, flat: list, avals: list):
+    def _placements(self, compiled: CompiledStep, flat: list):
         """Where this call's inputs go: yields ``((replica·P + actor,
         uid), value, nbytes, constant)`` for every placed input — a batch
         input split ``dp`` ways along the microbatch-size axis, anything
@@ -406,7 +414,7 @@ class StepFunction:
             if not placements:
                 continue
             value = np.asarray(flat[k])
-            nbytes = avals[k].nbytes
+            nbytes = self._input_nbytes[k]
             if dp > 1 and k in compiled.batch_input_indices:
                 if value.shape[1] % dp != 0:
                     raise ValueError(
@@ -421,7 +429,7 @@ class StepFunction:
                     yield (replica * P + actor, uid), shard, nbytes, False
         yield from self._constants
 
-    def _call_fused(self, compiled: CompiledStep, flat: list, avals: list) -> Any:
+    def _call_fused(self, compiled: CompiledStep, flat: list) -> Any:
         """``codegen_actor=True`` in-process fast path: run the whole mesh's
         step through one exec-compiled driver (:mod:`repro.runtime.actorgen`),
         skipping the instruction-level engine entirely."""
@@ -430,7 +438,7 @@ class StepFunction:
         from repro.runtime.actorgen import fuse_mesh
 
         placed = {
-            key: value for key, value, _, _ in self._placements(compiled, flat, avals)
+            key: value for key, value, _, _ in self._placements(compiled, flat)
         }
         cached = self._fused
         if cached is None or cached[0] is not compiled:

@@ -74,58 +74,61 @@ def _is_namedtuple(x: object) -> bool:
 def tree_flatten(tree: Any) -> tuple[list[Any], TreeDef]:
     """Flatten ``tree`` into ``(leaves, treedef)``."""
     leaves: list[Any] = []
+    return leaves, _flatten_into(tree, leaves)
 
-    def go(node: Any) -> TreeDef:
-        if node is None:
-            return _NONE_DEF
-        if dataclasses.is_dataclass(node) and not isinstance(node, type):
-            fields = tuple(f.name for f in dataclasses.fields(node))
-            kids = tuple(go(getattr(node, f)) for f in fields)
-            return TreeDef("dataclass", (type(node), fields), kids)
-        if _is_namedtuple(node):
-            kids = tuple(go(c) for c in node)
-            return TreeDef("namedtuple", type(node), kids)
-        if isinstance(node, tuple):
-            return TreeDef("tuple", None, tuple(go(c) for c in node))
-        if isinstance(node, list):
-            return TreeDef("list", None, tuple(go(c) for c in node))
-        if isinstance(node, dict):
-            keys = tuple(sorted(node.keys(), key=repr))
-            kids = tuple(go(node[k]) for k in keys)
-            return TreeDef("dict", keys, kids)
-        leaves.append(node)
-        return _LEAF_DEF
 
-    treedef = go(tree)
-    return leaves, treedef
+def _flatten_into(node: Any, leaves: list[Any]) -> TreeDef:
+    # a module-level recursion, not a closure over ``leaves``: a local
+    # function that calls itself is a reference cycle, which would keep
+    # every leaf of every call alive until the cycle collector runs
+    if node is None:
+        return _NONE_DEF
+    if dataclasses.is_dataclass(node) and not isinstance(node, type):
+        fields = tuple(f.name for f in dataclasses.fields(node))
+        kids = tuple(_flatten_into(getattr(node, f), leaves) for f in fields)
+        return TreeDef("dataclass", (type(node), fields), kids)
+    if _is_namedtuple(node):
+        kids = tuple(_flatten_into(c, leaves) for c in node)
+        return TreeDef("namedtuple", type(node), kids)
+    if isinstance(node, tuple):
+        return TreeDef("tuple", None, tuple(_flatten_into(c, leaves) for c in node))
+    if isinstance(node, list):
+        return TreeDef("list", None, tuple(_flatten_into(c, leaves) for c in node))
+    if isinstance(node, dict):
+        keys = tuple(sorted(node.keys(), key=repr))
+        kids = tuple(_flatten_into(node[k], leaves) for k in keys)
+        return TreeDef("dict", keys, kids)
+    leaves.append(node)
+    return _LEAF_DEF
 
 
 def tree_unflatten(treedef: TreeDef, leaves: Iterable[Any]) -> Any:
     """Rebuild a pytree from ``treedef`` and an iterable of leaves."""
     it = iter(leaves)
-
-    def go(td: TreeDef) -> Any:
-        if td.kind == _LEAF:
-            return next(it)
-        if td.kind == _NONE:
-            return None
-        if td.kind == "dict":
-            return {k: go(c) for k, c in zip(td.meta, td.children)}
-        kids = [go(c) for c in td.children]
-        if td.kind == "list":
-            return kids
-        if td.kind == "namedtuple":
-            return td.meta(*kids)
-        if td.kind == "dataclass":
-            cls, fields = td.meta
-            return cls(**dict(zip(fields, kids)))
-        return tuple(kids)
-
-    out = go(treedef)
+    out = _unflatten_from(treedef, it)
     rest = list(it)
     if rest:
         raise ValueError(f"too many leaves for treedef: {len(rest)} left over")
     return out
+
+
+def _unflatten_from(td: TreeDef, it) -> Any:
+    # module-level for the reason :func:`_flatten_into` is
+    if td.kind == _LEAF:
+        return next(it)
+    if td.kind == _NONE:
+        return None
+    if td.kind == "dict":
+        return {k: _unflatten_from(c, it) for k, c in zip(td.meta, td.children)}
+    kids = [_unflatten_from(c, it) for c in td.children]
+    if td.kind == "list":
+        return kids
+    if td.kind == "namedtuple":
+        return td.meta(*kids)
+    if td.kind == "dataclass":
+        cls, fields = td.meta
+        return cls(**dict(zip(fields, kids)))
+    return tuple(kids)
 
 
 def tree_leaves(tree: Any) -> list[Any]:

@@ -18,8 +18,10 @@ from repro.runtime.executor import (
     DeadlockError,
     ExecutionResult,
     MpmdExecutor,
+    PoolClosedError,
     TimelineEvent,
     WaitStat,
+    WorkerDiedError,
     WorkerTaskError,
 )
 from repro.runtime.instructions import (
@@ -66,7 +68,7 @@ __all__ = [
     "is_recoverable",
     "CostModel", "ZeroCost", "LinearCost",
     "MpmdExecutor", "CommMode", "DeadlockError", "CommMismatchError",
-    "WorkerTaskError",
+    "WorkerTaskError", "WorkerDiedError", "PoolClosedError",
     "ExecutionResult", "TimelineEvent", "WaitStat", "ENGINES", "TIE_BREAKS",
     "BufferRef", "Instruction", "RunTask", "Send", "Recv", "Delete",
     "Accumulate", "AllReduce", "Bundled",

@@ -166,6 +166,28 @@ class WorkerTaskError(RuntimeError):
         self.instruction = instruction
 
 
+class WorkerDiedError(RuntimeError):
+    """A process-per-rank worker exited without reporting (``kill -9``,
+    OOM, an injected :class:`~repro.runtime.faults.KillRank`).  An
+    infrastructure failure: a respawned pool can replay the step.
+
+    Attributes:
+        rank: the actor whose process died.
+        exitcode: its exit code (negative: killed by that signal).
+    """
+
+    def __init__(self, message: str, rank: int = -1, exitcode: int | None = None):
+        super().__init__(message)
+        self.rank = rank
+        self.exitcode = exitcode
+
+
+class PoolClosedError(RuntimeError):
+    """The :class:`~repro.runtime.pool.ActorPool` cannot run this
+    submission: it already died, its driver thread crashed, or it was
+    shut down before the submission completed.  Spawn a new pool."""
+
+
 @dataclasses.dataclass
 class TimelineEvent:
     """One interval on an actor's device or communication lane."""

@@ -276,20 +276,20 @@ class RankFaultState:
             os._exit(KILL_EXIT_CODE)
         if step in self.wedges:
             self._discard(payloads)
-            time.sleep(_WEDGE_S)  # silent: no heartbeat thread is running
+            time.sleep(_WEDGE_S)  # silent: between runs the status thread sends nothing
 
     def end_step(self, step: int, payloads: Any = None, flush: Any = ()) -> None:
         """Kill after execution but before the result report — the step's
         work is complete and lost.  ``payloads`` are the encoded result
         buffers (reclaimed, same hygiene as :meth:`begin_step`);
-        ``flush`` are the queues the step's sends went out on — "fully
+        ``flush`` are the channels the step's sends went out on — "fully
         executed" includes them, and a shared-memory payload still in a
-        feeder thread when the process exits can be reclaimed by no one."""
+        channel's backlog when the process exits can be reclaimed by no
+        one."""
         if step in self.kill_after:
             self._discard(payloads)
-            for q in flush:
-                q.close()
-                q.join_thread()  # returns once the buffer is in the pipe
+            for chan in flush:
+                chan.drain()  # returns once the backlog is in the pipe
             os._exit(KILL_EXIT_CODE)
 
     # -- channel hook ------------------------------------------------------

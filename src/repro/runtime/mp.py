@@ -16,15 +16,23 @@ Design
 ======
 
 Channels (§4.2's ordering contract)
-    Each rank owns ONE inbox queue for its whole life, so a pool can run
-    programs it has never seen.  Every message carries a route key —
-    ``("data", src)``, ``("ack", dst)``, ``("gather", group)``,
-    ``("collres", group)``, the barrier's pair, the pool's command
-    route — and :class:`_Inbox` buffers out-of-route arrivals until
-    their consumer asks.  Per-route FIFO order holds because each
-    producer's puts are FIFO and routes never share a producer stream,
-    so the k-th message a worker takes from ``("data", src)`` is matched
-    against the k-th receive it posted on channel ``src->dst`` — the same
+    One ``Pipe(duplex=False)`` per *directed pair* — rank → rank,
+    driver → rank (commands), rank → driver (reports) — created at
+    spawn, each worker handed only its own ends.  A pipe has one writing
+    process, so the data path shares no lock, semaphore or feeder thread
+    between processes.  **The sender writes its own message**:
+    :meth:`_Channel.put` pickles, frames (the 4-byte length header of
+    ``multiprocessing.connection``) and ``write``\\ s in the calling
+    thread — the instruction thread for a transfer, an ack or the
+    ``done`` report, the submitting thread for a ``run`` command.  **The
+    receiver reads its own message**: :meth:`_Inbox.get` takes the route
+    *and its source* — ``("data", src)`` and ``("ack", dst)`` name it,
+    commands come from the driver, a barrier or gather root
+    ``connection.wait``\\ s on its members — and reads that pipe in the
+    waiting thread, buffering what arrives for the source's other routes
+    until their consumer asks.  A pipe is FIFO and has one writer, so
+    the k-th message a worker takes from ``("data", src)`` is matched
+    against the k-th receive it posted on channel ``src->dst`` — the
     pairwise-FIFO contract the in-process engine implements and NCCL
     imposes on P2P ops, across steps as within one.  Matched keys are
     cross-checked; a mismatch surfaces as
@@ -37,36 +45,60 @@ Channels (§4.2's ordering contract)
     immediately and posted receives are drained lazily by the first
     consuming instruction.
 
+    *A write never blocks because a peer is computing.*  A blocking
+    write would: two ranks that each send more than a pipe holds and
+    then wait for the other's message both sit in ``write`` with nobody
+    reading (no wait was recorded, so the watchdog names nothing), and
+    any sender stalls for as long as its receiver's current task runs.
+    So every write end is non-blocking.  What the pipe has no room for
+    *now* — the whole frame on ``EAGAIN``, the tail of a partial write —
+    goes to the channel's FIFO backlog, later ``put``\\ s on that channel
+    queue behind it until it is empty, and one flusher thread per
+    process, started by the first backlog, writes backlogs out as their
+    pipes drain: ``put`` returns in bounded time whatever its reader is
+    doing.  The fast path (a message that fits the pipe's free space,
+    64 KiB when empty) touches no thread; the slow path is the unbounded
+    sender-side buffer a queue's feeder thread kept for *every* message.
+    Only a worker about to exit writes blocking (:meth:`_Channel.drain`).
+    ``tests/runtime/test_mp_channel.py`` floods a computing rank to pin
+    the property down.
+
 Shared-memory transport
     ndarray payloads at or above ``shm_threshold`` bytes travel through
     ``multiprocessing.shared_memory`` segments: the sender copies into a
-    fresh segment and passes only its name through the queue; the
+    fresh segment and passes only its name through the channel; the
     receiver attaches, copies out, and unlinks.  Everything smaller is
     pickled inline.  Ownership is handed over explicitly (the sender
     unregisters the segment from its resource tracker), so the normal
     path neither leaks nor double-frees; on an abnormal stop the driver
-    drains the queues and unlinks whatever was still in flight.
+    drains the pipes and unlinks whatever was still in flight.
 
 Collectives
     Data-parallel all-reduce is a **barrier-backed reduce**: every
-    participant enters the group's :class:`_QueueBarrier` (a rendezvous
-    funnelled through the lowest rank's inbox), members then send their
+    participant enters the group's :class:`_ChannelBarrier` (a rendezvous
+    funnelled through the lowest rank), members then send their
     contribution to that rank, which reduces in sorted-rank order —
     bit-identical to the in-process engine — and sends the result back.
     The barrier serialises successive collectives of the same group, so
     gather/result traffic can never interleave across ``group_key``\\ s.
 
 Watchdog reports
-    A worker reports to the control queue, every message tagged with its
-    submission id: a state message immediately before every
-    potentially-unbounded block (channel drain, ack wait, barrier), a
-    coarse heartbeat while computing, and a final done/error message.
-    The pool raises :class:`~repro.runtime.executor.DeadlockError` when
-    no worker has reported progress for ``watchdog_s`` seconds,
-    terminating the processes and aggregating each actor's last program
-    counter and blocking resource into the diagnostic
-    (:func:`_deadlock_error`) — a hung schedule reports, it never hangs
-    the test suite.
+    A worker reports over its control pipe, every message tagged with
+    its submission id; a healthy run sends one, the final ``done``.
+    Status rides the heartbeat: entering a potentially-unbounded block
+    (channel drain, ack wait, barrier) only records ``(pc, note,
+    label)`` on the worker, and the process's one :class:`_Status`
+    thread looks every :data:`_HEARTBEAT_S` — a rank that computes, or
+    is in another wait than at the last tick, sends a heartbeat with its
+    program counter; a rank still in the *same* wait sends that wait,
+    once, then goes silent.  Heartbeats and results are progress, a wait
+    line is not: the pool raises
+    :class:`~repro.runtime.executor.DeadlockError` when nothing
+    progressed for ``watchdog_s`` seconds (at least two ticks, so every
+    stuck rank's wait line is in), terminating the processes and
+    aggregating each actor's last program counter and blocking resource
+    into the diagnostic (:func:`_deadlock_error`) — a hung schedule
+    reports, it never hangs the test suite.
 
 The merged :class:`~repro.runtime.executor.ExecutionResult`
 (:func:`_merge_results`) carries the real wall-clock timeline
@@ -84,10 +116,14 @@ not apply (time is measured, not simulated).
 
 from __future__ import annotations
 
-import queue as _queue
+import os
+import pickle
+import select
+import struct
 import threading
 import time
 from collections import deque
+from multiprocessing.connection import wait as _wait
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
@@ -114,7 +150,7 @@ from repro.runtime.store import ObjectStore, fold_contributions
 __all__ = ["DEFAULT_SHM_THRESHOLD", "DEFAULT_WATCHDOG_S"]
 
 #: ndarray payloads at or above this many bytes use shared-memory segments
-#: instead of inline pickling through the channel queue.
+#: instead of inline pickling through the channel.
 DEFAULT_SHM_THRESHOLD = 1 << 16
 
 #: driver-side no-progress window before a run is declared deadlocked.
@@ -124,8 +160,13 @@ DEFAULT_WATCHDOG_S = 30.0
 #: interpreter start-up must not count against the deadlock watchdog.
 _SPAWN_GRACE_S = 120.0
 
-#: minimum interval between worker heartbeats during long compute phases.
+#: tick of a worker's status thread: a heartbeat while it progresses, its
+#: wait once it has sat in the same one for a whole tick.
 _HEARTBEAT_S = 1.0
+
+#: who a worker's command pipe comes from and its control pipe goes to,
+#: where a rank would name a peer.
+_DRIVER = -1
 
 
 # ---------------------------------------------------------------------------
@@ -308,83 +349,181 @@ def _discard_payload(obj) -> None:
 
 
 # ---------------------------------------------------------------------------
-# channels: one inbox per rank, route keys, queue barrier
+# channels: one pipe per directed pair, route keys, channel barrier
 # ---------------------------------------------------------------------------
 
 
-class _Inbox:
-    """Demultiplexes one worker's inbox queue into per-route streams.
+class _Channel:
+    """The write end of one directed pair's pipe: ``put`` writes in the
+    calling thread and never blocks (module docstring, "Channels")."""
 
-    ``get(route)`` blocks for the next message on ``route``; anything
-    else that arrives meanwhile is buffered (per route, FIFO) until its
-    consumer asks.  This is what lets one queue per rank carry every
-    directed pair's channel without losing the pairwise-FIFO contract.
+    def __init__(self, conn):
+        self.conn = conn  # a write-only, non-blocking Connection
+        self._fd = conn.fileno()
+        self._lock = threading.Lock()  # among this process's threads only
+        self._backlog: deque = deque()  # frame tails the pipe had no room for
+
+    def put(self, obj) -> None:
+        data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+        frame = struct.pack("!i", len(data)) + data  # one frame is < 2 GiB
+        with self._lock:
+            self._backlog.append(memoryview(frame))
+            written = self._write()
+        if not written:
+            _Flusher.get().watch(self)
+
+    def _write(self) -> bool:
+        """Write what fits now, oldest first; True once the backlog is
+        empty.  Called with the lock held."""
+        backlog = self._backlog
+        while backlog:
+            try:
+                n = os.write(self._fd, backlog[0])
+            except BlockingIOError:
+                return False
+            if n < len(backlog[0]):
+                backlog[0] = backlog[0][n:]
+                return False
+            backlog.popleft()
+        return True
+
+    def flush(self) -> bool:
+        """:meth:`_write` for a thread that does not hold the lock."""
+        with self._lock:
+            return self._write()
+
+    def drain(self) -> None:
+        """Block until the backlog is in the pipe — for a worker about to
+        exit, whose flusher thread would die with what it still held."""
+        while not self.flush():
+            select.select([], [self._fd], [])
+
+    def close(self) -> None:
+        with self._lock:  # not under a flush; an empty backlog is never written
+            self._backlog.clear()
+            self.conn.close()
+        if _Flusher.instance is not None:
+            _Flusher.instance.watched.discard(self)
+
+
+class _Flusher(threading.Thread):
+    """The process's backlog writer: sleeps until the pipe of a channel
+    with a backlog takes more, or :meth:`watch` names another channel."""
+
+    instance: "_Flusher | None" = None
+    _create = threading.Lock()
+
+    @classmethod
+    def get(cls) -> "_Flusher":
+        with cls._create:
+            if cls.instance is None:
+                cls.instance = cls()
+            return cls.instance
+
+    def __init__(self):
+        super().__init__(name="mpmd-channel-flusher", daemon=True)
+        self.watched: set[_Channel] = set()  # every channel that ever backed up
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_w, False)
+        self.start()
+
+    def watch(self, chan: _Channel) -> None:
+        """``chan`` has a backlog (appended before this call, so the loop
+        that reads the wake byte finds it)."""
+        self.watched.add(chan)
+        try:
+            os.write(self._wake_w, b"\0")
+        except BlockingIOError:  # 64 Ki wakes unread: it will look anyway
+            pass
+
+    def run(self) -> None:
+        while True:
+            poll = select.poll()
+            poll.register(self._wake_r, select.POLLIN)
+            chans = {c._fd: c for c in list(self.watched) if c._backlog}
+            for fd in chans:
+                poll.register(fd, select.POLLOUT)
+            for fd, _ in poll.poll():
+                if fd == self._wake_r:
+                    os.read(fd, 4096)
+                    continue
+                try:
+                    chans[fd].flush()
+                except OSError:  # nobody will ever read it: the pool is gone
+                    self.watched.discard(chans[fd])
+
+
+class _Inbox:
+    """One worker's read ends, demultiplexed into per-route streams.
+
+    ``get(route, src)`` blocks for the next message on ``route``,
+    reading ``src``'s pipe in the calling thread (``src`` is a rank,
+    :data:`_DRIVER`, or a tuple of ranks any of which may send it);
+    anything else that arrives there meanwhile is buffered (per route,
+    FIFO) until its consumer asks.  This is what lets one pipe per
+    directed pair carry every route of that pair without losing the
+    pairwise-FIFO contract.
     """
 
-    def __init__(self, q):
-        self.q = q
+    def __init__(self, conns: dict):
+        self.conns = conns  # source -> read-only Connection
         self.buf: dict[tuple, deque] = {}
 
-    def get(self, route: tuple):
+    def get(self, route: tuple, src):
         d = self.buf.get(route)
         if d:
             return d.popleft()
+        conns = [self.conns[s] for s in (src if isinstance(src, tuple) else (src,))]
         while True:
-            r, msg = self.q.get()
-            if r == route:
-                return msg
-            self.buf.setdefault(r, deque()).append(msg)
+            for conn in conns if len(conns) == 1 else _wait(conns):
+                try:
+                    r, msg = pickle.loads(conn.recv_bytes())
+                except EOFError:  # only the driver's death closes a write end
+                    raise _WorkerStop from None
+                if r == route:
+                    return msg
+                self.buf.setdefault(r, deque()).append(msg)
 
 
-class _QueueBarrier:
-    """``Barrier.wait`` over the inbox queues, for one collective group.
+class _ChannelBarrier:
+    """``Barrier.wait`` over the channels, for one collective group.
 
     A pool learns its groups from programs that arrive after spawn, so
     no OS barrier can be allocated for them up front.  Rendezvous
     instead funnels through the group root: members send an arrive
     message (tagged with a generation counter), the root releases them
-    once all have arrived.  The generation stash keeps back-to-back
-    barriers of the same group from stealing each other's arrivals; the
-    serialising property the collective protocol relies on is preserved
-    because no member can reach barrier ``g+1`` before the root finished
-    collective ``g``.  One instance per (rank, group) lives as long as
-    the worker process: the generation counts across runs.
+    once all have arrived.  No member can reach barrier ``g+1`` before
+    the root finished collective ``g`` — the serialising property the
+    collective protocol relies on — so a generation that does not match
+    is a protocol error.  One instance per (rank, group) lives as long
+    as the worker process: the generation counts across runs.
     """
 
     def __init__(self, rank: int, group: tuple, inbox: _Inbox, peers):
         self.rank = rank
         self.group = group
-        self.root = group[0]
         self.inbox = inbox
         self.peers = peers
         self.gen = 0
-        self._early: dict[int, int] = {}  # root: arrivals for future gens
 
     def wait(self) -> None:
         gen = self.gen
         self.gen += 1
+        root, *members = self.group
         arrive = ("barrier", self.group)
         release = ("barrier-go", self.group)
-        if self.rank == self.root:
-            need = len(self.group) - 1
-            have = self._early.pop(gen, 0)
-            while have < need:
-                g = self.inbox.get(arrive)
-                if g == gen:
-                    have += 1
-                else:
-                    self._early[g] = self._early.get(g, 0) + 1
-            for r in self.group:
-                if r != self.root:
-                    self.peers[r].put((release, gen))
+        if self.rank == root:
+            got = [self.inbox.get(arrive, tuple(members)) for _ in members]
+            for r in members:
+                self.peers[r].put((release, gen))
         else:
-            self.peers[self.root].put((arrive, gen))
-            g = self.inbox.get(release)
-            if g != gen:  # pragma: no cover - releases are FIFO from root
-                raise RuntimeError(
-                    f"barrier generation skew in group {self.group}: "
-                    f"rank {self.rank} at {gen} got release {g}"
-                )
+            self.peers[root].put((arrive, gen))
+            got = [self.inbox.get(release, root)]
+        if got != [gen] * len(got):  # pragma: no cover - FIFO per pipe
+            raise RuntimeError(
+                f"barrier generation skew in group {self.group}: "
+                f"rank {self.rank} at {gen} got {got}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +545,8 @@ class _Worker:
     The pool's worker loop builds one per ``run`` command (fresh
     posted-receive state, an object store seeded with ``buffers``) over
     the plumbing that lives as long as the process: the rank's
-    :class:`_Inbox`, the peer inbox queues by rank, the control queue
-    and the per-group :class:`_QueueBarrier` table.  ``cmd`` is the
+    :class:`_Inbox`, the :class:`_Channel` to each peer by rank, the
+    control channel and the per-group :class:`_ChannelBarrier` table.  ``cmd`` is the
     command being served (:class:`repro.runtime.pool._Run`): its ``sid``
     tags every report, its ``epoch`` is the driver's monotonic base
     (``CLOCK_MONOTONIC`` is system-wide).
@@ -423,9 +562,9 @@ class _Worker:
         self.codegen_actor = cmd.codegen_actor  # fuse the loop (runtime.actorgen)
         self.faults = faults  # RankFaultState for injected chaos (runtime.faults)
         self.inbox = inbox
-        self.peers = peers  # rank -> that rank's inbox queue
+        self.peers = peers  # rank -> the _Channel to that rank
         self.ctrl = ctrl
-        self.barriers = barriers  # sorted group tuple -> _QueueBarrier
+        self.barriers = barriers  # sorted group tuple -> _ChannelBarrier
 
         self.store = ObjectStore(rank)
         #: uid -> (value, nbytes, pinned) of what the program produced;
@@ -443,25 +582,16 @@ class _Worker:
         self.p2p_bytes = 0
         self.p2p_count = 0
         self.pc = 0
-        # the heartbeat thread posts "hb" only while this flag is set —
-        # during compute (an instr.fn may legitimately run longer than
-        # the watchdog window), never while blocked on a channel / ack /
-        # barrier, so genuine deadlocks still go silent and trip the
-        # driver's watchdog
-        self._busy = True
-        self._stop_heartbeat = threading.Event()
+        #: ``(pc, note, label)`` of the block this rank is in, ``None``
+        #: while it computes; read by the process's :class:`_Status`
+        self._wait: tuple | None = None
 
     # -- clocks & control --------------------------------------------------
     def now(self) -> float:
         return time.monotonic() - self.epoch
 
-    def _heartbeat_loop(self) -> None:
-        while not self._stop_heartbeat.wait(_HEARTBEAT_S):
-            if self._busy:
-                self.ctrl.put(("sub", self.sid, ("hb", self.rank, self.pc)))
-
     def blocking(self, label: str, note: str):
-        """Context manager: report the imminent block, time it, charge the
+        """Context manager: record the imminent block, time it, charge the
         parked interval to ``label`` in the wait profile."""
         return _BlockScope(self, label, note)
 
@@ -498,7 +628,7 @@ class _Worker:
                 f"channel {src}->{self.rank}",
                 f"send of {rec.key!r} on channel {src}->{self.rank}",
             ) as t0:
-                key, nbytes, payload = self.inbox.get(("data", src))
+                key, nbytes, payload = self.inbox.get(("data", src), src)
             posted.popleft()
             if key != rec.key:
                 _discard_payload(payload)
@@ -537,14 +667,6 @@ class _Worker:
         self.drain(src, until_uid=ref.uid)
 
     # -- instruction handlers ---------------------------------------------
-    def run(self) -> dict:
-        hb = threading.Thread(target=self._heartbeat_loop, daemon=True)
-        hb.start()
-        try:
-            return self._run_program()
-        finally:
-            self._stop_heartbeat.set()
-
     def _run_program(self) -> dict:
         if self.codegen_actor and self.program:
             # whole-actor fusion: the shipped program is regenerated into
@@ -646,7 +768,7 @@ class _Worker:
                 f"channel {self.rank}->{instr.dst}",
                 f"recv of {instr.key!r} on channel {self.rank}->{instr.dst}",
             ):
-                ack = self.inbox.get(("ack", instr.dst))
+                ack = self.inbox.get(("ack", instr.dst), instr.dst)
             if ack != instr.key:  # pragma: no cover - FIFO acks
                 self.fail(
                     "mismatch",
@@ -675,7 +797,7 @@ class _Worker:
         group = tuple(sorted(instr.group))
         barrier = self.barriers.get(group)
         if barrier is None:
-            barrier = self.barriers[group] = _QueueBarrier(
+            barrier = self.barriers[group] = _ChannelBarrier(
                 self.rank, group, self.inbox, self.peers
             )
         root = group[0]
@@ -697,7 +819,7 @@ class _Worker:
                     f"all-reduce contributions for {key!r} "
                     f"(have {sorted(contribs)})",
                 ):
-                    gk, r, payload = self.inbox.get(gather)
+                    gk, r, payload = self.inbox.get(gather, group[1:])
                 if gk != key:  # pragma: no cover - barrier serialises groups
                     self.fail(
                         "protocol",
@@ -706,13 +828,12 @@ class _Worker:
                     )
                 contribs[r] = _decode_payload(payload)
             total = fold_contributions([contribs[r] for r in sorted(contribs)])
-            for r in group:
-                if r != root:
-                    # one payload per member: a shm segment is consumed
-                    # (copied + unlinked) by exactly one receiver
-                    self.peers[r].put(
-                        (collres, (key, _encode_payload(total, self.shm_threshold)))
-                    )
+            for r in group[1:]:
+                # one payload per member: a shm segment is consumed
+                # (copied + unlinked) by exactly one receiver
+                self.peers[r].put(
+                    (collres, (key, _encode_payload(total, self.shm_threshold)))
+                )
             if total is not None:
                 self.store.update(instr.ref, total)
             self.timeline.append(
@@ -728,7 +849,7 @@ class _Worker:
             with self.blocking(
                 f"allreduce {key!r}", f"all-reduce result for {key!r}"
             ):
-                gk, payload = self.inbox.get(collres)
+                gk, payload = self.inbox.get(collres, root)
             if gk != key:  # pragma: no cover - barrier serialises groups
                 self.fail(
                     "protocol",
@@ -750,14 +871,13 @@ class _BlockScope:
 
     def __enter__(self) -> float:
         w = self.worker
-        w._busy = False  # silence the heartbeat: a block is not progress
-        w.ctrl.put(("sub", w.sid, ("wait", w.rank, w.pc, self.note, self.label)))
+        w._wait = (w.pc, self.note, self.label)  # a fresh tuple per block
         self.start = w.now()
         return self.start
 
     def __exit__(self, exc_type, exc, tb) -> None:
         w = self.worker
-        w._busy = True
+        w._wait = None
         if exc_type is not None:
             return
         parked = max(0.0, w.now() - self.start)
@@ -767,20 +887,72 @@ class _BlockScope:
         stat.by_rank[w.rank] = stat.by_rank.get(w.rank, 0.0) + parked
 
 
+class _Status(threading.Thread):
+    """A worker process's one status thread ("Watchdog reports" in the
+    module docstring): every :data:`_HEARTBEAT_S` it reports the run in
+    progress — a heartbeat while the rank moves, its wait once it has sat
+    in the same one since the last tick — and nothing between runs, so a
+    wedged or deadlocked rank goes silent and trips the driver's watchdog.
+    """
+
+    def __init__(self, rank: int, ctrl: _Channel):
+        super().__init__(name=f"mpmd-status-{rank}", daemon=True)
+        self.rank = rank
+        self.ctrl = ctrl
+        self.worker: _Worker | None = None  # set around each run by the worker loop
+        self._seen = None  # the wait found at the last tick (None: computing)
+        self._sent = None  # the last wait reported
+
+    def run(self) -> None:
+        while True:
+            time.sleep(_HEARTBEAT_S)
+            self._tick()  # its own frame: no finished run's worker stays referenced
+
+    def _tick(self) -> None:
+        w = self.worker
+        if w is None:
+            return
+        wait = w._wait
+        if wait is None or wait is not self._seen:
+            self._seen = wait
+            line = ("hb", self.rank, w.pc)
+        elif wait is not self._sent:
+            self._sent = wait
+            line = ("wait", self.rank, *wait)
+        else:
+            return
+        self.ctrl.put(("sub", w.sid, line))
+
+
 # ---------------------------------------------------------------------------
 # driver-side helpers (used by runtime.pool)
 # ---------------------------------------------------------------------------
 
 
-def _reclaim_in_flight(queues: Sequence[Any]) -> None:
-    """Unlink shared-memory segments still sitting in any queue."""
-    for q in queues:
-        while True:
-            try:
-                msg = q.get_nowait()
-            except (_queue.Empty, OSError, ValueError):
+def _reclaim_in_flight(conns: Sequence[Any]) -> None:
+    """Unlink the shared-memory segments named by messages still sitting
+    in any of these pipes (read ends of a pool whose workers are gone).
+    Reads raw and non-blocking, so a frame cut short by ``terminate()``
+    is dropped instead of waited for."""
+    for conn in conns:
+        data = bytearray()
+        try:
+            os.set_blocking(conn.fileno(), False)
+            while chunk := os.read(conn.fileno(), 1 << 16):
+                data += chunk
+        except (OSError, ValueError):  # drained (EAGAIN), or already closed
+            pass
+        pos = 0
+        while pos + 4 <= len(data):
+            (n,) = struct.unpack_from("!i", data, pos)
+            pos += 4
+            if not 0 <= n <= len(data) - pos:
                 break
-            _discard_payload(msg)
+            try:
+                _discard_payload(pickle.loads(memoryview(data)[pos:pos + n]))
+            except Exception:  # the tail of a frame its reader died inside
+                pass
+            pos += n
 
 
 def _merge_results(
@@ -820,7 +992,7 @@ def _merge_results(
         store.peak_bytes = max(store.peak_bytes, res["peak_bytes"])
 
     # rebase to the first executed instruction: what precedes it (the
-    # command's queue hop and decode; on a fresh pool spawn + import,
+    # command's pipe hop and decode; on a fresh pool spawn + import,
     # hundreds of ms per worker) is driver overhead, not part of the
     # program's measured makespan — callers timing the whole dispatch
     # still see it on their own wall clock

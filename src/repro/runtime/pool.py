@@ -10,8 +10,12 @@ inbox routing, the shared-memory transport) is :mod:`repro.runtime.mp`.
 
 - **Spawn once.**  ``ActorPool(n)`` starts one spawn-context OS process
   per rank at construction and keeps it alive until :meth:`shutdown`.
-  All IPC plumbing — one inbox queue per rank plus a control queue back
-  to the driver — is created up front and lives for the pool's lifetime.
+  All IPC plumbing — one pipe per directed pair: rank → rank, driver →
+  rank for commands, rank → driver for reports — is created up front and
+  lives for the pool's lifetime; a worker is handed only its own ends,
+  each message is written by the thread that sends it and read by the
+  thread that waits for it (:class:`repro.runtime.mp._Channel`), and the
+  pool owns no lock or semaphore that crosses a process boundary.
 
 - **Ship once.**  A program set — with its compile-time constants — is
   pickled to the workers a single time and cached worker-side under a
@@ -54,10 +58,14 @@ inbox routing, the shared-memory transport) is :mod:`repro.runtime.mp`.
   future with a ``DeadlockError`` naming each actor's program counter
   and the resource it last blocked on.
 
-- **Crash detection.**  A worker that dies (``kill -9``, OOM, a bug)
-  fails all pending futures with a diagnostic naming the actor and exit
-  code instead of hanging the driver; the pool is then dead and a fresh
-  one must be spawned (``RemoteMesh`` does this automatically).
+- **Crash detection.**  The driver thread waits on every worker's
+  control pipe and process sentinel at once, so a worker that dies
+  (``kill -9``, OOM, a bug) is seen when it dies: what it wrote before
+  dying is read first, then end-of-file fails all pending futures with
+  a :class:`~repro.runtime.executor.WorkerDiedError` naming the actor
+  and exit code instead of hanging the driver; the pool is then dead
+  and a fresh one must be spawned (``RemoteMesh`` does this
+  automatically).
 
 - **One slab per message, per-submission shm accounting.**  The arrays
   of a ``run`` command or a ``done`` report travel as one slab with an
@@ -73,12 +81,13 @@ inbox routing, the shared-memory transport) is :mod:`repro.runtime.mp`.
 
 from __future__ import annotations
 
+import os
 import pickle
-import queue as _queue
 import threading
 import time
 import traceback
 import weakref
+from multiprocessing.connection import wait as _wait
 from typing import Any, NamedTuple, Sequence
 
 import multiprocessing as _mp
@@ -87,17 +96,22 @@ from repro.runtime.executor import (
     CommMismatchError,
     CommMode,
     ExecutionResult,
+    PoolClosedError,
+    WorkerDiedError,
     WorkerTaskError,
 )
 from repro.runtime.instructions import BufferRef, Instruction
 from repro.runtime.mp import (
     DEFAULT_SHM_THRESHOLD,
     DEFAULT_WATCHDOG_S,
+    _DRIVER,
     _HEARTBEAT_S,
     _SPAWN_GRACE_S,
+    _Channel,
     _Inbox,
     _Resident,
     _Slab,
+    _Status,
     _Worker,
     _WorkerStop,
     _deadlock_error,
@@ -118,11 +132,11 @@ __all__ = [
 #: default bound on outstanding submissions before ``submit`` blocks.
 DEFAULT_MAX_INFLIGHT = 4
 
-#: driver-thread control-queue poll period (watchdog / liveness cadence).
+#: longest the driver thread sleeps with nothing to read (watchdog cadence).
 _POLL_S = 0.2
 
-#: route key for driver -> worker commands on the inbox.  A command is a
-#: pickled :class:`_Ship` (bytes), a :class:`_Run`, or ``None`` (shut down).
+#: route key for driver -> worker commands.  A command is a pickled
+#: :class:`_Ship` (bytes), a :class:`_Run`, or ``None`` (shut down).
 _CMD = ("cmd",)
 
 
@@ -156,16 +170,18 @@ class PoolBackpressureTimeout(TimeoutError):
 # ---------------------------------------------------------------------------
 
 
-def _pool_worker_main(rank: int, inboxes, ctrl, fault_plan=None, generation: int = 0) -> None:
+def _pool_worker_main(rank: int, readers, writers, fault_plan=None, generation: int = 0) -> None:
     """Spawn entry point: serve ship/run commands until shutdown.
 
-    One :class:`~repro.runtime.mp._Worker` is built per *run* (fresh
-    posted-receive state; an object store seeded with the command's
-    by-value inputs, the values it references in the previous run's
-    outputs, and the program's shipped constants) over the inbox, peer
-    queues and barrier table that live as long as this process, so
-    cross-step channel order is exactly the concatenation of the
-    per-step orders.
+    ``readers`` / ``writers`` are this rank's ends of its pipes, by the
+    rank at the other end (:data:`~repro.runtime.mp._DRIVER` for the
+    command and control pipes).  One :class:`~repro.runtime.mp._Worker`
+    is built per *run* (fresh posted-receive state; an object store
+    seeded with the command's by-value inputs, the values it references
+    in the previous run's outputs, and the program's shipped constants)
+    over the inbox, peer channels, barrier table and status thread that
+    live as long as this process, so cross-step channel order is exactly
+    the concatenation of the per-step orders.
 
     ``fault_plan``/``generation`` arm deterministic chaos
     (:mod:`repro.runtime.faults`): faults match against this worker's
@@ -179,9 +195,13 @@ def _pool_worker_main(rank: int, inboxes, ctrl, fault_plan=None, generation: int
     )
     step_idx = -1
     worker = None  # the run in progress: an exception report reads its pc
+    peers = {dst: _Channel(conn) for dst, conn in writers.items()}
+    ctrl = peers.pop(_DRIVER)
     try:
-        inbox = _Inbox(inboxes[rank])
-        barriers: dict = {}  # collective group -> _QueueBarrier, built on first use
+        inbox = _Inbox(readers)
+        status = _Status(rank, ctrl)
+        status.start()
+        barriers: dict = {}  # collective group -> _ChannelBarrier, built on first use
         programs: dict[str, _Ship] = {}
         # what the previous run produced, uid -> (value, nbytes, pinned):
         # the one generation a later command may reference instead of
@@ -189,9 +209,8 @@ def _pool_worker_main(rank: int, inboxes, ctrl, fault_plan=None, generation: int
         resident: dict[str, tuple] = {}
         ctrl.put(("hello", rank))
         while True:
-            cmd = inbox.get(_CMD)
+            cmd = inbox.get(_CMD, _DRIVER)
             if cmd is None:
-                ctrl.put(("bye", rank))
                 return
             if isinstance(cmd, bytes):  # a _Ship, pickled by _ensure_shipped
                 ship = pickle.loads(cmd)
@@ -221,24 +240,25 @@ def _pool_worker_main(rank: int, inboxes, ctrl, fault_plan=None, generation: int
             # what the command did not reference goes before the run
             # starts: the high-water mark stays inputs + outputs
             resident = {}
-            worker = _Worker(
-                rank, shipped.program, buffers, cmd, inbox, inboxes, ctrl,
+            worker = status.worker = _Worker(
+                rank, shipped.program, buffers, cmd, inbox, peers, ctrl,
                 barriers, faults,
             )
             del buffers
-            result = worker.run()
+            result = worker._run_program()
+            status.worker = None
             if faults is not None:
                 # kill-after: the step fully executed but its report is
                 # lost — recovery must replay work that already happened
                 faults.end_step(
                     step_idx, payloads=(result["buffers"], inbox.buf),
-                    flush=[q for r, q in enumerate(inboxes) if r != rank],
+                    flush=peers.values(),
                 )
             ctrl.put(("sub", sid, ("done", rank, result)))
             resident = worker.outputs
             worker = result = None  # the run's inputs and its report
     except _WorkerStop:
-        pass  # error already reported; the pool is dead
+        pass  # error already reported, or the driver is gone; so is the pool
     except BaseException:
         pc, text, task, instruction = -1, traceback.format_exc(), None, None
         if worker is not None:
@@ -247,12 +267,11 @@ def _pool_worker_main(rank: int, inboxes, ctrl, fault_plan=None, generation: int
             if instruction is not None:  # else: past the last instruction
                 what = instruction if task is None else f"task {task!r}"
                 text = f"in {what}\n{text}"
-        try:
-            ctrl.put(
-                ("sub", sid, ("error", rank, pc, "exception", text, task, instruction))
-            )
-        except Exception:  # pragma: no cover - ctrl queue gone
-            pass
+        ctrl.put(
+            ("sub", sid, ("error", rank, pc, "exception", text, task, instruction))
+        )
+    finally:
+        ctrl.drain()  # the last report leaves with this thread, not the flusher
 
 
 # ---------------------------------------------------------------------------
@@ -331,21 +350,14 @@ def _terminate_procs(procs) -> None:
             pass
 
 
-def _cleanup_queues(queues) -> None:
-    """Reclaim in-flight shm payloads, then drop the queues' feeder
-    threads.  Bounded: the drain runs in a daemon thread (a message
-    truncated by terminate() can wedge a queue read) and closing the
-    queues unsticks it."""
-    drain = threading.Thread(
-        target=_reclaim_in_flight, args=(list(queues),), daemon=True
-    )
-    drain.start()
-    drain.join(timeout=5.0)
-    for q in queues:
+def _cleanup_pipes(read_ends, write_ends) -> None:
+    """Reclaim the shm payloads still in flight, then close every pipe
+    end the driver holds."""
+    _reclaim_in_flight(read_ends)
+    for end in (*read_ends, *write_ends):
         try:
-            q.close()
-            q.cancel_join_thread()
-        except Exception:  # pragma: no cover - already closed
+            end.close()
+        except OSError:  # pragma: no cover - already closed
             pass
 
 
@@ -362,14 +374,14 @@ def _pool_drive(pool_ref) -> None:
         except Exception:  # pragma: no cover - defensive: never kill silently
             fatal = True
             try:
-                pool._fail(RuntimeError(
+                pool._fail(PoolClosedError(
                     "mp pool driver thread crashed:\n" + traceback.format_exc()
                 ))
             except Exception:
                 pass
         if fatal:
             return
-        del pool  # drop the strong ref before sleeping in get()
+        del pool  # drop the strong ref before the next wait
 
 
 class ActorPool:
@@ -380,8 +392,9 @@ class ActorPool:
         comm_mode: default point-to-point semantics for submissions.
         watchdog_s: no-progress window while submissions are outstanding
             (an idle pool never trips it); clamped to at least two worker
-            heartbeat periods, below which healthy compute-bound workers
-            would be flagged (the first "hb" arrives after one period).
+            status ticks, below which healthy compute-bound workers would
+            be flagged (the first "hb" arrives after one tick) and a
+            stuck one's wait (sent at its second) would miss the report.
         shm_threshold: ndarray bytes at which payloads (inputs, transfers
             and results) switch to shared-memory segments.
         max_inflight: bound on outstanding submissions — ``submit``
@@ -472,21 +485,47 @@ class ActorPool:
         self._pcs: dict[int, int] = {}
         self._last_progress = time.monotonic()
 
-        # -- processes & queues --
+        # -- processes & pipes: one per directed pair; see mp's "Channels" --
         ctx = _mp.get_context("spawn")
-        self._inboxes = [ctx.Queue() for _ in range(n_actors)]
-        self._ctrl = ctx.Queue()
+        readers = [{} for _ in range(n_actors)]  # rank -> {source: read end}
+        writers = [{} for _ in range(n_actors)]  # rank -> {destination: write end}
+        self._cmd = []  # rank -> the _Channel its commands go out on
+        self._ctrl = []  # rank -> read end of its control pipe
+        for rank in range(n_actors):
+            readers[rank][_DRIVER], w = _pipe(ctx)
+            self._cmd.append(_Channel(w))
+            r, writers[rank][_DRIVER] = _pipe(ctx)
+            self._ctrl.append(r)
+            for dst in range(n_actors):
+                if dst != rank:
+                    readers[dst][rank], writers[rank][dst] = _pipe(ctx)
         self._procs = []
         for rank in range(n_actors):
             p = ctx.Process(
                 target=_pool_worker_main,
-                args=(rank, list(self._inboxes), self._ctrl,
-                      fault_plan, generation),
+                args=(rank, readers[rank], writers[rank], fault_plan, generation),
                 name=f"mpmd-pool-actor-{rank}",
                 daemon=True,
             )
             p.start()
             self._procs.append(p)
+        # only a worker may hold the write end of its control pipe: its
+        # death is then an end-of-file here.  Every other end stays open
+        # in the driver too — the read ends to reclaim what a dead pool
+        # left in flight, the peer write ends so that a rank whose peer
+        # died blocks (and is reaped with the pool) instead of reading
+        # end-of-file and racing the diagnosis
+        for ends in writers:
+            ends.pop(_DRIVER).close()
+        self._pipe_ends = (
+            [*self._ctrl, *(c for ends in readers for c in ends.values())],
+            [*self._cmd, *(c for ends in writers for c in ends.values())],
+        )
+        #: what the driver thread waits on -> the rank it belongs to
+        self._waiting = {
+            **{conn: rank for rank, conn in enumerate(self._ctrl)},
+            **{p.sentinel: rank for rank, p in enumerate(self._procs)},
+        }
 
         self._driver = threading.Thread(
             target=_pool_drive, args=(weakref.ref(self),),
@@ -495,8 +534,7 @@ class ActorPool:
         self._driver.start()
         # reap the workers if the pool is dropped without shutdown()
         self._finalizer = weakref.finalize(
-            self, _pool_finalize, list(self._procs),
-            [*self._inboxes, self._ctrl],
+            self, _pool_finalize, list(self._procs), *self._pipe_ends
         )
 
     # -- introspection -----------------------------------------------------
@@ -614,7 +652,7 @@ class ActorPool:
                     enc = _encode_buffers(values, self.shm_threshold)
                     self.resident_hits += len(refs)
                     self.input_bytes += enc.nbytes
-                    self._inboxes[rank].put(
+                    self._cmd[rank].put(
                         (_CMD,
                          _Run(sid, key, enc, refs, cm, self.shm_threshold,
                               epoch, codegen_actor))
@@ -626,9 +664,9 @@ class ActorPool:
 
     def _check_accepting(self) -> None:
         if self._failure is not None:
-            raise RuntimeError(
+            raise PoolClosedError(
                 f"ActorPool is dead ({self._failure}); spawn a new pool"
-            )
+            ) from self._failure
         if self._closing or self._closed:
             raise RuntimeError("ActorPool is shut down; spawn a new pool")
 
@@ -637,10 +675,9 @@ class ActorPool:
         to every worker unless already cached there.  Returns the cache
         key and, per rank, the uids that went with the ship.
 
-        Every rank's :class:`_Ship` is pickled here, on the submitting
-        thread, before any of them is enqueued: a queue's feeder thread
-        would only print the error and drop the message, leaving the
-        workers without a program and the pool dead."""
+        Every rank's :class:`_Ship` is pickled before any of them is
+        sent: a program that is not pickle-clean raises here with no
+        worker holding part of the set, and the pool lives on."""
         pid = id(programs)
         entry = self._program_keys.get(pid)
         if entry is not None:
@@ -660,8 +697,8 @@ class ActorPool:
                     "spawn-context worker; task payloads must be pickle-clean "
                     f"(offender: {e})"
                 ) from e
-        for inbox, blob in zip(self._inboxes, blobs):
-            inbox.put((_CMD, blob))
+        for chan, blob in zip(self._cmd, blobs):
+            chan.put((_CMD, blob))
         # the strong reference pins the object so its id stays unique
         self._program_keys[pid] = (key, programs, shipped)
         self.ship_count += 1
@@ -669,25 +706,53 @@ class ActorPool:
 
     # -- driver thread -----------------------------------------------------
     def _drive_once(self) -> bool:
-        """One control-queue poll; returns True when the pool is finished
-        (failed or stopped) and the driver thread should exit."""
+        """One wait on the control pipes and process sentinels; returns
+        True when the pool is finished (failed or stopped) and the driver
+        thread should exit."""
         try:
-            msg = self._ctrl.get(timeout=_POLL_S)
-        except _queue.Empty:
-            if self._maybe_fail_dead_worker():
-                return True
-            return self._maybe_fail_watchdog()
-        except (OSError, ValueError):  # queues closed under us: shutdown
+            ready = _wait(list(self._waiting), timeout=_POLL_S)
+        except (OSError, ValueError):  # pipes closed under us: shutdown
             return True
-        return self._dispatch(msg)
+        for obj in ready:
+            rank = self._waiting.get(obj)
+            # a sentinel says the process is gone: everything it wrote is
+            # in the pipe, so read to end-of-file before calling it dead
+            if rank is not None and self._read_ctrl(rank, obj is not self._ctrl[rank]):
+                return True
+        return not ready and self._maybe_fail_watchdog()
+
+    def _read_ctrl(self, rank: int, to_eof: bool) -> bool:
+        """Dispatch the next report on ``rank``'s control pipe — every
+        report up to end-of-file with ``to_eof``.  End-of-file is the
+        worker's exit: fatal for the pool unless it is shutting down."""
+        conn = self._ctrl[rank]
+        while True:
+            try:
+                msg = pickle.loads(conn.recv_bytes())
+            except (EOFError, OSError):  # OSError: it died inside a write
+                break
+            if self._dispatch(msg):
+                return True
+            if not to_eof:
+                return False
+        proc = self._procs[rank]
+        self._waiting.pop(conn, None)
+        self._waiting.pop(proc.sentinel, None)
+        if self._closing or self._closed or self._failure is not None:
+            return False
+        proc.join(timeout=5.0)
+        self._fail(WorkerDiedError(
+            f"mp pool worker for actor {rank} died without reporting "
+            f"(exitcode {proc.exitcode}); pending submissions failed",
+            rank, proc.exitcode,
+        ))
+        return True
 
     def _dispatch(self, msg) -> bool:
-        self._last_progress = time.monotonic()
         kind = msg[0]
         if kind == "hello":
+            self._last_progress = time.monotonic()
             self._hello.add(msg[1])
-        elif kind == "bye":
-            pass  # graceful exit; shutdown() joins the process
         elif kind == "sub":
             _, sid, inner = msg
             return self._handle_sub(sid, inner)
@@ -698,19 +763,19 @@ class ActorPool:
 
     def _handle_sub(self, sid: int, inner) -> bool:
         kind = inner[0]
-        if kind == "hb":
-            _, rank, pc = inner
-            self._pcs[rank] = pc
-            # clear a recorded wait only when the worker demonstrably
-            # moved past it — the heartbeat thread can race a block and
-            # emit one stale "hb" carrying the same pc as the "wait"
-            st = self._states.get(rank)
-            if st is not None and st[0] != pc:
-                self._states.pop(rank, None)
-        elif kind == "wait":
+        if kind == "wait":
+            # not progress: the rank has sat in this block for a whole tick
             _, rank, pc, note, label = inner
             self._pcs[rank] = pc
             self._states[rank] = (pc, note, label)
+            return False
+        self._last_progress = time.monotonic()
+        if kind == "hb":
+            # the same thread sends both, in order: a heartbeat after a
+            # wait means the rank moved past it
+            _, rank, pc = inner
+            self._pcs[rank] = pc
+            self._states.pop(rank, None)
         elif kind == "done":
             _, rank, result = inner
             # decoded as each report lands, not at merge: rank 0's slab
@@ -750,29 +815,6 @@ class ActorPool:
             return True
         return False
 
-    def _maybe_fail_dead_worker(self) -> bool:
-        """A dead worker is always fatal for a pool (workers only exit on
-        shutdown) — but give its final error report a beat to surface."""
-        if self._closing or self._closed or self._failure is not None:
-            return False
-        dead = [r for r, p in enumerate(self._procs) if not p.is_alive()]
-        if not dead:
-            return False
-        deadline = time.monotonic() + 1.0
-        while time.monotonic() < deadline:
-            try:
-                msg = self._ctrl.get(timeout=0.1)
-            except (_queue.Empty, OSError, ValueError):
-                break
-            if self._dispatch(msg):
-                return True  # the worker's own error report won the race
-        p = self._procs[dead[0]]
-        self._fail(RuntimeError(
-            f"mp pool worker for actor {dead[0]} died without reporting "
-            f"(exitcode {p.exitcode}); pending submissions failed"
-        ))
-        return True
-
     def _maybe_fail_watchdog(self) -> bool:
         with self._lock:
             outstanding = list(self._subs.values())
@@ -809,16 +851,16 @@ class ActorPool:
             sub.future._finish(exc=exc)
             self._slots.release()
         _terminate_procs(self._procs)
-        _cleanup_queues([*self._inboxes, self._ctrl])
+        _cleanup_pipes(*self._pipe_ends)
         self._stop.set()
 
     def shutdown(self, timeout: float = 30.0) -> None:
         """Gracefully stop the pool.
 
         Pending submissions run to completion first (the shutdown command
-        queues behind them in each worker's inbox); workers then exit,
-        processes are joined (terminated past ``timeout``), and the
-        queues are drained and closed.  Idempotent, and safe to call on a
+        queues behind them on each worker's command pipe); workers then
+        exit, processes are joined (terminated past ``timeout``), and the
+        pipes are drained and closed.  Idempotent, and safe to call on a
         pool that already died.
         """
         with self._lock:
@@ -827,11 +869,8 @@ class ActorPool:
             already_dead = self._failure is not None
             self._closing = True
             if not already_dead:
-                for q in self._inboxes:
-                    try:
-                        q.put((_CMD, None))
-                    except (OSError, ValueError):  # pragma: no cover
-                        pass
+                for chan in self._cmd:
+                    chan.put((_CMD, None))
         if not already_dead:
             deadline = time.monotonic() + timeout
             for p in self._procs:
@@ -852,11 +891,11 @@ class ActorPool:
             self._subs.clear()
             self._closed = True
         if leftover:  # pragma: no cover - workers wedged during shutdown
-            exc = RuntimeError("ActorPool was shut down before completion")
+            exc = PoolClosedError("ActorPool was shut down before completion")
             for sub in leftover:
                 sub.future._finish(exc=exc)
                 self._slots.release()
-        _cleanup_queues([*self._inboxes, self._ctrl])
+        _cleanup_pipes(*self._pipe_ends)
         self._finalizer.detach()
 
     close = shutdown
@@ -868,8 +907,16 @@ class ActorPool:
         self.shutdown()
 
 
-def _pool_finalize(procs, queues) -> None:
+def _pool_finalize(procs, read_ends, write_ends) -> None:
     """GC fallback for a pool dropped without shutdown(): reap the
     workers and reclaim whatever shared memory was still in flight."""
     _terminate_procs(procs)
-    _cleanup_queues(queues)
+    _cleanup_pipes(read_ends, write_ends)
+
+
+def _pipe(ctx):
+    """One directed pair's pipe, ``(read end, write end)``; the write end
+    non-blocking (an open-file flag, so it holds in the worker too)."""
+    r, w = ctx.Pipe(duplex=False)
+    os.set_blocking(w.fileno(), False)
+    return r, w

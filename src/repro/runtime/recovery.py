@@ -81,7 +81,7 @@ from repro.models.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.runtime.executor import CommMismatchError, DeadlockError, WorkerTaskError
+from repro.runtime.executor import DeadlockError, PoolClosedError, WorkerDiedError
 
 __all__ = [
     "RecoveryPolicy",
@@ -91,15 +91,6 @@ __all__ = [
     "is_recoverable",
     "classify_failure",
 ]
-
-#: diagnostic substrings that mark an *infrastructure* failure — the
-#: kinds a respawn-restore-replay cycle can actually cure.
-_RECOVERABLE_PATTERNS = (
-    "died without reporting",        # worker killed
-    "ActorPool is dead",             # submission raced the pool's death
-    "driver thread crashed",         # pool driver thread fell over
-    "shut down before completion",   # workers wedged during shutdown
-)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -182,7 +173,8 @@ def classify_failure(exc: BaseException) -> tuple[str, tuple[int, ...]]:
     ranks = tuple(dict.fromkeys(int(r) for r in re.findall(r"actor (\d+)", text)))
     if isinstance(exc, DeadlockError):
         return "deadlock", ranks
-    if "died without reporting" in text:
+    # a submission that raced the pool's death carries the death as its cause
+    if isinstance(exc, WorkerDiedError) or isinstance(exc.__cause__, WorkerDiedError):
         return "crash", ranks
     return "pool", ranks
 
@@ -190,21 +182,16 @@ def classify_failure(exc: BaseException) -> tuple[str, tuple[int, ...]]:
 def is_recoverable(exc: BaseException) -> bool:
     """True when respawn + restore + replay can plausibly cure ``exc``.
 
-    Infrastructure failures qualify: a killed worker, an expired
-    watchdog (wedged worker, lost message), a dead pool.  Deterministic
-    program failures do not — :class:`CommMismatchError` is a compiler
-    bug and a worker *raising* (:class:`WorkerTaskError`) is a task bug;
-    both would simply recur on replay, so they fail fast exactly as
-    without recovery.
+    Infrastructure failures qualify, by type: a killed worker
+    (:class:`WorkerDiedError`), an expired watchdog
+    (:class:`DeadlockError`: wedged worker, lost message), a pool that
+    is dead, lost its driver thread or was shut down under the
+    submission (:class:`PoolClosedError`).  Deterministic program
+    failures do not — :class:`CommMismatchError` is a compiler bug and a
+    worker *raising* (:class:`WorkerTaskError`) is a task bug; both would
+    simply recur on replay, so they fail fast exactly as without recovery.
     """
-    if isinstance(exc, (CommMismatchError, WorkerTaskError)):
-        return False
-    if isinstance(exc, DeadlockError):
-        return True
-    if isinstance(exc, RuntimeError):
-        text = str(exc)
-        return any(pat in text for pat in _RECOVERABLE_PATTERNS)
-    return False
+    return isinstance(exc, (DeadlockError, WorkerDiedError, PoolClosedError))
 
 
 class ResilientStepFunction:

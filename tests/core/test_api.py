@@ -69,6 +69,33 @@ class TestStepFunctionCaching:
         step(params, batch8)
         assert step.compiled is not first
 
+    def test_recompile_key_is_shape_and_dtype(self):
+        """The per-call check reads (shape, dtype) off the leaves — no
+        avals, no reprs — and still recompiles on either change (event
+        engine); placed sizes are fixed at compile time."""
+        train_step, params, batch = _problem(n_mbs=4)
+        step = core.RemoteMesh((2,)).distributed(train_step, schedule=core.OneFOneB(2))
+        step(params, batch)
+        first = step.compiled
+        placed = [k for k, p in enumerate(first.input_placements) if p]
+        assert placed and sorted(step._input_nbytes) == placed
+        assert step._input_nbytes[placed[0]] == 4 * 4 * 4  # w0: 4x4 float32
+        # same shapes and dtypes in fresh arrays: no recompile
+        step({k: v.copy() for k, v in params.items()}, tuple(b.copy() for b in batch))
+        assert step.compiled is first
+        # a dtype change alone recompiles, and the result still matches
+        half = {k: v.astype(np.float16) for k, v in params.items()}
+        out_p, _ = step(half, batch)
+        assert step.compiled is not first
+        second = step.compiled
+        ref_p, _ = train_step(half, batch)
+        for k in params:
+            np.testing.assert_allclose(out_p[k], ref_p[k], atol=1e-2)
+        # and so does a shape change, back on the first dtype
+        _, _, batch8 = _problem(n_mbs=8)
+        step(params, batch8)
+        assert step.compiled is not second
+
     def test_results_consistent_across_recompiles(self):
         train_step, params, batch4 = _problem(n_mbs=4, seed=3)
         _, _, batch8 = _problem(n_mbs=8, seed=4)

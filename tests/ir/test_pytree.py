@@ -1,6 +1,8 @@
 """Unit tests for the minimal pytree utilities."""
 
 import collections
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -44,6 +46,22 @@ class TestFlattenUnflatten:
         _, td = tree_flatten((1, 2))
         with pytest.raises(ValueError):
             tree_unflatten(td, [1, 2, 3])
+
+    def test_leaves_are_freed_without_the_cycle_collector(self):
+        """Flatten / unflatten leave no reference cycle behind: a step
+        function flattens its whole state every call, and a cycle would
+        keep each call's arrays alive until the collector next runs."""
+        gc.collect()
+        gc.disable()
+        try:
+            leaf = np.zeros(8)
+            gone = weakref.ref(leaf)
+            leaves, td = tree_flatten({"a": [leaf, 1], "b": (2, None)})
+            out = tree_unflatten(td, leaves)
+            del leaf, leaves, out
+            assert gone() is None
+        finally:
+            gc.enable()
 
     def test_num_leaves(self):
         _, td = tree_flatten({"a": [1, 2, 3], "b": None})

@@ -36,6 +36,7 @@ from repro.runtime import (
     FaultPlan,
     KillRank,
     WedgeRank,
+    WorkerDiedError,
 )
 from repro.runtime.faults import KILL_EXIT_CODE
 from tests.core.test_linear_backend import assert_bit_identical, make_problem
@@ -134,7 +135,7 @@ class TestKill:
             step = mesh.distributed(ts, schedule=core.OneFOneB(2))
             for _ in range(2):  # steps 0 and 1 are healthy
                 params, _ = step(params, batch)
-            with pytest.raises(RuntimeError, match="died without reporting") as err:
+            with pytest.raises(WorkerDiedError, match="died without reporting") as err:
                 step(params, batch)
             assert "actor 1" in str(err.value)
             assert f"exitcode {KILL_EXIT_CODE}" in str(err.value)
@@ -153,7 +154,7 @@ class TestKill:
             step = mesh.distributed(
                 ts, schedule=core.OneFOneB(2), task_backend="linear"
             )
-            with pytest.raises(RuntimeError, match="died without reporting"):
+            with pytest.raises(WorkerDiedError, match="died without reporting"):
                 step(params, batch)
         finally:
             mesh.close()
@@ -170,7 +171,7 @@ class TestKill:
         mesh = _fault_mesh(FaultPlan(kill_rank=1, at_step=0))
         try:
             step = mesh.distributed(ts, schedule=core.OneFOneB(2))
-            with pytest.raises(RuntimeError, match="died without reporting"):
+            with pytest.raises(WorkerDiedError, match="died without reporting"):
                 step(params, batch)
             got = step(params, batch)  # respawn -> generation 1 -> no fault
             assert_bit_identical(want, got)
@@ -263,7 +264,7 @@ class TestHygiene:
             try:
                 step = mesh.distributed(ts, schedule=core.OneFOneB(2))
                 params2, _ = step(params, batch)
-                with pytest.raises(RuntimeError, match="died without reporting"):
+                with pytest.raises(WorkerDiedError, match="died without reporting"):
                     step(params2, batch)
             finally:
                 mesh.close()

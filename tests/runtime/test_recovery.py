@@ -31,11 +31,14 @@ from repro.runtime import (
     DropMessage,
     FaultPlan,
     KillRank,
+    PoolClosedError,
     RankFailure,
     RecoveryPolicy,
     ResilientMesh,
     ResilientStepFunction,
     WedgeRank,
+    WorkerDiedError,
+    WorkerTaskError,
     is_recoverable,
 )
 from repro.runtime.recovery import classify_failure
@@ -119,30 +122,38 @@ class TestClassification:
     def test_recoverable_infrastructure_failures(self):
         assert is_recoverable(DeadlockError("mp pool watchdog: no progress"))
         assert is_recoverable(
-            RuntimeError(
-                "mp pool worker for actor 1 died without reporting (exitcode 137)"
+            WorkerDiedError(
+                "mp pool worker for actor 1 died without reporting (exitcode 137)",
+                1, 137,
             )
         )
-        assert is_recoverable(RuntimeError("ActorPool is dead"))
-        assert is_recoverable(RuntimeError("mp pool driver thread crashed: x"))
+        assert is_recoverable(PoolClosedError("ActorPool is dead"))
+        assert is_recoverable(PoolClosedError("mp pool driver thread crashed: x"))
 
     def test_unrecoverable_program_failures(self):
         assert not is_recoverable(CommMismatchError("send/recv order mismatch"))
         assert not is_recoverable(RuntimeError("actor 0 raised ValueError: boom"))
         assert not is_recoverable(ValueError("boom"))
+        assert not is_recoverable(WorkerTaskError("actor 0 failed at [3]", 0, 3))
+        # the type decides, not the text
+        assert not is_recoverable(RuntimeError("actor 1 died without reporting"))
 
     def test_classify_kinds_and_ranks(self):
-        kind, ranks = classify_failure(
-            RuntimeError(
-                "mp pool worker for actor 1 died without reporting (exitcode 137)"
-            )
+        died = WorkerDiedError(
+            "mp pool worker for actor 1 died without reporting (exitcode 137)",
+            1, 137,
         )
-        assert (kind, ranks) == ("crash", (1,))
+        assert (died.rank, died.exitcode) == (1, 137)
+        assert classify_failure(died) == ("crash", (1,))
+        # a submission that raced the death carries it as its cause
+        raced = PoolClosedError(f"ActorPool is dead ({died}); spawn a new pool")
+        raced.__cause__ = died
+        assert classify_failure(raced) == ("crash", (1,))
         kind, ranks = classify_failure(
             DeadlockError("mp pool watchdog: actor 0 and actor 1 made no progress")
         )
         assert (kind, ranks) == ("deadlock", (0, 1))
-        kind, ranks = classify_failure(RuntimeError("ActorPool is dead"))
+        kind, ranks = classify_failure(PoolClosedError("ActorPool is dead"))
         assert (kind, ranks) == ("pool", ())
 
 
@@ -292,7 +303,7 @@ class TestSnapshotFaults:
         )
         try:
             step = mesh.distributed(ts, schedule=schedule)
-            with pytest.raises(RuntimeError, match="died without reporting"):
+            with pytest.raises(WorkerDiedError, match="died without reporting"):
                 _loop(step, params, _batches(batch, 10))
             assert step.recoveries == 0
             assert len(step.failures) == 1
@@ -313,7 +324,7 @@ class TestBudgets:
         )
         try:
             step = mesh.distributed(ts, schedule=schedule)
-            with pytest.raises(RuntimeError, match="died without reporting"):
+            with pytest.raises(WorkerDiedError, match="died without reporting"):
                 _loop(step, params, _batches(batch, 20))
         finally:
             mesh.close()
@@ -328,7 +339,7 @@ class TestBudgets:
         )
         try:
             step = mesh.distributed(ts, schedule=schedule)
-            with pytest.raises(RuntimeError, match="died without reporting"):
+            with pytest.raises(WorkerDiedError, match="died without reporting"):
                 _loop(step, params, _batches(batch, 5))
             assert step.recoveries == 0
             assert len(step.failures) == 1  # classified, then re-raised
@@ -353,7 +364,7 @@ class TestBudgets:
         )
         try:
             step = mesh.distributed(ts, schedule=schedule)
-            with pytest.raises(RuntimeError, match="died without reporting"):
+            with pytest.raises(WorkerDiedError, match="died without reporting"):
                 _loop(step, params, _batches(batch, 5))
             assert [f.attempt for f in step.failures] == [1, 2]
             assert step.recoveries == 1  # first recovery completed, then died again
@@ -379,7 +390,7 @@ class TestBudgets:
         )
         try:
             step = mesh.distributed(ts, schedule=schedule)
-            with pytest.raises(RuntimeError, match="died without reporting"):
+            with pytest.raises(WorkerDiedError, match="died without reporting"):
                 _loop(step, params, _batches(batch, 8))
             assert [f.step for f in step.failures] == [2, 5]
             assert step.recoveries == 1
