@@ -93,7 +93,6 @@ def test_tuned_schedule_beats_gpipe_within_memory_budget(results_dir):
         "tuned_schedule": tuned.name,
         "tuned_peak_act_bytes": tuned.peak_act_bytes,
         "improvement_fraction": improvement,
-        "tie_break_visits": (r2 if tuned is r2.best else r1).tie_break_visits,
     }
     (results_dir / "BENCH_autotune.json").write_text(
         json.dumps(record, indent=2) + "\n"

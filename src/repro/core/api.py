@@ -58,9 +58,6 @@ class RemoteMesh:
             the first step, programs ship once, and every later step
             reuses them until :meth:`close` — the step after that starts
             cold again.
-        tie_break: event-engine ready-queue ordering for actors runnable
-            at the same virtual time (``"fifo"`` / ``"depth_first"`` /
-            ``"rank"``); results are identical under every policy.
         mp_watchdog_s: ``engine="mp"`` only — seconds of no worker
             progress before the driver reports a deadlock.
         mp_shm_threshold: ``engine="mp"`` only — ndarray bytes at which
@@ -79,20 +76,23 @@ class RemoteMesh:
             workers (kill / wedge / drop / delay / corrupt-checkpoint),
             gated on the pool generation so a fault fires exactly once
             even across respawns.  Testing hook; ``None`` costs nothing.
-        codegen_actor: whole-actor loop fusion (the companion of
-            ``task_backend="codegen"``, which fuses *within* a task).
-            In-process engines: the per-actor instruction streams are
-            merged into ONE exec-compiled driver per compiled step —
-            send/recv pairs become local rebinds, so steady-state
+        codegen_actor: whole-mesh loop fusion (the companion of
+            ``task_backend="codegen"``, which fuses *within* a task):
+            when the whole mesh lives in one process, every actor's
+            instruction stream is merged into ONE exec-compiled driver
+            per compiled step (:func:`repro.runtime.actorgen.fuse_mesh`)
+            — send/recv pairs become local rebinds, so steady-state
             dispatch is O(task calls), not O(instructions).  The fused
             driver produces bit-identical values but no virtual-time
             timeline or wait profile (``step_fn.last_result`` carries a
             synthetic summary with ``engine="fused"``), so the flag
-            refuses to combine with a ``cost_model``.  ``engine="mp"``:
-            each worker regenerates a fused straight-line driver from
-            its shipped program (cached per ship; the pickle-clean
-            contract is unchanged) — timelines are real wall-clock and
-            fully preserved there.
+            refuses to combine with a ``cost_model``.  On
+            ``engine="mp"`` the flag is accepted and has no effect: every
+            rank runs the worker's one instruction loop.  (The per-rank
+            generated driver it used to select measured no faster — ten
+            alternating pairs of the ``gpt_mid_mp2`` benchmark workload,
+            median ``step_ms`` 59.58 vs 59.54 ref-ms, inside the
+            spread.)
     """
 
     def __init__(
@@ -103,7 +103,6 @@ class RemoteMesh:
         cost_model: CostModel | None = None,
         comm_mode: CommMode = CommMode.ASYNC,
         engine: str = "event",
-        tie_break: str = "fifo",
         mp_watchdog_s: float | None = None,
         mp_shm_threshold: int | None = None,
         mp_max_inflight: int = 4,
@@ -120,14 +119,10 @@ class RemoteMesh:
             raise ValueError(f"RemoteMesh shape must be (p,) or (dp, p), got {shape}")
         self.spmd_mesh = tuple(spmd_mesh) if spmd_mesh else None
         self.rules = dict(rules) if rules else {}
-        from repro.runtime.executor import ENGINES, TIE_BREAKS
+        from repro.runtime.executor import ENGINES
 
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        if tie_break not in TIE_BREAKS:
-            raise ValueError(
-                f"unknown tie_break {tie_break!r}; expected one of {TIE_BREAKS}"
-            )
         if engine == "mp" and cost_model is not None:
             raise ValueError(
                 "engine='mp' measures real wall-clock time; virtual cost "
@@ -143,7 +138,6 @@ class RemoteMesh:
         self.cost_model = cost_model
         self.comm_mode = comm_mode
         self.engine = engine
-        self.tie_break = tie_break
         self.mp_watchdog_s = mp_watchdog_s
         self.mp_shm_threshold = mp_shm_threshold
         self.mp_max_inflight = int(mp_max_inflight)
@@ -224,7 +218,7 @@ class RemoteMesh:
         :class:`~repro.ir.linearize.LinearProgram` and is emitted as
         straight-line Python source, exec-compiled once —
         :class:`~repro.ir.codegen.CodegenProgram`; pairs with the mesh's
-        ``codegen_actor`` whole-actor fusion), ``"linear"`` (the slot VM
+        ``codegen_actor`` whole-mesh fusion), ``"linear"`` (the slot VM
         over the same program; bit-identical, the reference codegen is
         differential-tested against), or ``"interpret"`` (the
         tree-walking reference).
@@ -367,10 +361,8 @@ class StepFunction:
             cost_model=self.mesh.cost_model,
             comm_mode=self.mesh.comm_mode,
             engine=self.mesh.engine,
-            tie_break=self.mesh.tie_break,
             mp_pool=mp_pool,
             mp_program_key=compiled.program_key,
-            mp_codegen_actor=self.mesh.codegen_actor,
         )
 
         P = self.mesh.n_pipeline_actors

@@ -22,9 +22,8 @@ loop:
 3. the search then feeds the best run's **wait profile** back in
    (:meth:`ExecutionResult.parked_by_rank`): warmup is shifted toward the
    longest-parked ranks via :class:`~repro.core.schedules.Hybrid1F1B`
-   proposals, and the engine's ready-queue ``tie_break`` policies are
-   swept for scheduler-visit cost — so a second round measurably shrinks
-   makespan on skewed-cost workloads with non-trivial transfer latency.
+   proposals — so a second round measurably shrinks makespan on
+   skewed-cost workloads with non-trivial transfer latency.
 
 ``schedule="auto"`` in :meth:`repro.core.api.RemoteMesh.distributed` /
 :func:`repro.core.compile.compile_train_step` runs this tuner at compile
@@ -370,11 +369,6 @@ class TuneReport:
         memory_budget: per-rank activation-byte budget (``None`` = unbounded).
         rounds: search rounds run (1 = gallery only, 2 = +wait-profile
             refinement).
-        tie_break_visits: scheduler instruction-visit counts per
-            ready-queue policy for the winning schedule (results are
-            dataflow-identical across policies; this is pure scheduler
-            cost).
-        tie_break: the policy with the fewest visits.
     """
 
     entries: list[TuneEntry]
@@ -382,8 +376,6 @@ class TuneReport:
     n_mbs: int
     memory_budget: float | None = None
     rounds: int = 1
-    tie_break_visits: dict[str, int] = dataclasses.field(default_factory=dict)
-    tie_break: str = "fifo"
 
     @property
     def best(self) -> TuneEntry:
@@ -587,8 +579,7 @@ def tune(
     event engine, excluding any whose peak live-activation bytes exceed
     ``memory_budget`` per rank.  With ``rounds >= 2``, the winner's wait
     profile seeds a refinement round — :class:`Hybrid1F1B` warmup vectors
-    shifted toward the longest-parked ranks — and the winner's ready-queue
-    ``tie_break`` policies are swept for scheduler-visit cost.
+    shifted toward the longest-parked ranks.
 
     Returns the ranked :class:`TuneReport`; ``report.best.schedule`` is
     what ``schedule="auto"`` compiles against.
@@ -626,29 +617,10 @@ def tune(
         )
         done_rounds = 2
 
-    report = TuneReport(
+    return TuneReport(
         entries=entries,
         cost_model=cost_model,
         n_mbs=n_mbs,
         memory_budget=memory_budget,
         rounds=done_rounds,
     )
-    if entries and entries[0].feasible:
-        from repro.perf.pipeline_sim import price_schedule
-        from repro.runtime.executor import TIE_BREAKS
-
-        best = entries[0]
-        visits = {}
-        for policy in TIE_BREAKS:
-            if policy == "fifo" and best.result is not None:
-                # every _price run uses the executor's default fifo
-                # policy, so the winner's own result already carries it
-                visits[policy] = best.result.visits
-                continue
-            res = price_schedule(
-                best.schedule, n_mbs, cost_model, tie_break=policy, **price_kw
-            )
-            visits[policy] = res.visits
-        report.tie_break_visits = visits
-        report.tie_break = min(visits, key=lambda k: (visits[k], k))
-    return report

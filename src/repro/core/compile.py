@@ -141,16 +141,12 @@ class CompiledStep:
             :mod:`repro.ir.codegen`), ``"linear"`` (the slot-indexed
             :class:`~repro.ir.linearize.LinearProgram` VM) or
             ``"interpret"`` (the tree-walking reference interpreter).
-        program_key: process-unique readable id for this compiled step —
-            the cache-key prefix under which the persistent mp pool ships
-            and caches its programs worker-side.  One traced jaxpr can
-            compile into several *variants* (different ``optimize`` level,
-            task backend, or ``codegen_actor`` fusion), so the key must
-            encode the full variant tuple: ``compile_train_step`` keys are
-            minted as ``step-{n}.{task_backend}.L{opt_level}`` and the
-            pool's actor-fusion path appends its own ``.fused`` marker —
-            two variants of the same step multiplexed on one warm pool
-            never collide in the worker-side cache.
+        program_key: process-unique readable id for this compiled step,
+            minted as ``step-{n}.{task_backend}.L{opt_level}`` — the
+            readable prefix of the key under which the warm mp pool ships
+            and caches the programs worker-side (the pool appends its own
+            ``#{ship}`` counter, so the worker cache cannot collide even
+            when two variants of one traced step share a pool).
         opt_level: the algebraic-optimizer level the stage jaxprs were
             rewritten at (:mod:`repro.ir.opt`): 0 = untouched, 1 = exact
             rewrites (CSE / DCE / identity elision / cross-microbatch

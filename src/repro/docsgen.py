@@ -253,10 +253,6 @@ ZB-V reaches near-ZB-H2 bubble at roughly 1F1B's activation bytes.
   deadlocks (and `validate_schedule` rejects it).
 - **`bwd_input_fraction`** — how split-backward schedules divide the
   full backward cost between `bwd_i` and `bwd_w` (default 0.5).
-- **`tie_break`** — the event engine's ready-queue policy
-  (`fifo`/`depth_first`/`rank`). Results are dataflow-deterministic and
-  identical under every policy; only scheduler visit counts differ, and
-  `tune()` reports the cheapest.
 
 ## Validation
 

@@ -351,7 +351,6 @@ def price_schedule(
     p2p_latency_s: float = 0.0,
     p2p_bandwidth: float = float("inf"),
     comm_mode: CommMode = CommMode.ASYNC,
-    tie_break: str = "fifo",
 ):
     """Price a schedule under an explicit per-stage cost table, on the
     real event engine.
@@ -407,7 +406,6 @@ def price_schedule(
             p2p_bandwidth=p2p_bandwidth,
         ),
         comm_mode=comm_mode,
-        tie_break=tie_break,
     )
     return executor.execute(programs, wake_order=ir.initial_ready_ranks())
 

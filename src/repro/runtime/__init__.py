@@ -12,7 +12,6 @@ event rather than a lost job."""
 from repro.runtime.clock import CostModel, LinearCost, ZeroCost
 from repro.runtime.executor import (
     ENGINES,
-    TIE_BREAKS,
     CommMismatchError,
     CommMode,
     DeadlockError,
@@ -69,7 +68,7 @@ __all__ = [
     "CostModel", "ZeroCost", "LinearCost",
     "MpmdExecutor", "CommMode", "DeadlockError", "CommMismatchError",
     "WorkerTaskError", "WorkerDiedError", "PoolClosedError",
-    "ExecutionResult", "TimelineEvent", "WaitStat", "ENGINES", "TIE_BREAKS",
+    "ExecutionResult", "TimelineEvent", "WaitStat", "ENGINES",
     "BufferRef", "Instruction", "RunTask", "Send", "Recv", "Delete",
     "Accumulate", "AllReduce", "Bundled",
     "Buffer", "ObjectStore",

@@ -1,43 +1,35 @@
-"""Whole-actor loop fusion: instruction streams -> generated driver source.
+"""Whole-mesh loop fusion: instruction streams -> one generated driver.
 
 The codegen task backend (:mod:`repro.ir.codegen`) removes per-equation
 dispatch *inside* one stage task; what remains of a steady-state step is
 the engine's instruction loop itself — one Python-level dispatch (plus
 store, arrival and timeline bookkeeping) per instruction per microbatch.
-This module freezes that loop too, the same way the task backend freezes
-a jaxpr: walk the per-actor instruction streams once, emit straight-line
-Python source, ``exec``-compile it, and run the generated driver on
-every subsequent step.
+When the whole mesh lives in one process (``RemoteMesh(codegen_actor=True)``
+on an in-process engine), :func:`fuse_mesh` freezes that loop too, the
+same way the task backend freezes a jaxpr: walk the per-actor instruction
+streams once, emit straight-line Python source, ``exec``-compile it, and
+run the generated driver on every subsequent step.
 
-Two fusion surfaces, both opt-in via ``RemoteMesh(codegen_actor=True)``:
+All actors' programs are merged into ONE driver function in global
+data-dependency order: a matched send/recv pair collapses into a local
+rebind (``b12 = b7``), tasks call their compiled payloads directly on
+locals, deletes become ``= None`` and accumulates become
+``acc = acc + v``.  Steady-state dispatch is O(task calls), and
+point-to-point transfers cost nothing at all.  Values are bit-identical
+to the event engine (same payload callables, same operand objects, same
+all-reduce fold order); what the fused driver deliberately does *not*
+produce is the virtual-time timeline and wait profile — introspection is
+the price of fusion, so the flag refuses to combine with a
+``cost_model``.  The emitted text is kept as ``MeshDriver.source`` for
+inspection, mirroring ``CodegenProgram.source``.
 
-* :func:`fuse_mesh` — the in-process fast path.  All actors' programs
-  are merged into ONE driver function in global data-dependency order:
-  a matched send/recv pair collapses into a local rebind (``b12 = b7``),
-  tasks call their compiled payloads directly on locals, deletes become
-  ``= None`` and accumulates become ``acc = acc + v``.  Steady-state
-  dispatch is O(task calls), and point-to-point transfers cost nothing
-  at all.  Values are bit-identical to the event engine (same payload
-  callables, same operand objects, same all-reduce fold order); what the
-  fused driver deliberately does *not* produce is the virtual-time
-  timeline and wait profile — introspection is the price of fusion, so
-  the flag refuses to combine with a ``cost_model``.
-* :func:`worker_driver` — the ``engine="mp"`` variant.  One straight-line
-  driver per actor process: RunTask bodies are inlined over the worker's
-  object store (require checks survive only for recv-fed operands),
-  comm and collective instructions delegate to the worker's channel
-  methods, which block for real.  Source is regenerated from the shipped
-  program after unpickling — the pickle-clean contract is untouched —
-  and cached per program identity, so the persistent pool (which ships
-  a program object once) generates once per pool lifetime.
-
-Both generators attach the emitted text as ``.source`` for inspection,
-mirroring ``CodegenProgram.source``.
+``engine="mp"`` has no generated driver: every rank runs
+:meth:`repro.runtime.mp._Worker._run_program`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.runtime.instructions import (
     Accumulate,
@@ -51,18 +43,13 @@ from repro.runtime.instructions import (
     brief,
 )
 
-__all__ = ["FusionError", "MeshDriver", "fuse_mesh", "worker_driver"]
+__all__ = ["FusionError", "MeshDriver", "fuse_mesh"]
 
 
 class FusionError(RuntimeError):
     """The instruction streams cannot be fused into a straight-line driver
     (mismatched send/recv pairing, simulation-mode tasks without payloads,
     or a dependency cycle that would also deadlock the real engines)."""
-
-
-# ---------------------------------------------------------------------------
-# whole-mesh fusion (in-process engines)
-# ---------------------------------------------------------------------------
 
 
 class MeshDriver:
@@ -345,95 +332,3 @@ def fuse_mesh(
         env["_driver"], source, n_instructions, n_tasks, p2p_count, p2p_bytes
     )
 
-
-# ---------------------------------------------------------------------------
-# per-actor fusion (mp workers)
-# ---------------------------------------------------------------------------
-
-#: id(program) -> (program, driver).  The strong reference to the program
-#: pins its id, so the persistent pool's re-submissions of the same shipped
-#: object hit the cache instead of regenerating source every step.
-_WORKER_DRIVERS: dict[int, tuple[Any, Callable]] = {}
-
-
-def worker_driver(program: Sequence[Instruction]) -> Callable:
-    """Generate (or fetch) the fused driver for one mp worker's program.
-
-    The driver takes the :class:`~repro.runtime.mp._Worker` and replays
-    its interpretation loop as straight-line source: RunTask store
-    traffic and timeline events are inlined (``require`` survives only
-    for operands fed by a recv — everything else is provably present),
-    while send/recv/accumulate/all-reduce delegate to the worker's
-    blocking channel methods.  ``W.pc`` is kept exact so error reports
-    and deadlock diagnostics are unchanged.
-    """
-    cached = _WORKER_DRIVERS.get(id(program))
-    if cached is not None and cached[0] is program:
-        return cached[1]
-
-    from repro.runtime.mp import TimelineEvent  # re-exported there
-
-    env: dict[str, Any] = {"_TE": TimelineEvent}
-    lines = [
-        "    _s = W.store",
-        "    _get = _s.get; _put = _s.put; _del = _s.delete",
-        "    _now = W.now; _tl = W.timeline.append; _rank = W.rank",
-    ]
-    recv_fed: set[str] = set()
-    for k, instr in enumerate(program):
-        lines.append(f"    W.pc = {k}")
-        if isinstance(instr, RunTask):
-            onb = instr.meta.get("out_nbytes", [0] * len(instr.out_refs))
-            for j, r in enumerate(instr.in_refs):
-                env[f"_i{k}r{j}"] = r
-                if r.uid in recv_fed:
-                    lines.append(f"    W.require(_i{k}r{j})")
-            if instr.fn is not None:
-                env[f"_f{k}"] = instr.fn
-                env[f"_m{k}"] = instr.meta
-                ins = ", ".join(
-                    f"_get(_i{k}r{j}).value" for j in range(len(instr.in_refs))
-                )
-                lines.append("    _t0 = _now()")
-                lines.append(f"    _o = _f{k}([{ins}])")
-                lines.append(
-                    f"    if len(_o) != {len(instr.out_refs)}:"
-                    f" W.fail('protocol', 'task {instr.name} arity')"
-                )
-                for j, r in enumerate(instr.out_refs):
-                    env[f"_o{k}r{j}"] = r
-                    nb = onb[j] if j < len(onb) else 0
-                    nbexpr = str(nb) if nb else f"getattr(_o[{j}], 'nbytes', 0)"
-                    lines.append(f"    _put(_o{k}r{j}, _o[{j}], {nbexpr})")
-                lines.append(
-                    f"    _tl(_TE(_rank, 'task', {instr.name!r}, _t0, _now(),"
-                    f" meta=dict(_m{k})))"
-                )
-            else:  # pragma: no cover - mp runs are numeric
-                env[f"_i{k}"] = instr
-                lines.append(f"    W.exec_task(_i{k})")
-        elif isinstance(instr, Delete):
-            env[f"_i{k}r"] = instr.refs
-            lines.append(f"    for _r in _i{k}r: _del(_r)")
-        elif isinstance(instr, Recv):
-            recv_fed.add(instr.ref.uid)
-            env[f"_i{k}"] = instr
-            lines.append(f"    W.exec_recv(_i{k})")
-        else:
-            env[f"_i{k}"] = instr
-            handler = {
-                Send: "exec_send",
-                Accumulate: "exec_accumulate",
-                AllReduce: "exec_allreduce",
-            }.get(type(instr))
-            if handler is None:
-                raise FusionError(f"unknown instruction {instr!r}")
-            lines.append(f"    W.{handler}(_i{k})")
-    lines.append(f"    W.visits += {len(program)}")
-    source = "def _drive(W):\n" + "\n".join(lines) + "\n"
-    code = compile(source, "<fused-worker>", "exec")
-    exec(code, env)
-    fn = env["_drive"]
-    fn.source = source
-    _WORKER_DRIVERS[id(program)] = (program, fn)
-    return fn

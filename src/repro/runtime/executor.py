@@ -108,18 +108,9 @@ __all__ = [
     "WaitStat",
     "MpmdExecutor",
     "ENGINES",
-    "TIE_BREAKS",
 ]
 
 ENGINES = ("event", "roundrobin", "mp")
-
-#: Ready-queue orderings for actors runnable at the same virtual time:
-#: ``"fifo"`` (default — wake order, the historical behaviour),
-#: ``"depth_first"`` (most recently woken first — chases a microbatch down
-#: the pipeline before starting the next), ``"rank"`` (lowest actor id
-#: first).  Execution is dataflow-deterministic, so every policy produces
-#: identical results; the policies exist to study scheduler-visit patterns.
-TIE_BREAKS = ("fifo", "depth_first", "rank")
 
 
 class CommMode(enum.Enum):
@@ -889,11 +880,6 @@ class MpmdExecutor:
             process-per-rank runtime of :mod:`repro.runtime.pool`: real
             OS processes, real wall-clock timing; requires pickle-clean
             programs and accepts no virtual cost model).
-        tie_break: event-engine ready-queue ordering for actors runnable
-            at the same virtual time — one of :data:`TIE_BREAKS`
-            (``"fifo"`` default).  Results are identical under every
-            policy (dataflow determinism); only scheduler visit patterns
-            differ.  Ignored by the round-robin reference.
         mp_pool: ``engine="mp"`` only — the warm
             :class:`~repro.runtime.pool.ActorPool` to submit steps to
             (its watchdog / shm settings apply).  Without one, every
@@ -901,10 +887,6 @@ class MpmdExecutor:
             for that call — a cold start each time.
         mp_program_key: advisory cache-key prefix for the pool's
             worker-side program cache (diagnostics only).
-        mp_codegen_actor: ``engine="mp"`` only — workers execute their
-            programs through the fused straight-line driver generated by
-            :mod:`repro.runtime.actorgen` instead of the per-instruction
-            interpretation loop (results are bit-identical).
     """
 
     def __init__(
@@ -913,17 +895,11 @@ class MpmdExecutor:
         cost_model: CostModel | None = None,
         comm_mode: CommMode = CommMode.ASYNC,
         engine: str = "event",
-        tie_break: str = "fifo",
         mp_pool: Any = None,
         mp_program_key: str | None = None,
-        mp_codegen_actor: bool = False,
     ):
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        if tie_break not in TIE_BREAKS:
-            raise ValueError(
-                f"unknown tie_break {tie_break!r}; expected one of {TIE_BREAKS}"
-            )
         if engine == "mp" and cost_model is not None:
             raise ValueError(
                 "engine='mp' measures real wall-clock time; virtual cost "
@@ -941,10 +917,8 @@ class MpmdExecutor:
         self.cost = cost_model or ZeroCost()
         self.comm_mode = comm_mode
         self.engine = engine
-        self.tie_break = tie_break
         self.mp_pool = mp_pool
         self.mp_program_key = mp_program_key
-        self.mp_codegen_actor = mp_codegen_actor
         self.stores = [ObjectStore(i) for i in range(n_actors)]
 
     # -- store management (driver-facing) -------------------------------------
@@ -1050,7 +1024,6 @@ class MpmdExecutor:
             self.stores,
             comm_mode=self.comm_mode,
             program_key=self.mp_program_key,
-            codegen_actor=self.mp_codegen_actor,
         )
         return future.result()
 
@@ -1060,27 +1033,20 @@ class MpmdExecutor:
     ) -> None:
         """Ready-queue + wait-list scheduler (see module docstring)."""
         actors = state.actors
-        # heap entries are (virtual time, tie-break key, actor id); the
-        # tie-break key orders actors runnable at the same virtual time
+        # heap entries are (virtual time, wake sequence, actor id): actors
+        # runnable at the same virtual time run in the order they woke
         ready: list[tuple[float, int, int]] = []
         seq = 0
         scheduled = [False] * len(actors)
         buffer_waiters: dict[tuple[int, str], list[int]] = {}
         allreduce_waiters: dict[str, list[int]] = {}
-        tie_break = self.tie_break
 
         def wake(aid: int) -> None:
             nonlocal seq
             if scheduled[aid] or actors[aid].done:
                 return
             scheduled[aid] = True
-            if tie_break == "depth_first":
-                key = -seq  # most recently woken first
-            elif tie_break == "rank":
-                key = aid  # lowest actor id first
-            else:  # fifo
-                key = seq
-            heapq.heappush(ready, (actors[aid].time, key, aid))
+            heapq.heappush(ready, (actors[aid].time, seq, aid))
             seq += 1
 
         def on_put(aid: int, uid: str) -> None:

@@ -538,9 +538,12 @@ class _WorkerStop(Exception):
 class _Worker:
     """Single-threaded interpreter for one run of one actor's program.
 
-    Semantically the numeric-mode subset of the in-process engine's
-    ``step``; the differential suite (``tests/runtime/test_mp_equivalence``)
-    asserts bit-identical results across the whole schedule gallery.
+    :meth:`_run_program` is the one instruction loop of an ``engine="mp"``
+    rank: the watchdog's :meth:`where` and ``WorkerTaskError.pc`` read its
+    ``pc``, the fault plan's send hook runs inside it.  Semantically the numeric-mode
+    subset of the in-process engine's ``step``; the differential suite
+    (``tests/runtime/test_mp_equivalence``) asserts bit-identical results
+    across the whole schedule gallery.
 
     The pool's worker loop builds one per ``run`` command (fresh
     posted-receive state, an object store seeded with ``buffers``) over
@@ -559,7 +562,6 @@ class _Worker:
         self.comm_mode = cmd.comm_mode
         self.shm_threshold = cmd.shm_threshold
         self.epoch = cmd.epoch
-        self.codegen_actor = cmd.codegen_actor  # fuse the loop (runtime.actorgen)
         self.faults = faults  # RankFaultState for injected chaos (runtime.faults)
         self.inbox = inbox
         self.peers = peers  # rank -> the _Channel to that rank
@@ -568,7 +570,7 @@ class _Worker:
 
         self.store = ObjectStore(rank)
         #: uid -> (value, nbytes, pinned) of what the program produced;
-        #: filled by :meth:`_finish_report`
+        #: filled at the end of :meth:`_run_program`
         self.outputs: dict[str, tuple[Any, int, bool]] = {}
         self.initial_uids = set(buffers)
         for uid, (value, nbytes, pinned) in buffers.items():
@@ -668,14 +670,6 @@ class _Worker:
 
     # -- instruction handlers ---------------------------------------------
     def _run_program(self) -> dict:
-        if self.codegen_actor and self.program:
-            # whole-actor fusion: the shipped program is regenerated into
-            # one straight-line driver (cached per program identity, so
-            # the persistent pool compiles it once per ship)
-            from repro.runtime.actorgen import worker_driver
-
-            worker_driver(self.program)(self)
-            return self._finish_report()
         for self.pc, instr in enumerate(self.program):
             self.visits += 1
             if isinstance(instr, RunTask):
@@ -693,9 +687,6 @@ class _Worker:
                 self.exec_allreduce(instr)
             else:
                 self.fail("protocol", f"unknown instruction {instr!r}")
-        return self._finish_report()
-
-    def _finish_report(self) -> dict:
         self.pc = len(self.program)
         finish = self.now()
         # the driver already holds every placed input; what the program

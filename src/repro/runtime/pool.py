@@ -158,7 +158,6 @@ class _Run(NamedTuple):
     comm_mode: CommMode
     shm_threshold: int
     epoch: float
-    codegen_actor: bool
 
 
 class PoolBackpressureTimeout(TimeoutError):
@@ -571,7 +570,6 @@ class ActorPool:
         comm_mode: CommMode | None = None,
         program_key: str | None = None,
         timeout: float | None = None,
-        codegen_actor: bool = False,
     ) -> PoolFuture:
         """Enqueue one step on the warm mesh; returns immediately.
 
@@ -594,10 +592,6 @@ class ActorPool:
                 submissions outstanding, wait at most this long for a
                 slot before raising :class:`PoolBackpressureTimeout`
                 (``None`` blocks).
-            codegen_actor: workers run the shipped program through the
-                fused straight-line driver (:mod:`repro.runtime.actorgen`)
-                instead of the interpretation loop; the driver is
-                generated once per shipped program and cached.
 
         Raises:
             RuntimeError: the pool is shut down or died (worker crash,
@@ -654,8 +648,7 @@ class ActorPool:
                     self.input_bytes += enc.nbytes
                     self._cmd[rank].put(
                         (_CMD,
-                         _Run(sid, key, enc, refs, cm, self.shm_threshold,
-                              epoch, codegen_actor))
+                         _Run(sid, key, enc, refs, cm, self.shm_threshold, epoch))
                     )
             return future
         except BaseException:

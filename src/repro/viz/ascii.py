@@ -128,14 +128,6 @@ def render_tune_report(report, width: int = 100) -> str:
         lines.append(
             f"memory budget: {report.memory_budget:.4g} activation bytes/rank"
         )
-    if report.tie_break_visits:
-        visits = ", ".join(
-            f"{k}={v}" for k, v in sorted(report.tie_break_visits.items())
-        )
-        lines.append(
-            f"tie-break sweep (scheduler visits, results identical): {visits} "
-            f"-> {report.tie_break}"
-        )
     return "\n".join(lines)
 
 

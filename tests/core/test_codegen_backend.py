@@ -1,14 +1,14 @@
 """Differential suite: ``task_backend="codegen"`` vs ``"linear"``.
 
 The codegen backend exec-compiles each lowered ``LinearProgram`` into one
-straight-line Python function; the whole-actor variant
-(``codegen_actor=True``) additionally fuses the engine's instruction loop
-into one generated driver.  Both must be *bit-identical* to the linear VM
-— same values, same dtypes — for every schedule in the gallery, for
-data-parallel execution, and through the ``engine="mp"`` spawn/pool
-paths.  Same differential pattern as PR 3's linear-vs-interpret suite:
-the reference stays available forever, equivalence is asserted rather
-than assumed.
+straight-line Python function; the whole-mesh variant
+(``codegen_actor=True`` on an in-process engine) additionally fuses the
+engine's instruction loop into one generated driver.  Both must be
+*bit-identical* to the linear VM — same values, same dtypes — for every
+schedule in the gallery, for data-parallel execution, and through the
+``engine="mp"`` pool.  Same differential pattern as the
+linear-vs-interpret suite: the reference stays available forever,
+equivalence is asserted rather than assumed.
 """
 
 import signal
@@ -183,26 +183,6 @@ class TestMpEngine:
         finally:
             mesh.close()
 
-    def test_pool_fused_worker_driver_bit_identical(self):
-        """codegen_actor=True on mp: workers regenerate a straight-line
-        driver from the shipped program; results and timeline kinds are
-        unchanged."""
-        ts, params, batch = make_problem(4, n_mbs=4)
-        ref = core.RemoteMesh((4,)).distributed(
-            ts, schedule=core.OneFOneB(4), task_backend="linear"
-        )(params, batch)
-        mesh = core.RemoteMesh((4,), engine="mp", codegen_actor=True)
-        try:
-            step = mesh.distributed(
-                ts, schedule=core.OneFOneB(4), task_backend="codegen"
-            )
-            for _ in range(2):
-                assert_bit_identical(ref, step(params, batch))
-            kinds = {e.kind for e in step.last_result.timeline}
-            assert "task" in kinds  # wall-clock timeline fully preserved
-        finally:
-            mesh.close()
-
     @pytest.mark.slow
     @pytest.mark.parametrize("schedule", GALLERY, ids=lambda s: s.name)
     def test_pool_gallery_sweep(self, schedule):
@@ -212,8 +192,7 @@ class TestMpEngine:
         ref = core.RemoteMesh((schedule.n_actors,)).distributed(
             ts, schedule=schedule, task_backend="linear"
         )(params, batch)
-        mesh = core.RemoteMesh((schedule.n_actors,), engine="mp",
-                               codegen_actor=True)
+        mesh = core.RemoteMesh((schedule.n_actors,), engine="mp")
         try:
             step = mesh.distributed(
                 ts, schedule=schedule, task_backend="codegen"

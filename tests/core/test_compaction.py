@@ -479,14 +479,11 @@ class TestValuesAcrossBackendsAndEngines:
             "event": dict(),
             "fused": dict(codegen_actor=True),
             "mp": dict(engine="mp", mp_watchdog_s=30.0),
-            "mp fused": dict(engine="mp", mp_watchdog_s=30.0, codegen_actor=True),
         }
         for name, kwargs in meshes.items():
             mesh = core.RemoteMesh(shape, **kwargs)
             try:
                 for backend in ("interpret", "linear", "codegen"):
-                    if name == "mp fused" and backend != "codegen":
-                        continue
                     step = mesh.distributed(train_step, schedule=schedule, task_backend=backend)
                     assert_bit_identical(step(params, batch), want)
                     assert bundle_refs(step.compiled.programs), (name, backend)

@@ -177,40 +177,6 @@ class TestCompiledEquivalence:
         assert res_a.p2p_count == res_b.p2p_count
         assert res_a.repolls == 0
 
-    @pytest.mark.parametrize("schedule", SCHEDULES, ids=lambda s: s.name)
-    @pytest.mark.parametrize("tie_break", ["fifo", "depth_first", "rank"])
-    def test_tie_break_policies_identical(self, schedule, tie_break):
-        """Every ready-queue tie-break must reproduce the round-robin
-        reference bit-for-bit: execution is dataflow-deterministic, so the
-        policy may only change scheduler visit patterns."""
-        train_step, params, batch = _mlp_problem()
-        mesh = core.RemoteMesh(
-            (schedule.n_actors,), engine="event", tie_break=tie_break
-        )
-        step = mesh.distributed(train_step, schedule=schedule)
-        (p_a, l_a) = step(params, batch)
-        res_a = step.last_result
-
-        ref_mesh = core.RemoteMesh((schedule.n_actors,), engine="roundrobin")
-        ref_step = ref_mesh.distributed(
-            train_step, schedule=schedule, task_backend="linear"
-        )
-        (p_b, l_b) = ref_step(params, batch)
-        res_b = ref_step.last_result
-
-        for k in p_a:
-            np.testing.assert_array_equal(p_a[k], p_b[k])
-        np.testing.assert_array_equal(l_a, l_b)
-        assert res_a.makespan == res_b.makespan
-        assert res_a.timeline == res_b.timeline
-        assert res_a.repolls == 0
-
-    def test_unknown_tie_break_rejected(self):
-        with pytest.raises(ValueError, match="tie_break"):
-            MpmdExecutor(2, tie_break="lifo")
-        with pytest.raises(ValueError, match="tie_break"):
-            core.RemoteMesh((2,), tie_break="lifo")
-
     def test_data_parallel_allreduce_identical(self):
         train_step, params, batch = _mlp_problem(n_stages=2, mbsz=4)
         outs = {}
@@ -378,21 +344,20 @@ class TestWaitProfile:
         assert all(s.count > 0 and s.total >= 0.0 for s in prof.values())
 
 
-class TestTieBreakRandomized:
+class TestRandomDags:
     @given(
         seed=st.integers(0, 3_000),
-        tie_break=st.sampled_from(["fifo", "depth_first", "rank"]),
         mode=st.sampled_from([CommMode.ASYNC, CommMode.SYNC]),
     )
     @settings(max_examples=40, deadline=None)
-    def test_random_dags_identical_under_all_policies(self, seed, tie_break, mode):
+    def test_random_dags_identical_across_engines(self, seed, mode):
         def build():
             programs, _, _ = build_random_program(seed, 4, 16)
             return programs
 
         results = {}
-        for engine, tb in [("event", tie_break), ("roundrobin", "fifo")]:
+        for engine in ("event", "roundrobin"):
             ex = MpmdExecutor(4, cost_model=LinearCost(p2p_latency=0.01),
-                              comm_mode=mode, engine=engine, tie_break=tb)
+                              comm_mode=mode, engine=engine)
             results[engine] = (ex, ex.execute(build()))
         assert_identical(results)

@@ -246,10 +246,11 @@ class TestNeverBlocks:
 
     @pytest.mark.parametrize("mode", [CommMode.ASYNC, CommMode.SYNC], ids=lambda m: m.name)
     def test_mid_shaped_step_inline_through_the_pipes(self, mode):
-        """The ``gpt_mid_mp2`` shape — ``Interleaved1F1B(2, 2)``, per-rank
-        fused drivers, 128 KiB activations crossing in both directions —
-        with shared memory switched off, so every activation is twice the
-        size of the pipe it travels through.  Bit-identical to the event
+        """The ``gpt_mid_mp2`` shape — ``Interleaved1F1B(2, 2)`` on
+        ``engine="mp"`` with ``codegen_actor=True`` (accepted, no effect
+        there), 128 KiB activations crossing in both directions — with
+        shared memory switched off, so every activation is twice the size
+        of the pipe it travels through.  Bit-identical to the event
         engine; a sender that waits for pipe space hangs here."""
         ts, params, batch = make_problem(4, n_mbs=4, mbsz=128, d=256)
         schedule = core.Interleaved1F1B(2, 2)

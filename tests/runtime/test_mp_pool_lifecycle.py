@@ -575,7 +575,7 @@ class TestResidencyLifecycle:
             return enc
 
         enc = slab()
-        cmd = _Run(3, "k", enc, {"w": ("v9", 4, True)}, CommMode.ASYNC, 1, 0.0, False)
+        cmd = _Run(3, "k", enc, {"w": ("v9", 4, True)}, CommMode.ASYNC, 1, 0.0)
         _discard_payload([(_CMD, cmd)])
         assert not os.path.exists(f"/dev/shm/{enc.name}")
 
