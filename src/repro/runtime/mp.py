@@ -71,7 +71,10 @@ Shared-memory transport
     pickled inline.  Ownership is handed over explicitly (the sender
     unregisters the segment from its resource tracker), so the normal
     path neither leaks nor double-frees; on an abnormal stop the driver
-    drains the pipes and unlinks whatever was still in flight.
+    drains the pipes and unlinks whatever was still in flight.  A pool's
+    processes name their segments under the pool's tag, so the driver
+    also unlinks, by name, what a killed process was still writing or
+    had read but not consumed.
 
 Collectives
     Data-parallel all-reduce is a **barrier-backed reduce**: every
@@ -116,6 +119,7 @@ not apply (time is measured, not simulated).
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import select
@@ -174,16 +178,42 @@ _DRIVER = -1
 # ---------------------------------------------------------------------------
 
 
-def _encode_payload(value: Any, shm_threshold: int) -> tuple:
+#: serial part of the segment names this process creates under a prefix.
+_SEGMENT_IDS = itertools.count()
+
+
+def _new_segment(size: int, prefix: str | None):
+    """A fresh segment named ``{prefix}_{n}`` (``prefix`` is a pool
+    process's, ``{pool tag}_{rank or "d"}``), or at random without one."""
+    from multiprocessing import shared_memory
+
+    name = None if prefix is None else f"{prefix}_{next(_SEGMENT_IDS)}"
+    return shared_memory.SharedMemory(name=name, create=True, size=size)
+
+
+def _reclaim_segments(pool_tag: str) -> None:
+    """Unlink every segment left under ``pool_tag`` once the pool's
+    processes are gone (Linux, where a segment is a file in /dev/shm)."""
+    try:
+        names = os.listdir("/dev/shm")
+    except OSError:
+        return
+    for name in names:
+        if name.startswith(pool_tag + "_"):
+            try:
+                os.unlink(os.path.join("/dev/shm", name))
+            except OSError:  # pragma: no cover - consumed meanwhile
+                pass
+
+
+def _encode_payload(value: Any, shm_threshold: int, prefix: str | None = None) -> tuple:
     """``("inline", value)`` or ``("shm", name, shape, dtype, nbytes)``."""
     if (
         isinstance(value, np.ndarray)
         and value.nbytes >= shm_threshold
         and value.nbytes > 0
     ):
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(create=True, size=value.nbytes)
+        shm = _new_segment(value.nbytes, prefix)
         view = np.ndarray(value.shape, value.dtype, buffer=shm.buf)
         view[...] = value
         _hand_over(shm)
@@ -245,7 +275,10 @@ class _Slab(NamedTuple):
     other: dict  # uid -> (value, nbytes, pinned) for values that are not arrays
 
 
-def _encode_buffers(buffers: dict[str, tuple[Any, int, bool]], shm_threshold: int) -> _Slab:
+def _encode_buffers(
+    buffers: dict[str, tuple[Any, int, bool]], shm_threshold: int,
+    prefix: str | None = None,
+) -> _Slab:
     """Many-buffers form of :func:`_encode_payload` for ``run`` / ``done``
     messages: every ndarray of ``uid -> (value, nbytes, pinned)`` is packed
     into ONE slab — a shared-memory segment when the slab reaches
@@ -260,9 +293,7 @@ def _encode_buffers(buffers: dict[str, tuple[Any, int, bool]], shm_threshold: in
             other[uid] = (value, nbytes, pinned)
     shm = None
     if total >= shm_threshold and total > 0:
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(create=True, size=total)
+        shm = _new_segment(total, prefix)
         slab = shm.buf
     else:
         slab = bytearray(total)
@@ -552,15 +583,18 @@ class _Worker:
     control channel and the per-group :class:`_ChannelBarrier` table.  ``cmd`` is the
     command being served (:class:`repro.runtime.pool._Run`): its ``sid``
     tags every report, its ``epoch`` is the driver's monotonic base
-    (``CLOCK_MONOTONIC`` is system-wide).
+    (``CLOCK_MONOTONIC`` is system-wide).  ``shm_prefix`` names the
+    segments this rank creates (:func:`_new_segment`).
     """
 
-    def __init__(self, rank, program, buffers, cmd, inbox, peers, ctrl, barriers, faults):
+    def __init__(self, rank, program, buffers, cmd, inbox, peers, ctrl, barriers,
+                 faults, shm_prefix):
         self.rank = rank
         self.program = program
         self.sid = cmd.sid
         self.comm_mode = cmd.comm_mode
         self.shm_threshold = cmd.shm_threshold
+        self.shm_prefix = shm_prefix
         self.epoch = cmd.epoch
         self.faults = faults  # RankFaultState for injected chaos (runtime.faults)
         self.inbox = inbox
@@ -708,7 +742,7 @@ class _Worker:
             "p2p_bytes": self.p2p_bytes,
             "p2p_count": self.p2p_count,
             "peak_bytes": self.store.peak_bytes,
-            "buffers": _encode_buffers(self.outputs, self.shm_threshold),
+            "buffers": _encode_buffers(self.outputs, self.shm_threshold, self.shm_prefix),
         }
 
     def exec_task(self, instr: RunTask) -> None:
@@ -745,7 +779,7 @@ class _Worker:
             return
         buf = self.store.get(instr.ref)
         start = self.now()
-        payload = _encode_payload(buf.value, self.shm_threshold)
+        payload = _encode_payload(buf.value, self.shm_threshold, self.shm_prefix)
         self.peers[instr.dst].put(
             (("data", self.rank), (instr.key, buf.nbytes, payload))
         )
@@ -823,7 +857,8 @@ class _Worker:
                 # one payload per member: a shm segment is consumed
                 # (copied + unlinked) by exactly one receiver
                 self.peers[r].put(
-                    (collres, (key, _encode_payload(total, self.shm_threshold)))
+                    (collres,
+                     (key, _encode_payload(total, self.shm_threshold, self.shm_prefix)))
                 )
             if total is not None:
                 self.store.update(instr.ref, total)
@@ -835,7 +870,8 @@ class _Worker:
         else:
             self.peers[root].put(
                 (gather,
-                 (key, self.rank, _encode_payload(buf.value, self.shm_threshold)))
+                 (key, self.rank,
+                  _encode_payload(buf.value, self.shm_threshold, self.shm_prefix)))
             )
             with self.blocking(
                 f"allreduce {key!r}", f"all-reduce result for {key!r}"

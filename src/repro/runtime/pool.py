@@ -76,13 +76,16 @@ inbox routing, the shared-memory transport) is :mod:`repro.runtime.mp`.
   the step, in-flight transfers by the pairwise-matching drain, results
   when the driver receives the report — so a long-lived pool returns to
   its segment baseline after every step.  Only an abnormal stop (crash,
-  deadlock, forced shutdown) runs the bulk drain-and-unlink reclaim.
+  deadlock, forced shutdown) runs the bulk drain-and-unlink reclaim,
+  then unlinks by name every segment left under the pool's tag — those
+  a terminated process was writing, or had read and not yet consumed.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import secrets
 import threading
 import time
 import traceback
@@ -119,6 +122,7 @@ from repro.runtime.mp import (
     _encode_buffers,
     _merge_results,
     _reclaim_in_flight,
+    _reclaim_segments,
 )
 from repro.runtime.store import ObjectStore
 
@@ -169,12 +173,16 @@ class PoolBackpressureTimeout(TimeoutError):
 # ---------------------------------------------------------------------------
 
 
-def _pool_worker_main(rank: int, readers, writers, fault_plan=None, generation: int = 0) -> None:
+def _pool_worker_main(
+    rank: int, readers, writers, fault_plan=None, generation: int = 0,
+    pool_tag: str | None = None,
+) -> None:
     """Spawn entry point: serve ship/run commands until shutdown.
 
     ``readers`` / ``writers`` are this rank's ends of its pipes, by the
     rank at the other end (:data:`~repro.runtime.mp._DRIVER` for the
-    command and control pipes).  One :class:`~repro.runtime.mp._Worker`
+    command and control pipes); ``pool_tag`` prefixes the names of the
+    segments it creates.  One :class:`~repro.runtime.mp._Worker`
     is built per *run* (fresh posted-receive state; an object store
     seeded with the command's by-value inputs, the values it references
     in the previous run's outputs, and the program's shipped constants)
@@ -196,6 +204,7 @@ def _pool_worker_main(rank: int, readers, writers, fault_plan=None, generation: 
     worker = None  # the run in progress: an exception report reads its pc
     peers = {dst: _Channel(conn) for dst, conn in writers.items()}
     ctrl = peers.pop(_DRIVER)
+    shm_prefix = None if pool_tag is None else f"{pool_tag}_{rank}"
     try:
         inbox = _Inbox(readers)
         status = _Status(rank, ctrl)
@@ -241,7 +250,7 @@ def _pool_worker_main(rank: int, readers, writers, fault_plan=None, generation: 
             resident = {}
             worker = status.worker = _Worker(
                 rank, shipped.program, buffers, cmd, inbox, peers, ctrl,
-                barriers, faults,
+                barriers, faults, shm_prefix,
             )
             del buffers
             result = worker._run_program()
@@ -349,10 +358,12 @@ def _terminate_procs(procs) -> None:
             pass
 
 
-def _cleanup_pipes(read_ends, write_ends) -> None:
-    """Reclaim the shm payloads still in flight, then close every pipe
-    end the driver holds."""
+def _cleanup_pipes(read_ends, write_ends, pool_tag: str) -> None:
+    """Reclaim the shm payloads still in flight and every segment the
+    dead processes left under ``pool_tag``, then close every pipe end
+    the driver holds."""
     _reclaim_in_flight(read_ends)
+    _reclaim_segments(pool_tag)
     for end in (*read_ends, *write_ends):
         try:
             end.close()
@@ -477,6 +488,9 @@ class ActorPool:
         self.input_bytes = 0
         # stamped into every output this pool returns (``_Resident.origin``)
         self._token = object()
+        # prefixes the name of every segment this pool's processes create
+        # (``mp._new_segment``), so an abnormal stop unlinks them by name
+        self._pool_tag = f"psm_{secrets.token_hex(4)}"
 
         # -- watchdog / diagnostics (driver thread only) --
         self._hello: set[int] = set()
@@ -502,7 +516,8 @@ class ActorPool:
         for rank in range(n_actors):
             p = ctx.Process(
                 target=_pool_worker_main,
-                args=(rank, readers[rank], writers[rank], fault_plan, generation),
+                args=(rank, readers[rank], writers[rank], fault_plan, generation,
+                      self._pool_tag),
                 name=f"mpmd-pool-actor-{rank}",
                 daemon=True,
             )
@@ -533,7 +548,8 @@ class ActorPool:
         self._driver.start()
         # reap the workers if the pool is dropped without shutdown()
         self._finalizer = weakref.finalize(
-            self, _pool_finalize, list(self._procs), *self._pipe_ends
+            self, _pool_finalize, list(self._procs), *self._pipe_ends,
+            self._pool_tag,
         )
 
     # -- introspection -----------------------------------------------------
@@ -643,7 +659,7 @@ class ActorPool:
                                 continue
                             self.resident_misses += 1
                         values[uid] = (buf.value, buf.nbytes, buf.pinned)
-                    enc = _encode_buffers(values, self.shm_threshold)
+                    enc = _encode_buffers(values, self.shm_threshold, f"{self._pool_tag}_d")
                     self.resident_hits += len(refs)
                     self.input_bytes += enc.nbytes
                     self._cmd[rank].put(
@@ -844,7 +860,7 @@ class ActorPool:
             sub.future._finish(exc=exc)
             self._slots.release()
         _terminate_procs(self._procs)
-        _cleanup_pipes(*self._pipe_ends)
+        _cleanup_pipes(*self._pipe_ends, self._pool_tag)
         self._stop.set()
 
     def shutdown(self, timeout: float = 30.0) -> None:
@@ -888,7 +904,7 @@ class ActorPool:
             for sub in leftover:
                 sub.future._finish(exc=exc)
                 self._slots.release()
-        _cleanup_pipes(*self._pipe_ends)
+        _cleanup_pipes(*self._pipe_ends, self._pool_tag)
         self._finalizer.detach()
 
     close = shutdown
@@ -900,11 +916,11 @@ class ActorPool:
         self.shutdown()
 
 
-def _pool_finalize(procs, read_ends, write_ends) -> None:
+def _pool_finalize(procs, read_ends, write_ends, pool_tag) -> None:
     """GC fallback for a pool dropped without shutdown(): reap the
     workers and reclaim whatever shared memory was still in flight."""
     _terminate_procs(procs)
-    _cleanup_pipes(read_ends, write_ends)
+    _cleanup_pipes(read_ends, write_ends, pool_tag)
 
 
 def _pipe(ctx):

@@ -11,6 +11,7 @@ linear-vs-interpret suite: the reference stays available forever,
 equivalence is asserted rather than assumed.
 """
 
+import re
 import signal
 
 import numpy as np
@@ -180,6 +181,29 @@ class TestMpEngine:
             )
             for _ in range(2):  # second submit hits the worker program cache
                 assert_bit_identical(ref, step(params, batch))
+        finally:
+            mesh.close()
+
+    def test_pool_codegen_actor_accepted_without_effect(self):
+        """codegen_actor=True on mp: every rank still runs the worker's
+        instruction loop — same values, a per-instruction wall-clock
+        timeline (the in-process fused driver has none) and a plain
+        program key."""
+        ts, params, batch = make_problem(4, n_mbs=4)
+        ref = core.RemoteMesh((4,)).distributed(
+            ts, schedule=core.OneFOneB(4), task_backend="linear"
+        )(params, batch)
+        mesh = core.RemoteMesh((4,), engine="mp", codegen_actor=True)
+        try:
+            step = mesh.distributed(
+                ts, schedule=core.OneFOneB(4), task_backend="codegen"
+            )
+            for _ in range(2):
+                assert_bit_identical(ref, step(params, batch))
+            res = step.last_result
+            assert res.engine == "mp"
+            assert {"task", "send", "recv"} <= {e.kind for e in res.timeline}
+            assert re.fullmatch(r"step-\d+\.codegen\.L\d", step.compiled.program_key)
         finally:
             mesh.close()
 

@@ -258,33 +258,39 @@ class TestChannelContract:
         _assert_no_pool_left(baseline)
 
     def test_removed_knobs_are_rejected(self):
-        """Removed options are gone, not ignored: the spawn-per-step
-        path's, the per-rank generated driver's and the event engine's
-        ready-queue tie-break policies."""
-        from repro.perf.pipeline_sim import price_schedule
-        from repro.runtime import ActorPool
-
+        """The spawn-per-step path's options are gone, not ignored."""
         with pytest.raises(TypeError, match="mp_watchdog_s"):
             MpmdExecutor(2, engine="mp", mp_watchdog_s=1)
         with pytest.raises(TypeError, match="mp_shm_threshold"):
             MpmdExecutor(2, engine="mp", mp_shm_threshold=1)
-        # spelled in pieces so a grep for the removed names finds no use
+        # spelled in two pieces so a grep for the removed name finds no use
         gone = "mp_" + "persistent"
         with pytest.raises(TypeError, match=gone):
             core.RemoteMesh((2,), engine="mp", **{gone: False})
-        tb = "tie_" + "break"
-        with pytest.raises(TypeError, match=tb):
-            core.RemoteMesh((2,), **{tb: "fifo"})
-        with pytest.raises(TypeError, match=tb):
-            MpmdExecutor(2, **{tb: "fifo"})
-        with pytest.raises(TypeError, match=tb):
-            price_schedule(core.OneFOneB(2), 2, None, **{tb: "fifo"})
-        fused = "mp_codegen_" + "actor"
-        with pytest.raises(TypeError, match=fused):
-            MpmdExecutor(2, engine="mp", **{fused: True})
-        # argument binding fails before the body runs: no pool is spawned
-        with pytest.raises(TypeError, match="codegen_actor"):
-            ActorPool.submit(None, [], codegen_actor=True)
+
+    # spelled in pieces so a grep for the removed names finds no use
+    @pytest.mark.parametrize("call, keyword", [
+        ("RemoteMesh", "tie_" + "break"),
+        ("MpmdExecutor", "tie_" + "break"),
+        ("price_schedule", "tie_" + "break"),
+        ("MpmdExecutor", "mp_codegen_" + "actor"),
+        ("ActorPool.submit", "codegen_actor"),
+    ], ids=lambda v: v)
+    def test_removed_keyword_rejected(self, call, keyword):
+        """The per-rank generated driver's selectors and the event
+        engine's ready-queue tie-break policies are gone, not ignored."""
+        from repro.perf.pipeline_sim import price_schedule
+        from repro.runtime import ActorPool
+
+        calls = {
+            "RemoteMesh": lambda kw: core.RemoteMesh((2,), engine="mp", **kw),
+            "MpmdExecutor": lambda kw: MpmdExecutor(2, engine="mp", **kw),
+            "price_schedule": lambda kw: price_schedule(core.OneFOneB(2), 2, None, **kw),
+            # argument binding fails before the body runs: no pool is spawned
+            "ActorPool.submit": lambda kw: ActorPool.submit(None, [], **kw),
+        }
+        with pytest.raises(TypeError, match=keyword):
+            calls[call]({keyword: True})
 
     def test_mp_rejects_cost_model(self):
         from repro.runtime import LinearCost

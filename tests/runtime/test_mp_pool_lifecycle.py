@@ -505,6 +505,29 @@ class TestRespawnHygiene:
         _assert_reaped(dead_pids)
         assert _settle_to(baseline) <= baseline
 
+    def test_segments_no_message_names_are_reclaimed(self):
+        """What a terminated process leaves outside every pipe — a
+        segment written for a message it never sent, or named by one it
+        had read but not consumed — carries the pool's tag, and the
+        failure reclaim unlinks it by name."""
+        from repro.runtime.mp import _hand_over, _new_segment
+
+        baseline = _shm_count()
+        pool = ActorPool(1, watchdog_s=WATCHDOG_S)
+        try:
+            fut = pool.submit(_one_rank_program(_long_sleep), _one_rank_stores())
+            # the worker's own unsent transfer, and a driver slab it holds
+            for who in ("0", "d"):
+                _hand_over(_new_segment(64, f"{pool._pool_tag}_{who}"))
+            assert _shm_count() == baseline + 2
+            os.kill(pool.pids[0], signal.SIGKILL)
+            with pytest.raises(RuntimeError, match="died without reporting"):
+                fut.result(timeout=60)
+            assert _settle_to(baseline) <= baseline
+        finally:
+            pool.shutdown()
+        assert _settle_to(baseline) <= baseline
+
 
 class TestResidencyLifecycle:
     """References and slabs under failure: nothing a dead worker held is
