@@ -17,9 +17,10 @@ Two claims are checked here (and a comparison table is emitted):
    on every pass — at least 5× the event engine's count (counting its
    floor of one), and strictly more total visits.
 
-The programs are instruction-level encodings of each schedule with §4.2
-topological send/recv placement — the same shape ``compile_train_step``
-emits and ``perf.pipeline_sim`` simulates.
+The programs are the cost-only encodings ``perf.pipeline_sim`` prices
+(:func:`~repro.perf.pipeline_sim.cost_only_programs`), emitted with §4.2
+topological send/recv placement by the emitter ``compile_train_step``
+uses (:meth:`~repro.core.schedule_ir.ScheduleIR.emit`).
 """
 
 import pytest
@@ -35,40 +36,23 @@ from repro.core.schedules import (
     ZBH2,
     schedule_stats,
 )
-from repro.runtime import BufferRef, CommMode, LinearCost, MpmdExecutor, Recv, RunTask, Send
+from repro.perf.pipeline_sim import cost_only_programs
+from repro.runtime import CommMode, LinearCost, MpmdExecutor
 
 from .conftest import emit
 
-B = BufferRef
 FWD_T, BWD_T = 1.0, 2.0
 NBYTES = 8
 
 
 def build_programs(sched, n_mbs):
-    """Instruction programs for a schedule, read off its lowered
-    ScheduleIR: one RunTask per slot with the IR's local dependencies as
-    in_refs, one send/recv pair per cross-rank edge, all placed in the
-    IR's global topological order (§4.2)."""
-    ir = sched.lower(n_mbs)
-    progs = [[] for _ in range(ir.n_ranks)]
-
-    def uid(u):
-        return f"{u.kind}{u.stage}.{u.mb}"
-
+    """Cost-only programs for a schedule at unit costs ``fwd = 1, bwd =
+    2`` and ``NBYTES`` per transfer."""
     frac = sched.bwd_input_fraction
     cost_of = {"fwd": FWD_T, "bwd": BWD_T, "bwd_i": BWD_T * frac, "bwd_w": BWD_T * (1 - frac)}
-    for slot in ir.toposort():
-        a, u = slot.rank, slot.unit
-        in_refs = [B(uid(d.unit)) for d in ir.buffer_deps(slot)]
-        progs[a].append(
-            RunTask(f"{u.kind}{u.stage}({u.mb})", in_refs, [B(uid(u))],
-                    fn=None, cost=cost_of[u.kind], meta={"out_nbytes": [NBYTES]})
-        )
-        for dst in ir.send_dsts(slot):
-            key = uid(u)
-            progs[a].append(Send(B(key), dst, key))
-            progs[dst].append(Recv(B(key), a, key, NBYTES))
-    return progs
+    return cost_only_programs(
+        sched.lower(n_mbs), lambda u: cost_of[u.kind], lambda stage: NBYTES
+    )
 
 
 SCHEDULES = [

@@ -60,8 +60,8 @@ import numpy as np
 
 from repro.core.accumulate import ADD, STACK, pipeline_loop_p
 from repro.core.loop_commute import commute_shared_gradients
-from repro.core.schedule_ir import ScheduleIR
-from repro.core.schedules import BWD, BWD_I, BWD_W, FWD, Schedule
+from repro.core.schedule_ir import ScheduleIR, Slot
+from repro.core.schedules import BWD, BWD_I, BWD_W, FWD, Schedule, Unit
 from repro.core.stage_split import (
     BWD_KIND,
     FUSED_KIND,
@@ -724,12 +724,113 @@ def compile_train_step(
     def memo_uid(t: int, j: int) -> str:
         return f"memo.t{t}.o{j}"
 
-    # lower the schedule once: the IR's global topological order is §4.2's
-    # iteration order, and its resolved edges carry the dependency model
-    # (monolithic or zero-bubble split backward) — nothing is re-derived
-    # from unit kinds here
+    # lower the schedule once: its resolved edges carry the dependency
+    # model (monolithic or zero-bubble split backward) and its emitter
+    # walks §4.2's global topological order and places every send/recv —
+    # this function only says what each scheduled unit runs
     sched_ir = schedule.lower(n_mbs)
-    order = [(slot.rank, slot.unit) for slot in sched_ir.toposort()]
+    backward_split = schedule.backward_split
+    bwd_frac = schedule.bwd_input_fraction
+
+    def out_ref(mb: int, t: int, j: int) -> BufferRef:
+        return BufferRef(f"mb{mb}.t{t}.o{j}")
+
+    def task_in_refs(task: StageTask, mb: int) -> list[BufferRef]:
+        refs = []
+        for atom in task.in_atoms:
+            if id(atom) in memo_vars:
+                refs.append(BufferRef(memo_uid(*memo_vars[id(atom)])))
+            elif id(atom) in memo_boundary:
+                refs.append(BufferRef(memo_uid(*memo_boundary[id(atom)])))
+            elif id(atom) in body_invar_pos:
+                k = body_invar_pos[id(atom)]
+                if k < n_batch:
+                    refs.append(BufferRef(f"mb{mb}.bin{k}"))
+                else:
+                    refs.append(BufferRef(train_atom_uid(loop_eqn.invars[k])[0]))
+            else:
+                src_t, src_j = producer[id(atom)]
+                refs.append(out_ref(mb, src_t, src_j))
+        return refs
+
+    def accumulates(t_idx: int, mb: int) -> list[Accumulate]:
+        """Gradient accumulation for the ADD body outputs of one task
+        instance, as one instruction (none when it produced no gradient)."""
+        pairs = tuple(
+            (BufferRef(f"acc.{pos}"), out_ref(mb, t_idx, src[1]))
+            for pos, src in enumerate(body_out_sources)
+            if src is not None and src[0] == t_idx and out_ops[pos] == ADD
+        )
+        return [Accumulate(pairs)] if pairs else []
+
+    def slot_running(t_idx: int, mb: int) -> Slot:
+        """The slot that runs task ``t_idx`` for microbatch ``mb`` (a
+        fused last stage runs with its forward unit)."""
+        task = tasks[t_idx]
+        kind = FWD if task.kind != BWD_KIND else BWD_I if backward_split else BWD
+        return sched_ir.slot_of(Unit(mb, task.stage, kind))
+
+    def slot_instrs(slot: Slot) -> tuple[list, list, list]:
+        """One scheduled unit's instructions, outgoing transfers and
+        accumulates: the per-slot function of :meth:`ScheduleIR.emit`."""
+        u = slot.unit
+        t_idx = (split.fwd_task_of_stage if u.kind == FWD else split.bwd_task_of_stage)[u.stage]
+        task = tasks[t_idx]
+        if u.kind in (BWD, BWD_I) and task.kind == FUSED_KIND:
+            return [], [], []  # fused into the forward unit
+        meta = {"phase": "loop", "mb": u.mb, "stage": u.stage, "kind": task.kind, "unit": u.kind}
+        if u.kind == BWD_W:
+            # Zero-bubble weight-gradient unit: the numeric payload
+            # already ran with the input-gradient unit (the split is an
+            # ordering/cost split, not a recomputation), so this unit
+            # charges the weight-gradient share of the backward cost
+            # and commits the stage's gradients into their
+            # accumulators — the deferral that lets ZB-H1 fill bubbles.
+            w_cost = 0.0 if task.kind == FUSED_KIND else task_costs[t_idx] * (1.0 - bwd_frac)
+            w_run = RunTask(
+                name=f"w{u.stage}({u.mb})",
+                in_refs=[],
+                out_refs=[],
+                fn=None,  # cost-only: the payload ran with bwd_i
+                cost=w_cost,
+                meta={**meta, "out_nbytes": []},
+            )
+            return [w_run], [], accumulates(t_idx, u.mb)
+        prefix = {FWD: "f", BWD: "b", BWD_I: "bi"}[u.kind]
+        name = f"{prefix}{u.stage}({u.mb})"
+        if task.kind == FUSED_KIND:
+            name = f"f{u.stage}b{u.stage}({u.mb})"
+        cost = task_costs[t_idx]
+        if u.kind == BWD_I:
+            cost *= bwd_frac
+        run = RunTask(
+            name=name,
+            in_refs=task_in_refs(task, u.mb),
+            out_refs=[out_ref(u.mb, t_idx, j) for j in range(len(task.out_vars))],
+            fn=task_fns[t_idx],
+            cost=cost,
+            meta={**meta, "out_nbytes": [v.aval.nbytes for v in task.out_vars]},
+        )
+        # sends to cross-actor consumers, immediately after production;
+        # one transfer per destination actor even when several tasks
+        # there consume the value (the recv waits for the first of them)
+        transfers = []
+        for j, v in enumerate(task.out_vars):
+            sent_to: dict[int, int] = {}  # dst actor -> first consumer task
+            for consumer_t in out_consumers.get((t_idx, j), []):
+                if task_actor[consumer_t] != slot.rank:
+                    sent_to.setdefault(task_actor[consumer_t], consumer_t)
+            for dst_local, consumer_t in sent_to.items():
+                transfers.append((
+                    out_ref(u.mb, t_idx, j), f"mb{u.mb}.t{t_idx}.o{j}",
+                    v.aval.nbytes, dst_local, slot_running(consumer_t, u.mb),
+                ))
+        # gradient accumulation for ADD body outputs; under a split-
+        # backward schedule, backward-produced gradients are committed
+        # by the weight-gradient unit instead
+        if backward_split and task.kind in (BWD_KIND, FUSED_KIND):
+            return [run], transfers, []
+        return [run], transfers, accumulates(t_idx, u.mb)
 
     for replica in range(dp_size):
         base = replica * P
@@ -811,139 +912,8 @@ def compile_train_step(
                         )
                     )
 
-        # --- the unrolled pipeline (§4.2) ---
-        # naive mode: recvs deferred to just before the consuming instance,
-        # keyed by (actor, task index, microbatch)
-        pending_recvs: dict[tuple[int, int, int], list[Recv]] = {}
-
-        def out_ref(mb: int, t: int, j: int) -> BufferRef:
-            return BufferRef(f"mb{mb}.t{t}.o{j}")
-
-        def task_in_refs(task: StageTask, mb: int) -> list[BufferRef]:
-            refs = []
-            for atom in task.in_atoms:
-                if id(atom) in memo_vars:
-                    refs.append(BufferRef(memo_uid(*memo_vars[id(atom)])))
-                elif id(atom) in memo_boundary:
-                    refs.append(BufferRef(memo_uid(*memo_boundary[id(atom)])))
-                elif id(atom) in body_invar_pos:
-                    k = body_invar_pos[id(atom)]
-                    if k < n_batch:
-                        refs.append(BufferRef(f"mb{mb}.bin{k}"))
-                    else:
-                        refs.append(BufferRef(train_atom_uid(loop_eqn.invars[k])[0]))
-                else:
-                    src_t, src_j = producer[id(atom)]
-                    refs.append(out_ref(mb, src_t, src_j))
-            return refs
-
-        backward_split = schedule.backward_split
-        bwd_frac = schedule.bwd_input_fraction
-
-        def emit_accumulates(a_local: int, t_idx: int, mb: int) -> None:
-            """Gradient accumulation for the ADD body outputs of one task
-            instance, as one instruction."""
-            pairs = tuple(
-                (BufferRef(f"acc.{pos}"), out_ref(mb, t_idx, src[1]))
-                for pos, src in enumerate(body_out_sources)
-                if src is not None and src[0] == t_idx and out_ops[pos] == ADD
-            )
-            if pairs:
-                prog(a_local).append(Accumulate(pairs))
-
-        for a_local, u in order:
-            fused_last = (
-                u.stage == schedule.n_stages - 1
-                and split.fwd_task_of_stage[u.stage] == split.bwd_task_of_stage[u.stage]
-            )
-            if u.kind in (BWD, BWD_I) and fused_last:
-                continue  # fused into the forward unit
-            if u.kind == BWD_W:
-                # Zero-bubble weight-gradient unit: the numeric payload
-                # already ran with the input-gradient unit (the split is an
-                # ordering/cost split, not a recomputation), so this unit
-                # charges the weight-gradient share of the backward cost
-                # and commits the stage's gradients into their
-                # accumulators — the deferral that lets ZB-H1 fill bubbles.
-                t_idx = split.bwd_task_of_stage[u.stage]
-                task = tasks[t_idx]
-                w_cost = 0.0 if task.kind == FUSED_KIND else task_costs[t_idx] * (1.0 - bwd_frac)
-                prog(a_local).append(
-                    RunTask(
-                        name=f"w{u.stage}({u.mb})",
-                        in_refs=[],
-                        out_refs=[],
-                        fn=None,  # cost-only: the payload ran with bwd_i
-                        cost=w_cost,
-                        meta={
-                            "phase": "loop",
-                            "mb": u.mb,
-                            "stage": u.stage,
-                            "kind": task.kind,
-                            "unit": BWD_W,
-                            "out_nbytes": [],
-                        },
-                    )
-                )
-                emit_accumulates(a_local, t_idx, u.mb)
-                continue
-            t_idx = (
-                split.fwd_task_of_stage[u.stage]
-                if u.kind == FWD
-                else split.bwd_task_of_stage[u.stage]
-            )
-            task = tasks[t_idx]
-            prefix = {FWD: "f", BWD: "b", BWD_I: "bi"}[u.kind]
-            name = f"{prefix}{u.stage}({u.mb})"
-            if task.kind == FUSED_KIND:
-                name = f"f{u.stage}b{u.stage}({u.mb})"
-            cost = task_costs[t_idx]
-            if u.kind == BWD_I:
-                cost *= bwd_frac
-            run = RunTask(
-                name=name,
-                in_refs=task_in_refs(task, u.mb),
-                out_refs=[out_ref(u.mb, t_idx, j) for j in range(len(task.out_vars))],
-                fn=task_fns[t_idx],
-                cost=cost,
-                meta={
-                    "phase": "loop",
-                    "mb": u.mb,
-                    "stage": u.stage,
-                    "kind": task.kind,
-                    "unit": u.kind,
-                    "out_nbytes": [v.aval.nbytes for v in task.out_vars],
-                },
-            )
-            if comm_strategy == "naive":
-                for r in pending_recvs.pop((a_local, t_idx, u.mb), []):
-                    prog(a_local).append(r)
-            prog(a_local).append(run)
-
-            # sends to cross-actor consumers, immediately after production;
-            # one transfer per destination actor even when several tasks
-            # there consume the value
-            for j, v in enumerate(task.out_vars):
-                sent_to: dict[int, int] = {}  # dst actor -> first consumer task
-                for consumer_t in out_consumers.get((t_idx, j), []):
-                    dst_local = task_actor[consumer_t]
-                    if dst_local == a_local or dst_local in sent_to:
-                        continue
-                    sent_to[dst_local] = consumer_t
-                for dst_local, consumer_t in sent_to.items():
-                    key = f"mb{u.mb}.t{t_idx}.o{j}"
-                    nbytes = v.aval.nbytes
-                    prog(a_local).append(Send(out_ref(u.mb, t_idx, j), base + dst_local, key))
-                    recv = Recv(out_ref(u.mb, t_idx, j), base + a_local, key, nbytes)
-                    if comm_strategy == "topo":
-                        prog(dst_local).append(recv)
-                    else:
-                        pending_recvs.setdefault((dst_local, consumer_t, u.mb), []).append(recv)
-            # gradient accumulation for ADD body outputs; under a split-
-            # backward schedule, backward-produced gradients are committed
-            # by the weight-gradient unit instead
-            if not (backward_split and task.kind in (BWD_KIND, FUSED_KIND)):
-                emit_accumulates(a_local, t_idx, u.mb)
+        # --- the unrolled pipeline (§4.2, or Figure 5's naive placement) ---
+        sched_ir.emit(slot_instrs, comm_strategy, programs, base)
 
         # --- data-parallel gradient synchronisation ---
         if dp_size > 1:

@@ -4,12 +4,13 @@ A :class:`Schedule` answers *what runs where, in which per-rank order*;
 this module lowers that answer — once — into a :class:`ScheduleIR` that
 every consumer walks instead of re-deriving unit dependencies:
 
-- the **compiler** (:mod:`repro.core.compile`) emits instructions in the
-  IR's global topological order;
+- **emission** (:meth:`ScheduleIR.emit`) walks the IR's global
+  topological order once and places every cross-rank ``Send``/``Recv``
+  pair; the **compiler** (:mod:`repro.core.compile`) and the
+  **performance simulator** and **autotuner pricer**
+  (:mod:`repro.perf.pipeline_sim`) only say what each slot runs;
 - the **runtime** (:mod:`repro.runtime.executor`) seeds its event-engine
   ready-queue from :meth:`ScheduleIR.initial_ready_ranks`;
-- the **performance simulator** (:mod:`repro.perf.pipeline_sim`) costs the
-  IR's slots and materialises sends/recvs from its cross-rank edges;
 - the **visualiser** (:mod:`repro.viz.ascii`) draws the slot table;
 - **validation** (:func:`repro.core.schedules.validate_schedule`) is a
   graph check over the same table: completeness, placement, edge
@@ -63,15 +64,18 @@ heterogeneous stages (uneven layers, embedding/head stages,
 circular-repeat chunks) and reports peak live-activation *bytes* per
 rank alongside the counts, which is what the autotuner's memory budget
 is checked against.  Event-engine pricing of the same IR (with
-communication) lives in :func:`repro.perf.pipeline_sim.price_schedule`.
+communication) emits cost-only programs through :meth:`ScheduleIR.emit`
+— the emitter the compiler uses — and runs them on the event engine
+(:func:`repro.perf.pipeline_sim.price_schedule`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.core.schedules import BWD, BWD_I, BWD_W, FWD, Unit
+from repro.runtime.instructions import Instruction, Recv, Send
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.schedules import Schedule
@@ -210,27 +214,31 @@ class ScheduleIR:
             missing = sorted(expected - set(self._slot_of))[:5]
             raise ValueError(f"schedule incomplete; missing units like {missing}")
 
-        # resolve dependency edges slot-to-slot (edge completeness: every
-        # dep of a scheduled unit must itself be scheduled — guaranteed by
-        # the completeness check above, asserted here for clarity)
-        self._deps: dict[tuple[int, int], tuple[Slot, ...]] = {}
-        self._consumers: dict[tuple[int, int], list[Slot]] = {}
+        self._deps, self._consumers = self._resolve_edges()
+        self._topo: list[Slot] | None = None
+
+    def _resolve_edges(
+        self,
+    ) -> tuple[dict[tuple[int, int], tuple[Slot, ...]], dict[tuple[int, int], list[Slot]]]:
+        """Dependency and consumer edges slot-to-slot, keyed by ``(rank,
+        index)``, from :func:`iter_unit_deps` (every dep of a scheduled
+        unit must itself be scheduled — guaranteed by the completeness
+        check at construction, asserted here)."""
+        deps: dict[tuple[int, int], tuple[Slot, ...]] = {}
+        consumers: dict[tuple[int, int], list[Slot]] = {}
         for row in self.slots:
             for slot in row:
-                deps = []
+                want = []
                 for d in iter_unit_deps(slot.unit, self.n_stages):
                     dep_slot = self._slot_of.get((d.mb, d.stage, d.kind))
-                    if dep_slot is None:  # pragma: no cover - completeness above
+                    if dep_slot is None:  # pragma: no cover - completeness
                         raise ValueError(
                             f"unit {slot.unit} depends on unscheduled unit {d}"
                         )
-                    deps.append(dep_slot)
-                    self._consumers.setdefault(
-                        (dep_slot.rank, dep_slot.index), []
-                    ).append(slot)
-                self._deps[(slot.rank, slot.index)] = tuple(deps)
-
-        self._topo: list[Slot] | None = None
+                    want.append(dep_slot)
+                    consumers.setdefault((dep_slot.rank, dep_slot.index), []).append(slot)
+                deps[(slot.rank, slot.index)] = tuple(want)
+        return deps, consumers
 
     # -- table lookups -------------------------------------------------------
     def slot_of(self, unit: Unit) -> Slot:
@@ -264,10 +272,14 @@ class ScheduleIR:
             return self.deps(slot)
         return self.cross_deps(slot)
 
-    def send_dsts(self, slot: Slot) -> list[int]:
-        """Destination ranks of ``slot``'s output, one transfer per rank
-        (sorted for deterministic emission)."""
-        return sorted({c.rank for c in self.cross_consumers(slot)})
+    def send_targets(self, slot: Slot) -> list[Slot]:
+        """One transfer per destination rank of ``slot``'s output: the
+        first slot there that consumes it, in rank order (deterministic
+        emission)."""
+        first: dict[int, Slot] = {}
+        for c in self.cross_consumers(slot):  # row-major: program order
+            first.setdefault(c.rank, c)
+        return [first[rank] for rank in sorted(first)]
 
     def edges(self) -> Iterator[tuple[Slot, Slot]]:
         """All data-dependency edges as ``(producer, consumer)`` pairs."""
@@ -305,8 +317,7 @@ class ScheduleIR:
     # -- graph checks --------------------------------------------------------
     def toposort(self) -> list[Slot]:
         """Global topological order — greedy over ranks in program order,
-        §4.2's emission order (shared by the compiler, the performance
-        simulator, and the engine benchmarks).
+        §4.2's emission order (walked for emission by :meth:`emit` only).
 
         Raises ``ValueError`` if the schedule cannot be executed.
         """
@@ -339,6 +350,54 @@ class ScheduleIR:
         self._topo = order
         return order
 
+    def emit(
+        self,
+        slot_fn: Callable[[Slot], tuple],
+        placement: str = "topo",
+        programs: list[list[Instruction]] | None = None,
+        base: int = 0,
+    ) -> list[list[Instruction]]:
+        """One instruction program per rank, in the global topological
+        order: the send/recv emitter the compiler and the cost-only
+        simulator / pricer share.
+
+        ``slot_fn(slot)`` returns ``(body, transfers, tail)``: the slot's
+        instructions, its outgoing transfers ``(ref, key, nbytes, dst,
+        consumer)`` — ``consumer`` is the first slot on rank ``dst`` that
+        reads the value — and what follows the sends (the compiler's
+        ``Accumulate``).  Each transfer is a ``Send`` after ``body`` and a
+        ``Recv`` on ``dst``, placed by ``placement``:
+
+        - ``"topo"``: posted the moment the ``Send`` is emitted (§4.2:
+          receivers prefetch; deadlock-free in every comm mode);
+        - ``"naive"``: held until ``consumer`` is emitted and put just
+          before it — per-iteration recv → compute → send, exact for GPipe;
+          it deadlocks 1F1B-style schedules under synchronous sends
+          (Figure 5) and breaks ZB-V's per-channel order.
+
+        Rank ``r`` appends to ``programs[base + r]`` (fresh lists by
+        default) and peers are offset by ``base`` too: the caller's
+        data-parallel replica.
+        """
+        if programs is None:
+            programs = [[] for _ in range(self.n_ranks)]
+        held: dict[Slot, list[Recv]] = {}
+        for slot in self.toposort():
+            body, transfers, tail = slot_fn(slot)
+            prog = programs[base + slot.rank]
+            if held:
+                prog.extend(held.pop(slot, ()))
+            prog.extend(body)
+            for ref, key, nbytes, dst, consumer in transfers:
+                prog.append(Send(ref, base + dst, key))
+                recv = Recv(ref, base + slot.rank, key, nbytes)
+                if placement == "topo":
+                    programs[base + dst].append(recv)
+                else:
+                    held.setdefault(consumer, []).append(recv)
+            prog.extend(tail)
+        return programs
+
     def check_edges(self) -> "ScheduleIR":
         """Edge-consistency: the resolved dependency tables must still
         agree with :func:`iter_unit_deps`, the single source of
@@ -351,20 +410,10 @@ class ScheduleIR:
                 f"dependency table has {len(self._deps)} entries for "
                 f"{self.n_slots} slots (corrupt IR)"
             )
-        consumers: dict[tuple[int, int], list[Slot]] = {}
+        deps, consumers = self._resolve_edges()
         for row in self.slots:
             for slot in row:
-                want: list[Slot] = []
-                for d in iter_unit_deps(slot.unit, self.n_stages):
-                    dep_slot = self._slot_of.get((d.mb, d.stage, d.kind))
-                    if dep_slot is None:
-                        raise ValueError(
-                            f"unit {slot.unit} depends on unscheduled unit {d}"
-                        )
-                    want.append(dep_slot)
-                    consumers.setdefault(
-                        (dep_slot.rank, dep_slot.index), []
-                    ).append(slot)
+                want = list(deps[(slot.rank, slot.index)])
                 have = self._deps.get((slot.rank, slot.index))
                 if have is None or list(have) != want:
                     raise ValueError(

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.schedule_ir import ScheduleIR
@@ -57,9 +57,9 @@ __all__ = [
     "ZBV",
     "LoopedBFS",
     "InterleavedZB",
+    "SCHEDULES",
     "validate_schedule",
     "schedule_stats",
-    "toposort_units",
 ]
 
 FWD = "fwd"
@@ -754,6 +754,22 @@ class InterleavedZB(Interleaved1F1B):
         return f"Interleaved-ZB(v={self.v})"
 
 
+#: the gallery by config name (``PipelineSimConfig.schedule``, the strings
+#: ``docs/SCHEDULES.md`` lists): name -> ``(pp, v) -> Schedule``, for ``pp``
+#: actors with ``v`` stage chunks each
+SCHEDULES: dict[str, Callable[[int, int], Schedule]] = {
+    "gpipe": lambda pp, v: GPipe(pp),
+    "1f1b": lambda pp, v: OneFOneB(pp),
+    "eager1f1b": lambda pp, v: Eager1F1B(pp),
+    "zbh1": lambda pp, v: ZBH1(pp),
+    "zbh2": lambda pp, v: ZBH2(pp),
+    "zbv": lambda pp, v: ZBV(pp),
+    "interleaved": Interleaved1F1B,
+    "looped_bfs": LoopedBFS,
+    "interleaved_zb": InterleavedZB,
+}
+
+
 # ---------------------------------------------------------------------------
 # validation & analysis — thin delegates over the lowered ScheduleIR
 # ---------------------------------------------------------------------------
@@ -765,16 +781,6 @@ def validate_schedule(schedule: Schedule, n_mbs: int) -> None:
     checks.  Raises ``ValueError`` describing the first violation.
     """
     schedule.lower(n_mbs).validate()
-
-
-def toposort_units(schedule: Schedule, n_mbs: int) -> list[tuple[int, Unit]]:
-    """Global topological order of a schedule's units as ``(actor, unit)``
-    pairs (backwards-compatible wrapper over the IR — new code should
-    lower once and walk :meth:`ScheduleIR.toposort`).
-
-    Raises ``ValueError`` if the schedule cannot be executed.
-    """
-    return [(s.rank, s.unit) for s in schedule.lower(n_mbs).toposort()]
 
 
 def schedule_stats(

@@ -24,6 +24,7 @@ from repro.core.schedules import (
     InterleavedZB,
     LoopedBFS,
     OneFOneB,
+    SCHEDULES,
     Schedule,
     ZBH1,
     ZBH2,
@@ -38,6 +39,9 @@ __all__ = ["generate_schedules_md", "GALLERY_DOC"]
 P, M = 4, 8
 WIDTH = 104
 
+#: schedule class -> its ``PipelineSimConfig.schedule`` name
+_CONFIG_NAME = {type(make(P, 2)): name for name, make in SCHEDULES.items()}
+
 
 @dataclasses.dataclass(frozen=True)
 class _Doc:
@@ -45,17 +49,20 @@ class _Doc:
     diagram + stats)."""
 
     schedule: Schedule
-    config: str  # pipeline_sim config string
     bound: str  # activation bound formula, per rank
     bubble: str  # bubble behaviour in one line
     use_when: str  # when-to-use guidance
     chunked: bool = False  # two stage chunks per rank (unit cost halved)
 
+    @property
+    def config(self) -> str:
+        """The schedule's ``pipeline_sim`` config string."""
+        return _CONFIG_NAME[type(self.schedule)]
+
 
 GALLERY_DOC: tuple[_Doc, ...] = (
     _Doc(
         GPipe(P),
-        "gpipe",
         "`n_mbs` — every microbatch's activation is live at the turn",
         "`(p-1)/(m+p-1)` of the step; does not shrink with memory",
         "Debugging baseline, or when `n_mbs` is small and memory is no "
@@ -64,7 +71,6 @@ GALLERY_DOC: tuple[_Doc, ...] = (
     ),
     _Doc(
         OneFOneB(P),
-        "1f1b",
         "`min(p - rank, n_mbs)` — bounded by *stages*, not microbatches",
         "same as GPipe (`(p-1)/(m+p-1)`); 1F1B buys memory, not bubble",
         "The default workhorse: GPipe's makespan at a 2-3x activation-"
@@ -72,7 +78,6 @@ GALLERY_DOC: tuple[_Doc, ...] = (
     ),
     _Doc(
         Eager1F1B(P),
-        "eager1f1b",
         "`min(2(p - 1 - rank) + 1, n_mbs)` — roughly double 1F1B",
         "same uniform-cost makespan as 1F1B; wins once transfers have "
         "latency",
@@ -82,7 +87,6 @@ GALLERY_DOC: tuple[_Doc, ...] = (
     ),
     _Doc(
         ZBH1(P),
-        "zbh1",
         "`min(p - rank, n_mbs)` — exactly 1F1B's bound",
         "about a third of 1F1B's: cooldown bubble is filled with deferred "
         "`bwd_w` units",
@@ -91,7 +95,6 @@ GALLERY_DOC: tuple[_Doc, ...] = (
     ),
     _Doc(
         ZBH2(P),
-        "zbh2",
         "`min(2p - 1, n_mbs)` — uniform, roughly double 1F1B",
         "near zero when `n_mbs >> p`: warmup doubled, critical path is a "
         "pure `bwd_i` chain",
@@ -100,7 +103,6 @@ GALLERY_DOC: tuple[_Doc, ...] = (
     ),
     _Doc(
         ZBV(P),
-        "zbv",
         "measured per rank; ~`2p` *chunk* activations = 1F1B's byte budget "
         "(each chunk holds half the layers)",
         "approaches ZB-H2's bubble at roughly ZB-H1's memory — the V "
@@ -113,7 +115,6 @@ GALLERY_DOC: tuple[_Doc, ...] = (
     ),
     _Doc(
         Interleaved1F1B(P, 2),
-        "interleaved",
         "grows with `v`: about `p·(v-1) + p - rank` chunk activations",
         "shrinks by ~`1/v`: each bubble slot is a chunk, not a full stage",
         "The Megatron default at scale (Fig. 6): more, smaller tasks cut "
@@ -123,7 +124,6 @@ GALLERY_DOC: tuple[_Doc, ...] = (
     ),
     _Doc(
         LoopedBFS(P, 2),
-        "looped_bfs",
         "`n_mbs * v` — GPipe-like, scaled by circular repeat",
         "GPipe's bubble per sweep; worst of the family at equal work",
         "Llama-style breadth-first sweeps: maximum send batching and "
@@ -133,7 +133,6 @@ GALLERY_DOC: tuple[_Doc, ...] = (
     ),
     _Doc(
         InterleavedZB(P, 2),
-        "interleaved_zb",
         "exactly Interleaved-1F1B's per-rank peaks (measured, preserved "
         "by construction)",
         "below Interleaved-1F1B's at the same memory: downstream chunks "

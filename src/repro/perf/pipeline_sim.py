@@ -7,7 +7,10 @@ time. Schedule behaviour (bubbles, warmup, interleaving, overlap of
 asynchronous P2P) therefore *emerges* from the same machinery the numeric
 runtime uses, rather than from closed-form bubble formulas.
 
-Two entry points share that machinery:
+The programs come from the compiler's own emitter,
+:meth:`~repro.core.schedule_ir.ScheduleIR.emit`: :func:`cost_only_programs`
+is its per-slot function for payload-free tasks. Two entry points run
+them on the event engine:
 
 - :func:`simulate_pipeline` prices one full training step of a
   :class:`PipelineSimConfig` (hardware topology, kernels, remat, DP sync);
@@ -21,34 +24,32 @@ Two entry points share that machinery:
 from __future__ import annotations
 
 import dataclasses
+from typing import Callable
 
-from repro.cluster.specs import NodeSpec
+from repro.cluster.specs import ClusterSpec, NodeSpec
 from repro.cluster.topology import Topology
+from repro.core.schedule_ir import ScheduleIR
 from repro.core.schedules import (
     BWD,
     BWD_I,
     BWD_W,
     FWD,
-    Eager1F1B,
-    GPipe,
-    Interleaved1F1B,
-    InterleavedZB,
-    LoopedBFS,
-    OneFOneB,
+    SCHEDULES,
     Schedule,
-    ZBH1,
-    ZBH2,
-    ZBV,
+    Unit,
 )
 from repro.perf import comms
 from repro.perf.kernels import KernelModel
 from repro.perf.memory import RematDecision, decide_remat
 from repro.perf.transformer import ModelSpec
-from repro.runtime.clock import CostModel
+from repro.runtime.clock import LinearCost
 from repro.runtime.executor import CommMode, MpmdExecutor
-from repro.runtime.instructions import BufferRef, Recv, RunTask, Send
+from repro.runtime.instructions import BufferRef, RunTask
 
-__all__ = ["PipelineSimConfig", "SimResult", "simulate_pipeline", "price_schedule"]
+__all__ = [
+    "PipelineSimConfig", "SimResult", "simulate_pipeline", "price_schedule",
+    "cost_only_programs",
+]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,9 +64,7 @@ class PipelineSimConfig:
         mbs: microbatch size (sequences).
         n_mbs: microbatches per pipeline per step (gradient accumulation).
         kernels: software-stack kernel model.
-        schedule: ``"interleaved"`` / ``"1f1b"`` / ``"gpipe"`` /
-            ``"eager1f1b"`` / ``"zbh1"`` / ``"zbh2"`` / ``"zbv"`` /
-            ``"looped_bfs"`` / ``"interleaved_zb"``.
+        schedule: a name in :data:`repro.core.schedules.SCHEDULES`.
         comm_mode: ASYNC (JaxPP overlapped P2P) or SYNC (blocking baseline).
     """
 
@@ -104,38 +103,17 @@ class PipelineSimConfig:
         return self.model.n_layers // (self.pp * self.v)
 
     def build_schedule(self) -> Schedule:
-        """Instantiate the schedule object."""
-        if self.schedule == "gpipe":
-            if self.v != 1:
-                raise ValueError("GPipe has no circular repeat")
-            return GPipe(self.pp)
-        if self.schedule == "1f1b":
-            if self.v != 1:
-                raise ValueError("use schedule='interleaved' for v > 1")
-            return OneFOneB(self.pp)
-        if self.schedule == "eager1f1b":
-            if self.v != 1:
-                raise ValueError("Eager1F1B has no circular repeat")
-            return Eager1F1B(self.pp)
-        if self.schedule == "zbh1":
-            if self.v != 1:
-                raise ValueError("ZB-H1 has no circular repeat")
-            return ZBH1(self.pp)
-        if self.schedule == "zbh2":
-            if self.v != 1:
-                raise ValueError("ZB-H2 has no circular repeat")
-            return ZBH2(self.pp)
-        if self.schedule == "zbv":
-            if self.v != 2:
-                raise ValueError("ZB-V has exactly two v-shape chunks per actor")
-            return ZBV(self.pp)
-        if self.schedule == "interleaved":
-            return Interleaved1F1B(self.pp, self.v)
-        if self.schedule == "looped_bfs":
-            return LoopedBFS(self.pp, self.v)
-        if self.schedule == "interleaved_zb":
-            return InterleavedZB(self.pp, self.v)
-        raise ValueError(f"unknown schedule {self.schedule!r}")
+        """Instantiate the schedule object; it must have ``v`` stage
+        chunks per actor."""
+        if self.schedule not in SCHEDULES:
+            raise ValueError(f"unknown schedule {self.schedule!r}")
+        sched = SCHEDULES[self.schedule](self.pp, self.v)
+        if sched.n_stages != self.pp * self.v:
+            raise ValueError(
+                f"{sched.name} has {sched.n_stages // self.pp} stage chunk(s) "
+                f"per actor, not v = {self.v}"
+            )
+        return sched
 
 
 @dataclasses.dataclass
@@ -162,22 +140,15 @@ class SimResult:
     n_tasks: int
 
 
-class _TopoCost(CostModel):
-    def __init__(self, topo: Topology, kernels: KernelModel):
+class _TopoCost(LinearCost):
+    """Link time from the hardware topology; tasks cost their hint."""
+
+    def __init__(self, topo: Topology, dispatch_s: float):
+        super().__init__(dispatch=dispatch_s)
         self.topo = topo
-        self.kernels = kernels
-
-    def task_time(self, cost_hint: float, meta: dict) -> float:
-        return cost_hint
-
-    def dispatch_overhead(self) -> float:
-        return self.kernels.dispatch_s
 
     def transfer_time(self, nbytes: int, src: int, dst: int) -> float:
         return self.topo.link(src, dst).transfer_time(nbytes)
-
-    def collective_time(self, nbytes: int, group) -> float:  # pragma: no cover
-        return 0.0
 
 
 def simulate_pipeline(cfg: PipelineSimConfig) -> SimResult:
@@ -200,100 +171,39 @@ def simulate_pipeline(cfg: PipelineSimConfig) -> SimResult:
         opt_shard=cfg.opt_shard,
     )
 
-    # ---- per-stage task costs -----------------------------------------------
+    # ---- per-unit task costs ------------------------------------------------
+    # a backward re-runs both TP collectives per matmul pair and carries the
+    # remat surcharge; split, the surcharge lands on bwd_i (activation
+    # recompute precedes the input gradient) and bwd_w is the deferred,
+    # purely local weight-gradient half
     tp_fwd = chunk * comms.tp_allreduce_per_layer(model, node, cfg.mbs, cfg.tp, "fwd", kern.allreduce_latency_s)
-    tp_bwd = 2.0 * tp_fwd  # backward re-runs both collectives per matmul pair
+    remat_extra = remat.extra_fwd_fraction * kern.block_time(model, gpu, chunk, cfg.mbs, cfg.tp, "fwd")
+    frac = sched.bwd_input_fraction
 
-    def fwd_cost(stage: int) -> float:
-        t = kern.block_time(model, gpu, chunk, cfg.mbs, cfg.tp, "fwd") + tp_fwd
-        if stage == n_stages - 1:
-            t += kern.logits_time(model, gpu, cfg.mbs, cfg.tp, "fwd")
+    def unit_cost(u: Unit) -> float:
+        d = "fwd" if u.kind == FWD else "bwd"
+        t = kern.block_time(model, gpu, chunk, cfg.mbs, cfg.tp, d)
+        t = t + tp_fwd if d == "fwd" else t + 2.0 * tp_fwd + remat_extra
+        if u.stage == n_stages - 1:
+            t += kern.logits_time(model, gpu, cfg.mbs, cfg.tp, d)
+        if u.kind == BWD_I:
+            return (t - remat_extra) * frac + remat_extra
+        if u.kind == BWD_W:
+            return (t - remat_extra) * (1.0 - frac)
         return t
 
-    def bwd_cost(stage: int) -> float:
-        t = kern.block_time(model, gpu, chunk, cfg.mbs, cfg.tp, "bwd") + tp_bwd
-        t += remat.extra_fwd_fraction * kern.block_time(model, gpu, chunk, cfg.mbs, cfg.tp, "fwd")
-        if stage == n_stages - 1:
-            t += kern.logits_time(model, gpu, cfg.mbs, cfg.tp, "bwd")
-        return t
-
-    # ---- emit instruction programs from the schedule IR ---------------------
-    # the IR's slots are the tasks and its cross-rank edges are the
-    # transfers; nothing about unit dependencies is re-derived here
-    topo = Topology(cluster=_adhoc_cluster(node, cfg.pp), gpus_per_actor=cfg.tp)
+    # ---- run the cost-only programs -----------------------------------------
+    # on a cluster just big enough (one actor per TP group), with §4.2's recv
+    # placement — except the SPMD encoding of GPipe under synchronous comms
+    # (§2.2.2): per-iteration recv -> compute -> send, the naive placement
+    cluster = ClusterSpec(name="sim", node=node, n_nodes=max(cfg.pp, 1))
+    clock = _TopoCost(Topology(cluster=cluster, gpus_per_actor=cfg.tp), kern.dispatch_s)
     boundary = model.boundary_bytes(cfg.mbs) / cfg.tp
-
-    ir = sched_ir
-    programs: list[list] = [[] for _ in range(cfg.pp)]
-
-    def uid(u) -> str:
-        return f"{u.kind}{u.stage}.{u.mb}"
-
-    remat_extra = remat.extra_fwd_fraction * kern.block_time(
-        model, gpu, chunk, cfg.mbs, cfg.tp, "fwd"
+    naive = cfg.comm_mode is CommMode.SYNC and cfg.schedule == "gpipe"
+    res = _execute(
+        sched_ir, unit_cost, lambda stage: boundary, clock, cfg.comm_mode,
+        "naive" if naive else "topo",
     )
-
-    def make_task(slot) -> RunTask:
-        u = slot.unit
-        # cross-rank inputs arrive as recv'd buffers; the weight-gradient
-        # half waits on its local input-gradient buffer (ir.buffer_deps)
-        in_refs = [BufferRef(uid(d.unit)) for d in ir.buffer_deps(slot)]
-        is_remat = False
-        if u.kind == FWD:
-            cost = fwd_cost(u.stage)
-        elif u.kind == BWD:
-            cost = bwd_cost(u.stage)
-            is_remat = remat.extra_fwd_fraction > 0
-        elif u.kind == BWD_I:
-            # activation recompute must precede the input gradient, so the
-            # remat surcharge lands on this half of the split backward
-            cost = (bwd_cost(u.stage) - remat_extra) * sched.bwd_input_fraction + remat_extra
-            is_remat = remat.extra_fwd_fraction > 0
-        else:  # BWD_W: the deferred, purely local weight-gradient half
-            cost = (bwd_cost(u.stage) - remat_extra) * (1.0 - sched.bwd_input_fraction)
-        glyph = {FWD: "f", BWD: "b", BWD_I: "bi", BWD_W: "w"}[u.kind]
-        return RunTask(
-            name=f"{glyph}{u.stage}({u.mb})",
-            in_refs=in_refs,
-            out_refs=[BufferRef(uid(u))],
-            fn=None,
-            cost=cost,
-            meta={"kind": u.kind, "stage": u.stage, "mb": u.mb,
-                  "out_nbytes": [int(boundary) if u.kind != BWD_W else 0],
-                  "remat": is_remat},
-        )
-
-    # Per-iteration recv->compute->send ordering is only deadlock-free for
-    # GPipe's phase-separated structure; under 1F1B-style schedules it is
-    # exactly the Figure 5 deadlock. Everything else uses §4.2's global
-    # topological emission (valid under both comm modes).
-    use_iter_order = cfg.comm_mode is CommMode.SYNC and cfg.schedule == "gpipe"
-    if not use_iter_order:
-        # JaxPP emission (§4.2): the IR's global topological order,
-        # send+recv posted the moment the producer runs -> receivers
-        # prefetch.
-        for slot in ir.toposort():
-            a = slot.rank
-            programs[a].append(make_task(slot))
-            key = uid(slot.unit)
-            for dst in ir.send_dsts(slot):
-                programs[a].append(Send(BufferRef(key), dst, key))
-                programs[dst].append(Recv(BufferRef(key), a, key, int(boundary)))
-    else:
-        # Synchronous lockstep (the SPMD-loop encoding of §2.2.2): each
-        # iteration is recv -> compute -> send, per actor.
-        for a, row in enumerate(ir.slots):
-            for slot in row:
-                for d in ir.cross_deps(slot):
-                    k = uid(d.unit)
-                    programs[a].append(Recv(BufferRef(k), d.rank, k, int(boundary)))
-                programs[a].append(make_task(slot))
-                key = uid(slot.unit)
-                for dst in ir.send_dsts(slot):
-                    programs[a].append(Send(BufferRef(key), dst, key))
-
-    executor = MpmdExecutor(cfg.pp, cost_model=_TopoCost(topo, kern), comm_mode=cfg.comm_mode)
-    res = executor.execute(programs, wake_order=ir.initial_ready_ranks())
 
     # ---- close the step: DP sync + optimizer --------------------------------
     dp_time = comms.dp_gradient_allreduce(model, node, cfg.pp, cfg.tp, cfg.dp)
@@ -302,18 +212,17 @@ def simulate_pipeline(cfg: PipelineSimConfig) -> SimResult:
     step_time = res.makespan + dp_time + opt_time
 
     # ---- breakdown on the critical actor ------------------------------------
+    # a (split) backward carries the remat surcharge whenever remat is on
+    remat_kinds = (BWD, BWD_I) if remat.extra_fwd_fraction > 0 else ()
     crit = max(range(cfg.pp), key=lambda a: res.actor_finish[a])
     compute = remat_t = 0.0
+    n_tasks_crit = 0
     for e in res.timeline:
         if e.actor == crit and e.kind == "task":
-            dur = e.end - e.start
-            if e.meta.get("remat"):
-                extra = remat.extra_fwd_fraction * kern.block_time(model, gpu, chunk, cfg.mbs, cfg.tp, "fwd")
-                remat_t += extra
-                compute += dur - extra
-            else:
-                compute += dur
-    n_tasks_crit = sum(1 for e in res.timeline if e.actor == crit and e.kind == "task")
+            extra = remat_extra if e.meta["kind"] in remat_kinds else 0.0
+            remat_t += extra
+            compute += (e.end - e.start) - extra
+            n_tasks_crit += 1
     dispatch = n_tasks_crit * kern.dispatch_s
     compute -= dispatch
     if cfg.comm_mode is CommMode.SYNC:
@@ -338,7 +247,7 @@ def simulate_pipeline(cfg: PipelineSimConfig) -> SimResult:
         remat=remat,
         breakdown=breakdown,
         p2p_bytes=res.p2p_bytes,
-        n_tasks=len(ir.slots[0]),
+        n_tasks=len(sched_ir.slots[0]),
     )
 
 
@@ -360,9 +269,8 @@ def price_schedule(
     ``cost_model`` — any object with ``unit_time(stage, kind,
     bwd_input_fraction)`` and ``boundary_bytes(stage)``, canonically
     :class:`repro.core.autotune.CostModel` — supplies each task's device
-    seconds and each boundary tensor's size.  Emission is §4.2's global
-    topological order, identical to :func:`simulate_pipeline`'s, so
-    pricing and full-step simulation see the same overlap behaviour.
+    seconds and each boundary tensor's size.  Emission is the compiler's,
+    :meth:`~repro.core.schedule_ir.ScheduleIR.emit` with §4.2's placement.
 
     Returns the raw :class:`~repro.runtime.executor.ExecutionResult`:
     ``makespan`` is the schedule's pipeline-phase time, and
@@ -370,49 +278,55 @@ def price_schedule(
     per-rank parked-time feedback that drives ``core.autotune``'s
     second search round.
     """
-    from repro.runtime.clock import LinearCost
-
-    ir = schedule.lower(n_mbs)
     frac = schedule.bwd_input_fraction
-    programs: list[list] = [[] for _ in range(ir.n_ranks)]
+    return _execute(
+        schedule.lower(n_mbs),
+        lambda u: cost_model.unit_time(u.stage, u.kind, frac),
+        cost_model.boundary_bytes,
+        LinearCost(dispatch=dispatch_s, p2p_latency=p2p_latency_s, p2p_bandwidth=p2p_bandwidth),
+        comm_mode,
+    )
 
-    def uid(u) -> str:
+
+def cost_only_programs(
+    ir: ScheduleIR,
+    unit_cost: Callable[[Unit], float],
+    out_bytes: Callable[[int], float],
+    placement: str = "topo",
+) -> list[list]:
+    """One payload-free program per rank of ``ir``, emitted by
+    :meth:`~repro.core.schedule_ir.ScheduleIR.emit` with ``placement``: a
+    ``RunTask`` per slot costing ``unit_cost(unit)`` seconds and reading
+    ``ir.buffer_deps``, and one ``out_bytes(stage)``-byte transfer to each
+    other rank that consumes its output."""
+
+    def uid(u: Unit) -> str:
         return f"{u.kind}{u.stage}.{u.mb}"
 
-    for slot in ir.toposort():
+    def slot_fn(slot):
         u = slot.unit
-        nbytes = int(cost_model.boundary_bytes(u.stage))
-        programs[slot.rank].append(
-            RunTask(
-                name=f"{u.kind}{u.stage}({u.mb})",
-                in_refs=[BufferRef(uid(d.unit)) for d in ir.buffer_deps(slot)],
-                out_refs=[BufferRef(uid(u))],
-                fn=None,
-                cost=cost_model.unit_time(u.stage, u.kind, frac),
-                meta={"kind": u.kind, "stage": u.stage, "mb": u.mb,
-                      "out_nbytes": [nbytes if u.kind != BWD_W else 0]},
-            )
+        nbytes = int(out_bytes(u.stage))
+        ref = BufferRef(uid(u))
+        task = RunTask(
+            name=f"{u.kind}{u.stage}({u.mb})",
+            in_refs=[BufferRef(uid(d.unit)) for d in ir.buffer_deps(slot)],
+            out_refs=[ref],
+            fn=None,
+            cost=unit_cost(u),
+            meta={"kind": u.kind, "stage": u.stage, "mb": u.mb,
+                  "out_nbytes": [nbytes if u.kind != BWD_W else 0]},
         )
-        key = uid(u)
-        for dst in ir.send_dsts(slot):
-            programs[slot.rank].append(Send(BufferRef(key), dst, key))
-            programs[dst].append(Recv(BufferRef(key), slot.rank, key, nbytes))
+        sends = [(ref, ref.uid, nbytes, c.rank, c) for c in ir.send_targets(slot)]
+        return [task], sends, []
 
-    executor = MpmdExecutor(
-        ir.n_ranks,
-        cost_model=LinearCost(
-            dispatch=dispatch_s,
-            p2p_latency=p2p_latency_s,
-            p2p_bandwidth=p2p_bandwidth,
-        ),
-        comm_mode=comm_mode,
+    return ir.emit(slot_fn, placement)
+
+
+def _execute(ir, unit_cost, out_bytes, clock, comm_mode, placement="topo"):
+    """Run :func:`cost_only_programs` on the event engine, timed by the
+    runtime cost model ``clock``."""
+    executor = MpmdExecutor(ir.n_ranks, cost_model=clock, comm_mode=comm_mode)
+    return executor.execute(
+        cost_only_programs(ir, unit_cost, out_bytes, placement),
+        wake_order=ir.initial_ready_ranks(),
     )
-    return executor.execute(programs, wake_order=ir.initial_ready_ranks())
-
-
-def _adhoc_cluster(node: NodeSpec, n_actors: int):
-    """A cluster just big enough for the simulated pipeline (one actor per
-    TP group; with tp == gpus/node each actor is one node)."""
-    from repro.cluster.specs import ClusterSpec
-
-    return ClusterSpec(name="sim", node=node, n_nodes=max(n_actors, 1))

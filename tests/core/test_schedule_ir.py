@@ -3,8 +3,10 @@
 Covers the tentpole invariants: every schedule family lowers and
 validates over an n_mbs grid, slot/edge counts follow closed forms,
 intra/cross classification matches placement, resource annotations
-balance, the topological order matches the legacy helper, and the graph
-checks (deadlock, memory bound) reject bad schedules.
+balance, the topological order respects every edge, the graph checks
+(deadlock, memory bound) reject bad schedules, and the one send/recv
+emitter (:meth:`ScheduleIR.emit`) keeps its contract under both recv
+placements — including Figure 5 on the event engine.
 """
 
 import pytest
@@ -25,8 +27,11 @@ from repro.core.schedules import (
     Unit,
     ZBH1,
     ZBH2,
-    toposort_units,
+    ZBV,
 )
+from repro.perf.pipeline_sim import cost_only_programs
+from repro.runtime import BufferRef, CommMode, LinearCost, MpmdExecutor, Recv, RunTask, Send
+from repro.runtime.executor import CommMismatchError, DeadlockError
 
 
 def all_schedules(p=4, v=2):
@@ -90,11 +95,6 @@ class TestLoweringGrid:
         ir = sched.lower(8)
         for row in ir.slots:
             assert sum(s.acquires for s in row) == sum(s.releases for s in row)
-
-    @pytest.mark.parametrize("sched", all_schedules(), ids=lambda s: s.name)
-    def test_toposort_matches_legacy_helper(self, sched):
-        ir = sched.lower(8)
-        assert [(s.rank, s.unit) for s in ir.toposort()] == toposort_units(sched, 8)
 
     @pytest.mark.parametrize("sched", all_schedules(), ids=lambda s: s.name)
     def test_toposort_respects_edges_and_program_order(self, sched):
@@ -173,6 +173,106 @@ class TestGraphChecks:
             a = schedule_stats(sched, 8, fwd_time=1.0, bwd_time=2.0)
             b = sched.lower(8).stats(fwd_time=1.0, bwd_time=2.0)
             assert a == b
+
+
+GALLERY = all_schedules() + [ZBV(4)]
+
+
+def emitted(sched, placement, n_mbs=8):
+    """Cost-only programs (``fwd = 1, bwd = 2``, 8 bytes a transfer)
+    through the one emitter."""
+    return cost_only_programs(
+        sched.lower(n_mbs), lambda u: 1.0 if u.kind == FWD else 2.0,
+        lambda stage: 8, placement,
+    )
+
+
+class TestEmit:
+    """:meth:`ScheduleIR.emit`'s contract, on the cost-only path."""
+
+    @staticmethod
+    def channels(progs):
+        """Send keys and recv keys per directed channel, in program order."""
+        sends: dict[tuple[int, int], list[str]] = {}
+        recvs: dict[tuple[int, int], list[str]] = {}
+        for rank, prog in enumerate(progs):
+            for instr in prog:
+                if isinstance(instr, Send):
+                    sends.setdefault((rank, instr.dst), []).append(instr.key)
+                elif isinstance(instr, Recv):
+                    recvs.setdefault((instr.src, rank), []).append(instr.key)
+        return sends, recvs
+
+    @pytest.mark.parametrize("placement", ["topo", "naive"])
+    @pytest.mark.parametrize("sched", GALLERY, ids=lambda s: s.name)
+    def test_every_send_has_one_recv_in_channel_fifo_order(self, sched, placement):
+        sends, recvs = self.channels(emitted(sched, placement))
+        keys = [k for chan in sends.values() for k in chan]
+        assert len(keys) == len(set(keys)) == sched.lower(8).n_cross_edges
+        assert {c: sorted(k) for c, k in sends.items()} == {c: sorted(k) for c, k in recvs.items()}
+        if placement == "naive" and isinstance(sched, ZBV):
+            return  # consumer order is not send order here: see below
+        assert sends == recvs
+
+    def test_naive_breaks_channel_order_on_zbv(self):
+        """ZB-V's V re-enters each rank, so one channel carries forward
+        activations and input gradients that the destination consumes in
+        another order than the source produces them: naive placement
+        mismatches the pairwise-FIFO channel even with asynchronous
+        sends. Topological placement posts recvs in send order."""
+        sends, recvs = self.channels(emitted(ZBV(4), "naive"))
+        assert sends != recvs
+        ex = MpmdExecutor(4, cost_model=LinearCost(), comm_mode=CommMode.ASYNC)
+        with pytest.raises(CommMismatchError):
+            ex.execute(emitted(ZBV(4), "naive"))
+
+    @pytest.mark.parametrize("sched", GALLERY, ids=lambda s: s.name)
+    def test_naive_recv_immediately_precedes_its_first_consumer(self, sched):
+        for prog in emitted(sched, "naive"):
+            for i, instr in enumerate(prog):
+                if not isinstance(instr, Recv):
+                    continue
+                j = i + 1
+                while isinstance(prog[j], Recv):
+                    j += 1
+                assert isinstance(prog[j], RunTask) and instr.ref in prog[j].in_refs
+                assert not any(
+                    isinstance(x, RunTask) and instr.ref in x.in_refs for x in prog[:i]
+                )
+
+    def test_placements_differ_only_in_recv_position(self):
+        for a, b in zip(emitted(OneFOneB(4), "topo"), emitted(OneFOneB(4), "naive")):
+            assert [x for x in a if not isinstance(x, Recv)] == [
+                x for x in b if not isinstance(x, Recv)
+            ]
+
+    def test_figure5_on_the_event_engine(self):
+        """Naive placement deadlocks 1F1B under synchronous sends and is
+        exact for GPipe; topological placement completes everywhere."""
+
+        def run(sched, placement):
+            ex = MpmdExecutor(sched.n_actors, cost_model=LinearCost(), comm_mode=CommMode.SYNC)
+            return ex.execute(emitted(sched, placement))
+
+        with pytest.raises(DeadlockError):
+            run(OneFOneB(4), "naive")
+        assert run(GPipe(4), "naive").makespan > 0
+        for sched in GALLERY:
+            assert run(sched, "topo").makespan > 0, sched.name
+
+    def test_base_offsets_ranks_and_peers(self):
+        """A data-parallel replica's programs and transfer peers sit
+        ``base`` ranks up."""
+        ir = OneFOneB(2).lower(2)
+
+        def slot_fn(slot):
+            key = f"x{slot.key}"
+            return [], [(BufferRef(key), key, 8, c.rank, c) for c in ir.send_targets(slot)], []
+
+        progs = ir.emit(slot_fn, programs=[[] for _ in range(4)], base=2)
+        assert progs[0] == progs[1] == []
+        assert {i.dst for i in progs[2] if isinstance(i, Send)} == {3}
+        assert {i.src for i in progs[3] if isinstance(i, Recv)} == {2}
 
 
 class TestCustomLowering:

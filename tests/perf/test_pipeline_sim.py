@@ -67,6 +67,27 @@ class TestBasics:
         s = simulate_pipeline(cfg(comm_mode=CommMode.SYNC))
         assert s.makespan > a.makespan
 
+    def test_sync_gpipe_naive_placement(self):
+        # frameworks.jax_spmd_pp's configuration: GPipe under blocking P2P
+        # runs on the naive (per-iteration recv -> compute -> send) placement
+        small = dict(schedule="gpipe", pp=4, n_mbs=8)
+        a = simulate_pipeline(cfg(comm_mode=CommMode.ASYNC, **small))
+        s = simulate_pipeline(cfg(comm_mode=CommMode.SYNC, **small))
+        b = s.breakdown
+        total = b["compute"] + b["remat"] + b["p2p"] + b["bubble"] + b["dispatch"]
+        assert total == pytest.approx(s.makespan, rel=1e-6)
+        assert b["p2p"] > 0
+        assert s.makespan >= a.makespan
+
+    def test_build_schedule_checks_chunks_per_actor(self):
+        assert cfg(schedule="zbv", v=2).build_schedule().n_stages == 16
+        assert cfg(schedule="looped_bfs", v=3).build_schedule().n_stages == 24
+        for name, v in [("gpipe", 2), ("1f1b", 2), ("zbv", 1), ("zbh1", 3)]:
+            with pytest.raises(ValueError, match="per actor"):
+                cfg(schedule=name, v=v).build_schedule()
+        with pytest.raises(ValueError, match="unknown schedule"):
+            cfg(schedule="2f2b").build_schedule()
+
     def test_p2p_bytes_scale_with_microbatches(self):
         r16 = simulate_pipeline(cfg(n_mbs=16))
         r32 = simulate_pipeline(cfg(n_mbs=32))
