@@ -199,7 +199,7 @@ class RemoteMesh:
         cost_fn: Callable[..., float] | None = None,
         task_backend: str = "codegen",
         memory_budget: float | None = None,
-        optimize: bool | int = True,
+        optimize: bool = True,
     ) -> "StepFunction":
         """Wrap ``train_step`` for MPMD execution on this mesh.
 
@@ -222,15 +222,12 @@ class RemoteMesh:
         over the same program; bit-identical, the reference codegen is
         differential-tested against), or ``"interpret"`` (the
         tree-walking reference).
-        ``optimize`` sets the algebraic-optimizer level applied to the
-        stage jaxprs before lowering (:mod:`repro.ir.opt`): ``True``
-        (default) runs the exact level-1 pipeline — CSE, identity
-        elision, cross-boundary DCE, cross-microbatch memoization —
-        guaranteed bit-identical to ``False``; ``2`` additionally
-        reassociates matmul/transpose chains priced by
-        :mod:`repro.perf.kernels` (value-changing in floats).  The
+        ``optimize`` (default ``True``) runs the algebraic optimizer over
+        the stage jaxprs before lowering (:mod:`repro.ir.opt`) — CSE,
+        identity elision, cross-boundary DCE, cross-microbatch
+        memoization — guaranteed bit-identical to ``False``.  The
         per-stage rewrite report is available afterwards as
-        ``step_fn.compiled.opt_report``.
+        ``step_fn.compiled.opt_report`` (``None`` when ``False``).
         """
         if isinstance(schedule, str) and schedule != "auto":
             raise ValueError(
@@ -265,7 +262,7 @@ class StepFunction:
         cost_fn: Callable[..., float] | None,
         task_backend: str = "codegen",
         memory_budget: float | None = None,
-        optimize: bool | int = True,
+        optimize: bool = True,
     ):
         self.mesh = mesh
         self.train_step = train_step

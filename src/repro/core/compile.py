@@ -74,7 +74,7 @@ from repro.ir.codegen import codegen
 from repro.ir.interpreter import eval_jaxpr
 from repro.ir.jaxpr import Atom, Jaxpr, Literal, Var
 from repro.ir.linearize import linearize
-from repro.ir.opt import normalize_opt_level, optimize_split
+from repro.ir.opt import optimize_split
 from repro.runtime.instructions import (
     Accumulate,
     AllReduce,
@@ -142,18 +142,15 @@ class CompiledStep:
             :class:`~repro.ir.linearize.LinearProgram` VM) or
             ``"interpret"`` (the tree-walking reference interpreter).
         program_key: process-unique readable id for this compiled step,
-            minted as ``step-{n}.{task_backend}.L{opt_level}`` — the
-            readable prefix of the key under which the warm mp pool ships
-            and caches the programs worker-side (the pool appends its own
-            ``#{ship}`` counter, so the worker cache cannot collide even
-            when two variants of one traced step share a pool).
-        opt_level: the algebraic-optimizer level the stage jaxprs were
-            rewritten at (:mod:`repro.ir.opt`): 0 = untouched, 1 = exact
-            rewrites (CSE / DCE / identity elision / cross-microbatch
-            memoization), 2 = adds value-changing reassociation.
+            minted as ``step-{n}.{task_backend}.L{0|1}`` (``L1`` when the
+            algebraic optimizer ran) — the readable prefix of the key
+            under which the warm mp pool ships and caches the programs
+            worker-side (the pool appends its own ``#{ship}`` counter, so
+            the worker cache cannot collide even when two variants of one
+            traced step share a pool).
         opt_report: the per-task :class:`~repro.ir.opt.OptReport`
             (before/after eqn counts and boundary bytes) when the
-            optimizer ran, else ``None``.
+            algebraic optimizer ran, ``None`` when it did not.
         literal_placements: ``(actor, uid, literal)`` compile-time
             constants every run needs placed (pinned) on ``actor`` —
             once per data-parallel replica.
@@ -174,7 +171,6 @@ class CompiledStep:
     program_key: str = dataclasses.field(
         default_factory=lambda: f"step-{next(_PROGRAM_KEYS)}"
     )
-    opt_level: int = 0
     opt_report: Any = None
     literal_placements: list[tuple[int, str, Any]] = dataclasses.field(
         default_factory=list
@@ -301,7 +297,7 @@ def compile_train_step(
     task_backend: str = "codegen",
     n_actors: int | None = None,
     memory_budget: float | None = None,
-    optimize: bool | int = True,
+    optimize: bool = True,
 ) -> CompiledStep:
     """Lower a traced training step into per-actor instruction programs.
 
@@ -333,19 +329,22 @@ def compile_train_step(
         memory_budget: per-rank live-activation-byte budget for
             ``schedule="auto"`` — candidates whose peak exceeds it are
             excluded from the search.
-        optimize: algebraic-optimizer level for the stage jaxprs
-            (:mod:`repro.ir.opt`).  ``True`` (default) = level 1: CSE,
-            identity elision, cross-boundary DCE, and cross-microbatch
-            memoization — all bit-identical to ``False`` (level 0).
-            ``2`` additionally reassociates matmul/transpose chains
-            priced by :mod:`repro.perf.kernels` (value-changing in
-            floats).  The report lands on ``CompiledStep.opt_report``.
+        optimize: run the algebraic optimizer over the stage jaxprs
+            (:mod:`repro.ir.opt`; default ``True``): CSE, identity
+            elision, cross-boundary DCE, and cross-microbatch
+            memoization — all bit-identical to ``False``.  The report
+            lands on ``CompiledStep.opt_report``.
     """
     if comm_strategy not in ("topo", "naive"):
         raise ValueError(f"unknown comm_strategy {comm_strategy!r}")
     if task_backend not in TASK_BACKENDS:
         raise ValueError(
             f"unknown task_backend {task_backend!r}; expected one of {TASK_BACKENDS}"
+        )
+    if optimize not in (True, False):
+        raise ValueError(
+            f"optimize must be True or False, got {optimize!r} "
+            "(the value-changing level 2 was removed)"
         )
 
     loop_positions = [i for i, e in enumerate(jaxpr.eqns) if e.prim is pipeline_loop_p]
@@ -393,21 +392,18 @@ def compile_train_step(
     # ------------------------------------------------------------------
     # algebraic optimizer (ir/opt.py): rewrite every stage jaxpr before
     # linearization — CSE, identity elision, cross-boundary DCE, and
-    # cross-microbatch memoization (level >= 1, bit-identical), plus
-    # priced reassociation at level 2
+    # cross-microbatch memoization, all bit-identical
     # ------------------------------------------------------------------
-    opt_level = normalize_opt_level(optimize)
     prologues: dict[int, Any] = {}
     memo_vars: dict[int, tuple[int, int]] = {}
     memo_boundary: dict[int, tuple[int, int]] = {}
     out_aliases: list = []
     opt_report = None
-    if opt_level > 0:
+    if optimize:
         sopt = optimize_split(
             split,
             n_batch=n_batch,
             n_mbs=n_mbs,
-            level=opt_level,
             elide_sharding=spmd_config is None,
         )
         split = sopt.split
@@ -1066,10 +1062,10 @@ def compile_train_step(
         schedule_ir=sched_ir,
         task_backend=task_backend,
         tune_report=tune_report,
-        # the full variant tuple: same jaxpr at another opt level or task
-        # backend must never share a worker-side program-cache entry
-        program_key=f"step-{next(_PROGRAM_KEYS)}.{task_backend}.L{opt_level}",
-        opt_level=opt_level,
+        # the full variant tuple: same jaxpr optimized or not, or on
+        # another task backend, must never share a worker-side
+        # program-cache entry
+        program_key=f"step-{next(_PROGRAM_KEYS)}.{task_backend}.L{int(optimize)}",
         opt_report=opt_report,
         literal_placements=literal_placements + const_loop_outputs,
     )

@@ -8,9 +8,8 @@ values no downstream stage ever consumes, and loop-invariant subgraphs —
 attention masks, positional iotas, weight transposes in the backward —
 recomputed for every microbatch of every step.  This module is the rewrite
 pipeline that runs on each stage jaxpr in ``core/compile.py`` *before*
-linearization:
-
-``level 1`` (the default; **bit-identical** to unoptimized):
+linearization (``optimize=True``, the default).  Every rewrite is
+**bit-identical** to the unoptimized jaxpr:
 
 - **identity elision** — ``identity_alias`` equations (``pipeline_yield``,
   ``stop_gradient`` — and ``shard_constraint`` when the compile has no
@@ -34,16 +33,6 @@ linearization:
   cross-actor), so send/recv metadata and
   ``CostModel.from_tasks`` boundary bytes both shrink.
 
-``level 2`` (opt-in; **value-changing in floats**, so never default):
-
-- **transpose composition** — ``transpose(transpose(x))`` folds into one
-  permutation (or an alias when the composition is the identity);
-- **matmul reassociation** — ``(x @ y) @ z`` is re-parenthesized to
-  ``x @ (y @ z)`` when the contraction-order cost, priced through the
-  :mod:`repro.perf.kernels` model (peak-FLOPs efficiency + per-kernel
-  dispatch overhead), is strictly cheaper.  FP addition is not
-  associative, so results are ``allclose`` rather than bit-identical.
-
 All rewrites preserve IR well-formedness (``validate`` holds on every
 output jaxpr) and the task-boundary contract of
 :class:`~repro.core.stage_split.StageTask`: :func:`optimize_split` returns
@@ -57,25 +46,20 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from repro.ir.jaxpr import Atom, Eqn, Jaxpr, Literal, Var, dce, validate
 
 __all__ = [
-    "OPT_LEVELS",
     "JaxprOptStats",
     "OptReport",
     "Prologue",
     "SplitOpt",
-    "default_matmul_price",
-    "normalize_opt_level",
     "optimize_jaxpr",
     "optimize_split",
 ]
-
-OPT_LEVELS = (0, 1, 2)
 
 #: commutative binops whose IEEE semantics make operand order bitwise
 #: irrelevant (NaN-payload propagation aside), so CSE may canonicalize
@@ -86,30 +70,9 @@ _COMMUTATIVE = frozenset({"add", "mul", "maximum", "minimum"})
 _LIT_KEY_MAX = 256
 
 
-def normalize_opt_level(optimize: bool | int) -> int:
-    """Map the user-facing ``optimize`` argument onto a level in 0..2.
-
-    ``True`` (the default) means level 1 — the full exact pipeline;
-    ``False`` disables optimization entirely; an explicit int picks the
-    level (2 enables the value-changing reassociation pass).
-    """
-    if optimize is True:
-        return 1
-    if optimize is False:
-        return 0
-    level = int(optimize)
-    if level not in OPT_LEVELS:
-        raise ValueError(f"optimize must be one of {OPT_LEVELS} (or bool), got {optimize!r}")
-    return level
-
-
 # ---------------------------------------------------------------------------
 # structural hashing
 # ---------------------------------------------------------------------------
-
-
-class _Unhashable(Exception):
-    """Raised by :func:`_freeze` on param values with no stable key."""
 
 
 def _freeze(value: Any) -> Any:
@@ -148,13 +111,7 @@ class JaxprOptStats:
     cse_removed: int = 0
     identity_elided: int = 0
     dce_removed: int = 0
-    reassociated: int = 0
     hoisted: int = 0
-
-    @property
-    def removed(self) -> int:
-        """Equations removed from the per-microbatch path."""
-        return self.eqns_before - self.eqns_after
 
 
 def _is_identity(eqn: Eqn, elide_sharding: bool) -> bool:
@@ -213,7 +170,7 @@ def _cse(
                 in_keys = tuple(sorted(in_keys, key=repr))
             key = (eqn.prim.name, in_keys, _freeze(eqn.params))
             hash(key)
-        except (_Unhashable, TypeError):
+        except TypeError:
             key = None
         if key is not None:
             prev = table.get(key)
@@ -234,153 +191,20 @@ def _cse(
 
 
 # ---------------------------------------------------------------------------
-# level 2: transpose composition + matmul reassociation, priced by
-# perf.kernels
-# ---------------------------------------------------------------------------
-
-
-def default_matmul_price(kernels=None, gpu=None) -> Callable[[float], float]:
-    """Seconds for one matmul of a given FLOP count under the §5.1 kernel
-    model: ``flops / (peak * base_eff) + dispatch_s``.  Monotone in FLOPs
-    but with a real per-kernel launch overhead, so a reassociation that
-    adds a kernel must buy enough FLOP savings to pay for the dispatch.
-    """
-    if kernels is None:
-        from repro.perf.kernels import JAX_KERNELS
-
-        kernels = JAX_KERNELS
-    if gpu is None:
-        from repro.cluster.specs import H100_SXM
-
-        gpu = H100_SXM
-
-    peak = gpu.peak_flops * kernels.base_eff
-    dispatch = kernels.dispatch_s
-
-    def price(flops: float) -> float:
-        return flops / peak + dispatch
-
-    return price
-
-
-def _matmul_flops(lhs_shape: tuple, rhs_shape: tuple) -> float:
-    """FLOPs of ``matmul(lhs, rhs)``: ``2 * out_size * contraction``."""
-    k = lhs_shape[-1]
-    if len(rhs_shape) == 1 or len(lhs_shape) == 1:
-        raise _Unhashable  # vector cases: don't reassociate
-    out_elems = float(np.prod(lhs_shape[:-1], dtype=np.float64)) * rhs_shape[-1]
-    return 2.0 * out_elems * float(k)
-
-
-def _reassociate(
-    jaxpr: Jaxpr, price: Callable[[float], float], stats: JaxprOptStats
-) -> Jaxpr:
-    """Transpose composition and cost-priced matmul re-parenthesization.
-
-    Both rewrites change FP rounding (reassociation) or skip intermediate
-    materializations (composition), so they live behind ``opt_level=2``.
-    """
-    from repro.ir.avals import ShapedArray
-    from repro.ir.ops import matmul_p, transpose_p
-
-    producer: dict[int, Eqn] = {}
-    use_count: dict[int, int] = {}
-    for eqn in jaxpr.eqns:
-        for a in eqn.invars:
-            if isinstance(a, Var):
-                use_count[id(a)] = use_count.get(id(a), 0) + 1
-        for v in eqn.outvars:
-            producer[id(v)] = eqn
-    for a in jaxpr.outvars:
-        if isinstance(a, Var):
-            use_count[id(a)] = use_count.get(id(a), 0) + 1
-
-    repl: dict[int, Atom] = {}
-
-    def res(a: Atom) -> Atom:
-        while isinstance(a, Var) and id(a) in repl:
-            a = repl[id(a)]
-        return a
-
-    new_eqns: list[Eqn] = []
-    for eqn in jaxpr.eqns:
-        ins = [res(a) for a in eqn.invars]
-        if eqn.prim is transpose_p and isinstance(ins[0], Var):
-            inner = producer.get(id(ins[0]))
-            if inner is not None and inner.prim is transpose_p:
-                p1 = inner.params["perm"]
-                p2 = eqn.params["perm"]
-                composed = tuple(p1[i] for i in p2)
-                src = res(inner.invars[0])
-                if composed == tuple(range(len(composed))) and isinstance(src, Var):
-                    repl[id(eqn.outvars[0])] = src
-                    stats.reassociated += 1
-                    continue
-                if use_count.get(id(ins[0]), 0) == 1:
-                    new_eqns.append(
-                        Eqn(transpose_p, [src], eqn.outvars, {"perm": composed})
-                    )
-                    stats.reassociated += 1
-                    continue
-        if eqn.prim is matmul_p and isinstance(ins[0], Var):
-            inner = producer.get(id(ins[0]))
-            if (
-                inner is not None
-                and inner.prim is matmul_p
-                and use_count.get(id(ins[0]), 0) == 1
-            ):
-                x, y = (res(a) for a in inner.invars)
-                z = ins[1]
-                xs, ys, zs = x.aval.shape, y.aval.shape, z.aval.shape
-                # only the weight-chain case: y and z plain 2-D matrices,
-                # x arbitrarily batched — (x @ y) @ z == x @ (y @ z) up
-                # to FP rounding
-                if len(ys) == 2 and len(zs) == 2 and len(xs) >= 2:
-                    cur = price(_matmul_flops(xs, ys)) + price(
-                        _matmul_flops(inner.outvars[0].aval.shape, zs)
-                    )
-                    alt = price(_matmul_flops(ys, zs)) + price(
-                        _matmul_flops(xs, (ys[0], zs[1]))
-                    )
-                    if alt < cur:
-                        yz = Var(ShapedArray((ys[0], zs[1]), y.aval.dtype))
-                        new_eqns.append(Eqn(matmul_p, [y, z], [yz], {}))
-                        new_eqns.append(Eqn(matmul_p, [x, yz], eqn.outvars, {}))
-                        stats.reassociated += 1
-                        continue
-        if any(b is not a for a, b in zip(eqn.invars, ins)):
-            eqn = Eqn(eqn.prim, ins, eqn.outvars, dict(eqn.params))
-        new_eqns.append(eqn)
-    outvars = [res(a) for a in jaxpr.outvars]
-    return Jaxpr(jaxpr.invars, new_eqns, outvars)
-
-
-# ---------------------------------------------------------------------------
 # local pipeline over one jaxpr
 # ---------------------------------------------------------------------------
 
 
 def optimize_jaxpr(
-    jaxpr: Jaxpr,
-    level: int = 1,
-    *,
-    elide_sharding: bool = False,
-    price: Callable[[float], float] | None = None,
+    jaxpr: Jaxpr, *, elide_sharding: bool = False
 ) -> tuple[Jaxpr, JaxprOptStats]:
-    """Run the rewrite pipeline on one closed jaxpr.
+    """Run the rewrite pipeline on one closed jaxpr (bit-identical).
 
     The output preserves the invar list (callers align inputs positionally;
-    use :func:`used_invars` to prune) and the outvar arity.  Level ≤1 is
-    bit-identical; level 2 adds the value-changing reassociation pass.
+    use :func:`used_invars` to prune) and the outvar arity.
     """
-    if level not in OPT_LEVELS:
-        raise ValueError(f"opt level must be one of {OPT_LEVELS}, got {level!r}")
-    stats = JaxprOptStats(eqns_before=jaxpr.n_eqns, eqns_after=jaxpr.n_eqns)
-    if level == 0:
-        return jaxpr, stats
+    stats = JaxprOptStats(eqns_before=jaxpr.n_eqns)
     out = _cse(jaxpr, elide_sharding=elide_sharding, stats=stats)
-    if level >= 2:
-        out = _reassociate(out, price or default_matmul_price(), stats)
     n = out.n_eqns
     out = dce(out)
     stats.dce_removed = n - out.n_eqns
@@ -441,7 +265,6 @@ class TaskOptEntry:
     cse_removed: int
     identity_elided: int
     dce_removed: int
-    reassociated: int
     hoisted: int
     invars_pruned: int
     outputs_pruned: int
@@ -469,7 +292,6 @@ class OptReport:
     budgets against).
     """
 
-    level: int
     tasks: list[TaskOptEntry] = dataclasses.field(default_factory=list)
 
     @property
@@ -498,7 +320,7 @@ class OptReport:
     def summary(self) -> str:
         """Human-readable per-task table (diagnostics / benchmark logs)."""
         lines = [
-            f"opt_level={self.level}: eqns {self.eqns_before} -> "
+            f"optimize: eqns {self.eqns_before} -> "
             f"{self.eqns_after} per microbatch, boundary bytes "
             f"{self.boundary_bytes_before} -> {self.boundary_bytes_after}",
             "task kind          stage  eqns      cse  ident  dce  hoist  outs",
@@ -552,9 +374,7 @@ def optimize_split(
     *,
     n_batch: int,
     n_mbs: int,
-    level: int = 1,
     elide_sharding: bool = True,
-    price: Callable[[float], float] | None = None,
 ) -> SplitOpt:
     """Optimize every stage task of a :class:`SplitResult`, cross-boundary.
 
@@ -576,25 +396,6 @@ def optimize_split(
     from repro.core.stage_split import SplitResult
 
     body = split.body
-    level = int(level)
-    if level not in OPT_LEVELS:
-        raise ValueError(f"opt level must be one of {OPT_LEVELS}, got {level!r}")
-    report = OptReport(level=level)
-    if level == 0:
-        for t in split.tasks:
-            bnd = sum(v.aval.nbytes for v in t.out_vars)
-            report.tasks.append(
-                TaskOptEntry(
-                    index=t.index, kind=t.kind, stage=t.stage,
-                    eqns_before=t.jaxpr.n_eqns, eqns_after=t.jaxpr.n_eqns,
-                    cse_removed=0, identity_elided=0, dce_removed=0,
-                    reassociated=0, hoisted=0, invars_pruned=0,
-                    outputs_pruned=0, outputs_deduped=0, outputs_memoized=0,
-                    boundary_bytes_before=bnd, boundary_bytes_after=bnd,
-                )
-            )
-        return SplitOpt(split, {}, [], {}, {}, report)
-
     body_invar_pos = {id(v): k for k, v in enumerate(body.invars)}
     # seeded with the loop's own outputs; each processed task adds its
     # (pruned) in_atoms, so upstream tasks see exactly the surviving
@@ -620,9 +421,7 @@ def optimize_split(
         jaxpr = Jaxpr(jaxpr.invars, jaxpr.eqns, [jaxpr.outvars[j] for j in keep_pos])
 
         # 2. local rewrite pipeline
-        jaxpr, stats = optimize_jaxpr(
-            jaxpr, level, elide_sharding=elide_sharding, price=price
-        )
+        jaxpr, stats = optimize_jaxpr(jaxpr, elide_sharding=elide_sharding)
 
         # 3. prune unused inputs
         mask = used_invars(jaxpr)
@@ -699,7 +498,7 @@ def optimize_split(
             eqns_before=stats.eqns_before, eqns_after=stats.eqns_after,
             cse_removed=stats.cse_removed,
             identity_elided=stats.identity_elided,
-            dce_removed=stats.dce_removed, reassociated=stats.reassociated,
+            dce_removed=stats.dce_removed,
             hoisted=hoisted, invars_pruned=invars_pruned,
             outputs_pruned=outputs_pruned, outputs_deduped=outputs_deduped,
             outputs_memoized=outputs_memoized,
@@ -707,7 +506,7 @@ def optimize_split(
             boundary_bytes_after=sum(v.aval.nbytes for v in out_vars),
         )
 
-    report.tasks = [entries[i] for i in sorted(entries)]
+    report = OptReport([entries[i] for i in sorted(entries)])
     new_split = SplitResult(
         tasks=new_tasks,
         n_stages=split.n_stages,

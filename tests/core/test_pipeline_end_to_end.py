@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import ir, core
+from repro import core, ir, spmd
 from repro.ir import nn, ops, pipeline_yield
 from tests.helpers import rng
 
@@ -161,6 +161,40 @@ class TestInnerSpmd:
         ts, params, batch = make_problem(2)
         mesh = core.RemoteMesh((2,), spmd_mesh=(("model", 2),), rules={"mlp": "model"})
         assert_matches_reference(ts, params, batch, mesh, core.OneFOneB(2), atol=1e-4)
+
+    @pytest.mark.parametrize(
+        "spmd_mesh,kept", [((("model", 2),), 4), (None, 0)], ids=["spmd", "plain"]
+    )
+    def test_optimizer_keeps_shardings_only_for_the_partitioner(self, spmd_mesh, kept):
+        # two annotations forward plus their two cotangent twins backward:
+        # the inner mesh's partitioner must see all four, while without
+        # one each is an identity the optimizer elides
+        r = rng(2)
+        params = {f"w{i}": (r.randn(6, 6) * 0.3).astype(np.float32) for i in range(2)}
+        batch = tuple(r.randn(4, 8, 6).astype(np.float32) for _ in range(2))
+
+        def loss_fn(p, mb):
+            x, y = mb
+            h = spmd.shard(ops.matmul(x, p["w0"]), ("batch", "mlp"))
+            h = pipeline_yield(nn.relu(h))
+            out = spmd.shard(ops.matmul(h, p["w1"]), ("batch", None))
+            return ops.mean((out - y) ** 2.0)
+
+        def train_step(params, batch):
+            def microbatch_grads(mb):
+                loss, grads = ir.value_and_grad(loss_fn)(params, mb)
+                return grads, loss
+
+            grads, loss = core.accumulate_grads(microbatch_grads, None)(batch)
+            new = ir.tree_map(lambda w, g: ops.sub(w, ops.mul(0.1, g)), params, grads)
+            return new, loss
+
+        mesh = core.RemoteMesh((2,), spmd_mesh=spmd_mesh, rules={"mlp": "model"})
+        step = assert_matches_reference(
+            train_step, params, batch, mesh, core.OneFOneB(2)
+        )
+        names = [e.prim.name for t in step.compiled.split.tasks for e in t.jaxpr.eqns]
+        assert names.count("shard_constraint") == kept
 
 
 class TestRandomizedEquivalence:

@@ -1,56 +1,30 @@
 """Unit tests for the algebraic optimizer (:mod:`repro.ir.opt`).
 
-The local pipeline (CSE / identity elision / DCE / level-2
-reassociation) is checked eqn-by-eqn on handcrafted jaxprs; the
-cross-stage sweep (:func:`optimize_split`) on real ``split_stages``
-outputs.  End-to-end bit-identity of optimized compiled steps lives in
+The local pipeline (CSE / identity elision / DCE) is checked
+eqn-by-eqn on handcrafted jaxprs; the cross-stage sweep
+(:func:`optimize_split`) on real ``split_stages`` outputs.  End-to-end
+bit-identity of optimized compiled steps lives in
 ``tests/core/test_opt_backend.py`` — here we pin the *structural*
 contract: what each rewrite may remove, what it must preserve.
 """
 
+import ast
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 
-from repro import ir
+from repro import ir, spmd
 from repro.core.stage_split import SplitResult, split_stages
 from repro.ir import nn, ops, pipeline_yield
 from repro.ir.jaxpr import Eqn, Jaxpr, Var, validate
-from repro.ir.opt import (
-    OPT_LEVELS,
-    OptReport,
-    default_matmul_price,
-    normalize_opt_level,
-    optimize_jaxpr,
-    optimize_split,
-    used_invars,
-)
+from repro.ir.opt import OptReport, optimize_jaxpr, optimize_split, used_invars
 from tests.helpers import rng
 
 
 def _f32(*shape, seed=0):
     return rng(seed).randn(*shape).astype(np.float32)
-
-
-class TestNormalizeOptLevel:
-    def test_bools(self):
-        assert normalize_opt_level(True) == 1
-        assert normalize_opt_level(False) == 0
-
-    @pytest.mark.parametrize("level", OPT_LEVELS)
-    def test_explicit_levels(self, level):
-        assert normalize_opt_level(level) == level
-
-    @pytest.mark.parametrize("bad", [-1, 3, 7])
-    def test_out_of_range_rejected(self, bad):
-        with pytest.raises(ValueError, match="optimize"):
-            normalize_opt_level(bad)
-
-    def test_bad_level_rejected_by_optimize_jaxpr(self):
-        jaxpr, _, _ = ir.trace(lambda x: ops.add(x, 1.0), _f32(2))
-        with pytest.raises(ValueError, match="opt level"):
-            optimize_jaxpr(jaxpr, 5)
 
 
 class TestCSE:
@@ -123,14 +97,88 @@ class TestCSE:
         assert stats.identity_elided == 1
         assert all(e.prim.name != "pipeline_yield" for e in out.eqns)
 
-    def test_level_zero_is_a_noop(self):
+    @pytest.mark.parametrize("elide", [True, False])
+    def test_shard_constraint_elided_only_without_spmd_mesh(self, elide):
+        # the compiler elides with no inner SPMD mesh; with one, the
+        # partitioner must still see every annotation
         def f(x):
-            return ops.add(ops.tanh(x), ops.tanh(x))
+            return ops.mul(spmd.shard(ops.tanh(x), ("batch", None)), 2.0)
 
-        jaxpr, _, _ = ir.trace(f, _f32(3))
-        out, stats = optimize_jaxpr(jaxpr, 0)
-        assert out is jaxpr
-        assert stats.removed == 0
+        x = _f32(4, 3)
+        jaxpr, _, _ = ir.trace(f, x)
+        out, stats = optimize_jaxpr(jaxpr, elide_sharding=elide)
+        names = [e.prim.name for e in out.eqns]
+        assert ("shard_constraint" in names) is not elide
+        assert stats.identity_elided == int(elide)
+        np.testing.assert_array_equal(
+            ir.eval_jaxpr(jaxpr, [x])[0], ir.eval_jaxpr(out, [x])[0]
+        )
+
+    def test_second_pass_finds_nothing(self):
+        def f(x, y):
+            a = ops.tanh(ops.add(ops.stop_gradient(x), y))
+            b = ops.tanh(ops.add(y, ops.stop_gradient(x)))
+            return ops.mul(a, b)
+
+        jaxpr, _, _ = ir.trace(f, _f32(3, seed=1), _f32(3, seed=2))
+        once, first = optimize_jaxpr(jaxpr)
+        assert first.eqns_after < first.eqns_before
+        twice, second = optimize_jaxpr(once)
+        assert second.cse_removed == second.identity_elided == second.dce_removed == 0
+        assert [e.prim.name for e in twice.eqns] == [e.prim.name for e in once.eqns]
+
+
+class TestExactness:
+    """The optimizer only removes or merges equations; it never rewrites
+    one into a cheaper but differently-rounded form."""
+
+    def test_matmul_chain_keeps_its_association(self):
+        # (x @ y) @ z with a tall x and a skinny z: contracting y @ z
+        # first would save FLOPs but change the float summation order
+        def f(x, y, z):
+            return ops.matmul(ops.matmul(x, y), z)
+
+        args = [_f32(128, 64, seed=1), _f32(64, 64, seed=2), _f32(64, 2, seed=3)]
+        jaxpr, _, _ = ir.trace(f, *args)
+        out, _ = optimize_jaxpr(jaxpr)
+        mm = [e for e in out.eqns if e.prim.name == "matmul"]
+        assert [e.outvars[0].aval.shape for e in mm] == [(128, 64), (128, 2)]
+        np.testing.assert_array_equal(
+            ir.eval_jaxpr(jaxpr, args)[0], ir.eval_jaxpr(out, args)[0]
+        )
+
+    def test_transpose_pair_kept(self):
+        def f(x):
+            return ops.add(ops.transpose(ops.transpose(x)), 1.0)
+
+        x = _f32(3, 4)
+        jaxpr, _, _ = ir.trace(f, x)
+        out, stats = optimize_jaxpr(jaxpr)
+        assert [e.prim.name for e in out.eqns] == [e.prim.name for e in jaxpr.eqns]
+        assert stats.eqns_after == stats.eqns_before
+        np.testing.assert_array_equal(
+            ir.eval_jaxpr(out, [x])[0], (x + 1.0).astype(np.float32)
+        )
+
+    def test_ir_imports_no_cost_model(self):
+        # pricing rewrites by kernel cost is what made them value-changing;
+        # the IR layer must not reach into the cost model or cluster specs
+        root = pathlib.Path(ir.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                offenders += [
+                    f"{path.name}: {n}"
+                    for n in names
+                    if n.startswith(("repro.perf", "repro.cluster"))
+                ]
+        assert offenders == []
 
 
 class TestDCE:
@@ -164,74 +212,13 @@ class TestDCE:
         assert used_invars(jaxpr) == [True, False]
 
 
-class TestLevel2Reassociation:
-    def test_transpose_transpose_aliases_to_source(self):
-        def f(x):
-            return ops.add(ops.transpose(ops.transpose(x)), 1.0)
-
-        x = _f32(3, 4)
-        jaxpr, _, _ = ir.trace(f, x)
-        out, stats = optimize_jaxpr(jaxpr, 2)
-        assert stats.reassociated >= 1
-        assert all(e.prim.name != "transpose" for e in out.eqns)
-        np.testing.assert_array_equal(
-            ir.eval_jaxpr(out, [x])[0], (x + 1.0).astype(np.float32)
-        )
-
-    def test_matmul_chain_reassociated_when_cheaper(self):
-        # (x @ y) @ z with a tall x and skinny z: right association
-        # contracts y @ z first, saving ~20x the FLOPs — the kernel
-        # price must prefer it
-        def f(x, y, z):
-            return ops.matmul(ops.matmul(x, y), z)
-
-        x, y, z = _f32(128, 64, seed=1), _f32(64, 64, seed=2), _f32(64, 2, seed=3)
-        jaxpr, _, _ = ir.trace(f, x, y, z)
-        out, stats = optimize_jaxpr(jaxpr, 2)
-        assert stats.reassociated == 1
-        # still two matmuls, but the first now contracts y @ z
-        mm = [e for e in out.eqns if e.prim.name == "matmul"]
-        assert len(mm) == 2
-        assert mm[0].outvars[0].aval.shape == (64, 2)
-        np.testing.assert_allclose(
-            ir.eval_jaxpr(out, [x, y, z])[0],
-            ir.eval_jaxpr(jaxpr, [x, y, z])[0],
-            rtol=1e-4, atol=1e-5,
-        )
-
-    def test_matmul_chain_kept_when_not_cheaper(self):
-        # fat x: left association is already optimal
-        def f(x, y, z):
-            return ops.matmul(ops.matmul(x, y), z)
-
-        jaxpr, _, _ = ir.trace(
-            f, _f32(64, 2, seed=1), _f32(2, 2, seed=2), _f32(2, 64, seed=3)
-        )
-        _, stats = optimize_jaxpr(jaxpr, 2)
-        assert stats.reassociated == 0
-
-    def test_level_1_never_reassociates(self):
-        def f(x, y, z):
-            return ops.matmul(ops.matmul(x, y), z)
-
-        jaxpr, _, _ = ir.trace(
-            f, _f32(128, 64, seed=1), _f32(64, 64, seed=2), _f32(64, 2, seed=3)
-        )
-        _, stats = optimize_jaxpr(jaxpr, 1)
-        assert stats.reassociated == 0
-
-    def test_price_is_monotone_with_dispatch_floor(self):
-        price = default_matmul_price()
-        assert price(0.0) > 0.0  # dispatch overhead
-        assert price(1e9) < price(2e9)
-
-
 # -- the cross-stage sweep over a real SplitResult --------------------------
 
 
-def _mlp_split(n_stages=3, d=8, mbsz=4, dup_yield=False):
+def _mlp_split(n_stages=3, d=8, mbsz=4, dup_yield=False, shard=False):
     """Stage-split fwd+bwd body of an MLP; optionally yield h twice so the
-    producer's boundary carries a duplicated output."""
+    producer's boundary carries a duplicated output, or annotate every
+    layer's matmul with a sharding constraint."""
     r = rng(0)
     params = {
         f"w{i}": (r.randn(d, d) * 0.4).astype(np.float32)
@@ -244,7 +231,10 @@ def _mlp_split(n_stages=3, d=8, mbsz=4, dup_yield=False):
         h = x
         for i in range(n_stages):
             w = p[f"w{i}"]
-            h = nn.relu(ops.matmul(h, w)) if i < n_stages - 1 else ops.matmul(h, w)
+            z = ops.matmul(h, w)
+            if shard:
+                z = spmd.shard(z, ("batch", None))
+            h = nn.relu(z) if i < n_stages - 1 else z
             if i < n_stages - 1:
                 if dup_yield and i == 0:
                     h = ops.add(pipeline_yield(h), pipeline_yield(h))
@@ -262,19 +252,6 @@ def _mlp_split(n_stages=3, d=8, mbsz=4, dup_yield=False):
 
 
 class TestOptimizeSplit:
-    def test_level0_preserves_everything(self):
-        split, _ = _mlp_split()
-        opt = optimize_split(split, n_batch=2, n_mbs=4, level=0)
-        assert opt.split is split
-        assert not opt.prologues and not opt.memo_vars and not opt.memo_boundary
-        assert opt.report.level == 0
-        assert opt.report.eqns_before == opt.report.eqns_after
-
-    def test_bad_level_rejected(self):
-        split, _ = _mlp_split()
-        with pytest.raises(ValueError, match="opt level"):
-            optimize_split(split, n_batch=2, n_mbs=4, level=9)
-
     def test_rewritten_tasks_validate_and_shrink(self):
         split, _ = _mlp_split()
         opt = optimize_split(split, n_batch=2, n_mbs=4)
@@ -315,6 +292,23 @@ class TestOptimizeSplit:
             if id(a) in opt.memo_vars
         }
         assert pseudo_uses == set(opt.memo_vars)
+
+    @pytest.mark.parametrize("elide", [True, False])
+    def test_sharding_elision_follows_the_flag(self, elide):
+        split, _ = _mlp_split(shard=True)
+
+        def count(s):
+            return sum(
+                e.prim.name == "shard_constraint"
+                for t in s.tasks
+                for e in t.jaxpr.eqns
+            )
+
+        assert count(split) > 0
+        opt = optimize_split(split, n_batch=2, n_mbs=4, elide_sharding=elide)
+        assert count(opt.split) == (0 if elide else count(split))
+        for task in opt.split.tasks:
+            validate(task.jaxpr)
 
     def test_memoization_gated_on_n_mbs(self):
         split, _ = _mlp_split()
@@ -381,7 +375,7 @@ class TestOptimizeSplit:
         split, _ = _mlp_split()
         opt = optimize_split(split, n_batch=2, n_mbs=4)
         text = opt.report.summary()
-        assert "opt_level=1" in text
+        assert text.startswith("optimize: ")
         assert f"{opt.report.eqns_before} -> {opt.report.eqns_after}" in text
         red = opt.report.stage_eqn_reduction()
         assert set(red) == set(range(split.n_stages))

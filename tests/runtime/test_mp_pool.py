@@ -235,7 +235,7 @@ class TestOptLevelMultiplex:
         """The same train step compiled at ``optimize=False`` and
         ``optimize=True`` multiplexes through one warm pool: the worker
         program caches key the two variants separately (distinct
-        ``.L{level}`` program keys, one ship each), and every interleaved
+        ``.L0`` / ``.L1`` program keys, one ship each), and every interleaved
         submission stays bit-identical to its own event-engine reference.
         A collision — a worker running the L0 programs for an L1 submit
         or vice versa — would show up as the optimized result (memo
