@@ -88,7 +88,7 @@ def test_mp_pool_steady_state_and_concurrency(results_dir):
         assert pool.ship_count == 1, "steady state must reuse the shipped program"
 
         # ISSUE 6 acceptance: low-single-digit steady-state overhead
-        # (vs ~139x cold) — the pool pays queue hops and input staging,
+        # (vs ~139x cold) — the pool pays pipe hops and input staging,
         # never spawn or program pickling
         assert overhead_x <= 5.0, (
             f"steady-state mp overhead {overhead_x:.2f}x exceeds the 5x bound "
@@ -130,7 +130,6 @@ def test_mp_pool_steady_state_and_concurrency(results_dir):
             "steps_per_s": total_steps / wall,
             "serial_steps_per_s": 1.0 / warm_s,
             "ship_count": pool.ship_count,  # 1 + one per extra compiled step
-            "max_inflight": pool.max_inflight,
         }
         # the shared mesh serialises execution; concurrency must not
         # collapse throughput below a serial submitter's

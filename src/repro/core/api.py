@@ -57,13 +57,12 @@ class RemoteMesh:
             :class:`~repro.runtime.pool.ActorPool`: processes spawn on
             the first step, programs ship once, and every later step
             reuses them until :meth:`close` — the step after that starts
-            cold again.
+            cold again.  Each step submits its run with the mesh's
+            ``comm_mode`` and waits for the result.
         mp_watchdog_s: ``engine="mp"`` only — seconds of no worker
             progress before the driver reports a deadlock.
         mp_shm_threshold: ``engine="mp"`` only — ndarray bytes at which
             transfers switch to shared-memory segments.
-        mp_max_inflight: ``engine="mp"`` only — the pool's bound on
-            outstanding submissions (backpressure).
         recovery: optional :class:`~repro.runtime.recovery.RecoveryPolicy`.
             With one set, ``distributed`` returns a
             :class:`~repro.runtime.recovery.ResilientStepFunction`:
@@ -105,7 +104,6 @@ class RemoteMesh:
         engine: str = "event",
         mp_watchdog_s: float | None = None,
         mp_shm_threshold: int | None = None,
-        mp_max_inflight: int = 4,
         codegen_actor: bool = False,
         recovery: Any = None,
         fault_plan: Any = None,
@@ -140,7 +138,6 @@ class RemoteMesh:
         self.engine = engine
         self.mp_watchdog_s = mp_watchdog_s
         self.mp_shm_threshold = mp_shm_threshold
-        self.mp_max_inflight = int(mp_max_inflight)
         self.recovery = recovery
         self.fault_plan = fault_plan
         self._mp_pool = None
@@ -165,10 +162,8 @@ class RemoteMesh:
         if pool is None:
             pool = self._mp_pool = ActorPool(
                 n_actors,
-                comm_mode=self.comm_mode,
                 watchdog_s=self.mp_watchdog_s,
                 shm_threshold=self.mp_shm_threshold,
-                max_inflight=self.mp_max_inflight,
                 fault_plan=self.fault_plan,
                 generation=self._pool_generation,
             )

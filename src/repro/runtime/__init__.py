@@ -43,12 +43,7 @@ from repro.runtime.faults import (
     WedgeRank,
 )
 from repro.runtime.mp import DEFAULT_SHM_THRESHOLD, DEFAULT_WATCHDOG_S
-from repro.runtime.pool import (
-    DEFAULT_MAX_INFLIGHT,
-    ActorPool,
-    PoolBackpressureTimeout,
-    PoolFuture,
-)
+from repro.runtime.pool import ActorPool, PoolFuture
 from repro.runtime.recovery import (
     RankFailure,
     RecoveryPolicy,
@@ -60,7 +55,7 @@ from repro.runtime.store import Buffer, ObjectStore
 
 __all__ = [
     "DEFAULT_SHM_THRESHOLD", "DEFAULT_WATCHDOG_S",
-    "ActorPool", "PoolFuture", "PoolBackpressureTimeout", "DEFAULT_MAX_INFLIGHT",
+    "ActorPool", "PoolFuture",
     "FaultPlan", "KillRank", "WedgeRank", "DropMessage", "DelayMessage",
     "CorruptCheckpoint",
     "RecoveryPolicy", "RankFailure", "ResilientStepFunction", "ResilientMesh",

@@ -984,7 +984,7 @@ class MpmdExecutor:
                 return self._execute_on(self.mp_pool, programs)
             from repro.runtime.pool import ActorPool
 
-            with ActorPool(self.n_actors, comm_mode=self.comm_mode) as pool:
+            with ActorPool(self.n_actors) as pool:
                 return self._execute_on(pool, programs)
         actors = [_Actor(i, prog, self.stores[i]) for i, prog in enumerate(programs)]
         state = _RunState(actors, self.stores, self.cost, self.comm_mode)

@@ -27,15 +27,14 @@ Channels (§4.2's ordering contract)
     ``done`` report, the submitting thread for a ``run`` command.  **The
     receiver reads its own message**: :meth:`_Inbox.get` takes the route
     *and its source* — ``("data", src)`` and ``("ack", dst)`` name it,
-    commands come from the driver, a barrier or gather root
-    ``connection.wait``\\ s on its members — and reads that pipe in the
-    waiting thread, buffering what arrives for the source's other routes
-    until their consumer asks.  A pipe is FIFO and has one writer, so
-    the k-th message a worker takes from ``("data", src)`` is matched
-    against the k-th receive it posted on channel ``src->dst`` — the
-    pairwise-FIFO contract the in-process engine implements and NCCL
-    imposes on P2P ops, across steps as within one.  Matched keys are
-    cross-checked; a mismatch surfaces as
+    commands come from the driver, a gather root asks each member in
+    turn — and reads that pipe in the waiting thread, buffering what
+    arrives for the source's other routes until their consumer asks.  A
+    pipe is FIFO and has one writer, so the k-th message a worker takes
+    from ``("data", src)`` is matched against the k-th receive it posted
+    on channel ``src->dst`` — the pairwise-FIFO contract the in-process
+    engine implements and NCCL imposes on P2P ops, across steps as
+    within one.  Matched keys are cross-checked; a mismatch surfaces as
     :class:`~repro.runtime.executor.CommMismatchError` at the driver
     instead of silent data corruption.  Under
     :attr:`CommMode.SYNC <repro.runtime.executor.CommMode>` every send
@@ -64,32 +63,36 @@ Channels (§4.2's ordering contract)
     the property down.
 
 Shared-memory transport
-    ndarray payloads at or above ``shm_threshold`` bytes travel through
-    ``multiprocessing.shared_memory`` segments: the sender copies into a
-    fresh segment and passes only its name through the channel; the
-    receiver attaches, copies out, and unlinks.  Everything smaller is
-    pickled inline.  Ownership is handed over explicitly (the sender
-    unregisters the segment from its resource tracker), so the normal
-    path neither leaks nor double-frees; on an abnormal stop the driver
-    drains the pipes and unlinks whatever was still in flight.  A pool's
-    processes name their segments under the pool's tag, so the driver
-    also unlinks, by name, what a killed process was still writing or
-    had read but not consumed.
+    Every message that carries values — a ``run`` command, a ``done``
+    report, a transfer, an all-reduce contribution or result — packs its
+    arrays into one :class:`_Slab` (:func:`_encode_buffers`).  A slab of
+    at least ``shm_threshold`` bytes is a ``multiprocessing.shared_memory``
+    segment: the sender copies into a fresh segment and passes only its
+    name through the channel; the receiver attaches, copies out, and
+    unlinks.  A smaller slab is one inline blob.  Ownership is handed
+    over explicitly (the sender unregisters the segment from its
+    resource tracker), so the normal path neither leaks nor
+    double-frees; on an abnormal stop the driver drains the pipes and
+    unlinks whatever was still in flight.  A pool's processes name their
+    segments under the pool's tag, so the driver also unlinks, by name,
+    what a killed process was still writing or had read but not
+    consumed.
 
 Collectives
-    Data-parallel all-reduce is a **barrier-backed reduce**: every
-    participant enters the group's :class:`_ChannelBarrier` (a rendezvous
-    funnelled through the lowest rank), members then send their
-    contribution to that rank, which reduces in sorted-rank order —
-    bit-identical to the in-process engine — and sends the result back.
-    The barrier serialises successive collectives of the same group, so
-    gather/result traffic can never interleave across ``group_key``\\ s.
+    Data-parallel all-reduce is a reduce at the group's lowest rank, its
+    own rendezvous as NCCL's is: every member sends its contribution on
+    route ``("gather", group_key)`` and blocks on ``("collres",
+    group_key)``; the root reads one contribution from each member's
+    pipe, folds them in sorted-rank order — bit-identical to the
+    in-process engine — and sends each member the result.  A member
+    cannot start its next collective before it has this one's result,
+    so per-pair FIFO keeps successive collectives of a group apart.
 
 Watchdog reports
     A worker reports over its control pipe, every message tagged with
     its submission id; a healthy run sends one, the final ``done``.
     Status rides the heartbeat: entering a potentially-unbounded block
-    (channel drain, ack wait, barrier) only records ``(pc, note,
+    (channel drain, ack wait, all-reduce) only records ``(pc, note,
     label)`` on the worker, and the process's one :class:`_Status`
     thread looks every :data:`_HEARTBEAT_S` — a rank that computes, or
     is in another wait than at the last tick, sends a heartbeat with its
@@ -127,7 +130,6 @@ import struct
 import threading
 import time
 from collections import deque
-from multiprocessing.connection import wait as _wait
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
@@ -153,8 +155,8 @@ from repro.runtime.store import ObjectStore, fold_contributions
 
 __all__ = ["DEFAULT_SHM_THRESHOLD", "DEFAULT_WATCHDOG_S"]
 
-#: ndarray payloads at or above this many bytes use shared-memory segments
-#: instead of inline pickling through the channel.
+#: a message's slab at or above this many bytes is a shared-memory segment
+#: instead of an inline blob pickled through the channel.
 DEFAULT_SHM_THRESHOLD = 1 << 16
 
 #: driver-side no-progress window before a run is declared deadlocked.
@@ -206,35 +208,6 @@ def _reclaim_segments(pool_tag: str) -> None:
                 pass
 
 
-def _encode_payload(value: Any, shm_threshold: int, prefix: str | None = None) -> tuple:
-    """``("inline", value)`` or ``("shm", name, shape, dtype, nbytes)``."""
-    if (
-        isinstance(value, np.ndarray)
-        and value.nbytes >= shm_threshold
-        and value.nbytes > 0
-    ):
-        shm = _new_segment(value.nbytes, prefix)
-        view = np.ndarray(value.shape, value.dtype, buffer=shm.buf)
-        view[...] = value
-        _hand_over(shm)
-        return ("shm", shm.name, value.shape, value.dtype.str, value.nbytes)
-    return ("inline", value)
-
-
-def _decode_payload(payload: tuple) -> Any:
-    """Materialise a transported payload (copy + unlink for shm)."""
-    if payload[0] == "inline":
-        return payload[1]
-    from multiprocessing import shared_memory
-
-    _, name, shape, dtype, _ = payload
-    shm = shared_memory.SharedMemory(name=name)
-    try:
-        return np.array(np.ndarray(shape, np.dtype(dtype), buffer=shm.buf))
-    finally:
-        _unlink(shm)
-
-
 #: byte alignment of every array inside a slab.
 _SLAB_ALIGN = 64
 
@@ -264,9 +237,10 @@ def _resident(view, origin: tuple):
 
 
 class _Slab(NamedTuple):
-    """The buffers of one ``run`` / ``done`` message, arrays packed back
-    to back in one shared-memory segment (``name``) or one inline
-    ``blob``; exactly one of the two is set."""
+    """The buffers of one message — a ``run`` command, a ``done``
+    report, one transfer, one all-reduce contribution or result —
+    arrays packed back to back in one shared-memory segment (``name``)
+    or one inline ``blob``; exactly one of the two is set."""
 
     name: str | None
     blob: bytearray | None
@@ -279,10 +253,10 @@ def _encode_buffers(
     buffers: dict[str, tuple[Any, int, bool]], shm_threshold: int,
     prefix: str | None = None,
 ) -> _Slab:
-    """Many-buffers form of :func:`_encode_payload` for ``run`` / ``done``
-    messages: every ndarray of ``uid -> (value, nbytes, pinned)`` is packed
-    into ONE slab — a shared-memory segment when the slab reaches
-    ``shm_threshold`` bytes, an inline blob below it."""
+    """Every ndarray of ``uid -> (value, nbytes, pinned)`` packed into
+    ONE slab — a shared-memory segment when the slab reaches
+    ``shm_threshold`` bytes, an inline blob below it.  The one codec of
+    the runtime: a transfer is a one-entry slab under its key."""
     table, other, total, payload = [], {}, 0, 0
     for uid, (value, nbytes, pinned) in buffers.items():
         if isinstance(value, np.ndarray) and not value.dtype.hasobject:
@@ -356,31 +330,26 @@ def _unlink(shm) -> None:
 
 
 def _discard_payload(obj) -> None:
-    """Reclaim every shm payload or slab nested in ``obj`` — a message
-    that will never be consumed (mismatch bail-out, abnormal stop)."""
+    """Reclaim every slab nested in ``obj`` — a message that will never
+    be consumed (mismatch bail-out, abnormal stop)."""
     if isinstance(obj, _Slab):
-        name = obj.name  # None: an inline slab owns no segment
-    elif isinstance(obj, tuple) and len(obj) == 5 and obj[0] == "shm":
-        name = obj[1]
-    else:
-        if isinstance(obj, (tuple, list, deque)):
-            for item in obj:
-                _discard_payload(item)
-        elif isinstance(obj, dict):
-            for item in obj.values():
-                _discard_payload(item)
-        return
-    if name is not None:
-        from multiprocessing import shared_memory
+        if obj.name is not None:  # None: an inline slab owns no segment
+            from multiprocessing import shared_memory
 
-        try:
-            _unlink(shared_memory.SharedMemory(name=name))
-        except Exception:
-            pass
+            try:
+                _unlink(shared_memory.SharedMemory(name=obj.name))
+            except Exception:
+                pass
+    elif isinstance(obj, (tuple, list, deque)):
+        for item in obj:
+            _discard_payload(item)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            _discard_payload(item)
 
 
 # ---------------------------------------------------------------------------
-# channels: one pipe per directed pair, route keys, channel barrier
+# channels: one pipe per directed pair, route keys
 # ---------------------------------------------------------------------------
 
 
@@ -485,76 +454,34 @@ class _Flusher(threading.Thread):
 
 
 class _Inbox:
-    """One worker's read ends, demultiplexed into per-route streams.
+    """One worker's read ends, demultiplexed into per-source, per-route
+    streams.
 
-    ``get(route, src)`` blocks for the next message on ``route``,
-    reading ``src``'s pipe in the calling thread (``src`` is a rank,
-    :data:`_DRIVER`, or a tuple of ranks any of which may send it);
-    anything else that arrives there meanwhile is buffered (per route,
-    FIFO) until its consumer asks.  This is what lets one pipe per
-    directed pair carry every route of that pair without losing the
-    pairwise-FIFO contract.
+    ``get(route, src)`` blocks for the next message on ``route`` from
+    ``src`` (a rank, or :data:`_DRIVER`), reading ``src``'s pipe in the
+    calling thread; anything else that arrives there meanwhile is
+    buffered (per source and route, FIFO) until its consumer asks.  This
+    is what lets one pipe per directed pair carry every route of that
+    pair without losing the pairwise-FIFO contract.
     """
 
     def __init__(self, conns: dict):
         self.conns = conns  # source -> read-only Connection
-        self.buf: dict[tuple, deque] = {}
+        self.buf: dict[tuple, deque] = {}  # (source, route) -> messages
 
     def get(self, route: tuple, src):
-        d = self.buf.get(route)
+        d = self.buf.get((src, route))
         if d:
             return d.popleft()
-        conns = [self.conns[s] for s in (src if isinstance(src, tuple) else (src,))]
+        conn = self.conns[src]
         while True:
-            for conn in conns if len(conns) == 1 else _wait(conns):
-                try:
-                    r, msg = pickle.loads(conn.recv_bytes())
-                except EOFError:  # only the driver's death closes a write end
-                    raise _WorkerStop from None
-                if r == route:
-                    return msg
-                self.buf.setdefault(r, deque()).append(msg)
-
-
-class _ChannelBarrier:
-    """``Barrier.wait`` over the channels, for one collective group.
-
-    A pool learns its groups from programs that arrive after spawn, so
-    no OS barrier can be allocated for them up front.  Rendezvous
-    instead funnels through the group root: members send an arrive
-    message (tagged with a generation counter), the root releases them
-    once all have arrived.  No member can reach barrier ``g+1`` before
-    the root finished collective ``g`` — the serialising property the
-    collective protocol relies on — so a generation that does not match
-    is a protocol error.  One instance per (rank, group) lives as long
-    as the worker process: the generation counts across runs.
-    """
-
-    def __init__(self, rank: int, group: tuple, inbox: _Inbox, peers):
-        self.rank = rank
-        self.group = group
-        self.inbox = inbox
-        self.peers = peers
-        self.gen = 0
-
-    def wait(self) -> None:
-        gen = self.gen
-        self.gen += 1
-        root, *members = self.group
-        arrive = ("barrier", self.group)
-        release = ("barrier-go", self.group)
-        if self.rank == root:
-            got = [self.inbox.get(arrive, tuple(members)) for _ in members]
-            for r in members:
-                self.peers[r].put((release, gen))
-        else:
-            self.peers[root].put((arrive, gen))
-            got = [self.inbox.get(release, root)]
-        if got != [gen] * len(got):  # pragma: no cover - FIFO per pipe
-            raise RuntimeError(
-                f"barrier generation skew in group {self.group}: "
-                f"rank {self.rank} at {gen} got {got}"
-            )
+            try:
+                r, msg = pickle.loads(conn.recv_bytes())
+            except EOFError:  # only the driver's death closes a write end
+                raise _WorkerStop from None
+            if r == route:
+                return msg
+            self.buf.setdefault((src, r), deque()).append(msg)
 
 
 # ---------------------------------------------------------------------------
@@ -579,16 +506,16 @@ class _Worker:
     The pool's worker loop builds one per ``run`` command (fresh
     posted-receive state, an object store seeded with ``buffers``) over
     the plumbing that lives as long as the process: the rank's
-    :class:`_Inbox`, the :class:`_Channel` to each peer by rank, the
-    control channel and the per-group :class:`_ChannelBarrier` table.  ``cmd`` is the
-    command being served (:class:`repro.runtime.pool._Run`): its ``sid``
-    tags every report, its ``epoch`` is the driver's monotonic base
-    (``CLOCK_MONOTONIC`` is system-wide).  ``shm_prefix`` names the
+    :class:`_Inbox`, the :class:`_Channel` to each peer by rank and the
+    control channel.  ``cmd`` is the command being served
+    (:class:`repro.runtime.pool._Run`): its ``sid`` tags every report,
+    its ``epoch`` is the driver's monotonic base (``CLOCK_MONOTONIC`` is
+    system-wide).  ``shm_prefix`` names the
     segments this rank creates (:func:`_new_segment`).
     """
 
-    def __init__(self, rank, program, buffers, cmd, inbox, peers, ctrl, barriers,
-                 faults, shm_prefix):
+    def __init__(self, rank, program, buffers, cmd, inbox, peers, ctrl, faults,
+                 shm_prefix):
         self.rank = rank
         self.program = program
         self.sid = cmd.sid
@@ -600,7 +527,6 @@ class _Worker:
         self.inbox = inbox
         self.peers = peers  # rank -> the _Channel to that rank
         self.ctrl = ctrl
-        self.barriers = barriers  # sorted group tuple -> _ChannelBarrier
 
         self.store = ObjectStore(rank)
         #: uid -> (value, nbytes, pinned) of what the program produced;
@@ -647,6 +573,12 @@ class _Worker:
         return (instr.name if isinstance(instr, RunTask) else None), brief(instr)
 
     # -- channel plumbing --------------------------------------------------
+    def slab(self, key, value, nbytes: int) -> _Slab:
+        """One transfer, contribution or result: a one-entry slab."""
+        return _encode_buffers(
+            {key: (value, nbytes, False)}, self.shm_threshold, self.shm_prefix
+        )
+
     def drain(self, src: int, until_uid: str | None = None) -> None:
         """Match messages from channel ``src -> self`` against posted
         receives, in FIFO order, until ``until_uid`` is delivered (or one
@@ -664,7 +596,7 @@ class _Worker:
                 f"channel {src}->{self.rank}",
                 f"send of {rec.key!r} on channel {src}->{self.rank}",
             ) as t0:
-                key, nbytes, payload = self.inbox.get(("data", src), src)
+                key, payload = self.inbox.get(("data", src), src)
             posted.popleft()
             if key != rec.key:
                 _discard_payload(payload)
@@ -674,7 +606,7 @@ class _Worker:
                     f"send key {key!r} met recv key {rec.key!r} "
                     "(NCCL would deadlock or corrupt data here)",
                 )
-            value = _decode_payload(payload)
+            value, nbytes, _ = _decode_buffers(payload)[key]
             self.store.put(rec.ref, value, nbytes)
             self.pending_uid_src.pop(rec.ref.uid, None)
             self.p2p_bytes += nbytes
@@ -779,9 +711,9 @@ class _Worker:
             return
         buf = self.store.get(instr.ref)
         start = self.now()
-        payload = _encode_payload(buf.value, self.shm_threshold, self.shm_prefix)
         self.peers[instr.dst].put(
-            (("data", self.rank), (instr.key, buf.nbytes, payload))
+            (("data", self.rank),
+             (instr.key, self.slab(instr.key, buf.value, buf.nbytes)))
         )
         self.timeline.append(
             TimelineEvent(
@@ -819,72 +751,44 @@ class _Worker:
         )
 
     def exec_allreduce(self, instr: AllReduce) -> None:
+        """A reduce at the group's lowest rank, its own rendezvous
+        (module docstring, "Collectives")."""
         group = tuple(sorted(instr.group))
-        barrier = self.barriers.get(group)
-        if barrier is None:
-            barrier = self.barriers[group] = _ChannelBarrier(
-                self.rank, group, self.inbox, self.peers
-            )
-        root = group[0]
-        gather, collres = ("gather", group), ("collres", group)
+        root, members = group[0], group[1:]
         key = instr.group_key
+        gather, collres = ("gather", key), ("collres", key)
         self.require(instr.ref)
-        with self.blocking(
-            f"allreduce {key!r}",
-            f"all-reduce rendezvous {key!r} (group {list(group)})",
-        ):
-            barrier.wait()
-        start = self.now()
         buf = self.store.get(instr.ref)
         if self.rank == root:
-            contribs = {self.rank: buf.value}
-            while len(contribs) < len(group):
+            start = self.now()
+            contribs = [buf.value]
+            for r in members:
                 with self.blocking(
                     f"allreduce {key!r}",
-                    f"all-reduce contributions for {key!r} "
-                    f"(have {sorted(contribs)})",
+                    f"all-reduce contribution of actor {r} for {key!r} "
+                    f"(group {list(group)})",
                 ):
-                    gk, r, payload = self.inbox.get(gather, group[1:])
-                if gk != key:  # pragma: no cover - barrier serialises groups
-                    self.fail(
-                        "protocol",
-                        f"all-reduce contribution for {gk!r} arrived during "
-                        f"{key!r}",
-                    )
-                contribs[r] = _decode_payload(payload)
-            total = fold_contributions([contribs[r] for r in sorted(contribs)])
-            for r in group[1:]:
-                # one payload per member: a shm segment is consumed
-                # (copied + unlinked) by exactly one receiver
-                self.peers[r].put(
-                    (collres,
-                     (key, _encode_payload(total, self.shm_threshold, self.shm_prefix)))
-                )
-            if total is not None:
-                self.store.update(instr.ref, total)
+                    payload = self.inbox.get(gather, r)
+                contribs.append(_decode_buffers(payload)[key][0])
+            total = fold_contributions(contribs)
+            for r in members:
+                # one slab per member: a shm segment is consumed (copied +
+                # unlinked) by exactly one receiver
+                self.peers[r].put((collres, self.slab(key, total, buf.nbytes)))
             self.timeline.append(
                 TimelineEvent(
                     root, "allreduce", key, start, self.now(), buf.nbytes
                 )
             )
         else:
-            self.peers[root].put(
-                (gather,
-                 (key, self.rank,
-                  _encode_payload(buf.value, self.shm_threshold, self.shm_prefix)))
-            )
+            self.peers[root].put((gather, self.slab(key, buf.value, buf.nbytes)))
             with self.blocking(
                 f"allreduce {key!r}", f"all-reduce result for {key!r}"
             ):
-                gk, payload = self.inbox.get(collres, root)
-            if gk != key:  # pragma: no cover - barrier serialises groups
-                self.fail(
-                    "protocol",
-                    f"all-reduce result for {gk!r} arrived during {key!r}",
-                )
-            total = _decode_payload(payload)
-            if total is not None:
-                self.store.update(instr.ref, total)
+                payload = self.inbox.get(collres, root)
+            total = _decode_buffers(payload)[key][0]
+        if total is not None:
+            self.store.update(instr.ref, total)
 
 
 class _BlockScope:

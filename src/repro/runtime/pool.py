@@ -40,17 +40,12 @@ inbox routing, the shared-memory transport) is :mod:`repro.runtime.mp`.
   did.
 
 - **Step stream.**  :meth:`submit` enqueues a step — per-rank input
-  buffers plus the program key — and returns a :class:`PoolFuture`
-  immediately.  Workers execute submissions in FIFO order but are not
-  barrier-synchronised across ranks: rank 0 can start step N+1's program
-  (warmup) while rank P-1 is still finishing step N (cooldown), because
-  cross-step messages queue behind cross-rank FIFO order exactly like
-  cross-microbatch messages do within a step.
-
-- **Backpressure.**  At most ``max_inflight`` submissions may be
-  outstanding; beyond that :meth:`submit` blocks (or raises
-  :class:`PoolBackpressureTimeout` when a ``timeout`` is given), so a
-  fast producer cannot queue unbounded pickled work.
+  buffers, the program key and the run's ``comm_mode`` — and returns a
+  :class:`PoolFuture` immediately.  Workers execute submissions in FIFO
+  order but are not barrier-synchronised across ranks: rank 0 can start
+  step N+1's program (warmup) while rank P-1 is still finishing step N
+  (cooldown), because cross-step messages queue behind cross-rank FIFO
+  order exactly like cross-microbatch messages do within a step.
 
 - **Pool-lifetime watchdog.**  The no-progress watchdog only arms while
   submissions are outstanding — an *idle* pool never trips it, however
@@ -126,15 +121,7 @@ from repro.runtime.mp import (
 )
 from repro.runtime.store import ObjectStore
 
-__all__ = [
-    "ActorPool",
-    "PoolFuture",
-    "PoolBackpressureTimeout",
-    "DEFAULT_MAX_INFLIGHT",
-]
-
-#: default bound on outstanding submissions before ``submit`` blocks.
-DEFAULT_MAX_INFLIGHT = 4
+__all__ = ["ActorPool", "PoolFuture"]
 
 #: longest the driver thread sleeps with nothing to read (watchdog cadence).
 _POLL_S = 0.2
@@ -164,10 +151,6 @@ class _Run(NamedTuple):
     epoch: float
 
 
-class PoolBackpressureTimeout(TimeoutError):
-    """``submit(timeout=...)`` could not get a submission slot in time."""
-
-
 # ---------------------------------------------------------------------------
 # worker side
 # ---------------------------------------------------------------------------
@@ -186,9 +169,9 @@ def _pool_worker_main(
     is built per *run* (fresh posted-receive state; an object store
     seeded with the command's by-value inputs, the values it references
     in the previous run's outputs, and the program's shipped constants)
-    over the inbox, peer channels, barrier table and status thread that
-    live as long as this process, so cross-step channel order is exactly
-    the concatenation of the per-step orders.
+    over the inbox, peer channels and status thread that live as long
+    as this process, so cross-step channel order is exactly the
+    concatenation of the per-step orders.
 
     ``fault_plan``/``generation`` arm deterministic chaos
     (:mod:`repro.runtime.faults`): faults match against this worker's
@@ -209,7 +192,6 @@ def _pool_worker_main(
         inbox = _Inbox(readers)
         status = _Status(rank, ctrl)
         status.start()
-        barriers: dict = {}  # collective group -> _ChannelBarrier, built on first use
         programs: dict[str, _Ship] = {}
         # what the previous run produced, uid -> (value, nbytes, pinned):
         # the one generation a later command may reference instead of
@@ -250,7 +232,7 @@ def _pool_worker_main(
             resident = {}
             worker = status.worker = _Worker(
                 rank, shipped.program, buffers, cmd, inbox, peers, ctrl,
-                barriers, faults, shm_prefix,
+                faults, shm_prefix,
             )
             del buffers
             result = worker._run_program()
@@ -399,7 +381,6 @@ class ActorPool:
 
     Args:
         n_actors: ranks in the mesh (one OS process each, spawned now).
-        comm_mode: default point-to-point semantics for submissions.
         watchdog_s: no-progress window while submissions are outstanding
             (an idle pool never trips it); clamped to at least two worker
             status ticks, below which healthy compute-bound workers would
@@ -407,8 +388,6 @@ class ActorPool:
             stuck one's wait (sent at its second) would miss the report.
         shm_threshold: ndarray bytes at which payloads (inputs, transfers
             and results) switch to shared-memory segments.
-        max_inflight: bound on outstanding submissions — ``submit``
-            blocks (or times out) beyond it.
         fault_plan: optional :class:`repro.runtime.faults.FaultPlan`
             armed in the workers at spawn (deterministic chaos testing).
         generation: which pool generation this is (0-based spawn count of
@@ -439,20 +418,15 @@ class ActorPool:
         self,
         n_actors: int,
         *,
-        comm_mode: CommMode = CommMode.ASYNC,
         watchdog_s: float | None = None,
         shm_threshold: int | None = None,
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
         fault_plan: Any = None,
         generation: int = 0,
     ):
         n_actors = int(n_actors)
         if n_actors < 1:
             raise ValueError(f"n_actors must be >= 1, got {n_actors}")
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         self.n_actors = n_actors
-        self.comm_mode = comm_mode
         self.watchdog_s = max(
             DEFAULT_WATCHDOG_S if watchdog_s is None else float(watchdog_s),
             2.0 * _HEARTBEAT_S,
@@ -460,11 +434,9 @@ class ActorPool:
         self.shm_threshold = int(
             DEFAULT_SHM_THRESHOLD if shm_threshold is None else shm_threshold
         )
-        self.max_inflight = int(max_inflight)
 
         # -- submission state (driver + submitter threads, under _lock) --
         self._lock = threading.RLock()
-        self._slots = threading.Semaphore(self.max_inflight)
         self._subs: dict[int, _Submission] = {}
         self._next_sid = 0
         self._failure: BaseException | None = None
@@ -583,9 +555,8 @@ class ActorPool:
         programs: Sequence[Sequence[Instruction]],
         stores: Sequence[ObjectStore] | None = None,
         *,
-        comm_mode: CommMode | None = None,
+        comm_mode: CommMode = CommMode.ASYNC,
         program_key: str | None = None,
-        timeout: float | None = None,
     ) -> PoolFuture:
         """Enqueue one step on the warm mesh; returns immediately.
 
@@ -601,75 +572,59 @@ class ActorPool:
                 not the step: the values present the first time this
                 ``programs`` object is submitted travel with the ship
                 message, and no ``run`` command carries those uids again.
-            comm_mode: per-submission override of the pool default.
+            comm_mode: point-to-point semantics of this step's run.
             program_key: readable prefix for the program's cache key
                 (diagnostics only; identity still keys the cache).
-            timeout: backpressure bound — with ``max_inflight``
-                submissions outstanding, wait at most this long for a
-                slot before raising :class:`PoolBackpressureTimeout`
-                (``None`` blocks).
 
         Raises:
             RuntimeError: the pool is shut down or died (worker crash,
                 deadlock, protocol error — the cause is embedded).
-            PoolBackpressureTimeout: no submission slot within ``timeout``.
         """
         if len(programs) != self.n_actors:
             raise ValueError(
                 f"expected {self.n_actors} programs, got {len(programs)}"
             )
-        self._check_accepting()
-        if not self._slots.acquire(timeout=timeout):
-            raise PoolBackpressureTimeout(
-                f"submission queue full ({self.max_inflight} in flight; "
-                f"no slot freed within {timeout}s)"
-            )
-        try:
-            with self._lock:
-                self._check_accepting()
-                if stores is None:
-                    stores = [ObjectStore(i) for i in range(self.n_actors)]
-                elif len(stores) != self.n_actors:
-                    raise ValueError(
-                        f"expected {self.n_actors} stores, got {len(stores)}"
-                    )
-                key, constants = self._ensure_shipped(programs, program_key, stores)
-                sid = self._next_sid
-                self._next_sid += 1
-                future = PoolFuture(sid, stores)
-                self._subs[sid] = _Submission(sid, stores, future)
-                self.submit_count += 1
-                self._last_progress = time.monotonic()
-                cm = self.comm_mode if comm_mode is None else comm_mode
-                epoch = time.monotonic()
-                # the generation each worker holds when it reaches this
-                # command: submissions run in sid order on every rank
-                for rank in range(self.n_actors):
-                    held = (self._token, sid - 1, rank)
-                    store = stores[rank]
-                    values, refs = {}, {}
-                    for uid in store.live_refs():
-                        if uid in constants[rank]:
-                            continue  # the worker has it since the ship
-                        buf = store.get(BufferRef(uid))
-                        owner = getattr(buf.value, "base", None)
-                        if isinstance(owner, _Resident):
-                            if owner.origin[:3] == held:
-                                refs[uid] = (owner.origin[3], buf.nbytes, buf.pinned)
-                                continue
-                            self.resident_misses += 1
-                        values[uid] = (buf.value, buf.nbytes, buf.pinned)
-                    enc = _encode_buffers(values, self.shm_threshold, f"{self._pool_tag}_d")
-                    self.resident_hits += len(refs)
-                    self.input_bytes += enc.nbytes
-                    self._cmd[rank].put(
-                        (_CMD,
-                         _Run(sid, key, enc, refs, cm, self.shm_threshold, epoch))
-                    )
-            return future
-        except BaseException:
-            self._slots.release()
-            raise
+        with self._lock:
+            self._check_accepting()
+            if stores is None:
+                stores = [ObjectStore(i) for i in range(self.n_actors)]
+            elif len(stores) != self.n_actors:
+                raise ValueError(
+                    f"expected {self.n_actors} stores, got {len(stores)}"
+                )
+            key, constants = self._ensure_shipped(programs, program_key, stores)
+            sid = self._next_sid
+            self._next_sid += 1
+            future = PoolFuture(sid, stores)
+            self._subs[sid] = _Submission(sid, stores, future)
+            self.submit_count += 1
+            self._last_progress = time.monotonic()
+            epoch = time.monotonic()
+            # the generation each worker holds when it reaches this
+            # command: submissions run in sid order on every rank
+            for rank in range(self.n_actors):
+                held = (self._token, sid - 1, rank)
+                store = stores[rank]
+                values, refs = {}, {}
+                for uid in store.live_refs():
+                    if uid in constants[rank]:
+                        continue  # the worker has it since the ship
+                    buf = store.get(BufferRef(uid))
+                    owner = getattr(buf.value, "base", None)
+                    if isinstance(owner, _Resident):
+                        if owner.origin[:3] == held:
+                            refs[uid] = (owner.origin[3], buf.nbytes, buf.pinned)
+                            continue
+                        self.resident_misses += 1
+                    values[uid] = (buf.value, buf.nbytes, buf.pinned)
+                enc = _encode_buffers(values, self.shm_threshold, f"{self._pool_tag}_d")
+                self.resident_hits += len(refs)
+                self.input_bytes += enc.nbytes
+                self._cmd[rank].put(
+                    (_CMD,
+                     _Run(sid, key, enc, refs, comm_mode, self.shm_threshold, epoch))
+                )
+        return future
 
     def _check_accepting(self) -> None:
         if self._failure is not None:
@@ -808,9 +763,10 @@ class ActorPool:
                     )
                 except BaseException as e:
                     self._fail(e)
+                    # out of ``_subs`` already, so ``_fail`` did not finish it
+                    completed.future._finish(exc=e)
                     return True
                 completed.future._finish(result=merged)
-                self._slots.release()
         elif kind == "error":
             _, rank, pc, err_kind, text, task, instruction = inner
             if err_kind == "mismatch":
@@ -858,7 +814,6 @@ class ActorPool:
             self._subs.clear()
         for sub in pending:
             sub.future._finish(exc=exc)
-            self._slots.release()
         _terminate_procs(self._procs)
         _cleanup_pipes(*self._pipe_ends, self._pool_tag)
         self._stop.set()
@@ -903,7 +858,6 @@ class ActorPool:
             exc = PoolClosedError("ActorPool was shut down before completion")
             for sub in leftover:
                 sub.future._finish(exc=exc)
-                self._slots.release()
         _cleanup_pipes(*self._pipe_ends, self._pool_tag)
         self._finalizer.detach()
 

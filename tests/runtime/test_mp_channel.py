@@ -49,7 +49,7 @@ from repro.runtime.faults import KILL_EXIT_CODE
 from repro.runtime.mp import (
     _HEARTBEAT_S,
     _Channel,
-    _encode_payload,
+    _encode_buffers,
     _reclaim_in_flight,
 )
 from repro.runtime.pool import _pipe
@@ -231,9 +231,9 @@ class TestNeverBlocks:
         in both modes the step completes and every message arrives in
         order (the pairwise key check would raise otherwise)."""
         programs, stores, fills = _flood_programs()
-        pool = ActorPool(2, comm_mode=mode, watchdog_s=WATCHDOG_S, shm_threshold=1 << 30)
+        pool = ActorPool(2, watchdog_s=WATCHDOG_S, shm_threshold=1 << 30)
         try:
-            res = pool.submit(programs, stores).result(timeout=60)
+            res = pool.submit(programs, stores, comm_mode=mode).result(timeout=60)
             np.testing.assert_array_equal(stores[0].get(BufferRef("out")).value, fills + 1.0)
             sends = [e for e in res.timeline if e.kind == "send" and e.actor == 0]
             busy = next(e for e in res.timeline if e.name == "busy")
@@ -400,12 +400,12 @@ class TestNoOrphanedState:
         returns although the write end is still open."""
         r, chan = _nonblocking_pipe()
         try:
-            payload = _encode_payload(np.ones(64, np.float32), 1)
-            assert os.path.exists(f"/dev/shm/{payload[1]}")
-            chan.put((("data", 0), ("k", 256, payload)))
+            payload = _encode_buffers({"k": (np.ones(64, np.float32), 256, False)}, 1)
+            assert os.path.exists(f"/dev/shm/{payload.name}")
+            chan.put((("data", 0), ("k", payload)))
             os.write(chan._fd, b"\x00\x00\x10\x00half a frame")
             _reclaim_in_flight([r])
-            assert not os.path.exists(f"/dev/shm/{payload[1]}")
+            assert not os.path.exists(f"/dev/shm/{payload.name}")
         finally:
             chan.close()
             r.close()

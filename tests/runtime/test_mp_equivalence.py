@@ -112,7 +112,7 @@ class TestGalleryEquivalence:
 
     @pytest.mark.slow
     def test_data_parallel_bit_identical(self):
-        """dp=2 exercises the barrier-backed all-reduce across replicas."""
+        """dp=2 exercises the gather/collres all-reduce across replicas."""
         ts, params, batch = make_problem(2, n_mbs=4, mbsz=8)
         results = {}
         for engine in ("event", "mp"):
@@ -275,10 +275,16 @@ class TestChannelContract:
         ("price_schedule", "tie_" + "break"),
         ("MpmdExecutor", "mp_codegen_" + "actor"),
         ("ActorPool.submit", "codegen_actor"),
+        ("RemoteMesh", "mp_max_" + "inflight"),
+        ("ActorPool", "max_" + "inflight"),
+        ("ActorPool", "comm_mode"),
+        ("ActorPool.submit", "timeout"),
     ], ids=lambda v: v)
     def test_removed_keyword_rejected(self, call, keyword):
-        """The per-rank generated driver's selectors and the event
-        engine's ready-queue tie-break policies are gone, not ignored."""
+        """The per-rank generated driver's selectors, the event engine's
+        ready-queue tie-break policies, the pool's submission window and
+        its pool-wide ``comm_mode`` (each run carries its own) are gone,
+        not ignored."""
         from repro.perf.pipeline_sim import price_schedule
         from repro.runtime import ActorPool
 
@@ -287,6 +293,7 @@ class TestChannelContract:
             "MpmdExecutor": lambda kw: MpmdExecutor(2, engine="mp", **kw),
             "price_schedule": lambda kw: price_schedule(core.OneFOneB(2), 2, None, **kw),
             # argument binding fails before the body runs: no pool is spawned
+            "ActorPool": lambda kw: ActorPool.__init__(None, 1, **kw),
             "ActorPool.submit": lambda kw: ActorPool.submit(None, [], **kw),
         }
         with pytest.raises(TypeError, match=keyword):

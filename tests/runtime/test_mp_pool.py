@@ -101,8 +101,9 @@ class TestGalleryEquivalence:
             mesh.close()
 
     def test_data_parallel_bit_identical(self):
-        """dp=2 on one pool exercises the queue barrier and the routed
-        gather/result collective plumbing."""
+        """ASYNC dp=2 on one pool: every all-reduce contribution goes to
+        the group root on the gather route and its result comes back on
+        the collres route, both routed by group key."""
         ts, params, batch = make_problem(2, n_mbs=4, mbsz=8)
         want = core.RemoteMesh((2, 2)).distributed(
             ts, schedule=core.OneFOneB(2), task_backend="linear"
@@ -110,8 +111,8 @@ class TestGalleryEquivalence:
         mesh = core.RemoteMesh((2, 2), engine="mp", mp_watchdog_s=WATCHDOG_S)
         try:
             step = mesh.distributed(ts, schedule=core.OneFOneB(2))
-            # twice through the same pool: the barrier's generation
-            # counters must survive reuse
+            # twice through the same pool: the second step's collectives
+            # meet nothing the first one left on those routes
             got = step(params, batch)
             again = step(params, batch)
             assert_bit_identical(want, got)
@@ -120,8 +121,8 @@ class TestGalleryEquivalence:
             mesh.close()
 
     def test_sync_data_parallel_bit_identical(self):
-        """SYNC dp=2: acks, the queue barrier and the gather/collres
-        routes share each rank's one inbox in a single run — and again in
+        """SYNC dp=2: acks and the gather/collres routes (by group key)
+        share each rank's one inbox in a single run — and again in
         a second run on the same workers."""
         ts, params, batch = make_problem(2, n_mbs=4, mbsz=8)
         want = core.RemoteMesh((2, 2), comm_mode=CommMode.SYNC).distributed(

@@ -3,7 +3,7 @@
 The differential suite (``test_mp_pool.py``) pins down *what* the pool
 computes; this one pins down how it *lives*: programs ship once and are
 cached worker-side, independent compiled steps interleave on one warm
-mesh, backpressure really blocks at the queue bound, an idle pool never
+mesh, a failed result merge fails its own future, an idle pool never
 trips the watchdog, shared-memory segments return to baseline after
 every submission, and a ``kill -9``'d worker fails pending futures with
 a diagnostic instead of hanging the driver.  Every test runs under the
@@ -24,7 +24,7 @@ from repro.runtime import (
     BufferRef,
     CommMode,
     DeadlockError,
-    PoolBackpressureTimeout,
+    PoolClosedError,
     Recv,
     RunTask,
     Send,
@@ -153,7 +153,7 @@ class TestReuse:
     def test_pipelined_submissions_overlap(self):
         """Futures return immediately: step N+1 is accepted (shipped,
         inputs staged) while step N is still executing."""
-        with ActorPool(1, watchdog_s=WATCHDOG_S, max_inflight=4) as pool:
+        with ActorPool(1, watchdog_s=WATCHDOG_S) as pool:
             progs = _one_rank_program(_sleepy)
             t0 = time.monotonic()
             futs = [pool.submit(progs, _one_rank_stores()) for _ in range(3)]
@@ -163,24 +163,6 @@ class TestReuse:
             for f in futs:
                 f.result(timeout=60)
             assert pool.inflight == 0
-
-
-class TestBackpressure:
-    def test_submit_blocks_at_queue_bound(self):
-        with ActorPool(1, watchdog_s=WATCHDOG_S, max_inflight=2) as pool:
-            progs = _one_rank_program(_sleepy)
-            futs = [pool.submit(progs, _one_rank_stores()) for _ in range(2)]
-            with pytest.raises(PoolBackpressureTimeout, match="queue full"):
-                pool.submit(progs, _one_rank_stores(), timeout=0.1)
-            # a slot frees when a step completes; the same submit succeeds
-            futs[0].result(timeout=60)
-            late = pool.submit(progs, _one_rank_stores(), timeout=30.0)
-            futs[1].result(timeout=60)
-            late.result(timeout=60)
-
-    def test_bound_validated(self):
-        with pytest.raises(ValueError, match="max_inflight"):
-            ActorPool(1, max_inflight=0)
 
 
 class TestWatchdog:
@@ -203,11 +185,11 @@ class TestWatchdog:
             [Send(BufferRef("x"), 1, "never")],  # SYNC send, no recv posted
             [],
         ]
-        pool = ActorPool(2, comm_mode=CommMode.SYNC, watchdog_s=3.0)
+        pool = ActorPool(2, watchdog_s=3.0)
         try:
             stores = [ObjectStore(0), ObjectStore(1)]
             stores[0].put(BufferRef("x"), np.zeros(4, np.float32), 16)
-            fut = pool.submit(progs, stores)
+            fut = pool.submit(progs, stores, comm_mode=CommMode.SYNC)
             with pytest.raises(DeadlockError) as err:
                 fut.result(timeout=120)
             msg = str(err.value)
@@ -276,7 +258,7 @@ class TestChaos:
         """``kill -9`` of one worker mid-step: every pending future fails
         promptly with a diagnostic naming the actor and exit code — the
         driver never hangs, and the pool refuses further submissions."""
-        pool = ActorPool(1, watchdog_s=WATCHDOG_S, max_inflight=4)
+        pool = ActorPool(1, watchdog_s=WATCHDOG_S)
         try:
             progs = _one_rank_program(_long_sleep)
             fut1 = pool.submit(progs, _one_rank_stores())
@@ -290,6 +272,28 @@ class TestChaos:
             assert "exitcode" in str(exc)
             assert pool.closed and not pool.alive()
             with pytest.raises(RuntimeError, match="dead"):
+                pool.submit(progs, _one_rank_stores())
+        finally:
+            pool.shutdown()
+
+    def test_failed_merge_fails_its_own_future(self, monkeypatch):
+        """A result merge that raises fails the submission it was merging
+        — no longer pending, so failing the pending ones alone would
+        leave its caller blocked for good — and the pool is closed by
+        the time that caller sees the error."""
+        import repro.runtime.pool as pool_module
+
+        def broken_merge(*args):
+            raise RuntimeError("merge exploded")
+
+        monkeypatch.setattr(pool_module, "_merge_results", broken_merge)
+        pool = ActorPool(1, watchdog_s=WATCHDOG_S)
+        try:
+            progs = _one_rank_program(_double)
+            fut = pool.submit(progs, _one_rank_stores())
+            with pytest.raises(RuntimeError, match="merge exploded"):
+                fut.result(timeout=30)
+            with pytest.raises(PoolClosedError):
                 pool.submit(progs, _one_rank_stores())
         finally:
             pool.shutdown()
@@ -420,7 +424,7 @@ class TestShutdown:
     def test_shutdown_drains_pending_work(self):
         """``shutdown()`` is graceful: submissions already accepted run
         to completion before the workers exit."""
-        pool = ActorPool(1, watchdog_s=WATCHDOG_S, max_inflight=4)
+        pool = ActorPool(1, watchdog_s=WATCHDOG_S)
         progs = _one_rank_program(_sleepy)
         stores = _one_rank_stores()
         fut = pool.submit(progs, stores)
@@ -584,7 +588,7 @@ class TestResidencyLifecycle:
         from repro.runtime.faults import RankFaultState
         from collections import deque
 
-        from repro.runtime.mp import _discard_payload, _encode_buffers, _encode_payload
+        from repro.runtime.mp import _discard_payload, _encode_buffers
         from repro.runtime.pool import _CMD, _Run
 
         def slab():
@@ -603,15 +607,16 @@ class TestResidencyLifecycle:
         assert not os.path.exists(f"/dev/shm/{enc.name}")
 
         # what an injected kill hands over: the command's slab plus the
-        # transfers parked in the inbox demultiplexer (route -> deque)
+        # transfers parked in the inbox demultiplexer ((source, route) ->
+        # deque), each a one-entry slab under its key
         enc = slab()
-        parked = _encode_payload(np.ones(4, np.float32), 1)
-        assert os.path.exists(f"/dev/shm/{parked[1]}")
+        parked = _encode_buffers({"k": (np.ones(4, np.float32), 16, False)}, 1)
+        assert os.path.exists(f"/dev/shm/{parked.name}")
         RankFaultState._discard(
-            (enc, {("data", 0): deque([("k", 16, parked)])})
+            (enc, {(0, ("data", 0)): deque([("k", parked)])})
         )
         assert not os.path.exists(f"/dev/shm/{enc.name}")
-        assert not os.path.exists(f"/dev/shm/{parked[1]}")
+        assert not os.path.exists(f"/dev/shm/{parked.name}")
 
         # below the threshold the slab is an inline blob: nothing to reclaim
         inline = _encode_buffers({"a": (np.zeros(3), 24, False)}, 1 << 20)
