@@ -509,8 +509,8 @@ def _warmup_proposals(
     A rank parked on a recv is starved by its *upstream* — extra warmup
     upstream posts its sends ahead, hiding the transfer latency the park
     is made of.  So proposals add warmup strictly upstream of the
-    longest-parked rank, on top of both the 1F1B (``p - 1 - r``) and the
-    eager (``2(p - 1 - r)``) base vectors.  Only meaningful for
+    longest-parked rank, on top of both the :class:`OneFOneB` and the
+    :class:`Eager1F1B` warmup vectors.  Only meaningful for
     one-stage-per-rank shapes (the warmup vector is the 1F1B family's
     only degree of freedom); vectors are capped at ``n_mbs``, repaired to
     the rank-wise non-increasing feasibility shape, and deduplicated
@@ -524,19 +524,13 @@ def _warmup_proposals(
     if sched.n_stages != p:
         return []
     parked = best.result.parked_by_rank()
-    base = [p - 1 - r for r in range(p)]
-    eager = [2 * (p - 1 - r) for r in range(p)]
-
-    def vector_of(s: Schedule) -> tuple[int, ...] | None:
-        if isinstance(s, Hybrid1F1B):
-            return tuple(min(w, n_mbs) for w in s.warmup)
-        if isinstance(s, Eager1F1B):
-            return tuple(min(w, n_mbs) for w in eager)
-        if isinstance(s, OneFOneB):
-            return tuple(min(w, n_mbs) for w in base)
-        return None
-
-    seen = {v for v in (vector_of(e.schedule) for e in entries) if v is not None}
+    base = OneFOneB(p).warmup
+    eager = Eager1F1B(p).warmup
+    seen = {
+        tuple(min(w, n_mbs) for w in e.schedule.warmup)
+        for e in entries
+        if isinstance(e.schedule, Hybrid1F1B)
+    }
     out: list[Schedule] = []
 
     def propose(warmup: Sequence[int]) -> None:

@@ -38,6 +38,7 @@ needs the local ``bwd_i``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -135,181 +136,41 @@ class Schedule:
         return type(self).__name__
 
 
-class GPipe(Schedule):
-    """GPipe (Huang et al. 2019): all forwards, then all backwards in
-    reverse microbatch order. Peak activation memory grows with the number
-    of microbatches — the §5.3 comparison point."""
+def _one_f_one_b(
+    warmup: int, total: int, fwd: Callable[[int], Unit], bwd: Callable[[int], Unit]
+) -> list[Unit]:
+    """One rank's 1F1B order over ``total`` forwards and ``total``
+    backwards: ``warmup`` forwards, then one forward and one backward at a
+    time, then the backwards left over.  ``fwd(k)`` / ``bwd(k)`` are the
+    rank's ``k``-th forward / backward unit."""
+    warmup = min(warmup, total)
+    seq = [fwd(k) for k in range(warmup)]
+    for k in range(total):
+        if warmup + k < total:
+            seq.append(fwd(warmup + k))
+        seq.append(bwd(k))
+    return seq
+
+
+class _OneStagePerActor(Schedule):
+    """Placement shared by the 1F1B family and ZB-H1/H2: stage ``s`` runs
+    on actor ``s``."""
 
     def __init__(self, n_stages: int, n_actors: int | None = None):
         if n_actors is None:
             n_actors = n_stages
+        if n_actors < 1:
+            raise ValueError(f"{type(self).__name__} needs at least one actor")
         if n_stages != n_actors:
-            raise ValueError("GPipe places one stage per actor")
+            raise ValueError(f"{type(self).__name__} places one stage per actor")
         self.n_stages = n_stages
         self.n_actors = n_actors
 
     def actor_of_stage(self, stage: int) -> int:
         return stage
 
-    def activation_bound(self, rank: int, n_mbs: int) -> int | None:
-        return n_mbs  # every microbatch's activation is live at the turn
 
-    def units(self, n_mbs: int) -> list[list[Unit]]:
-        out = []
-        for actor in range(self.n_actors):
-            seq = [Unit(i, actor, FWD) for i in range(n_mbs)]
-            seq += [Unit(i, actor, BWD) for i in reversed(range(n_mbs))]
-            out.append(seq)
-        return out
-
-
-class OneFOneB(Schedule):
-    """1F1B (PipeDream-flush, Narayanan et al. 2019): warm up with
-    ``p - 1 - rank`` forwards, then alternate one-forward-one-backward.
-    Peak activation memory grows with the number of *stages*, not
-    microbatches (§2.2.1's 2-3x activation-memory reduction)."""
-
-    def __init__(self, n_stages: int, n_actors: int | None = None):
-        if n_actors is None:
-            n_actors = n_stages
-        if n_stages != n_actors:
-            raise ValueError("OneFOneB places one stage per actor; use Interleaved1F1B for circular repeat")
-        self.n_stages = n_stages
-        self.n_actors = n_actors
-
-    def actor_of_stage(self, stage: int) -> int:
-        return stage
-
-    def activation_bound(self, rank: int, n_mbs: int) -> int | None:
-        return min(self.n_actors - rank, n_mbs)  # §2.2.1: bounded by stages
-
-    def units(self, n_mbs: int) -> list[list[Unit]]:
-        p = self.n_actors
-        out = []
-        for rank in range(p):
-            warmup = min(p - 1 - rank, n_mbs)
-            seq = [Unit(i, rank, FWD) for i in range(warmup)]
-            nf, nb = warmup, 0
-            while nb < n_mbs:
-                if nf < n_mbs:
-                    seq.append(Unit(nf, rank, FWD))
-                    nf += 1
-                seq.append(Unit(nb, rank, BWD))
-                nb += 1
-            out.append(seq)
-        return out
-
-
-class Interleaved1F1B(Schedule):
-    """Interleaved 1F1B (Narayanan et al. 2021): each actor owns
-    ``circular_repeat`` (the paper's "degree of circular repeat", a.k.a.
-    virtual pipeline) stages, assigned round-robin: stage ``s`` runs on
-    actor ``s % n_actors``. Microbatches advance in groups of ``n_actors``.
-
-    Requires ``n_mbs % n_actors == 0`` (Megatron's constraint).
-    """
-
-    def __init__(self, n_actors: int, circular_repeat: int):
-        if circular_repeat < 1:
-            raise ValueError("circular_repeat must be >= 1")
-        self.n_actors = n_actors
-        self.v = circular_repeat
-        self.n_stages = n_actors * circular_repeat
-
-    def actor_of_stage(self, stage: int) -> int:
-        return stage % self.n_actors
-
-    # -- Megatron-style global orders ----------------------------------------
-    def _fwd_unit(self, rank: int, k: int, n_mbs: int) -> Unit:
-        p, v = self.n_actors, self.v
-        group, within = divmod(k, p * v)
-        chunk, mb_in_group = divmod(within, p)
-        mb = group * p + mb_in_group
-        stage = chunk * p + rank
-        return Unit(mb, stage, FWD)
-
-    def _bwd_unit(self, rank: int, k: int, n_mbs: int) -> Unit:
-        p, v = self.n_actors, self.v
-        group, within = divmod(k, p * v)
-        chunk, mb_in_group = divmod(within, p)
-        mb = group * p + mb_in_group
-        stage = (v - 1 - chunk) * p + rank
-        return Unit(mb, stage, BWD)
-
-    def units(self, n_mbs: int) -> list[list[Unit]]:
-        p, v = self.n_actors, self.v
-        if n_mbs % p != 0:
-            raise ValueError(
-                f"Interleaved1F1B needs n_mbs divisible by n_actors ({n_mbs} % {p})"
-            )
-        total = n_mbs * v
-        out = []
-        for rank in range(p):
-            warmup = min((p - rank - 1) * 2 + (v - 1) * p, total)
-            seq: list[Unit] = []
-            nf = nb = 0
-            for _ in range(warmup):
-                seq.append(self._fwd_unit(rank, nf, n_mbs))
-                nf += 1
-            while nf < total:
-                seq.append(self._fwd_unit(rank, nf, n_mbs))
-                nf += 1
-                seq.append(self._bwd_unit(rank, nb, n_mbs))
-                nb += 1
-            while nb < total:
-                seq.append(self._bwd_unit(rank, nb, n_mbs))
-                nb += 1
-            out.append(seq)
-        return out
-
-    @property
-    def name(self) -> str:
-        return f"Interleaved1F1B(v={self.v})"
-
-
-class Eager1F1B(Schedule):
-    """Eager 1F1B (PipeDream's eager warmup variant): same steady-state
-    one-forward-one-backward alternation as :class:`OneFOneB`, but each
-    rank warms up with ``2 * (p - 1 - rank)`` forwards instead of
-    ``p - 1 - rank``.  The doubled warmup keeps an extra in-flight
-    microbatch per downstream hop, so activation sends are posted well
-    before their recvs are needed — the overlap headroom that hides P2P
-    latency at scale — at the price of roughly twice 1F1B's peak
-    activation memory (still bounded by stages, never by microbatches).
-    """
-
-    def __init__(self, n_stages: int, n_actors: int | None = None):
-        if n_actors is None:
-            n_actors = n_stages
-        if n_stages != n_actors:
-            raise ValueError("Eager1F1B places one stage per actor")
-        self.n_stages = n_stages
-        self.n_actors = n_actors
-
-    def actor_of_stage(self, stage: int) -> int:
-        return stage
-
-    def activation_bound(self, rank: int, n_mbs: int) -> int | None:
-        return min(2 * (self.n_actors - 1 - rank) + 1, n_mbs)
-
-    def units(self, n_mbs: int) -> list[list[Unit]]:
-        p = self.n_actors
-        out = []
-        for rank in range(p):
-            warmup = min(2 * (p - 1 - rank), n_mbs)
-            seq = [Unit(i, rank, FWD) for i in range(warmup)]
-            nf, nb = warmup, 0
-            while nb < n_mbs:
-                if nf < n_mbs:
-                    seq.append(Unit(nf, rank, FWD))
-                    nf += 1
-                seq.append(Unit(nb, rank, BWD))
-                nb += 1
-            out.append(seq)
-        return out
-
-
-class Hybrid1F1B(Schedule):
+class Hybrid1F1B(_OneStagePerActor):
     """1F1B with an explicit per-rank warmup vector — the knob between
     :class:`OneFOneB` (``warmup[r] = p - 1 - r``) and :class:`Eager1F1B`
     (``warmup[r] = 2(p - 1 - r)``), exposed so the autotuner can shift
@@ -328,48 +189,126 @@ class Hybrid1F1B(Schedule):
     """
 
     def __init__(self, n_stages: int, warmup: Sequence[int], n_actors: int | None = None):
-        if n_actors is None:
-            n_actors = n_stages
-        if n_stages != n_actors:
-            raise ValueError("Hybrid1F1B places one stage per actor")
+        super().__init__(n_stages, n_actors)
         warmup = tuple(int(w) for w in warmup)
-        if len(warmup) != n_actors:
+        if len(warmup) != self.n_actors:
             raise ValueError(
-                f"warmup vector has {len(warmup)} entries for {n_actors} ranks"
+                f"warmup vector has {len(warmup)} entries for {self.n_actors} ranks"
             )
         if any(w < 0 for w in warmup):
             raise ValueError("warmup counts must be non-negative")
-        self.n_stages = n_stages
-        self.n_actors = n_actors
         self.warmup = warmup
-
-    def actor_of_stage(self, stage: int) -> int:
-        return stage
 
     def activation_bound(self, rank: int, n_mbs: int) -> int | None:
         return min(self.warmup[rank] + 1, n_mbs)
 
     def units(self, n_mbs: int) -> list[list[Unit]]:
-        out = []
-        for rank in range(self.n_actors):
-            w = min(self.warmup[rank], n_mbs)
-            seq = [Unit(i, rank, FWD) for i in range(w)]
-            nf, nb = w, 0
-            while nb < n_mbs:
-                if nf < n_mbs:
-                    seq.append(Unit(nf, rank, FWD))
-                    nf += 1
-                seq.append(Unit(nb, rank, BWD))
-                nb += 1
-            out.append(seq)
-        return out
+        return [
+            _one_f_one_b(
+                w,
+                n_mbs,
+                functools.partial(Unit, stage=rank, kind=FWD),
+                functools.partial(Unit, stage=rank, kind=BWD),
+            )
+            for rank, w in enumerate(self.warmup)
+        ]
 
     @property
     def name(self) -> str:
         return f"Hybrid1F1B{list(self.warmup)}"
 
 
-class ZBH1(Schedule):
+class OneFOneB(Hybrid1F1B):
+    """1F1B (PipeDream-flush, Narayanan et al. 2019): warm up with
+    ``p - 1 - rank`` forwards, then alternate one-forward-one-backward.
+    Peak activation memory grows with the number of *stages*, not
+    microbatches (§2.2.1's 2-3x activation-memory reduction)."""
+
+    name = Schedule.name
+
+    def __init__(self, n_stages: int, n_actors: int | None = None):
+        super().__init__(n_stages, [n_stages - 1 - r for r in range(n_stages)], n_actors)
+
+
+class Eager1F1B(Hybrid1F1B):
+    """Eager 1F1B (PipeDream's eager warmup variant): same steady-state
+    one-forward-one-backward alternation as :class:`OneFOneB`, but each
+    rank warms up with ``2 * (p - 1 - rank)`` forwards instead of
+    ``p - 1 - rank``.  The doubled warmup keeps an extra in-flight
+    microbatch per downstream hop, so activation sends are posted well
+    before their recvs are needed — the overlap headroom that hides P2P
+    latency at scale — at the price of roughly twice 1F1B's peak
+    activation memory (still bounded by stages, never by microbatches).
+    """
+
+    name = Schedule.name
+
+    def __init__(self, n_stages: int, n_actors: int | None = None):
+        super().__init__(
+            n_stages, [2 * (n_stages - 1 - r) for r in range(n_stages)], n_actors
+        )
+
+
+class _RoundRobin(Schedule):
+    """Placement shared by the circular-repeat schedules: each actor owns
+    ``circular_repeat`` stage chunks, stage ``s`` on actor
+    ``s % n_actors``."""
+
+    def __init__(self, n_actors: int, circular_repeat: int):
+        if n_actors < 1:
+            raise ValueError(f"{type(self).__name__} needs at least one actor")
+        if circular_repeat < 1:
+            raise ValueError("circular_repeat must be >= 1")
+        self.n_actors = n_actors
+        self.v = circular_repeat
+        self.n_stages = n_actors * circular_repeat
+
+    def actor_of_stage(self, stage: int) -> int:
+        return stage % self.n_actors
+
+
+class Interleaved1F1B(_RoundRobin):
+    """Interleaved 1F1B (Narayanan et al. 2021): each actor owns
+    ``circular_repeat`` (the paper's "degree of circular repeat", a.k.a.
+    virtual pipeline) stages, assigned round-robin: stage ``s`` runs on
+    actor ``s % n_actors``. Microbatches advance in groups of ``n_actors``.
+
+    Requires ``n_mbs % n_actors == 0`` (Megatron's constraint).
+    """
+
+    def _unit(self, rank: int, k: int, kind: str) -> Unit:
+        """The ``k``-th unit of ``kind`` on ``rank`` in Megatron's global
+        order: microbatches in groups of ``p``, chunks ascending for
+        forwards and descending for backwards."""
+        p, v = self.n_actors, self.v
+        group, within = divmod(k, p * v)
+        chunk, mb_in_group = divmod(within, p)
+        if kind == BWD:
+            chunk = v - 1 - chunk
+        return Unit(group * p + mb_in_group, chunk * p + rank, kind)
+
+    def units(self, n_mbs: int) -> list[list[Unit]]:
+        p, v = self.n_actors, self.v
+        if n_mbs % p != 0:
+            raise ValueError(
+                f"Interleaved1F1B needs n_mbs divisible by n_actors ({n_mbs} % {p})"
+            )
+        return [
+            _one_f_one_b(
+                (p - rank - 1) * 2 + (v - 1) * p,
+                n_mbs * v,
+                functools.partial(self._unit, rank, kind=FWD),
+                functools.partial(self._unit, rank, kind=BWD),
+            )
+            for rank in range(p)
+        ]
+
+    @property
+    def name(self) -> str:
+        return f"Interleaved1F1B(v={self.v})"
+
+
+class ZBH1(_OneStagePerActor):
     """Zero-bubble ZB-H1 (Qi et al. 2024): 1F1B with the backward split
     into an input-gradient unit (``bwd_i``, on the inter-stage critical
     path) and a weight-gradient unit (``bwd_w``, purely local).
@@ -385,26 +324,19 @@ class ZBH1(Schedule):
 
     backward_split = True
 
-    def __init__(self, n_stages: int, n_actors: int | None = None):
-        if n_actors is None:
-            n_actors = n_stages
-        if n_stages != n_actors:
-            raise ValueError("ZBH1 places one stage per actor")
-        self.n_stages = n_stages
-        self.n_actors = n_actors
-
-    def actor_of_stage(self, stage: int) -> int:
-        return stage
+    def _warmup_and_bound(self, rank: int) -> tuple[int, int]:
+        """Rank's warmup forwards and live-activation bound: 1F1B's."""
+        p = self.n_actors
+        return p - 1 - rank, p - rank
 
     def activation_bound(self, rank: int, n_mbs: int) -> int | None:
-        return min(self.n_actors - rank, n_mbs)  # 1F1B's bound, kept
+        return min(self._warmup_and_bound(rank)[1], n_mbs)
 
     def units(self, n_mbs: int) -> list[list[Unit]]:
-        p = self.n_actors
         out = []
-        for rank in range(p):
-            bound = p - rank  # 1F1B's peak live-activation count
-            warmup = min(p - 1 - rank, n_mbs)
+        for rank in range(self.n_actors):
+            warmup, bound = self._warmup_and_bound(rank)
+            warmup = min(warmup, n_mbs)
             seq = [Unit(i, rank, FWD) for i in range(warmup)]
             nf, nb, nw = warmup, 0, 0
             while nb < n_mbs:
@@ -414,7 +346,7 @@ class ZBH1(Schedule):
                 seq.append(Unit(nb, rank, BWD_I))
                 nb += 1
                 # retire weight-gradients eagerly enough to keep the
-                # activation count at 1F1B's bound
+                # activation count at the bound
                 while nw < nb and nf - nw >= bound:
                     seq.append(Unit(nw, rank, BWD_W))
                     nw += 1
@@ -429,7 +361,7 @@ class ZBH1(Schedule):
         return "ZB-H1"
 
 
-class ZBH2(Schedule):
+class ZBH2(ZBH1):
     """Zero-bubble ZB-H2 (Qi et al. 2024): ZB-H1 with the activation bound
     relaxed from 1F1B's rank-dependent ``p - rank`` to a uniform
     ``2p - 1``.
@@ -447,44 +379,9 @@ class ZBH2(Schedule):
     trade-off curve.
     """
 
-    backward_split = True
-
-    def __init__(self, n_stages: int, n_actors: int | None = None):
-        if n_actors is None:
-            n_actors = n_stages
-        if n_stages != n_actors:
-            raise ValueError("ZBH2 places one stage per actor")
-        self.n_stages = n_stages
-        self.n_actors = n_actors
-
-    def actor_of_stage(self, stage: int) -> int:
-        return stage
-
-    def activation_bound(self, rank: int, n_mbs: int) -> int | None:
-        return min(2 * self.n_actors - 1, n_mbs)
-
-    def units(self, n_mbs: int) -> list[list[Unit]]:
+    def _warmup_and_bound(self, rank: int) -> tuple[int, int]:
         p = self.n_actors
-        out = []
-        for rank in range(p):
-            bound = 2 * p - 1  # the relaxed H2 bound, uniform over ranks
-            warmup = min(2 * (p - 1 - rank), n_mbs)
-            seq = [Unit(i, rank, FWD) for i in range(warmup)]
-            nf, nb, nw = warmup, 0, 0
-            while nb < n_mbs:
-                if nf < n_mbs:
-                    seq.append(Unit(nf, rank, FWD))
-                    nf += 1
-                seq.append(Unit(nb, rank, BWD_I))
-                nb += 1
-                while nw < nb and nf - nw >= bound:
-                    seq.append(Unit(nw, rank, BWD_W))
-                    nw += 1
-            while nw < n_mbs:  # cooldown tail: pure bubble-filling
-                seq.append(Unit(nw, rank, BWD_W))
-                nw += 1
-            out.append(seq)
-        return out
+        return 2 * (p - 1 - rank), 2 * p - 1
 
     @property
     def name(self) -> str:
@@ -514,7 +411,8 @@ class ZBV(Schedule):
     the interleaved V warmup), and deferring weight-gradient units to
     bubbles — or emitting them eagerly once the rank's live-activation
     count reaches the ``2p`` chunk budget (1F1B's byte budget, since each
-    chunk holds half a microbatch's layers).
+    chunk holds half a microbatch's layers) — the bound
+    :meth:`activation_bound` declares.
     """
 
     backward_split = True
@@ -524,26 +422,19 @@ class ZBV(Schedule):
             raise ValueError("ZBV needs at least one actor")
         self.n_actors = n_actors
         self.n_stages = 2 * n_actors
-        self._units_cache: dict[int, list[list[Unit]]] = {}
-        self._peaks_cache: dict[int, list[int]] = {}
 
     def actor_of_stage(self, stage: int) -> int:
         p = self.n_actors
         return stage if stage < p else 2 * p - 1 - stage
 
     def activation_bound(self, rank: int, n_mbs: int) -> int | None:
-        if n_mbs not in self._peaks_cache:
-            self.units(n_mbs)  # populate the measured-peak cache
-        return self._peaks_cache[n_mbs][rank]
+        return 2 * self.n_actors  # chunk-activations/rank == 1F1B's byte budget
 
     def units(self, n_mbs: int) -> list[list[Unit]]:
-        cached = self._units_cache.get(n_mbs)
-        if cached is not None:
-            return [list(seq) for seq in cached]
         from repro.core.schedule_ir import iter_unit_deps
 
         p, S = self.n_actors, self.n_stages
-        budget = 2 * p  # chunk-activations/rank == 1F1B's byte budget
+        budget = self.activation_bound(0, n_mbs)  # uniform over ranks
         kind_prio = {BWD_I: 0, FWD: 1, BWD_W: 2}
 
         pending: list[set[Unit]] = [set() for _ in range(p)]
@@ -607,24 +498,14 @@ class ZBV(Schedule):
             elif u.kind == BWD_W:
                 live[rank] -= 1
             n_left -= 1
-
-        peaks = []
-        for seq in seqs:
-            lv = pk = 0
-            for u in seq:
-                lv += 1 if u.kind == FWD else (-1 if u.kind == BWD_W else 0)
-                pk = max(pk, lv)
-            peaks.append(pk)
-        self._peaks_cache[n_mbs] = peaks
-        self._units_cache[n_mbs] = seqs
-        return [list(seq) for seq in seqs]
+        return seqs
 
     @property
     def name(self) -> str:
         return "ZB-V"
 
 
-class LoopedBFS(Schedule):
+class LoopedBFS(_RoundRobin):
     """Looped breadth-first schedule (Lamy-Poirier 2023, Llama-style):
     circular-repeat placement like :class:`Interleaved1F1B` (stage ``s``
     on actor ``s % n_actors``), but microbatches sweep *breadth-first* —
@@ -637,16 +518,6 @@ class LoopedBFS(Schedule):
     turn) — the trade for maximum send batching and a schedule whose
     per-chunk communication is perfectly regular.
     """
-
-    def __init__(self, n_actors: int, circular_repeat: int):
-        if circular_repeat < 1:
-            raise ValueError("circular_repeat must be >= 1")
-        self.n_actors = n_actors
-        self.v = circular_repeat
-        self.n_stages = n_actors * circular_repeat
-
-    def actor_of_stage(self, stage: int) -> int:
-        return stage % self.n_actors
 
     def activation_bound(self, rank: int, n_mbs: int) -> int | None:
         return n_mbs * self.v  # breadth-first holds every sweep's output
@@ -668,6 +539,20 @@ class LoopedBFS(Schedule):
     @property
     def name(self) -> str:
         return f"LoopedBFS(v={self.v})"
+
+
+class GPipe(LoopedBFS):
+    """GPipe (Huang et al. 2019): all forwards, then all backwards in
+    reverse microbatch order — :class:`LoopedBFS` with one chunk. Peak
+    activation memory grows with the number of microbatches — the §5.3
+    comparison point."""
+
+    name = Schedule.name
+
+    def __init__(self, n_stages: int, n_actors: int | None = None):
+        if n_actors not in (None, n_stages):
+            raise ValueError("GPipe places one stage per actor")
+        super().__init__(n_stages, 1)
 
 
 class InterleavedZB(Interleaved1F1B):

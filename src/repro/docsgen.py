@@ -103,7 +103,7 @@ GALLERY_DOC: tuple[_Doc, ...] = (
     ),
     _Doc(
         ZBV(P),
-        "measured per rank; ~`2p` *chunk* activations = 1F1B's byte budget "
+        "`2p` *chunk* activations per rank = 1F1B's byte budget "
         "(each chunk holds half the layers)",
         "approaches ZB-H2's bubble at roughly ZB-H1's memory — the V "
         "placement re-enters each rank twice, so `bwd_w` finds bubbles "

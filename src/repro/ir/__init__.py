@@ -17,10 +17,10 @@ from repro.ir import dtypes, nn, ops  # noqa: F401 (re-exported modules)
 from repro.ir.autodiff import grad, value_and_grad
 from repro.ir.avals import ShapedArray, abstractify
 from repro.ir.dtypes import bfloat16, bool_, float16, float32, int32
-from repro.ir.codegen import CodegenProgram, codegen, eval_jaxpr_codegen
+from repro.ir.codegen import CodegenProgram, codegen
 from repro.ir.interpreter import eval_jaxpr
 from repro.ir.jaxpr import Eqn, Jaxpr, Literal, Var, dce, pretty_print, validate
-from repro.ir.linearize import LinearProgram, eval_jaxpr_linear, linearize
+from repro.ir.linearize import LinearProgram, linearize
 from repro.ir.pipeline import pipeline_yield
 from repro.ir.primitives import Primitive, registry
 from repro.ir.pytree import (
@@ -39,8 +39,8 @@ __all__ = [
     "ShapedArray", "abstractify",
     "float32", "bfloat16", "float16", "int32", "bool_",
     "eval_jaxpr",
-    "LinearProgram", "linearize", "eval_jaxpr_linear",
-    "CodegenProgram", "codegen", "eval_jaxpr_codegen",
+    "LinearProgram", "linearize",
+    "CodegenProgram", "codegen",
     "Jaxpr", "Eqn", "Var", "Literal", "dce", "validate", "pretty_print",
     "pipeline_yield",
     "Primitive", "registry",

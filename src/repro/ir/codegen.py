@@ -74,7 +74,7 @@ from repro.ir.interpreter import eval_jaxpr
 from repro.ir.jaxpr import Jaxpr
 from repro.ir.linearize import FusedChain, LinearProgram, RecentPins, _consume, linearize
 
-__all__ = ["CodegenProgram", "codegen", "eval_jaxpr_codegen"]
+__all__ = ["CodegenProgram", "codegen"]
 
 #: dtypes every impl in the op set is closed over: operands of these dtypes
 #: produce exactly the traced output dtype, so canonicalization checks on
@@ -853,9 +853,3 @@ def codegen(jaxpr: Jaxpr) -> CodegenProgram:
         _programs[id(jaxpr)] = prog
     _recent.touch(prog)
     return prog
-
-
-def eval_jaxpr_codegen(jaxpr: Jaxpr, args: Sequence[Any]) -> list[Any]:
-    """Drop-in replacement for :func:`~repro.ir.interpreter.eval_jaxpr`
-    that emits once (cached) and dispatches through the generated code."""
-    return codegen(jaxpr)(args)

@@ -73,7 +73,7 @@ from repro.ir.dtypes import NP_CANONICAL
 from repro.ir.interpreter import eval_jaxpr
 from repro.ir.jaxpr import Jaxpr, Literal, Var
 
-__all__ = ["LinearProgram", "FusedChain", "linearize", "eval_jaxpr_linear"]
+__all__ = ["LinearProgram", "FusedChain", "linearize"]
 
 
 class FusedChain:
@@ -611,9 +611,3 @@ def linearize(jaxpr: Jaxpr) -> LinearProgram:
         _programs[id(jaxpr)] = prog
     _recent.touch(prog)
     return prog
-
-
-def eval_jaxpr_linear(jaxpr: Jaxpr, args: Sequence[Any]) -> list[Any]:
-    """Drop-in replacement for :func:`~repro.ir.interpreter.eval_jaxpr`
-    that lowers once (cached) and dispatches through the linear VM."""
-    return linearize(jaxpr)(args)

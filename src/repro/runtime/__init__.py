@@ -47,7 +47,6 @@ from repro.runtime.pool import ActorPool, PoolFuture
 from repro.runtime.recovery import (
     RankFailure,
     RecoveryPolicy,
-    ResilientMesh,
     ResilientStepFunction,
     is_recoverable,
 )
@@ -58,7 +57,7 @@ __all__ = [
     "ActorPool", "PoolFuture",
     "FaultPlan", "KillRank", "WedgeRank", "DropMessage", "DelayMessage",
     "CorruptCheckpoint",
-    "RecoveryPolicy", "RankFailure", "ResilientStepFunction", "ResilientMesh",
+    "RecoveryPolicy", "RankFailure", "ResilientStepFunction",
     "is_recoverable",
     "CostModel", "ZeroCost", "LinearCost",
     "MpmdExecutor", "CommMode", "DeadlockError", "CommMismatchError",

@@ -87,7 +87,6 @@ __all__ = [
     "RecoveryPolicy",
     "RankFailure",
     "ResilientStepFunction",
-    "ResilientMesh",
     "is_recoverable",
     "classify_failure",
 ]
@@ -374,31 +373,3 @@ class ResilientStepFunction:
             if self._rmdir is not None:
                 self._rmdir()
 
-
-class ResilientMesh:
-    """A :class:`~repro.core.api.RemoteMesh` view whose ``distributed``
-    always returns resilient step functions — the wrapper form of
-    ``RemoteMesh(recovery=policy)`` for meshes built elsewhere::
-
-        rmesh = ResilientMesh(mesh, RecoveryPolicy(snapshot_every=2))
-        step = rmesh.distributed(train_step)
-
-    Everything else (``close()``, ``n_actors``, …) delegates to the
-    wrapped mesh.
-    """
-
-    def __init__(self, mesh, policy: RecoveryPolicy):
-        self.mesh = mesh
-        self.policy = policy
-
-    def distributed(self, *args: Any, **kwargs: Any):
-        fn = self.mesh.distributed(*args, **kwargs)
-        if isinstance(fn, ResilientStepFunction):
-            return fn  # the mesh already wraps (RemoteMesh(recovery=...))
-        return ResilientStepFunction(fn, self.policy)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self.mesh, name)
-
-    def __repr__(self) -> str:
-        return f"ResilientMesh({self.mesh!r}, {self.policy!r})"

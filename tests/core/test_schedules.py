@@ -1,6 +1,8 @@
 """Schedule tests: validity, memory/bubble characteristics (§2.2.1), and
 hypothesis properties over random configurations."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -404,12 +406,19 @@ class TestZBV:
         a = s.units(6)
         b = s.units(6)
         assert a == b
-        assert a is not b  # callers get copies, not the cache
+        assert a is not b  # each call builds fresh lists
         assert a == ZBV(3).units(6)  # fresh instance, same order
 
     def test_needs_at_least_one_actor(self):
         with pytest.raises(ValueError):
             ZBV(0)
+
+    def test_bound_is_the_budget_not_the_measured_peak(self):
+        # with fewer microbatches than ranks the order peaks below 2p; the
+        # declared bound stays the greedy scheduler's 2p budget
+        s = ZBV(4)
+        assert schedule_stats(s, 2)["peak_live_activations"] == [4] * 4
+        assert [s.activation_bound(r, 2) for r in range(4)] == [8] * 4
 
 
 class TestHybrid1F1B:
@@ -533,3 +542,60 @@ class TestScheduleProperties:
         few = schedule_stats(OneFOneB(p), p)["bubble_fraction"]
         many = schedule_stats(OneFOneB(p), p * m_mult)["bubble_fraction"]
         assert many < few
+
+
+#: every gallery class, built from ``(p, v)`` (``v`` ignored by the
+#: one-stage-per-actor classes and ZB-V)
+GALLERY_CLASSES = {
+    "GPipe": lambda p, v: GPipe(p),
+    "OneFOneB": lambda p, v: OneFOneB(p),
+    "Eager1F1B": lambda p, v: Eager1F1B(p),
+    "Hybrid1F1B": lambda p, v: Hybrid1F1B(p, [p - r for r in range(p)]),
+    "Interleaved1F1B": Interleaved1F1B,
+    "ZBH1": lambda p, v: ZBH1(p),
+    "ZBH2": lambda p, v: ZBH2(p),
+    "ZBV": lambda p, v: ZBV(p),
+    "LoopedBFS": LoopedBFS,
+    "InterleavedZB": InterleavedZB,
+}
+
+
+class TestGalleryPinned:
+    """Exact per-actor orders, pinned: the property tests above check
+    validity, peaks and bubbles, not which order a schedule emits."""
+
+    GRID = [(1, 2, 1), (2, 4, 2), (3, 3, 3), (3, 9, 2), (4, 8, 2), (4, 12, 1), (5, 10, 3)]
+    #: sha256 prefixes over ``repr(units(n_mbs))`` and over the per-rank
+    #: ``activation_bound`` lists along ``GRID`` (ZB-V's bound has its own
+    #: test in ``TestZBV``)
+    DIGESTS = {
+        "GPipe": ("8ed4cfa88b822bd6", "4c5e62a6bb432778"),
+        "OneFOneB": ("697fba58f4d76839", "edd3993a3c6c348c"),
+        "Eager1F1B": ("cb11e54c1bd0ce3e", "bccdca42f47420f2"),
+        "Hybrid1F1B": ("6c024fc97b07871c", "ecf0cef68e200431"),
+        "Interleaved1F1B": ("91746c4b921dd6de", "abaae997c0b49309"),
+        "ZBH1": ("1424fabf08c6da0b", "edd3993a3c6c348c"),
+        "ZBH2": ("f784c139190aa6ec", "333e7467a623dac2"),
+        "ZBV": ("8515640e8c661fc9", None),
+        "LoopedBFS": ("c18662bb4edd6962", "862366db9dbf4c38"),
+        "InterleavedZB": ("fff6e51ad79d0978", "551a16b12c0b5c56"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GALLERY_CLASSES))
+    def test_orders_and_bounds(self, name):
+        units, bounds = hashlib.sha256(), hashlib.sha256()
+        for p, m, v in self.GRID:
+            s = GALLERY_CLASSES[name](p, v)
+            units.update(repr(s.units(m)).encode())
+            bounds.update(repr([s.activation_bound(r, m) for r in range(p)]).encode())
+        want_units, want_bounds = self.DIGESTS[name]
+        assert units.hexdigest()[:16] == want_units
+        if want_bounds is not None:
+            assert bounds.hexdigest()[:16] == want_bounds
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY_CLASSES))
+@pytest.mark.parametrize("p", [0, -1])
+def test_gallery_rejects_empty_pipeline(name, p):
+    with pytest.raises(ValueError, match="at least one actor"):
+        GALLERY_CLASSES[name](p, 2)

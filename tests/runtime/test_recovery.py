@@ -34,7 +34,6 @@ from repro.runtime import (
     PoolClosedError,
     RankFailure,
     RecoveryPolicy,
-    ResilientMesh,
     ResilientStepFunction,
     WedgeRank,
     WorkerDiedError,
@@ -488,32 +487,6 @@ class TestSnapshotMachinery:
         assert private.exists()
         step.close()
         assert not private.exists()
-
-
-class TestResilientMeshWrapper:
-    def test_wraps_a_plain_mesh(self):
-        schedule = core.OneFOneB(2)
-        ts, params, batch = make_problem(2, n_mbs=4)
-        batches = _batches(batch, 4)
-        want = _reference(ts, params, batches, schedule)
-        rmesh = ResilientMesh(core.RemoteMesh((2,)), RecoveryPolicy())
-        assert rmesh.n_actors == 2  # delegation
-        step = rmesh.distributed(ts, schedule=schedule)
-        assert isinstance(step, ResilientStepFunction)
-        got = _loop(step, params, batches)
-        assert_bit_identical(want, got)
-        step.close()
-        rmesh.close()
-
-    def test_does_not_double_wrap(self):
-        mesh = core.RemoteMesh((2,), recovery=RecoveryPolicy())
-        rmesh = ResilientMesh(mesh, RecoveryPolicy())
-        ts, _, _ = make_problem(2, n_mbs=4)
-        step = rmesh.distributed(ts, schedule=core.OneFOneB(2))
-        assert isinstance(step, ResilientStepFunction)
-        assert not isinstance(step._inner, ResilientStepFunction)
-        step.close()
-        mesh.close()
 
 
 @pytest.mark.slow
