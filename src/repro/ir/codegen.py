@@ -3,17 +3,20 @@ emitted as one Python function, ``compile()``d once, cached on jaxpr identity.
 
 The linear VM (:mod:`repro.ir.linearize`) already pays tracing, slot
 resolution, folding, fusion, liveness, and donation planning exactly once —
-but its steady state still runs a Python dispatch loop: one 7-tuple unpack,
-one operand-gather loop, and one dtype check *per operand per instruction
-per microbatch per step*.  This module removes that residue.  It walks the
-lowered instruction list and prints it back out as straight-line Python
+but its steady state still runs a Python dispatch loop: one step unpack,
+one operand-gather loop, and one dtype check *per operand per step per
+microbatch per step*.  This module removes that residue.  It walks the
+lowered step list once and prints it back out as straight-line Python
 source over named locals:
 
 - each slot becomes a local variable (``v12 = _f3(x0, _kc1)``), so operand
   reads are LOAD_FAST, not list indexing through an interpreter loop;
-- fused elementwise chains are inlined as nested expressions — no
-  :class:`~repro.ir.linearize.FusedChain` register file at runtime;
-- liveness frees are emitted as ``v12 = None`` statements;
+- a step the fusion plan marks nestable becomes an expression inside its
+  consumer's statement (``v14 = _f7(v12, (_kc2 * v9), out=v12)``) when
+  its dtype is statically known; otherwise it is a named local like any
+  other step;
+- liveness frees are emitted as ``v12 = None`` statements after the
+  statement that reads the slot last;
 - buffer donations are emitted as ``out=`` keyword calls;
 - ``functools.partial`` wrappers are unwrapped: static params are emitted
   as literal keyword arguments bound to globals, so each instruction costs
@@ -63,6 +66,7 @@ from __future__ import annotations
 import itertools
 import linecache
 import weakref
+from collections import Counter
 from functools import partial
 from typing import Any, Sequence
 
@@ -72,7 +76,7 @@ from repro.ir import tracer
 from repro.ir.dtypes import NP_CANONICAL
 from repro.ir.interpreter import eval_jaxpr
 from repro.ir.jaxpr import Jaxpr
-from repro.ir.linearize import FusedChain, LinearProgram, RecentPins, _consume, linearize
+from repro.ir.linearize import LinearProgram, RecentPins, _consume, linearize
 
 __all__ = ["CodegenProgram", "codegen"]
 
@@ -162,8 +166,8 @@ _FLOATS = frozenset({np.dtype(np.float32), np.dtype(np.float16)})
 
 
 def _predict(name: str, ins_known: list, out_dts: tuple):
-    """Statically known output dtype of one instruction (or chain step),
-    or ``None`` when the runtime dtype cannot be proven.
+    """Statically known output dtype of one step, or ``None`` when the
+    runtime dtype cannot be proven.
 
     ``ins_known`` holds the operands' statically known post-
     canonicalization dtypes (``None`` = unknown).  The general rule is
@@ -186,7 +190,8 @@ def _predict(name: str, ins_known: list, out_dts: tuple):
         return out_dts[0]
     return None
 
-#: chains longer than this fall back to named temporaries instead of nested
+
+#: groups larger than this fall back to named steps instead of nested
 #: expressions (keeps generated expressions within parser-friendly depth)
 _MAX_NEST = 40
 
@@ -207,49 +212,34 @@ _BCAST_SINKS = frozenset(
 _fresh = itertools.count()
 
 
-def _plan_broadcast_elision(instrs, instr_names, instr_out_shp, shape, out_set):
-    """Decide which ``broadcast_to`` instructions can delegate to the
-    consumers' native NumPy broadcasting.
+def _plan_broadcast_elision(steps, shape, out_set):
+    """Decide which ``broadcast_to`` steps can delegate to the consumers'
+    native NumPy broadcasting.
 
     Explicit broadcasts are materialized zero-stride views that are *slower*
     to produce and to consume than letting the consuming ufunc broadcast the
     original operand (NumPy's inner loops pay for the degenerate strides).
     A use of a broadcast output may read the pre-broadcast value instead
     when (a) the consumer is a multi-operand elementwise kernel
-    (``_BCAST_SINKS``, including fused-chain steps), (b) the statically
-    known operand shapes still broadcast to the consumer's traced output
-    shape after substitution, and (c) the consumer does not donate into the
-    substituted operand position (``out=`` must match the result shape).
-    The source value's lifetime is extended across the rewritten uses: the
-    plan rejects the elision if the source buffer is donated away in
-    between, and relocates its liveness free when it originally died
-    earlier.  A broadcast whose uses are all rewritten (and which is not a
-    program output) is dropped from the emitted source entirely.
+    (``_BCAST_SINKS``), (b) the statically known operand shapes still
+    broadcast to the consumer's traced output shape after substitution, and
+    (c) the consumer does not donate into the substituted operand position
+    (``out=`` must match the result shape).  The source buffer survives the
+    rewritten uses untouched: the broadcast reads it too, and only a value's
+    sole reader may donate it.  The emitter frees every slot after its last
+    read *after* substitution, so the source's lifetime extends across the
+    rewritten uses.  A broadcast whose uses are all rewritten (and which is
+    not a program output) is dropped from the emitted source entirely.
 
-    Returns ``(subs, chain_subs, dropped, moved_free)`` where ``subs`` maps
-    ``(instr_idx, operand_pos)`` and ``chain_subs`` maps ``(instr_idx,
-    step_idx, operand_pos)`` to the replacement slot, ``dropped`` is the set
-    of fully elided instruction indices, and ``moved_free`` maps a source
-    slot to the instruction index after which its relocated free runs.
+    Returns ``(subs, dropped)``: ``subs`` maps ``(step_idx, operand_pos)``
+    to the replacement slot, ``dropped`` is the set of fully elided steps.
     """
     subs: dict[tuple[int, int], int] = {}
-    chain_subs: dict[tuple[int, int, int], int] = {}
     dropped: set[int] = set()
-    moved_free: dict[int, int] = {}
-
-    free_at: dict[int, int] = {}
-    sites: dict[int, list[tuple]] = {}
-    for i2, (fn2, srcs2, _, _, _, _, fr2) in enumerate(instrs):
-        for s2 in fr2:
-            free_at[s2] = i2
-        if isinstance(fn2, FusedChain):
-            for k2, st in enumerate(fn2.steps):
-                for p2, r2 in enumerate(st[1]):
-                    if r2 < fn2.n_ext:
-                        sites.setdefault(srcs2[r2], []).append(("c", i2, k2, p2))
-        else:
-            for p2, s2 in enumerate(srcs2):
-                sites.setdefault(s2, []).append(("i", i2, p2))
+    sites: dict[int, list[tuple[int, int]]] = {}
+    for i, st in enumerate(steps):
+        for p, s in enumerate(st.srcs):
+            sites.setdefault(s, []).append((i, p))
 
     def fits(shps, out_shp):
         if any(x is None for x in shps):
@@ -259,94 +249,35 @@ def _plan_broadcast_elision(instrs, instr_names, instr_out_shp, shape, out_set):
         except ValueError:
             return False
 
-    for b, (fnb, srcsb, dstb, dstsb, dposb, _, _) in enumerate(instrs):
-        if (
-            instr_names[b] != "broadcast_to"
-            or isinstance(fnb, FusedChain)
-            or dstsb is not None
-            or dposb >= 0
-        ):
+    for b, stb in enumerate(steps):
+        if stb.eqn.prim.name != "broadcast_to" or stb.dsts is not None or stb.dpos >= 0:
             continue
-        s, d = srcsb[0], dstb
+        s, d = stb.srcs[0], stb.dst
         uses = sites.get(d, [])
         if not uses:
             continue
-        # tentative rewrites for *this* broadcast; committed only if the
-        # source's lifetime can be extended safely
-        tsubs: dict[tuple[int, int], int] = {}
-        tchain: dict[tuple[int, int, int], int] = {}
         all_ok = True
-        for u in uses:
-            if u[0] == "i":
-                _, i2, p2 = u
-                fn2, srcs2, _, dsts2, dpos2, _, _ = instrs[i2]
-                if instr_names[i2] not in _BCAST_SINKS or dsts2 is not None or dpos2 == p2:
-                    all_ok = False
-                    continue
-                shps = []
-                for q, s3 in enumerate(srcs2):
-                    if q == p2:
-                        shps.append(shape.get(s))
-                    else:
-                        eff = tsubs.get((i2, q), subs.get((i2, q), s3))
-                        shps.append(shape.get(eff))
-                if not fits(shps, instr_out_shp[i2][0]):
-                    all_ok = False
-                    continue
-                tsubs[(i2, p2)] = s
-            else:
-                _, i2, k2, p2 = u
-                fn2, srcs2 = instrs[i2][0], instrs[i2][1]
-                st = fn2.steps[k2]
-                if (
-                    fn2.out_shapes is None
-                    or instr_names[i2].split("+")[k2] not in _BCAST_SINKS
-                    or st[3] == p2
-                ):
-                    all_ok = False
-                    continue
-                shps = []
-                for q, r3 in enumerate(st[1]):
-                    if q == p2:
-                        shps.append(shape.get(s))
-                    elif r3 < fn2.n_ext:
-                        key = (i2, k2, q)
-                        eff = tchain.get(key, chain_subs.get(key, srcs2[r3]))
-                        shps.append(shape.get(eff))
-                    else:
-                        shps.append(fn2.out_shapes[r3 - fn2.n_ext])
-                if not fits(shps, fn2.out_shapes[k2]):
-                    all_ok = False
-                    continue
-                tchain[(i2, k2, p2)] = s
-        if not tsubs and not tchain:
-            continue
-        last = max(k[0] for k in tsubs) if tsubs else -1
-        for k in tchain:
-            last = max(last, k[0])
-        # the source buffer must survive untouched through the last
-        # rewritten use: reject if it is donated away in between
-        donated = False
-        for i2 in range(b + 1, last + 1):
-            fn2, srcs2, _, _, dpos2, _, _ = instrs[i2]
-            if not isinstance(fn2, FusedChain) and dpos2 >= 0 and srcs2[dpos2] == s:
-                donated = True
-                break
-        if donated:
-            continue
-        fa = moved_free.get(s, free_at.get(s))
-        if fa is not None and b <= fa < last:
-            moved_free[s] = last
-        subs.update(tsubs)
-        chain_subs.update(tchain)
+        for i, p in uses:
+            st = steps[i]
+            if st.eqn.prim.name not in _BCAST_SINKS or st.dsts is not None or st.dpos == p:
+                all_ok = False
+                continue
+            shps = [
+                shape.get(s if q == p else subs.get((i, q), s2))
+                for q, s2 in enumerate(st.srcs)
+            ]
+            if not fits(shps, st.eqn.outvars[0].aval.shape):
+                all_ok = False
+                continue
+            subs[(i, p)] = s
         if all_ok and d not in out_set:
             dropped.add(b)
-    return subs, chain_subs, dropped, moved_free
+    return subs, dropped
 
 
 def _emit(base: LinearProgram) -> tuple[str, dict, dict]:
-    """Render ``base``'s instruction list as the source of one Python
-    function ``program(a)``.
+    """Render ``base``'s step list as the source of one Python function
+    ``program(a)``.
 
     Returns ``(source, globals, counters)`` where ``globals`` maps the
     ``_f*/_p*/_k*`` names referenced by the source to impls, static
@@ -358,17 +289,14 @@ def _emit(base: LinearProgram) -> tuple[str, dict, dict]:
     n_in = base._n_in
     n_consts = base._n_consts
     template = base._template
-    instrs = base._instrs
-    instr_names = base._instr_names
-    instr_out_dts = base._instr_out_dtypes
-    instr_out_shp = base._instr_out_shapes
+    steps = base._steps
     out_slots = base._out_slots
     out_set = set(out_slots)
     canon_out = set(base._canon_out)
 
     consumed: set[int] = set()
-    for ins in instrs:
-        consumed.update(ins[1])
+    for st in steps:
+        consumed.update(st.srcs)
 
     env: dict[str, Any] = {
         "_A": np.asarray,
@@ -385,17 +313,16 @@ def _emit(base: LinearProgram) -> tuple[str, dict, dict]:
         shape[i] = tuple(v.aval.shape)
     for ci in range(n_consts):
         shape[n_in + ci] = np.shape(template[n_in + ci])
-    for idx, ins in enumerate(instrs):
-        produced = ins[3] if ins[3] is not None else (ins[2],)
-        for k, d in enumerate(produced):
-            shape[d] = tuple(instr_out_shp[idx][k])
+    for st in steps:
+        for v, d in zip(st.eqn.outvars, st.dsts or (st.dst,)):
+            shape[d] = tuple(v.aval.shape)
 
-    subs, chain_subs, dropped, moved_free = _plan_broadcast_elision(
-        instrs, instr_names, instr_out_shp, shape, out_set
-    )
-    moved_by_site: dict[int, list[int]] = {}
-    for s, site in moved_free.items():
-        moved_by_site.setdefault(site, []).append(s)
+    subs, dropped = _plan_broadcast_elision(steps, shape, out_set)
+    #: per step, the operand slots it reads after broadcast elision
+    eff = [
+        [subs.get((i, p), s) for p, s in enumerate(st.srcs)]
+        for i, st in enumerate(steps)
+    ]
 
     #: slot -> statically known (post-canonicalization) runtime dtype
     known: dict[int, np.dtype] = {}
@@ -422,12 +349,64 @@ def _emit(base: LinearProgram) -> tuple[str, dict, dict]:
         if NP_CANONICAL.get(d) is d:
             known[i] = d
 
+    # step results: the dtypes the analysis proves (recorded even for
+    # dropped broadcasts: consumers read the un-broadcast source, whose
+    # dtype the broadcast preserves)
+    for i, st in enumerate(steps):
+        if st.dsts is None:
+            t = _predict(
+                st.eqn.prim.name,
+                [known.get(s) for s in eff[i]],
+                (st.eqn.outvars[0].aval.dtype.np_dtype,),
+            )
+            if t is not None:
+                known[st.dst] = t
+
+    # nesting: a marked step becomes an expression inside its consumer's
+    # statement when its dtype is known (no check to hoist), it is not the
+    # consumer's donated operand (``out=`` targets are names, referenced
+    # twice), and its fused group is small enough
+    root = list(range(len(steps)))
+    for i in reversed(range(len(steps))):
+        if steps[i].into >= 0:
+            root[i] = root[steps[i].into]
+    group_size = Counter(root)
+    nested: set[int] = set()
+    for i, st in enumerate(steps):
+        if st.into < 0 or st.dst not in known or group_size[root[i]] > _MAX_NEST:
+            continue
+        c = steps[st.into]
+        if not (c.dpos >= 0 and c.srcs[c.dpos] == st.dst):
+            nested.add(i)
+    #: the step whose statement evaluates each step (itself unless nested)
+    at = list(range(len(steps)))
+    for i in reversed(range(len(steps))):
+        if i in nested:
+            at[i] = at[steps[i].into]
+
+    # frees: a slot dies after the statement that reads it last — for a
+    # read inside a nested expression that is the consumer's statement,
+    # for a broadcast source it is the last rewritten use
+    last_read: dict[int, int] = {}
+    for i, srcs in enumerate(eff):
+        for s in srcs:
+            last_read[s] = max(last_read.get(s, -1), at[i])
+
     def raw(s: int) -> str:
         if s < n_in:
             return f"x{s}"
         if s < n_in + n_consts:
             return f"_k{s - n_in}"
         return f"v{s}"
+
+    unbound = {steps[i].dst for i in nested | dropped}
+    #: per statement, the names rebound to ``None`` after it
+    frees_after: dict[int, list[str]] = {}
+    for i, st in enumerate(steps):
+        for s in st.frees:
+            if s not in unbound:
+                site = max(at[i], last_read.get(s, -1))
+                frees_after.setdefault(site, []).append(raw(s))
 
     def use(s: int) -> str:
         if n_in <= s < n_in + n_consts:
@@ -527,102 +506,25 @@ def _emit(base: LinearProgram) -> tuple[str, dict, dict]:
         parts.extend(kws)
         return f"{g}({', '.join(parts)})"
 
-    def after_produce(s: int) -> None:
-        """Hoisted canonicalization: emitted once per produced value (the
-        VM re-checks per consumption), skipped when statically dead."""
-        if s not in consumed or known.get(s) is not None:
-            return
+    def check(s: int) -> None:
+        """One dynamic canonicalization of a produced value or input."""
         counters["checks"] += 1
         r = raw(s)
         if s in out_set:
             # consumers need the canonical value but the program returns
-            # the raw one (VM slots hold raw values): keep both names
+            # the raw one (VM slots hold raw values): keep both names, the
+            # canonical one dying after its last read
             dual.add(s)
             emit(f"c{s} = {r} if _G({r}.dtype) is {r}.dtype else _C({r})")
+            frees_after.setdefault(last_read[s], []).append(f"c{s}")
         else:
             emit(f"if _G({r}.dtype) is not {r}.dtype: {r} = _C({r})")
 
-    def emit_chain(idx: int, chain: FusedChain, srcs: tuple, out_slot: int) -> None:
-        steps = chain.steps
-        step_dts = chain.out_dtypes or (None,) * len(steps)
-        step_names = chain.name.split("+")
-        n_ext = chain.n_ext
-        root_k = len(steps) - 1
-        # consuming step per internal register (single consumer by fusion
-        # construction; external registers may be read by several steps)
-        consumer: dict[int, int] = {}
-        for k, (_, ss, _, _, _) in enumerate(steps):
-            for r in ss:
-                if r >= n_ext and r not in consumer:
-                    consumer[r] = k
-        rknown: dict[int, np.dtype] = {
-            j: known.get(s) for j, s in enumerate(srcs)  # ext register dtypes
-        }
-        namer: dict[int, str] = {j: use(s) for j, s in enumerate(srcs)}
-        expr_of: dict[int, str] = {}  # nested (not yet named) step results
-        allow_nest = len(steps) <= _MAX_NEST
-        for k, (fn, ss, d, dp, dd) in enumerate(steps):
-            predicted = (
-                _predict(step_names[k], [rknown.get(r) for r in ss], (step_dts[k],))
-                if step_dts[k] is not None
-                else None
-            )
-            args = []
-            for p, r in enumerate(ss):
-                t = chain_subs.get((idx, k, p)) if r < n_ext else None
-                if t is not None:
-                    args.append(use(t))  # elided broadcast: read the source
-                elif r in expr_of:
-                    args.append(expr_of[r])
-                else:
-                    args.append(namer[r])
-            tag = f"{idx}_{k}"
-            if dp >= 0:
-                on = namer[ss[dp]]  # the donated register is always named
-                dcall = call_expr(tag, fn, args, out=on)
-                if rknown.get(ss[dp]) is dd:
-                    rhs = dcall
-                else:
-                    env[f"_d{tag}"] = dd
-                    rhs = f"({dcall} if {on}.dtype is _d{tag} else {call_expr(tag, fn, args)})"
-            else:
-                rhs = call_expr(
-                    tag,
-                    fn,
-                    args,
-                    name=step_names[k],
-                    knowns=[rknown.get(r) for r in ss],
-                )
-            counters["calls"] += 1
-            if predicted is not None:
-                rknown[d] = predicted
-            ck = consumer.get(d)
-            nest = (
-                allow_nest
-                and k != root_k
-                and predicted is not None
-                and ck is not None
-                # never nest into the consumer's donated operand position:
-                # ``out=`` targets must be names (referenced twice)
-                and not (steps[ck][3] >= 0 and steps[ck][1][steps[ck][3]] == d)
-            )
-            if nest:
-                expr_of[d] = f"({rhs})"
-                continue
-            if k == root_k:
-                emit(f"{raw(out_slot)} = {rhs}")
-            else:
-                t = f"t{idx}_{k}"
-                emit(f"{t} = {rhs}")
-                namer[d] = t
-                if predicted is None:
-                    # the VM canonicalizes this register at its consuming
-                    # step; hoist that check to production
-                    counters["checks"] += 1
-                    emit(f"if _G({t}.dtype) is not {t}.dtype: {t} = _C({t})")
-        if rknown.get(steps[root_k][2]) is not None:
-            known[out_slot] = rknown[steps[root_k][2]]
-        after_produce(out_slot)
+    def after_produce(s: int) -> None:
+        """Hoisted canonicalization: emitted once per produced value (the
+        VM re-checks per consumption), skipped when statically dead."""
+        if s in consumed and known.get(s) is None:
+            check(s)
 
     # ---- entry: arity check + input canonicalization ---------------------
     emit(f"if len(a) != {n_in}:")
@@ -632,123 +534,109 @@ def _emit(base: LinearProgram) -> tuple[str, dict, dict]:
             emit(f"x{i} = _A(a[{i}])")
             counters["calls"] += 1
             if i in consumed:
-                counters["checks"] += 1
-                if i in out_set:
-                    dual.add(i)
-                    emit(f"c{i} = x{i} if _G(x{i}.dtype) is x{i}.dtype else _C(x{i})")
-                else:
-                    emit(f"if _G(x{i}.dtype) is not x{i}.dtype: x{i} = _C(x{i})")
+                check(i)
 
-    # ---- body: one statement group per instruction -----------------------
-    for idx, (fn, srcs, dst, dsts, dpos, ddt, frees) in enumerate(instrs):
-        emit(f"# [{idx}] {instr_names[idx]}")
-        if isinstance(fn, FusedChain):
-            emit_chain(idx, fn, srcs, dsts[0])
-        elif dsts is not None:
-            # multi-result primitive: no stability claim, unpack by index
-            emit(f"_t = {call_expr(str(idx), fn, [use(s) for s in srcs])}")
+    # ---- body: one statement group per step that is not nested -----------
+    expr_of: dict[int, str] = {}  # nested step results, read once
+
+    def arg(s: int) -> str:
+        return expr_of.pop(s) if s in expr_of else use(s)
+
+    for idx, (fn, srcs, dst, dsts, dpos, ddt, _, eqn, _) in enumerate(steps):
+        nm = eqn.prim.name
+        knowns = [known.get(s) for s in eff[idx]]
+        args = [arg(s) for s in eff[idx]]
+        if idx not in nested:
+            emit(f"# [{idx}] {nm}")
+        if dsts is not None:
+            # multi-result primitive: no stability claim, unpack the results
             counters["calls"] += 1
-            for k, d in enumerate(dsts):
-                emit(f"{raw(d)} = _t[{k}]")
+            targets = ", ".join(raw(d) for d in dsts)
+            emit(f"[{targets}] = {call_expr(str(idx), fn, args)}")
             for d in dsts:
                 after_produce(d)
+        elif idx in dropped:
+            # fully elided broadcast: every consumer reads the
+            # un-broadcast operand and lets the kernel broadcast natively
+            emit("# elided: consumers broadcast natively")
+        elif nm == "shard_constraint" and dpos < 0:
+            # the impl is the identity — a plain alias, no call frame
+            emit(f"{raw(dst)} = {args[0]}")
+        elif (
+            nm == "slice"
+            and dpos < 0
+            and isinstance(fn, partial)
+            and not fn.args
+        ):
+            # static strided-1 slice: a precomputed index tuple turns
+            # the impl frame + per-call genexpr into one subscript
+            env[f"_p{idx}_ix"] = tuple(
+                slice(st, li)
+                for st, li in zip(fn.keywords["starts"], fn.keywords["limits"])
+            )
+            counters["calls"] += 1
+            emit(f"{raw(dst)} = {args[0]}[_p{idx}_ix]")
+        elif nm == "take" and dpos < 0:
+            # np.take(x, idx, axis=0) == x.take(idx, 0): same C gather,
+            # no dispatcher frame
+            counters["calls"] += 1
+            emit(f"{raw(dst)} = {args[0]}.take({args[1]}, 0)")
+        elif (
+            nm == "unslice"
+            and dpos < 0
+            and isinstance(fn, partial)
+            and not fn.args
+            and shape.get(eff[idx][0]) is not None
+        ):
+            # adjoint of slice: zeros + one precomputed-setitem — the
+            # embed index only depends on the operand's static shape
+            env[f"_p{idx}_sh"] = tuple(fn.keywords["shape"])
+            env[f"_p{idx}_ix"] = tuple(
+                slice(st, st + dd)
+                for st, dd in zip(fn.keywords["starts"], shape[eff[idx][0]])
+            )
+            counters["calls"] += 2
+            if knowns[0] is not None:
+                env[f"_p{idx}_dt"] = knowns[0]
+                emit(f"{raw(dst)} = _Z(_p{idx}_sh, _p{idx}_dt)")
+            else:
+                emit(f"{raw(dst)} = _Z(_p{idx}_sh, {args[0]}.dtype)")
+            emit(f"{raw(dst)}[_p{idx}_ix] = {args[0]}")
+        elif (
+            nm == "matmul"
+            and dpos < 0
+            and len(eff[idx]) == 2
+            and knowns[0] in _FLOATS
+            and knowns[1] in _FLOATS
+            and len(shape.get(eff[idx][0], ())) == 2
+            and len(shape.get(eff[idx][1], ())) == 2
+        ):
+            # 2-D float matmul: np.dot reaches the same GEMM with a
+            # slightly thinner wrapper than the np.matmul gufunc
+            env.setdefault("_dot", np.dot)
+            counters["calls"] += 1
+            emit(f"{raw(dst)} = _dot({args[0]}, {args[1]})")
         else:
-            nm = instr_names[idx]
-            eff = [subs.get((idx, p), s) for p, s in enumerate(srcs)]
-            knowns = [known.get(s) for s in eff]
-            predicted = _predict(nm, knowns, instr_out_dts[idx])
-            args = [use(s) for s in eff]
-            if idx in dropped:
-                # fully elided broadcast: every consumer reads the
-                # un-broadcast operand and lets the kernel broadcast natively
-                emit("# elided: consumers broadcast natively")
-            elif nm == "shard_constraint" and dpos < 0:
-                # the impl is the identity — a plain alias, no call frame
-                emit(f"{raw(dst)} = {args[0]}")
-            elif (
-                nm == "slice"
-                and dpos < 0
-                and isinstance(fn, partial)
-                and not fn.args
-            ):
-                # static strided-1 slice: a precomputed index tuple turns
-                # the impl frame + per-call genexpr into one subscript
-                env[f"_p{idx}_ix"] = tuple(
-                    slice(st, li)
-                    for st, li in zip(fn.keywords["starts"], fn.keywords["limits"])
-                )
-                counters["calls"] += 1
-                emit(f"{raw(dst)} = {args[0]}[_p{idx}_ix]")
-            elif nm == "take" and dpos < 0:
-                # np.take(x, idx, axis=0) == x.take(idx, 0): same C gather,
-                # no dispatcher frame
-                counters["calls"] += 1
-                emit(f"{raw(dst)} = {args[0]}.take({args[1]}, 0)")
-            elif (
-                nm == "unslice"
-                and dpos < 0
-                and isinstance(fn, partial)
-                and not fn.args
-                and shape.get(eff[0]) is not None
-            ):
-                # adjoint of slice: zeros + one precomputed-setitem — the
-                # embed index only depends on the operand's static shape
-                env[f"_p{idx}_sh"] = tuple(fn.keywords["shape"])
-                env[f"_p{idx}_ix"] = tuple(
-                    slice(st, st + dd)
-                    for st, dd in zip(fn.keywords["starts"], shape[eff[0]])
-                )
-                counters["calls"] += 2
-                if knowns[0] is not None:
-                    env[f"_p{idx}_dt"] = knowns[0]
-                    emit(f"{raw(dst)} = _Z(_p{idx}_sh, _p{idx}_dt)")
-                else:
-                    emit(f"{raw(dst)} = _Z(_p{idx}_sh, {args[0]}.dtype)")
-                emit(f"{raw(dst)}[_p{idx}_ix] = {args[0]}")
-            elif (
-                nm == "matmul"
-                and dpos < 0
-                and len(eff) == 2
-                and knowns[0] in _FLOATS
-                and knowns[1] in _FLOATS
-                and len(shape.get(eff[0], ())) == 2
-                and len(shape.get(eff[1], ())) == 2
-            ):
-                # 2-D float matmul: np.dot reaches the same GEMM with a
-                # slightly thinner wrapper than the np.matmul gufunc
-                env.setdefault("_dot", np.dot)
-                counters["calls"] += 1
-                emit(f"{raw(dst)} = _dot({args[0]}, {args[1]})")
-            elif dpos >= 0:
-                counters["calls"] += 1
+            counters["calls"] += 1
+            if dpos >= 0:
                 on = use(srcs[dpos])
-                dcall = call_expr(str(idx), fn, args, out=on)
-                if known.get(srcs[dpos]) is ddt:
-                    emit(f"{raw(dst)} = {dcall}")
-                else:
+                rhs = call_expr(str(idx), fn, args, out=on)
+                if known.get(srcs[dpos]) is not ddt:
                     env[f"_d{idx}"] = ddt
-                    emit(
-                        f"{raw(dst)} = {dcall} if {on}.dtype is _d{idx}"
-                        f" else {call_expr(str(idx), fn, args)}"
+                    rhs = (
+                        f"({rhs} if {on}.dtype is _d{idx}"
+                        f" else {call_expr(str(idx), fn, args)})"
                     )
             else:
-                counters["calls"] += 1
-                emit(
-                    f"{raw(dst)} = "
-                    + call_expr(str(idx), fn, args, name=nm, knowns=knowns)
-                )
-            if predicted is not None:
-                # recorded even for dropped broadcasts: consumers read the
-                # un-broadcast source, whose dtype the broadcast preserves
-                known[dst] = predicted
-            if idx not in dropped:
-                after_produce(dst)
-        for s in frees:
-            if moved_free.get(s, -1) > idx:
-                continue  # lifetime extended past a rewritten broadcast use
-            emit(f"{raw(s)} = None")
-        for s in moved_by_site.get(idx, ()):
-            emit(f"{raw(s)} = None")
+                rhs = call_expr(str(idx), fn, args, name=nm, knowns=knowns)
+            if idx in nested:
+                expr_of[dst] = rhs
+                continue
+            emit(f"{raw(dst)} = {rhs}")
+        if dsts is None and idx not in dropped:
+            after_produce(dst)
+        for name in frees_after.get(idx, ()):
+            emit(f"{name} = None")
 
     # ---- return: raw slot values, aliased outputs canonicalized ----------
     rets = []

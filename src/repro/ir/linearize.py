@@ -5,7 +5,7 @@ The execution stack is ``trace -> Jaxpr -> LinearProgram -> event engine``:
 the tracer records a jaxpr once, the MPMD compiler splits it into stage
 tasks, and *this* module lowers each task jaxpr once so that the per-
 microbatch, per-step hot path is a flat loop over pre-resolved
-instructions.  The tree-walking interpreter
+steps, one per surviving equation.  The tree-walking interpreter
 (:func:`repro.ir.interpreter.eval_jaxpr`) walks ``jaxpr.eqns`` through
 ``tracer.bind`` on every invocation — an ``id()``-keyed dict lookup per
 atom, an ``abstractify`` + ``_concretize`` per operand, and an
@@ -16,7 +16,7 @@ exactly once, at lowering:
   slot list; operand reads are ``slots[i]``, not dict lookups, and
   ``Literal`` atoms are resolved into a constant pool baked into the
   slot template;
-- **pre-bound impls** — each instruction carries the primitive's raw impl
+- **pre-bound impls** — each step carries the primitive's raw impl
   (with static params already bound), bypassing ``tracer.bind`` and the
   per-call ``abstract_eval`` re-check;
 - **constant folding** — equations whose inputs are all literals are
@@ -24,14 +24,17 @@ exactly once, at lowering:
 - **identity elision** — ``pipeline_yield`` / ``stop_gradient`` markers
   (and converts between dtypes that share storage, e.g. bf16 <-> f32) are
   elided by slot aliasing;
-- **elementwise fusion** — maximal single-consumer chains of elementwise
-  equations collapse into one :class:`FusedChain` composite callable
-  (one VM dispatch for the whole chain);
-- **liveness plan** — each instruction lists the slots whose last use it
-  is; they are freed eagerly so intermediate activations die as early as
-  the dataflow allows;
-- **buffer donation** — an elementwise instruction whose operand dies at
-  that instruction, was freshly allocated by this program, and has the
+- **fusion plan** — maximal single-consumer groups of elementwise
+  equations are planned once: a group's members run in order at its
+  final consumer's position, and each other member is marked nestable
+  into its one consumer (``_Step.into``).  The VM runs members as
+  ordinary steps; :mod:`repro.ir.codegen` nests marked steps into their
+  consumer's expression.  A group counts as one instruction;
+- **liveness plan** — each step lists the slots whose last use it is;
+  they are freed eagerly so intermediate activations die as early as the
+  dataflow allows;
+- **buffer donation** — an elementwise step whose operand dies at that
+  step, was freshly allocated by this program, and has the
   same shape/dtype as the output, computes in place via the NumPy ufunc's
   ``out=`` (no allocation, no copy).
 
@@ -64,65 +67,30 @@ from __future__ import annotations
 import weakref
 from collections import OrderedDict
 from functools import partial
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.ir import tracer
 from repro.ir.dtypes import NP_CANONICAL
 from repro.ir.interpreter import eval_jaxpr
-from repro.ir.jaxpr import Jaxpr, Literal, Var
+from repro.ir.jaxpr import Eqn, Jaxpr, Literal, Var
 
-__all__ = ["LinearProgram", "FusedChain", "linearize"]
+__all__ = ["LinearProgram", "linearize"]
 
 
-class FusedChain:
-    """Composite callable for one fused group of elementwise equations.
+class _Step(NamedTuple):
+    """One lowered equation of a :class:`LinearProgram`."""
 
-    Executes its steps over a local register file: external operands first,
-    then one register per fused intermediate.  Intermediates that die
-    mid-chain are donated to the consuming ufunc via ``out=``.
-    """
-
-    __slots__ = (
-        "steps", "n_ext", "width", "out_idx", "name", "out_dtypes", "out_shapes"
-    )
-
-    def __init__(
-        self, steps, n_ext, width, out_idx, name, out_dtypes=None, out_shapes=None
-    ):
-        self.steps = steps  # [(fn, src_regs, dst_reg, donate_pos, donate_dtype)]
-        self.n_ext = n_ext
-        self.width = width
-        self.out_idx = out_idx
-        self.name = name
-        # per-step traced output np dtype/shape, parallel to ``steps`` —
-        # consumed by the codegen backend's static dtype-stability and
-        # broadcast-elision analyses; unused at runtime
-        self.out_dtypes = out_dtypes
-        self.out_shapes = out_shapes
-
-    def __call__(self, *ext: Any) -> list[Any]:
-        canon = NP_CANONICAL
-        regs = list(ext) + [None] * (self.width - self.n_ext)
-        for fn, srcs, dst, dpos, ddt in self.steps:
-            ivals = []
-            for s in srcs:
-                v = regs[s]
-                t = canon.get(v.dtype)
-                if t is not v.dtype:
-                    if t is None:
-                        raise TypeError(f"unsupported dtype: {v.dtype!r}")
-                    v = np.asarray(v, t)
-                ivals.append(v)
-            if dpos >= 0 and ivals[dpos].dtype is ddt:
-                regs[dst] = fn(*ivals, out=ivals[dpos])
-            else:
-                regs[dst] = fn(*ivals)
-        return [regs[i] for i in self.out_idx]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"FusedChain({self.name}, {len(self.steps)} ops)"
+    fn: Callable[..., Any]  # pre-bound impl, or ``inplace_fn`` when donating
+    srcs: tuple[int, ...]  # operand slots
+    dst: int  # output slot of a single-result primitive (else -1)
+    dsts: tuple[int, ...] | None  # output slots of a multi-result primitive
+    dpos: int  # donated operand position (-1: none)
+    ddt: Any  # np dtype the donated operand must have at run time
+    frees: tuple[int, ...]  # slots dead after this step (the liveness plan)
+    eqn: Eqn
+    into: int  # fusion mark: the consuming step this one nests into, or -1
 
 
 def _bind_impl(prim, params: dict) -> Callable[..., Any]:
@@ -146,7 +114,7 @@ def _consume(v: np.ndarray) -> np.ndarray:
 
 
 class LinearProgram:
-    """A jaxpr lowered once into a flat, slot-indexed instruction list.
+    """A jaxpr lowered once into a flat, slot-indexed step list.
 
     Calling the program with a flat list of arguments evaluates it
     concretely (bit-identical to :func:`~repro.ir.interpreter.eval_jaxpr`)
@@ -162,7 +130,7 @@ class LinearProgram:
             (what the tree-walking interpreter performs for the same
             jaxpr: bind + abstract_eval + impl + two normalizations per
             operand).
-        free_plan: per instruction, the slots freed after it runs (the
+        free_plan: per step, the slots freed after it runs (the
             liveness plan; exposed for tests and introspection).
     """
 
@@ -258,12 +226,13 @@ class LinearProgram:
         def fresh(c: tuple) -> bool:
             return c[0] == "body" and body[c[1]].prim.returns_fresh
 
-        # ---- pass 3: fusion grouping (union-find, root = final consumer) -
+        # ---- pass 3: fusion plan (union-find, root = final consumer) -----
         def fusible(j: int) -> bool:
             p = body[j].prim
             return p.elementwise and not p.multiple_results and p._impl is not None
 
         parent = list(range(len(body)))
+        into_eqn: dict[int, int] = {}  # non-root member -> its consumer
 
         def find(j: int) -> int:
             while parent[j] != j:
@@ -282,15 +251,19 @@ class LinearProgram:
                 ):
                     # producer's single consumer is this eqn: same group.
                     # Root is always the later (consuming) eqn, so a group
-                    # executes at its final member's position and only the
+                    # runs at its final member's position and only the
                     # root's output escapes.
                     parent[find(c[1])] = find(j)
+                    into_eqn[c[1]] = j
 
         members: dict[int, list[int]] = {}
         for j in range(len(body)):
             members.setdefault(find(j), []).append(j)
+        # a group's members run in order at the root's position
+        order = [m for root in range(len(body)) for m in members.get(root, ())]
+        position = {m: i for i, m in enumerate(order)}
 
-        # ---- pass 4: emission --------------------------------------------
+        # ---- pass 4: one step per surviving equation ---------------------
         n_slots = n_in + len(consts)
         slot_of_cell: dict[tuple, int] = {}
 
@@ -301,23 +274,8 @@ class LinearProgram:
                 return n_in + c[1]
             return slot_of_cell[c]
 
-        instrs: list[tuple] = []
-        instr_outs: list[tuple[int, ...]] = []  # produced slots per instruction
-        # codegen hooks, parallel to ``instrs``: primitive name(s) and the
-        # traced output np dtypes of each instruction
-        instr_names: list[str] = []
-        instr_out_dtypes: list[tuple] = []
-        instr_out_shapes: list[tuple] = []
-        n_donations = 0
-        n_fused_groups = 0
-        n_fused_away = 0
-        vm_calls = 0
-
-        def donation(eqn, cells, local_ok=None):
-            """(pos, np_dtype) of a donatable dying operand, or (-1, None).
-
-            ``local_ok`` restricts candidates (fused chains donate only
-            chain-internal registers)."""
+        def donation(eqn, cells):
+            """(pos, np_dtype) of a donatable dying operand, or (-1, None)."""
             prim = eqn.prim
             if prim.inplace_fn is None or prim.multiple_results:
                 return -1, None
@@ -325,8 +283,6 @@ class LinearProgram:
             if out_aval.shape == ():  # 0-d results may be NumPy scalars
                 return -1, None
             for pos, (atom, c) in enumerate(zip(eqn.invars, cells)):
-                if local_ok is not None and not local_ok(c):
-                    continue
                 if (
                     c[0] == "body"
                     and use_count.get(c) == 1
@@ -337,83 +293,24 @@ class LinearProgram:
                     return pos, out_aval.dtype.np_dtype
             return -1, None
 
-        for root in range(len(body)):
-            group = members.get(root)
-            if group is None:
-                continue  # non-root member: emitted inside its group
-            if len(group) == 1:
-                eqn = body[root]
-                cells = in_cells[root]
-                dpos, ddt = donation(eqn, cells)
-                fn = eqn.prim.inplace_fn if dpos >= 0 else _bind_impl(eqn.prim, eqn.params)
-                if dpos >= 0:
-                    n_donations += 1
-                srcs = tuple(slot(c) for c in cells)
-                out_slots_ = []
-                for k, v in enumerate(eqn.outvars):
-                    slot_of_cell[("body", root, k)] = n_slots
-                    out_slots_.append(n_slots)
-                    n_slots += 1
-                if eqn.prim.multiple_results:
-                    instrs.append((fn, srcs, -1, tuple(out_slots_), -1, None, ()))
-                else:
-                    instrs.append((fn, srcs, out_slots_[0], None, dpos, ddt, ()))
-                instr_outs.append(tuple(out_slots_))
-                instr_names.append(eqn.prim.name)
-                instr_out_dtypes.append(
-                    tuple(v.aval.dtype.np_dtype for v in eqn.outvars)
-                )
-                instr_out_shapes.append(tuple(v.aval.shape for v in eqn.outvars))
-                vm_calls += 1
-                continue
-
-            # fused group: registers = [external operands..., member outputs...]
-            n_fused_groups += 1
-            n_fused_away += len(group) - 1
-            in_group = {("body", m, 0) for m in group}
-            ext_cells: list[tuple] = []
-            ext_index: dict[tuple, int] = {}
-            for m in group:  # first sweep: collect external operands
-                for c in in_cells[m]:
-                    if c not in in_group and c not in ext_index:
-                        ext_index[c] = len(ext_cells)
-                        ext_cells.append(c)
-            n_ext = len(ext_cells)
-            reg_of = {("body", m, 0): n_ext + t for t, m in enumerate(group)}
-            steps = []
-            for m in group:  # second sweep: build steps (original eqn order)
-                eqn = body[m]
-                srcs_local = tuple(
-                    reg_of[c] if c in in_group else ext_index[c] for c in in_cells[m]
-                )
-                dpos, ddt = donation(eqn, in_cells[m], local_ok=lambda c: c in in_group)
-                fn = eqn.prim.inplace_fn if dpos >= 0 else _bind_impl(eqn.prim, eqn.params)
-                if dpos >= 0:
-                    n_donations += 1
-                steps.append((fn, srcs_local, reg_of[("body", m, 0)], dpos, ddt))
-            name = "+".join(body[m].prim.name for m in group)
-            step_out_dtypes = tuple(
-                body[m].outvars[0].aval.dtype.np_dtype for m in group
-            )
-            step_out_shapes = tuple(body[m].outvars[0].aval.shape for m in group)
-            chain = FusedChain(
-                steps,
-                n_ext,
-                n_ext + len(group),
-                (reg_of[("body", root, 0)],),
-                name,
-                out_dtypes=step_out_dtypes,
-                out_shapes=step_out_shapes,
-            )
-            srcs = tuple(slot(c) for c in ext_cells)
-            slot_of_cell[("body", root, 0)] = n_slots
-            instrs.append((chain, srcs, -1, (n_slots,), -1, None, ()))
-            instr_outs.append((n_slots,))
-            instr_names.append(name)
-            instr_out_dtypes.append((step_out_dtypes[-1],))
-            instr_out_shapes.append((step_out_shapes[-1],))
-            n_slots += 1
-            vm_calls += len(group)
+        steps: list[_Step] = []
+        step_outs: list[tuple[int, ...]] = []
+        for m in order:
+            eqn = body[m]
+            dpos, ddt = donation(eqn, in_cells[m])
+            fn = eqn.prim.inplace_fn if dpos >= 0 else _bind_impl(eqn.prim, eqn.params)
+            srcs = tuple(slot(c) for c in in_cells[m])
+            outs = tuple(range(n_slots, n_slots + len(eqn.outvars)))
+            for k, s in enumerate(outs):
+                slot_of_cell[("body", m, k)] = s
+            n_slots += len(outs)
+            step_outs.append(outs)
+            multi = eqn.prim.multiple_results
+            into = position[into_eqn[m]] if m in into_eqn else -1
+            steps.append(_Step(
+                fn, srcs, -1 if multi else outs[0], outs if multi else None,
+                dpos, ddt, (), eqn, into,
+            ))
 
         self._out_slots = [slot(c) for c in out_cells]
         self._canon_out = tuple(
@@ -425,57 +322,54 @@ class LinearProgram:
         # ---- pass 5: liveness plan ---------------------------------------
         protected = set(range(n_in, n_in + len(consts))) | set(self._out_slots)
         last_use: dict[int, int] = {}
-        for idx, instr in enumerate(instrs):
-            for s in instr[1]:
+        for idx, st in enumerate(steps):
+            for s in st.srcs:
                 last_use[s] = idx
         frees_at: dict[int, list[int]] = {}
         for s, idx in last_use.items():
             if s not in protected:
                 frees_at.setdefault(idx, []).append(s)
-        for idx, outs in enumerate(instr_outs):  # dead outputs die immediately
+        for idx, outs in enumerate(step_outs):  # dead outputs die immediately
             for s in outs:
                 if s not in last_use and s not in protected:
                     frees_at.setdefault(idx, []).append(s)
-        self._instrs = [
-            instr[:6] + (tuple(sorted(frees_at.get(idx, ()))),)
-            for idx, instr in enumerate(instrs)
+        self._steps = [
+            st._replace(frees=tuple(sorted(frees_at.get(idx, ()))))
+            for idx, st in enumerate(steps)
         ]
 
         # ---- bookkeeping --------------------------------------------------
         self._n_in = n_in
         self._n_consts = len(consts)
-        self._instr_names = instr_names
-        self._instr_out_dtypes = instr_out_dtypes
-        self._instr_out_shapes = instr_out_shapes
         self._template: list[Any] = [None] * n_slots
         for ci, v in enumerate(consts):
             self._template[n_in + ci] = v
         self._cell_of = cell_of
         self._slot_of_cell = slot_of_cell
         self.n_slots = n_slots
-        self.n_instructions = len(self._instrs)
+        # a fused group counts as one instruction
+        self.n_instructions = len(body) - len(into_eqn)
         interp_calls = sum(3 + 2 * len(e.invars) for e in jaxpr.eqns)
         self.stats = {
             "n_eqns": len(jaxpr.eqns),
             "n_instructions": self.n_instructions,
             "folded": n_folded,
             "aliased": n_aliased,
-            "fused_groups": n_fused_groups,
-            "fused_away": n_fused_away,
-            "donations": n_donations,
-            "vm_calls_per_run": vm_calls,
+            "fused_groups": sum(len(g) > 1 for g in members.values()),
+            "fused_away": len(into_eqn),
+            "donations": sum(st.dpos >= 0 for st in self._steps),
+            "vm_calls_per_run": len(body),
             "interp_calls_per_run": interp_calls,
         }
 
     # -- introspection ------------------------------------------------------
     @property
     def free_plan(self) -> list[tuple[int, ...]]:
-        """Per instruction, the slots freed (set to ``None``) after it."""
-        return [instr[6] for instr in self._instrs]
+        """Per step, the slots freed (set to ``None``) after it."""
+        return [st.frees for st in self._steps]
 
     def slot_of(self, var: Var) -> int:
-        """Slot index holding ``var``'s value (raises ``KeyError`` for
-        variables fused away into a chain's local registers)."""
+        """Slot index holding ``var``'s value."""
         c = self._cell_of[id(var)]
         if c[0] == "in":
             return c[1]
@@ -496,9 +390,8 @@ class LinearProgram:
         jaxpr and re-lower on the other side.
 
         The lowered form is full of things pickle cannot and should not
-        carry — ``functools.partial`` over primitive impls,
-        :class:`FusedChain` steps holding raw NumPy ufuncs, and the
-        identity-keyed caches.  Lowering is deterministic, so rebuilding
+        carry — ``functools.partial`` over primitive impls, raw NumPy
+        ufuncs, and the identity-keyed caches.  Lowering is deterministic, so rebuilding
         from the jaxpr yields a bit-identical program; pickle's memo table
         preserves sharing, so the many :class:`~repro.runtime.instructions.RunTask`
         payloads of one stage task still collapse to a single program per
@@ -522,7 +415,7 @@ class LinearProgram:
         for i in range(n_in):
             slots[i] = np.asarray(args[i])
         canon = NP_CANONICAL
-        for fn, srcs, dst, dsts, dpos, ddt, frees in self._instrs:
+        for fn, srcs, dst, dsts, dpos, ddt, frees, _, _ in self._steps:
             ivals = []
             for s in srcs:
                 v = slots[s]

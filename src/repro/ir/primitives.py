@@ -30,9 +30,9 @@ class Primitive:
         name: unique op name (also the key in :data:`registry`).
         multiple_results: if True, ``bind`` returns a list of values.
         elementwise: set by :mod:`repro.ir.ops` on ops whose impl is a pure
-            per-element map; the linear task VM
-            (:mod:`repro.ir.linearize`) fuses single-consumer chains of
-            these into one composite callable.
+            per-element map; the lowering (:mod:`repro.ir.linearize`)
+            plans single-consumer groups of these as fused groups, which
+            :mod:`repro.ir.codegen` emits as nested expressions.
         returns_fresh: impl always allocates a new array (never returns a
             view of an input). Only values produced by fresh ops are
             eligible as in-place donation targets in the linear VM.

@@ -11,6 +11,7 @@ linear-vs-interpret suite: the reference stays available forever,
 equivalence is asserted rather than assumed.
 """
 
+import ast
 import re
 import signal
 
@@ -163,6 +164,81 @@ class TestProgramBehaviour:
         assert all(
             isinstance(payload(fn), CodegenProgram) for fn in loop_fns.values()
         )
+
+
+def _live_at_return(source: str) -> list[str]:
+    """Locals a generated program still binds when it returns, other than
+    the returned values: every other local must be rebound to ``None``
+    after its last read (the liveness plan, as emitted)."""
+    fn = ast.parse(source).body[0]
+    *body, ret = fn.body
+    returned = {n.id for n in ast.walk(ret) if isinstance(n, ast.Name)}
+    bound: set[str] = set()
+    dead: dict[str, bool] = {}  # name -> its last event rebinds it to None
+    for stmt in body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    bound.add(node.id)
+                dead[node.id] = False
+        if (
+            isinstance(stmt, ast.Assign)
+            and isinstance(stmt.value, ast.Constant)
+            and stmt.value.value is None
+        ):
+            dead.update((t.id, True) for t in stmt.targets)
+    return sorted(n for n in bound - returned if not dead[n])
+
+
+class TestFreedIntermediates:
+    """Regression: generated code must not keep a value the liveness plan
+    freed.  Intermediates of fused elementwise groups used to live in
+    temporaries that were never rebound, so an in-place group root held
+    its buffer — and every freed ``vN`` sharing it — until the task
+    returned."""
+
+    def test_benchmark_shaped_tasks_free_every_local(self):
+        from repro.data import token_batches
+        from repro.models import (
+            TrainState, TransformerConfig, adam_apply, adam_init,
+            constant_lr, init_transformer, transformer_loss,
+        )
+
+        cfg = TransformerConfig(
+            vocab=32, seq=8, d_model=16, n_heads=2, d_ff=32, n_layers=2,
+            n_stages=2, tie_embeddings=True,
+        )
+        schedule, lr = core.OneFOneB(2), constant_lr(1e-3)
+
+        def train_step(state, batch):
+            def microbatch_grads(mb):
+                loss, grads = ir.value_and_grad(
+                    lambda p, mb: transformer_loss(p, mb, cfg)
+                )(state.params, mb)
+                return grads, loss
+
+            grads, losses = core.accumulate_grads(microbatch_grads, schedule)(batch)
+            return adam_apply(state, grads, lr(state.step)), losses
+
+        params = init_transformer(np.random.RandomState(0), cfg)
+        state = TrainState(params, adam_init(params), np.int32(0))
+        batch = next(token_batches(cfg.vocab, cfg.seq, 4, 4, 1, seed=1))
+        jaxpr, _, _ = ir.trace(train_step, state, batch)
+        compiled = compile_train_step(jaxpr, schedule, task_backend="codegen")
+        programs = {
+            id(payload(instr.fn)): payload(instr.fn)
+            for prog in compiled.programs
+            for instr in prog
+            if isinstance(instr, RunTask)
+            and isinstance(payload(instr.fn), CodegenProgram)
+        }
+        assert sum(p.stats["fused_groups"] for p in programs.values()) > 0
+        leaks = {
+            i: live
+            for i, p in enumerate(programs.values())
+            if (live := _live_at_return(p.source))
+        }
+        assert not leaks
 
 
 class TestMpEngine:

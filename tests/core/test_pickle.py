@@ -10,7 +10,7 @@ can reference part of the compiler's contract:
   preserved, so unpickled equations still satisfy ``eqn.prim is
   registry[name]``);
 - ``LinearProgram`` reduces to ``linearize(jaxpr)`` — the lowered form
-  (``functools.partial`` impls, ``FusedChain`` ufunc steps) is rebuilt
+  (``functools.partial`` impls, raw ufunc steps) is rebuilt
   deterministically from the shipped jaxpr;
 - every RunTask payload the compiler emits (slice / dp-mean / stack /
   combine / pre-post equation / interpret fallback) is a module-level
@@ -26,7 +26,7 @@ from repro import core, ir
 from repro.core.compile import compile_train_step
 from repro.ir.codegen import CodegenProgram, codegen
 from repro.ir.jaxpr import validate
-from repro.ir.linearize import FusedChain, LinearProgram, linearize
+from repro.ir.linearize import LinearProgram, linearize
 from repro.ir.primitives import registry
 from repro.runtime.executor import MpmdExecutor
 from repro.runtime.instructions import BufferRef, RunTask
@@ -129,21 +129,23 @@ class TestLinearProgramPickle:
             assert_bit_identical(lp(args), lp2(args))
 
     def test_fused_chain_rebuilt(self):
-        """A program whose lowering produced FusedChain dispatches (raw
-        ufunc steps — the unpicklable offender) still round-trips, because
-        the reduce path rebuilds from the jaxpr."""
+        """A program whose lowering planned fused groups (raw ufunc
+        steps — the unpicklable offender) still round-trips, because the
+        reduce path rebuilds from the jaxpr: the fusion plan and the
+        outputs survive."""
         compiled, _ = _compiled()
         fused = [
-            linearize(t.jaxpr)
+            t
             for t in compiled.split.tasks
             if linearize(t.jaxpr).stats["fused_groups"] > 0
         ]
-        assert fused, "expected at least one stage task with a fused chain"
-        for lp in fused:
+        assert fused, "expected at least one stage task with a fused group"
+        for task in fused:
+            lp = linearize(task.jaxpr)
             lp2 = pickle.loads(pickle.dumps(lp))
-            assert any(
-                isinstance(instr[0], FusedChain) for instr in lp2._instrs
-            )
+            assert lp2.stats["fused_groups"] == lp.stats["fused_groups"]
+            args = _task_args(task, seed=5)
+            assert_bit_identical(lp(args), lp2(args))
 
     def test_sharing_collapses_via_memo_and_cache(self):
         compiled, _ = _compiled()

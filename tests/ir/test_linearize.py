@@ -11,7 +11,8 @@ import pytest
 
 from repro import ir
 from repro.ir import nn, ops, pipeline_yield
-from repro.ir.linearize import FusedChain, LinearProgram, linearize
+from repro.ir.codegen import _MAX_NEST, codegen
+from repro.ir.linearize import LinearProgram, linearize
 from tests.helpers import rng
 
 
@@ -193,9 +194,9 @@ class TestLiveness:
         jaxpr, _, _ = ir.trace(f, x)
         prog = linearize(jaxpr)
         freed: set[int] = set()
-        for idx, (instr, frees) in enumerate(zip(prog._instrs, prog.free_plan)):
-            assert not (set(instr[1]) & freed), f"instr {idx} reads a freed slot"
-            freed |= set(frees)
+        for idx, step in enumerate(prog._steps):
+            assert not (set(step.srcs) & freed), f"step {idx} reads a freed slot"
+            freed |= set(step.frees)
 
     def test_everything_dead_by_program_end(self):
         r = rng(6)
@@ -203,7 +204,7 @@ class TestLiveness:
         jaxpr, _, _ = ir.trace(lambda x: ops.reduce_sum(ops.exp(ops.matmul(x, x))), x)
         prog = linearize(jaxpr)
         freed = {s for fr in prog.free_plan for s in fr}
-        produced = {s for instr in prog._instrs for s in (instr[3] if instr[3] is not None else (instr[2],))}
+        produced = {s for st in prog._steps for s in (st.dsts or (st.dst,))}
         live_at_end = produced - freed
         assert live_at_end == set(prog._out_slots) & produced
 
@@ -288,12 +289,18 @@ class TestDonation:
 
 class TestFusion:
     def test_single_consumer_chain_one_instruction(self):
-        x = np.ones((8,), np.float32)
-        jaxpr, _, _ = ir.trace(lambda x: ops.exp(ops.mul(ops.add(x, 1.0), 2.0)), x)
+        x, y = np.ones((8,), np.float32), np.ones((4, 1), np.float32)
+        jaxpr, _, _ = ir.trace(
+            lambda x, y: ops.exp(ops.mul(ops.add(x, 1.0), y)), x, y
+        )
         prog = linearize(jaxpr)
-        assert prog.n_instructions == 1
-        assert isinstance(prog._instrs[0][0], FusedChain)
+        assert prog.stats["n_instructions"] == 1
         assert prog.stats["fused_away"] == 2
+        # add nests into mul's statement; mul stays named because exp
+        # donates it, and x0 dies after the statement that reads it
+        src = codegen(jaxpr).source
+        assert "= ((x0 + _kc0) * x1)\n    x0 = None\n" in src
+        identical(ir.eval_jaxpr(jaxpr, [x, y]), prog([x, y]))
 
     def test_fanout_breaks_chain(self):
         x = np.ones((8,), np.float32)
@@ -329,6 +336,86 @@ class TestFusion:
         prog = linearize(jaxpr)
         assert prog.n_instructions == 1
         identical(ir.eval_jaxpr(jaxpr, [x]), prog([x]))
+
+
+def _alternating_chain(n):
+    """``n`` single-consumer elementwise steps on a 0-d value: nothing is
+    donated (0-d results may be NumPy scalars), so every step is
+    nestable and only the group's size decides."""
+
+    def f(x):
+        for k in range(n):
+            x = ops.tanh(x) if k % 2 else ops.mul(x, 1.01)
+        return x
+
+    return f, (np.float32(0.3),), {"fused_away": n - 1, "donations": 0}
+
+
+def _nested_reader_dies_in_group():
+    """``neg`` nests into the root ``add`` while the named ``add(x, z)``
+    is x's last reader in step order: x must outlive the root's
+    statement, which evaluates ``neg``."""
+    r = rng(14)
+    x, z = r.randn(4, 8).astype(np.float32), r.randn(2, 4, 8).astype(np.float32)
+    return (
+        lambda x, z: ops.add(ops.neg(x), ops.add(x, z)),
+        (x, z),
+        {"fused_away": 2, "donations": 1},
+    )
+
+
+def _nested_step_donates_dying_operand():
+    """The fresh matmul result dies inside a group: ``add`` donates it
+    and nests, in the same expression, into ``mul`` (no donation across
+    the broadcast) — its free follows mul's statement."""
+    r = rng(15)
+    x, w = r.randn(8, 8).astype(np.float32), r.randn(8, 8).astype(np.float32)
+    y = r.randn(4, 1, 1).astype(np.float32)
+    return (
+        lambda x, w, y: ops.exp(ops.mul(ops.add(ops.matmul(x, w), 1.0), y)),
+        (x, w, y),
+        {"fused_away": 2, "donations": 2},
+    )
+
+
+def _member_donates_outside_operand():
+    """A group member donates a fresh single-use operand produced outside
+    its group (the matmul result into ``exp``): one donation rule for
+    every step."""
+    r = rng(16)
+    x, w = r.randn(4, 8).astype(np.float32), r.randn(8, 8).astype(np.float32)
+    return (
+        lambda x, w: ops.tanh(ops.exp(ops.matmul(x, w))),
+        (x, w),
+        {"fused_away": 1, "donations": 2},
+    )
+
+
+EDGE_CASES = {
+    "group_at_max_nest": lambda: _alternating_chain(_MAX_NEST),
+    "group_beyond_max_nest": lambda: _alternating_chain(_MAX_NEST + 5),
+    "nested_reader_dies_in_group": _nested_reader_dies_in_group,
+    "nested_step_donates_dying_operand": _nested_step_donates_dying_operand,
+    "member_donates_outside_operand": _member_donates_outside_operand,
+}
+
+
+class TestCodegenDifferential:
+    """Fusion-plan edge cases through all three task back ends:
+    interpreter, linear VM, and generated source, bit-identical."""
+
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_three_backends_bit_identical(self, case):
+        f, args, want_stats = EDGE_CASES[case]()
+        jaxpr, _, _ = ir.trace(f, *args)
+        flat, _ = ir.tree_flatten(args)
+        prog = linearize(jaxpr)
+        ref = ir.eval_jaxpr(jaxpr, flat)
+        identical(ref, prog(flat))
+        identical(ref, codegen(jaxpr)(flat))
+        assert prog.stats["fused_groups"] == 1
+        for k, v in want_stats.items():
+            assert prog.stats[k] == v, k
 
 
 class TestProgramBehaviour:
@@ -438,7 +525,7 @@ class TestProgramCachePins:
     def test_codegen_cache_shares_pin_semantics(self):
         import gc
 
-        from repro.ir.codegen import codegen
+        from repro.ir.codegen import _MAX_NEST, codegen
 
         hot = self._fresh_jaxpr(1000)
         hot_prog_id = id(codegen(hot))
