@@ -127,8 +127,8 @@ def test_backend_matrix_and_step_wallclock_floor(results_dir):
     per_task: dict[int, dict] = {}
     for prog in compiled.programs:
         for instr in prog:
-            # loop phase only: memo prologues (ir/opt.py hoisting) carry
-            # their own per-step codegen payloads, counted separately
+            # loop phase only: the pre/post clusters carry their own
+            # per-step codegen payloads
             fn = payload(instr.fn) if isinstance(instr, RunTask) else None
             if isinstance(fn, CodegenProgram) and instr.meta.get("phase") == "loop":
                 s = fn.stats

@@ -218,9 +218,9 @@ class RemoteMesh:
         differential-tested against), or ``"interpret"`` (the
         tree-walking reference).
         ``optimize`` (default ``True``) runs the algebraic optimizer over
-        the stage jaxprs before lowering (:mod:`repro.ir.opt`) — CSE,
-        identity elision, cross-boundary DCE, cross-microbatch
-        memoization — guaranteed bit-identical to ``False``.  The
+        the stage jaxprs before lowering (:mod:`repro.ir.opt`) — identity
+        elision, CSE, cross-boundary DCE and boundary dedupe — guaranteed
+        bit-identical to ``False``.  The
         per-stage rewrite report is available afterwards as
         ``step_fn.compiled.opt_report`` (``None`` when ``False``).
         """

@@ -244,14 +244,13 @@ class CostModel:
         only — parked time is deliberately excluded (it belongs to the
         schedule being searched over, not to the workload), which is what
         makes replay-then-retune sound.  Only *loop-phase* events vote:
-        an optimized run's once-per-step ``memo`` prologues
-        (:mod:`repro.ir.opt` hoisting) carry a ``stage`` too, but they
-        run outside the per-microbatch loop, so folding them into a
-        stage's fwd/bwd rate would skew every per-microbatch estimate by
-        ``1/n_mbs`` of the prologue — they stay in their own
-        ``(stage, "memo")`` bucket, which the pipeline model doesn't
-        price.  (Simulator timelines carry no ``phase`` key and vote as
-        before.)
+        a task of any other phase (pre/post clusters, slices, stacks)
+        runs outside the per-microbatch loop, so folding it into a
+        stage's fwd/bwd rate would skew every per-microbatch estimate —
+        it is skipped even when its ``meta`` carries a ``stage`` (a
+        timeline read back through ``ExecutionResult.from_json`` is not
+        checked against the compiler's tagging).  Simulator timelines
+        carry no ``phase`` key and vote as before.
         """
         from repro.core.stage_split import FUSED_KIND
 

@@ -36,7 +36,7 @@ into stage tasks (:func:`~repro.core.stage_split.closed_subprograms`).
 Only values that escape a cluster — read by the loop, another cluster, or
 returned by the step — get a ``pre.e{i}.o{j}`` / ``post.e{i}.o{j}`` buffer.
 
-Stage, memo and cluster jaxprs all lower once through
+Stage and cluster jaxprs all lower once through
 :mod:`repro.ir.linearize` into a slot-indexed
 :class:`~repro.ir.linearize.LinearProgram` (pre-bound impls, elementwise
 fusion, liveness-driven frees and buffer donation), cached on jaxpr
@@ -135,8 +135,8 @@ class CompiledStep:
         schedule_ir: the lowered :class:`~repro.core.schedule_ir.ScheduleIR`
             the programs were emitted from (drives runtime ready-queue
             seeding and introspection).
-        task_backend: how task payloads (stage tasks, memo prologues,
-            pre/post clusters) execute — ``"codegen"`` (exec-compiled
+        task_backend: how task payloads (stage tasks and pre/post
+            clusters) execute — ``"codegen"`` (exec-compiled
             straight-line Python source per program,
             :mod:`repro.ir.codegen`), ``"linear"`` (the slot-indexed
             :class:`~repro.ir.linearize.LinearProgram` VM) or
@@ -246,7 +246,7 @@ def _sum_fn(vals: list) -> list:
 
 
 def _make_task_fn(jaxpr: Jaxpr, spmd_config, task_backend: str) -> Callable[[list], list]:
-    """Executable payload for a stage task, memo prologue or pre/post cluster.
+    """Executable payload for a stage task or pre/post cluster.
 
     With an inner SPMD mesh configured, the task is partitioned once here
     and executed lock-step across the actor's devices on every call; the
@@ -330,10 +330,10 @@ def compile_train_step(
             ``schedule="auto"`` — candidates whose peak exceeds it are
             excluded from the search.
         optimize: run the algebraic optimizer over the stage jaxprs
-            (:mod:`repro.ir.opt`; default ``True``): CSE, identity
-            elision, cross-boundary DCE, and cross-microbatch
-            memoization — all bit-identical to ``False``.  The report
-            lands on ``CompiledStep.opt_report``.
+            (:mod:`repro.ir.opt`; default ``True``): identity elision,
+            CSE, cross-boundary DCE and boundary dedupe — all
+            bit-identical to ``False``.  The report lands on
+            ``CompiledStep.opt_report``.
     """
     if comm_strategy not in ("topo", "naive"):
         raise ValueError(f"unknown comm_strategy {comm_strategy!r}")
@@ -391,25 +391,14 @@ def compile_train_step(
 
     # ------------------------------------------------------------------
     # algebraic optimizer (ir/opt.py): rewrite every stage jaxpr before
-    # linearization — CSE, identity elision, cross-boundary DCE, and
-    # cross-microbatch memoization, all bit-identical
+    # linearization — identity elision, CSE, cross-boundary DCE and
+    # boundary dedupe, all bit-identical
     # ------------------------------------------------------------------
-    prologues: dict[int, Any] = {}
-    memo_vars: dict[int, tuple[int, int]] = {}
-    memo_boundary: dict[int, tuple[int, int]] = {}
     out_aliases: list = []
     opt_report = None
     if optimize:
-        sopt = optimize_split(
-            split,
-            n_batch=n_batch,
-            n_mbs=n_mbs,
-            elide_sharding=spmd_config is None,
-        )
+        sopt = optimize_split(split, elide_sharding=spmd_config is None)
         split = sopt.split
-        prologues = sopt.prologues
-        memo_vars = sopt.memo_vars
-        memo_boundary = sopt.memo_boundary
         out_aliases = sopt.out_aliases
         opt_report = sopt.report
 
@@ -434,26 +423,15 @@ def compile_train_step(
 
     # consumers of each task output: list[(task_idx, out_pos)] -> [task idx]
     out_consumers: dict[tuple[int, int], list[int]] = {}
-    # consumers of each memoized-boundary value: (task, memo out pos) -> [task]
-    memo_consumers: dict[tuple[int, int], list[int]] = {}
     invar_consumers: dict[int, list[int]] = {k: [] for k in range(len(body.invars))}
     for t in tasks:
         for atom in t.in_atoms:
-            if id(atom) in memo_vars:
-                continue  # fed by this task's own memo prologue buffer
-            elif id(atom) in memo_boundary:
-                memo_consumers.setdefault(memo_boundary[id(atom)], []).append(t.index)
-            elif id(atom) in body_invar_pos:
+            if id(atom) in body_invar_pos:
                 invar_consumers[body_invar_pos[id(atom)]].append(t.index)
             elif id(atom) in producer:
                 out_consumers.setdefault(producer[id(atom)], []).append(t.index)
             else:  # pragma: no cover - split invariant
                 raise AssertionError("task input is neither body invar nor task output")
-    # memo prologues consume loop-invariant captures on the task's actor
-    for t_idx, pro in prologues.items():
-        for atom in pro.in_atoms:
-            if id(atom) in body_invar_pos:
-                invar_consumers[body_invar_pos[id(atom)]].append(t_idx)
 
     # body outputs: (task, out_pos) and combine op per output
     body_out_sources: list[tuple[int, int] | None] = []
@@ -711,14 +689,7 @@ def compile_train_step(
     # ------------------------------------------------------------------
     programs: list[list[Instruction]] = [[] for _ in range(n_actors)]
     task_fns = [_make_task_fn(t.jaxpr, spmd_config, task_backend) for t in tasks]
-    memo_fns = {
-        t_idx: _make_task_fn(pro.jaxpr, spmd_config, task_backend)
-        for t_idx, pro in prologues.items()
-    }
     task_costs = [cost_fn(t) if cost_fn else 0.0 for t in tasks]
-
-    def memo_uid(t: int, j: int) -> str:
-        return f"memo.t{t}.o{j}"
 
     # lower the schedule once: its resolved edges carry the dependency
     # model (monolithic or zero-bubble split backward) and its emitter
@@ -734,11 +705,7 @@ def compile_train_step(
     def task_in_refs(task: StageTask, mb: int) -> list[BufferRef]:
         refs = []
         for atom in task.in_atoms:
-            if id(atom) in memo_vars:
-                refs.append(BufferRef(memo_uid(*memo_vars[id(atom)])))
-            elif id(atom) in memo_boundary:
-                refs.append(BufferRef(memo_uid(*memo_boundary[id(atom)])))
-            elif id(atom) in body_invar_pos:
+            if id(atom) in body_invar_pos:
                 k = body_invar_pos[id(atom)]
                 if k < n_batch:
                     refs.append(BufferRef(f"mb{mb}.bin{k}"))
@@ -855,56 +822,6 @@ def compile_train_step(
                                 "phase": "slice",
                                 "out_nbytes": [body.invars[k].aval.nbytes],
                             },
-                        )
-                    )
-
-        # --- once-per-step memoized prologues (ir/opt.py hoisting) ---
-        # each runs the loop-invariant prefix of its stage task exactly
-        # once; every microbatch instance then reads the memo buffers.
-        # Memoized *boundary* values additionally ship to cross-actor
-        # consumers here — one transfer per step instead of per microbatch.
-        for t_idx in sorted(prologues):
-            pro = prologues[t_idx]
-            a_local = task_actor[t_idx]
-            memo_in_refs = []
-            for atom in pro.in_atoms:
-                k = body_invar_pos[id(atom)]
-                memo_in_refs.append(
-                    BufferRef(train_atom_uid(loop_eqn.invars[k])[0])
-                )
-            prog(a_local).append(
-                RunTask(
-                    name=f"memo.t{t_idx}",
-                    in_refs=memo_in_refs,
-                    out_refs=[
-                        BufferRef(memo_uid(t_idx, j))
-                        for j in range(len(pro.jaxpr.outvars))
-                    ],
-                    fn=memo_fns[t_idx],
-                    meta={
-                        "phase": "memo",
-                        "stage": tasks[t_idx].stage,
-                        "kind": "memo",
-                        "unit": "memo",
-                        "out_nbytes": [
-                            v.aval.nbytes for v in pro.jaxpr.outvars
-                        ],
-                    },
-                )
-            )
-            for j in range(len(pro.jaxpr.outvars)):
-                memo_sent: set[int] = set()
-                for consumer_t in memo_consumers.get((t_idx, j), []):
-                    dst_local = task_actor[consumer_t]
-                    if dst_local == a_local or dst_local in memo_sent:
-                        continue
-                    memo_sent.add(dst_local)
-                    uid = memo_uid(t_idx, j)
-                    prog(a_local).append(Send(BufferRef(uid), base + dst_local, uid))
-                    prog(dst_local).append(
-                        Recv(
-                            BufferRef(uid), base + a_local, uid,
-                            pro.jaxpr.outvars[j].aval.nbytes,
                         )
                     )
 

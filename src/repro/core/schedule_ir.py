@@ -508,8 +508,7 @@ class ScheduleIR:
         each priced at the producing stage's
         ``cost_model.boundary_bytes`` (0.0 without a cost model) — the
         wire traffic the algebraic optimizer's boundary pruning and
-        memoization (:mod:`repro.ir.opt`) is in the business of
-        shrinking.
+        dedupe (:mod:`repro.ir.opt`) is in the business of shrinking.
         """
         frac = self.schedule.bwd_input_fraction
 
@@ -561,8 +560,8 @@ class ScheduleIR:
             peak_bytes[slot.rank] = max(peak_bytes[slot.rank], live_bytes[slot.rank])
             # each cross-rank dependency is a send/recv of the producing
             # stage's boundary bytes; the algebraic optimizer
-            # (ir/opt.py) shrinks exactly this term when it prunes,
-            # dedupes, or memoizes stage outputs
+            # (ir/opt.py) shrinks exactly this term when it prunes or
+            # dedupes stage outputs
             for d in self.cross_deps(slot):
                 cross_bytes += bnd_bytes(d.unit.stage)
         makespan = max(rank_time)

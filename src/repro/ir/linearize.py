@@ -54,7 +54,7 @@ back to ``eval_jaxpr`` so inlining semantics (autodiff, accumulate) are
 preserved.
 
 Backend selection: ``compile_train_step(..., task_backend="linear")`` runs
-every task (stage tasks, memo prologues, pre/post clusters) through this
+every task (stage tasks and pre/post clusters) through this
 VM; the default, ``"codegen"`` (:mod:`repro.ir.codegen`), emits the same
 program as generated source and is differential-tested against it;
 ``task_backend="interpret"`` keeps the reference interpreter, mirroring

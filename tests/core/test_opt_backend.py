@@ -39,6 +39,11 @@ class TestLevel1BitIdentity:
         _, base = _step(schedule, ts, optimize=False)
         _, opt = _step(schedule, ts, optimize=True)
         assert_bit_identical(base(params, batch), opt(params, batch))
+        # every rewrite only removes work, so no actor holds more bytes
+        assert all(
+            o <= b
+            for o, b in zip(opt.peak_bytes_per_actor, base.peak_bytes_per_actor)
+        ), (opt.peak_bytes_per_actor, base.peak_bytes_per_actor)
 
     @pytest.mark.parametrize("backend", ["interpret", "codegen"])
     def test_task_backends(self, backend):
@@ -56,8 +61,8 @@ class TestLevel1BitIdentity:
         assert_bit_identical(base(params, batch), opt(params, batch))
 
     def test_mp_pool_engine(self):
-        """Optimized programs — memo prologues, pruned boundaries and all
-        — run on real OS processes bit-identically to the event engine."""
+        """Optimized programs — pruned boundaries and all — run on real
+        OS processes bit-identically to the event engine."""
         schedule = core.OneFOneB(2)
         ts, params, batch = make_problem(2, n_mbs=4)
         _, ref = _step(schedule, ts, optimize=True)
@@ -78,7 +83,7 @@ class TestLevel1BitIdentity:
         assert_bit_identical(base(params, batch), opt(params, batch))
 
     def test_single_microbatch_still_exact(self):
-        # n_mbs=1 disables memoization but not CSE/DCE
+        # one microbatch: every task runs once, and CSE/DCE still apply
         ts, params, batch = make_problem(3, n_mbs=1)
         schedule = core.GPipe(3)
         _, base = _step(schedule, ts, optimize=False)
@@ -114,25 +119,40 @@ class TestCompiledStepWiring:
         }
         assert len(keys) == 2
 
-    def test_memo_prologues_emitted_once_per_step(self):
-        # the MLP backward hoists weight transposes: memo tasks must
-        # appear in the per-actor programs, tagged phase="memo", exactly
-        # once each (once per *step*, not per microbatch)
+    def test_optimized_step_keeps_the_unoptimized_task_layout(self):
+        # the optimizer rewrites stage jaxprs in place: an optimized step
+        # runs the same stage tasks per microbatch as an unoptimized one,
+        # and every task sits in one of the step's fixed phases
         ts, params, batch = make_problem(3, n_mbs=6)
         jaxpr, _, _ = ir.trace(ts, params, batch)
-        compiled = compile_train_step(jaxpr, core.OneFOneB(3))
-        memo = [
-            instr
-            for prog in compiled.programs
-            for instr in prog
-            if isinstance(instr, RunTask) and instr.meta.get("phase") == "memo"
-        ]
-        assert memo, "expected hoisted memo prologues on this workload"
-        names = [m.name for m in memo]
-        assert len(names) == len(set(names))
-        for m in memo:
-            assert m.meta.get("kind") == "memo"
-            assert "stage" in m.meta
+
+        def layout(optimize):
+            compiled = compile_train_step(
+                jaxpr, core.OneFOneB(3), optimize=optimize
+            )
+            tasks = [
+                instr
+                for prog in compiled.programs
+                for instr in prog
+                if isinstance(instr, RunTask)
+            ]
+            phases = {t.meta.get("phase") for t in tasks}
+            loop = sorted(
+                (t.meta["stage"], t.meta["kind"], t.meta["mb"])
+                for t in tasks
+                if t.meta.get("phase") == "loop"
+            )
+            return phases, loop
+
+        phases, loop = layout(True)
+        assert phases <= {
+            "pre", "slice", "loop", "dp", "stack", "combine", "post"
+        }
+        assert "loop" in phases
+        assert loop == layout(False)[1]
+        # each (stage, kind) runs once per microbatch, none more often
+        assert len(loop) == len(set(loop))
+        assert {mb for _, _, mb in loop} == set(range(6))
 
     @pytest.mark.parametrize("bad", [2, 7, -1, 3, "1", None])
     def test_invalid_level_rejected(self, bad):
@@ -175,10 +195,12 @@ class TestCompiledStepWiring:
 
 
 class TestReplayTuneOnOptimizedRun:
-    def test_from_result_excludes_memo_phase(self):
-        # adversarial timeline: a memo-phase event claiming unit="fwd"
-        # must not vote — only loop-phase (or phase-less simulator)
-        # events feed the per-(stage, kind) means
+    def test_from_result_excludes_non_loop_phase(self):
+        # adversarial timeline: a post-phase event claiming a stage and
+        # unit="fwd" must not vote — only loop-phase (or phase-less
+        # simulator) events feed the per-(stage, kind) means.  The
+        # compiler never tags a cluster with a stage, but a timeline read
+        # back through ExecutionResult.from_json is not checked for that
         from repro.runtime.executor import ExecutionResult, TimelineEvent
 
         def ev(name, start, end, meta):
@@ -189,7 +211,7 @@ class TestReplayTuneOnOptimizedRun:
         res = ExecutionResult(
             makespan=60.0,
             timeline=[
-                ev("memo.t0", 0.0, 50.0, {"phase": "memo", "stage": 0, "unit": "fwd"}),
+                ev("post", 0.0, 50.0, {"phase": "post", "stage": 0, "unit": "fwd"}),
                 ev("f0", 50.0, 51.0, {"phase": "loop", "stage": 0, "unit": "fwd", "kind": "fwd"}),
                 ev("f1", 51.0, 52.0, {"phase": "loop", "stage": 0, "unit": "fwd", "kind": "fwd"}),
                 ev("b0", 52.0, 54.0, {"phase": "loop", "stage": 0, "unit": "bwd", "kind": "bwd"}),
@@ -199,32 +221,26 @@ class TestReplayTuneOnOptimizedRun:
             p2p_count=0,
         )
         cm = CostModel.from_result(res, 1)
-        assert cm.fwd[0] == pytest.approx(1.0)  # not skewed by the 50s memo
+        assert cm.fwd[0] == pytest.approx(1.0)  # not skewed by the 50s post
         assert cm.bwd[0] == pytest.approx(2.0)
 
     def test_replay_tune_round_trip_on_real_optimized_run(self):
         # measure an optimized run, rebuild the cost table, and compare
         # against the table from an unoptimized run of the same step: the
-        # memo prologue must not inflate any stage's per-microbatch rate
+        # rewrites only remove work, so no stage's per-microbatch rate
+        # may inflate
         ts, params, batch = make_problem(3, n_mbs=6)
         _, base = _step(core.OneFOneB(3), ts, optimize=False)
         base(params, batch)
         cm_base = CostModel.from_result(base.last_result, 3)
         _, opt = _step(core.OneFOneB(3), ts, optimize=True)
         opt(params, batch)
-        # the optimized timeline genuinely carries memo-phase events —
-        # the hazard this sweep guards against is present, not absent
-        assert any(
-            e.kind == "task" and e.meta.get("phase") == "memo"
-            for e in opt.last_result.timeline
-        )
         cm_opt = CostModel.from_result(opt.last_result, 3)
         assert cm_opt.n_stages == cm_base.n_stages == 3
         assert all(f >= 0 for f in cm_opt.fwd)
         assert all(b >= 0 for b in cm_opt.bwd)
-        # wall-clock is noisy, but a memo leak would add the *whole*
-        # prologue to one microbatch's vote — an order-of-magnitude
-        # skew, far outside any plausible timing jitter
+        # wall-clock is noisy, so the bound is an order of magnitude —
+        # far outside any plausible timing jitter
         for s in range(3):
             assert cm_opt.fwd[s] < 50 * cm_base.fwd[s] + 1e-3
             assert cm_opt.bwd[s] < 50 * cm_base.bwd[s] + 1e-3

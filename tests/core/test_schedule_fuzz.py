@@ -479,8 +479,8 @@ class TestOptimizerFuzz:
 
     def test_level1_fuzz_problem_holds_on_mp_pool(self):
         """One randomly generated bait problem through the warm actor
-        pool: the optimized programs (memo prologues included) execute on
-        real OS processes bit-identically to the event engine."""
+        pool: the optimized programs (pruned boundaries included) execute
+        on real OS processes bit-identically to the event engine."""
         ts, params, batch, _, n_model = random_opt_problem(5)
         base = core.OneFOneB(n_model)
         want = core.RemoteMesh((base.n_actors,)).distributed(

@@ -254,7 +254,7 @@ def _mlp_split(n_stages=3, d=8, mbsz=4, dup_yield=False, shard=False):
 class TestOptimizeSplit:
     def test_rewritten_tasks_validate_and_shrink(self):
         split, _ = _mlp_split()
-        opt = optimize_split(split, n_batch=2, n_mbs=4)
+        opt = optimize_split(split)
         assert opt.report.eqns_after < opt.report.eqns_before
         for task in opt.split.tasks:
             validate(task.jaxpr)
@@ -265,33 +265,35 @@ class TestOptimizeSplit:
         ]
         assert [t.kind for t in opt.split.tasks] == [t.kind for t in split.tasks]
 
-    def test_backward_weight_transposes_hoisted(self):
-        # x and y are microbatched; the w transposes in the backward
-        # depend only on captured weights, so every bwd task gets a
-        # prologue and its pseudo in_atoms land in memo_vars
+    def test_rewrite_accounting_is_exact(self):
+        # every removed equation is charged to exactly one rewrite, and
+        # the counts describe the task jaxprs the split actually carries
         split, _ = _mlp_split()
-        opt = optimize_split(split, n_batch=2, n_mbs=4)
-        assert opt.prologues
-        body_invar_pos = {id(v): k for k, v in enumerate(split.body.invars)}
-        for t_idx, pro in opt.prologues.items():
-            validate(pro.jaxpr)
-            assert len(pro.in_atoms) == len(pro.jaxpr.invars)
-            assert len(pro.out_vars) == len(pro.jaxpr.outvars)
-            # prologue inputs are loop-invariant body invars (weights):
-            # positions at/after n_batch in the body signature
-            for a in pro.in_atoms:
-                assert body_invar_pos[id(a)] >= 2
-            for j, pv in enumerate(pro.out_vars):
-                if pv is not None:
-                    assert opt.memo_vars[id(pv)] == (t_idx, j)
-        # every memo pseudo var appears in exactly one task's in_atoms
-        pseudo_uses = {
-            id(a)
-            for t in opt.split.tasks
-            for a in t.in_atoms
-            if id(a) in opt.memo_vars
+        opt = optimize_split(split)
+        for entry in opt.report.tasks:
+            assert entry.eqns_before == split.tasks[entry.index].jaxpr.n_eqns
+            assert entry.eqns_after == opt.split.tasks[entry.index].jaxpr.n_eqns
+            assert entry.eqns_before - entry.eqns_after == (
+                entry.cse_removed + entry.identity_elided + entry.dce_removed
+            )
+
+    def test_task_inputs_resolve_to_body_invars_or_earlier_outputs(self):
+        # the optimizer rewrites tasks in place and invents no vars: every
+        # surviving input is a loop-body invar or a boundary output (or
+        # dedupe alias) of an earlier task — the compiler's producer map
+        # has nothing else to resolve
+        split, _ = _mlp_split(dup_yield=True)
+        opt = optimize_split(split)
+        body_invars = {id(v) for v in split.body.invars}
+        producer = {
+            id(v): t.index for t in opt.split.tasks for v in t.out_vars
         }
-        assert pseudo_uses == set(opt.memo_vars)
+        producer.update({id(v): t for v, t, _ in opt.out_aliases})
+        for task in opt.split.tasks:
+            for a in task.in_atoms:
+                if not isinstance(a, Var) or id(a) in body_invars:
+                    continue
+                assert producer[id(a)] < task.index
 
     @pytest.mark.parametrize("elide", [True, False])
     def test_sharding_elision_follows_the_flag(self, elide):
@@ -305,20 +307,14 @@ class TestOptimizeSplit:
             )
 
         assert count(split) > 0
-        opt = optimize_split(split, n_batch=2, n_mbs=4, elide_sharding=elide)
+        opt = optimize_split(split, elide_sharding=elide)
         assert count(opt.split) == (0 if elide else count(split))
         for task in opt.split.tasks:
             validate(task.jaxpr)
 
-    def test_memoization_gated_on_n_mbs(self):
-        split, _ = _mlp_split()
-        opt = optimize_split(split, n_batch=2, n_mbs=1)
-        assert not opt.prologues
-        assert not opt.memo_vars
-
     def test_duplicate_yield_dedupes_boundary(self):
         split, _ = _mlp_split(dup_yield=True)
-        opt = optimize_split(split, n_batch=2, n_mbs=4)
+        opt = optimize_split(split)
         entry = next(
             e for e in opt.report.tasks if e.kind == "fwd" and e.stage == 0
         )
@@ -359,7 +355,7 @@ class TestOptimizeSplit:
             assignment=dict(split.assignment),
             body=split.body,
         )
-        opt = optimize_split(split, n_batch=2, n_mbs=4)
+        opt = optimize_split(split)
         entry = next(e for e in opt.report.tasks if e.index == t_idx)
         assert entry.outputs_pruned == 1
         assert entry.boundary_bytes_after < entry.boundary_bytes_before
@@ -373,7 +369,7 @@ class TestOptimizeSplit:
 
     def test_report_summary_and_stage_reduction(self):
         split, _ = _mlp_split()
-        opt = optimize_split(split, n_batch=2, n_mbs=4)
+        opt = optimize_split(split)
         text = opt.report.summary()
         assert text.startswith("optimize: ")
         assert f"{opt.report.eqns_before} -> {opt.report.eqns_after}" in text
@@ -383,7 +379,7 @@ class TestOptimizeSplit:
 
     def test_report_is_a_fresh_object_per_call(self):
         split, _ = _mlp_split()
-        a = optimize_split(split, n_batch=2, n_mbs=4).report
-        b = optimize_split(split, n_batch=2, n_mbs=4).report
+        a = optimize_split(split).report
+        b = optimize_split(split).report
         assert isinstance(a, OptReport) and a is not b
         assert a.eqns_after == b.eqns_after

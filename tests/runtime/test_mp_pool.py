@@ -239,8 +239,8 @@ class TestOptLevelMultiplex:
         ``.L0`` / ``.L1`` program keys, one ship each), and every interleaved
         submission stays bit-identical to its own event-engine reference.
         A collision — a worker running the L0 programs for an L1 submit
-        or vice versa — would show up as the optimized result (memo
-        prologues, pruned boundaries) leaking into the baseline lane."""
+        or vice versa — would show up as the optimized result (pruned
+        boundaries, deduped outputs) leaking into the baseline lane."""
         schedule = core.OneFOneB(2)
         ts, params, batch = make_problem(2, n_mbs=4)
         want = {}
