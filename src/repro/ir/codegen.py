@@ -612,7 +612,10 @@ def _emit(base: LinearProgram) -> tuple[str, dict, dict]:
             and len(shape.get(eff[idx][1], ())) == 2
         ):
             # 2-D float matmul: np.dot reaches the same GEMM with a
-            # slightly thinner wrapper than the np.matmul gufunc
+            # slightly thinner wrapper than the np.matmul gufunc.  Every
+            # weight GEMM lands here (ops.matmul flattens (..., K) @ (K, N)
+            # to 2-D), dX and dW with transposed-view operands; the
+            # codegen suite pins np.dot == np.matmul bits on all layouts
             env.setdefault("_dot", np.dot)
             counters["calls"] += 1
             emit(f"{raw(dst)} = _dot({args[0]}, {args[1]})")

@@ -490,6 +490,9 @@ def _matmul_abs(xa: ShapedArray, ya: ShapedArray):
 
 @matmul_p.def_vjp
 def _matmul_vjp(cts, invals, outvals):
+    # ``matmul`` binds a weight contraction already flattened to 2-D, so
+    # here dX and dW are single GEMMs and ``unbroadcast`` sums nothing; it
+    # sums only where a batched call (>= 3-D right operand) broadcasts
     g = cts[0]
     x, y = invals
     gx = matmul(g, swap_last2(y))
@@ -498,7 +501,17 @@ def _matmul_vjp(cts, invals, outvals):
 
 
 def matmul(x: ArrayLike, y: ArrayLike) -> ArrayLike:
-    """Batched matrix multiply with NumPy semantics (operands >= 2-D)."""
+    """Batched matrix multiply with NumPy semantics (operands >= 2-D).
+
+    ``(..., K) @ (K, N)`` binds as one ``(prod(...), K) @ (K, N)`` GEMM
+    between two reshapes, so every back end runs the same 2-D equation
+    and the weight gradient contracts all leading dims in one GEMM
+    instead of a batch of partial products plus a ``reduce_sum``.
+    """
+    xs, ys = shape_of(x), shape_of(y)
+    if len(xs) > 2 and len(ys) == 2:
+        out = matmul_p.bind(reshape(x, (math.prod(xs[:-1]), xs[-1])), y)
+        return reshape(out, xs[:-1] + ys[-1:])
     return matmul_p.bind(x, y)
 
 

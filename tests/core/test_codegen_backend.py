@@ -147,6 +147,30 @@ class TestProgramBehaviour:
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("ta", [False, True])
+    @pytest.mark.parametrize("tb", [False, True])
+    @pytest.mark.parametrize(
+        "m,k,n", [(256, 384, 128), (128, 256, 384), (7, 5, 3)]
+    )
+    def test_weight_gemm_path_bit_identical(self, m, k, n, ta, tb):
+        # every weight GEMM reaches codegen as a 2-D float matmul, which
+        # it emits as np.dot while linear and interpret call np.matmul;
+        # dX and dW hand it transposed views, so pin all four layouts
+        r = np.random.RandomState(m + k + n)
+
+        def f32(*shape):
+            return r.randn(*shape).astype(np.float32)
+
+        a = f32(k, m).T if ta else f32(m, k)
+        b = f32(n, k).T if tb else f32(k, n)
+        jaxpr, _, _ = ir.trace(ops.matmul, a, b)
+        prog = codegen(jaxpr)
+        assert "_dot(" in prog.source
+        want = ir.eval_jaxpr(jaxpr, [a, b])[0]
+        for got in (ir.linearize(jaxpr)([a, b])[0], prog([a, b])[0]):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
     def test_compiler_embeds_codegen_payloads(self):
         ts, params, batch = make_problem(3, n_mbs=6)
         jaxpr, _, _ = ir.trace(ts, params, batch)

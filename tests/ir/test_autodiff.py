@@ -69,6 +69,34 @@ class TestElementwiseGrads:
         check_grads(lambda x, y: ops.div(x, y).sum(), [x, y], argnum=1)
 
 
+def test_dense_layer_gradients_are_single_gemms():
+    # (B, S, K) @ (K, N) traces as one 2-D GEMM, so dX and dW are 2-D
+    # GEMMs too and dW sums every token inside the GEMM itself
+    x, w = _f32(4, 6, 8, seed=22), _f32(8, 5, seed=23)
+    jaxpr, _, _ = ir.trace(
+        ir.value_and_grad(lambda w, x: (ops.matmul(x, w) ** 2.0).sum()),
+        w, x,
+    )
+    matmuls = [e for e in jaxpr.eqns if e.prim.name == "matmul"]
+    assert len(matmuls) == 3
+    assert all(v.aval.ndim == 2 for e in matmuls for v in e.invars)
+    gemm_outs = {id(e.outvars[0]) for e in matmuls}
+    assert not any(
+        id(v) in gemm_outs
+        for e in jaxpr.eqns if e.prim.name == "reduce_sum"
+        for v in e.invars
+    )
+    _, dw = ir.eval_jaxpr(jaxpr, [w, x])
+    np.testing.assert_allclose(
+        dw, np.einsum("bsk,bsn->kn", x, 2 * (x @ w)), rtol=1e-5, atol=1e-5
+    )
+    # a batched contraction with a >= 3-D right operand is untouched
+    q, k = _f32(2, 3, 4, 5, seed=24), _f32(2, 3, 5, 4, seed=25)
+    jaxpr, _, _ = ir.trace(ops.matmul, q, k)
+    assert [e.prim.name for e in jaxpr.eqns] == ["matmul"]
+    assert [v.aval.ndim for v in jaxpr.eqns[0].invars] == [4, 4]
+
+
 class TestStructuralGrads:
     def test_matmul_both(self):
         x, y = _f32(3, 4, seed=16), _f32(4, 2, seed=17)

@@ -139,6 +139,46 @@ class TestGradientCollectives:
         np.testing.assert_allclose(outs[1], g["w1"], rtol=1e-3, atol=1e-4)
         np.testing.assert_allclose(outs[2], g["w2"], rtol=1e-3, atol=1e-4)
 
+    @pytest.mark.parametrize(
+        "mesh_axes,collectives",
+        [
+            ([("data", 2), ("model", 1)],
+             ["all_reduce", "mesh_split"] + ["all_reduce"] * 3),
+            ([("data", 1), ("model", 2)], ["all_reduce"] * 3),
+            ([("data", 2), ("model", 2)],
+             ["all_reduce"] * 2 + ["mesh_split"] + ["all_reduce"] * 5),
+        ],
+    )
+    def test_3d_dense_layer_training_step(self, mesh_axes, collectives):
+        # (B, S, K) @ (K, N) traces as reshape -> 2-D GEMM -> reshape: the
+        # reshape rule must carry the batch sharding through the merged
+        # leading dim, so the collectives are those of the batched form
+        r = rng(2)
+        X = r.randn(4, 6, 8).astype(np.float32)
+        params = {
+            "w1": r.randn(8, 8).astype(np.float32),
+            "w2": r.randn(8, 8).astype(np.float32),
+        }
+
+        def loss(p, X):
+            H = ops.matmul(X, p["w1"])
+            H = nn.relu(spmd.shard(H, ("batch", None, "mlp")))
+            return (ops.matmul(H, p["w2"]) ** 2.0).sum()
+
+        jaxpr, _, _ = ir.trace(lambda p, X: ir.value_and_grad(loss)(p, X), params, X)
+        mesh = spmd.Mesh(mesh_axes)
+        prog = spmd.partition(
+            jaxpr, mesh,
+            in_specs=[("emb", "mlp"), ("mlp", "emb"), ("batch", None, "emb")],
+            rules=RULES,
+        )
+        assert _collective_names(prog) == collectives
+        outs = spmd.SpmdExecutor(mesh).run(prog, [params["w1"], params["w2"], X])
+        l, g = ir.value_and_grad(loss)(params, X)
+        np.testing.assert_allclose(outs[0], l, rtol=1e-4)
+        np.testing.assert_allclose(outs[1], g["w1"], rtol=1e-3, atol=1e-4)
+        np.testing.assert_allclose(outs[2], g["w2"], rtol=1e-3, atol=1e-4)
+
 
 class TestReshardingAndFallback:
     def test_constraint_triggers_gather_then_split(self):
