@@ -311,18 +311,15 @@ class CostModel:
 
 
 def _jaxpr_flops(jaxpr) -> float:
-    """Static FLOP estimate of a stage jaxpr: matmul-shaped equations
-    count ``2 * out_size * contraction``, everything else one op per
-    output element — coarse, but it captures the skew (wide vs narrow,
-    deep vs shallow stages) the tuner needs."""
+    """Static FLOP estimate of a stage jaxpr: each equation's
+    ``Primitive.flops_rule`` (matmul counts ``2 * out_size *
+    contraction``), else one op per output element — coarse, but it
+    captures the skew (wide vs narrow, deep vs shallow stages) the tuner
+    needs."""
     total = 0.0
     for eqn in jaxpr.eqns:
-        out_size = sum(float(v.aval.size) for v in eqn.outvars)
-        if eqn.prim.name == "matmul":
-            k = eqn.invars[0].aval.shape[-1] if eqn.invars[0].aval.shape else 1
-            total += 2.0 * out_size * float(k)
-        else:
-            total += out_size
+        outs, rule = [v.aval for v in eqn.outvars], eqn.prim.flops_rule
+        total += rule([a.aval for a in eqn.invars], outs) if rule else sum(float(a.size) for a in outs)
     return total
 
 

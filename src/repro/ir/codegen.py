@@ -13,17 +13,22 @@ source over named locals:
   reads are LOAD_FAST, not list indexing through an interpreter loop;
 - a step the fusion plan marks nestable becomes an expression inside its
   consumer's statement (``v14 = _f7(v12, (_kc2 * v9), out=v12)``) when
-  its dtype is statically known; otherwise it is a named local like any
-  other step;
-- liveness frees are emitted as ``v12 = None`` statements after the
-  statement that reads the slot last;
-- buffer donations are emitted as ``out=`` keyword calls;
+  its dtype is statically known; otherwise it is a named local;
+- liveness frees are ``v12 = None`` statements after the statement that
+  reads the slot last; buffer donations are ``out=`` keyword calls;
 - ``functools.partial`` wrappers are unwrapped: static params are emitted
-  as literal keyword arguments bound to globals, so each instruction costs
-  exactly one impl call frame;
+  as keyword arguments bound to globals, one impl call frame per step;
 - operand canonicalization is hoisted from per-consumption to
   per-production, and *elided entirely* where a static dtype-stability
   analysis proves it a no-op (see below).
+
+What it knows about a primitive it reads from the
+:class:`~repro.ir.primitives.Primitive`, and it names none: the
+``emit_rule`` (or the ``numpy_fn`` / ``operator`` the impl is) gives a
+call's source, ``dtype_rule`` feeds the dtype analysis, ``elementwise``
+with two or more operands marks a kernel that absorbs a feeding
+``broadcast_to``, and ``identity_unpartitioned`` becomes a plain alias.
+Codegen keeps naming, nesting, donation, frees and dtype checks.
 
 The source is ``compile()``d and ``exec``'d once at construction; the hot
 path is then a single call of the generated function.  ``program.source``
@@ -38,12 +43,11 @@ The VM canonicalizes every operand at every consumption with
 :data:`~repro.ir.dtypes.NP_CANONICAL` (``float64 -> float32`` etc.).  For
 values whose runtime dtype is statically known that check is dead code.
 The emitter runs a forward dataflow over the instruction list: program
-inputs are *assumed* to match their traced avals (after entry
-canonicalization — the same static contract an AOT compiler holds callers
-to; the entry check still converts wider storage like float64 down),
-constants are pre-canonicalized at build time so their dtype is exact, and
-an instruction's output dtype is propagated when every operand dtype is
-known to be float32/float16/bool and the traced output dtype is too —
+inputs are *assumed* to match their traced avals (the static contract an
+AOT compiler holds callers to; the entry check still converts wider
+storage like float64 down), constants are pre-canonicalized at build time,
+and an output dtype is propagated by the primitive's ``dtype_rule``, or
+when every operand and the traced output are float32/float16/bool —
 NumPy's float ufuncs, contractions, reductions, and comparisons are closed
 over those dtypes.  Everything else (integer arithmetic, ``argmax``-style
 dtype jumps, unknown inputs) keeps a dynamic per-value check, so programs
@@ -77,6 +81,7 @@ from repro.ir.dtypes import NP_CANONICAL
 from repro.ir.interpreter import eval_jaxpr
 from repro.ir.jaxpr import Jaxpr
 from repro.ir.linearize import LinearProgram, RecentPins, _consume, linearize
+from repro.ir.ops import broadcast_to_p
 
 __all__ = ["CodegenProgram", "codegen"]
 
@@ -87,85 +92,8 @@ _STABLE = frozenset(
     {np.dtype(np.float32), np.dtype(np.float16), np.dtype(np.bool_)}
 )
 
-#: impls whose output dtype equals one operand's *actual* dtype exactly,
-#: whatever it is — layout ops (np.reshape/transpose/... preserve storage),
-#: gathers (np.take returns the table's dtype), and scatter_add (the output
-#: buffer is allocated with the updates' dtype); the value is that operand's
-#: position
-_PRESERVES = {
-    "reshape": 0,
-    "transpose": 0,
-    "broadcast_to": 0,
-    "slice": 0,
-    "unslice": 0,
-    "take": 0,
-    "scatter_add": 1,
-    "shard_constraint": 0,
-}
 
-#: impls that emit exactly the traced target dtype regardless of operand
-#: storage (astype-style conversions)
-_STATIC_OUT = frozenset({"convert"})
-
-#: multi-operand promotion that collapses to identity when every operand
-#: shares one dtype (np.concatenate)
-_ALL_SAME = frozenset({"concatenate"})
-
-#: kernel specializations: primitives whose impl is *exactly* one NumPy
-#: C entry point (possibly behind a Python wrapper frame in ops.py).
-#: Generated code calls the C function directly — same kernel, same bits,
-#: one frame per instruction instead of two.  Comparison impls wrap the
-#: ufunc in ``np.asarray(..., bool)``, which is the identity for every
-#: non-0-d result (the ufuncs already return bool), so binding the raw
-#: ufunc is value- and dtype-identical.
-_UFUNC_IMPLS = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "maximum": np.maximum,
-    "minimum": np.minimum,
-    "pow": np.power,
-    "greater": np.greater,
-    "greater_equal": np.greater_equal,
-    "less": np.less,
-    "less_equal": np.less_equal,
-    "equal": np.equal,
-    "not_equal": np.not_equal,
-    "neg": np.negative,
-    "exp": np.exp,
-    "log": np.log,
-    "tanh": np.tanh,
-    "sqrt": np.sqrt,
-    "sin": np.sin,
-    "cos": np.cos,
-    "abs": np.abs,
-    "sign": np.sign,
-    "logical_not": np.logical_not,
-    "matmul": np.matmul,
-    "where": np.where,
-}
-
-# ufunc -> Python operator: ``a * b`` on ndarrays invokes the exact same
-# ufunc through the number-protocol slot, ~100ns cheaper than the explicit
-# ``np.multiply(a, b)`` call (no argument-tuple build, no name load)
-_OPERATOR_OF = {
-    np.add: "+",
-    np.subtract: "-",
-    np.multiply: "*",
-    np.true_divide: "/",
-    np.power: "**",
-    np.greater: ">",
-    np.greater_equal: ">=",
-    np.less: "<",
-    np.less_equal: "<=",
-    np.equal: "==",
-    np.not_equal: "!=",
-}
-
-_FLOATS = frozenset({np.dtype(np.float32), np.dtype(np.float16)})
-
-
-def _predict(name: str, ins_known: list, out_dts: tuple):
+def _predict(prim, ins_known: list, out_dts: tuple):
     """Statically known output dtype of one step, or ``None`` when the
     runtime dtype cannot be proven.
 
@@ -173,19 +101,17 @@ def _predict(name: str, ins_known: list, out_dts: tuple):
     canonicalization dtypes (``None`` = unknown).  The general rule is
     float closure: NumPy's float ufuncs, contractions, reductions, and
     comparisons over float32/float16/bool operands produce exactly the
-    traced output dtype.  ``_PRESERVES``/``_STATIC_OUT``/``_ALL_SAME``
-    extend that with per-primitive structure (index operands cannot leak
-    into the output dtype, astype is exact, ...)."""
-    if name in _STATIC_OUT:
+    traced output dtype.  A primitive's ``dtype_rule`` extends that with
+    its own structure (index operands cannot leak into the output dtype,
+    astype is exact, ...)."""
+    rule = prim.dtype_rule
+    if rule == "target":
         return out_dts[0]
-    p = _PRESERVES.get(name)
-    if p is not None:
-        return ins_known[p]
-    if name in _ALL_SAME:
+    if isinstance(rule, int):
+        return ins_known[rule]
+    if rule == "common":
         d0 = ins_known[0]
-        if d0 is not None and all(t is d0 for t in ins_known):
-            return d0
-        return None
+        return d0 if d0 is not None and all(t is d0 for t in ins_known) else None
     if all(t in _STABLE for t in ins_known) and all(d in _STABLE for d in out_dts):
         return out_dts[0]
     return None
@@ -194,20 +120,6 @@ def _predict(name: str, ins_known: list, out_dts: tuple):
 #: groups larger than this fall back to named steps instead of nested
 #: expressions (keeps generated expressions within parser-friendly depth)
 _MAX_NEST = 40
-
-#: multi-operand elementwise primitives whose NumPy kernels broadcast
-#: natively: feeding them a pre-``broadcast_to`` operand or the original
-#: (smaller) value is the same C loop over the same elements, so an explicit
-#: ``broadcast_to`` whose consumers all sit here can be elided entirely.
-#: Unary elementwise ops are excluded — their output takes the operand's
-#: shape, so elision would shrink the result.
-_BCAST_SINKS = frozenset(
-    {
-        "add", "sub", "mul", "div", "pow", "maximum", "minimum",
-        "greater", "greater_equal", "less", "less_equal", "equal",
-        "not_equal", "where",
-    }
-)
 
 _fresh = itertools.count()
 
@@ -220,8 +132,9 @@ def _plan_broadcast_elision(steps, shape, out_set):
     to produce and to consume than letting the consuming ufunc broadcast the
     original operand (NumPy's inner loops pay for the degenerate strides).
     A use of a broadcast output may read the pre-broadcast value instead
-    when (a) the consumer is a multi-operand elementwise kernel
-    (``_BCAST_SINKS``), (b) the statically known operand shapes still
+    when (a) the consumer is an elementwise kernel of two or more operands,
+    which broadcasts natively (a unary one is excluded: its output takes
+    the operand's shape, so elision would shrink the result), (b) the statically known operand shapes still
     broadcast to the consumer's traced output shape after substitution, and
     (c) the consumer does not donate into the substituted operand position
     (``out=`` must match the result shape).  The source buffer survives the
@@ -250,7 +163,7 @@ def _plan_broadcast_elision(steps, shape, out_set):
             return False
 
     for b, stb in enumerate(steps):
-        if stb.eqn.prim.name != "broadcast_to" or stb.dsts is not None or stb.dpos >= 0:
+        if stb.eqn.prim is not broadcast_to_p or stb.dsts is not None or stb.dpos >= 0:
             continue
         s, d = stb.srcs[0], stb.dst
         uses = sites.get(d, [])
@@ -259,7 +172,8 @@ def _plan_broadcast_elision(steps, shape, out_set):
         all_ok = True
         for i, p in uses:
             st = steps[i]
-            if st.eqn.prim.name not in _BCAST_SINKS or st.dsts is not None or st.dpos == p:
+            sink = st.eqn.prim.elementwise and len(st.srcs) > 1
+            if not sink or st.dsts is not None or st.dpos == p:
                 all_ok = False
                 continue
             shps = [
@@ -302,7 +216,6 @@ def _emit(base: LinearProgram) -> tuple[str, dict, dict]:
         "_A": np.asarray,
         "_G": NP_CANONICAL.get,
         "_C": _consume,
-        "_Z": np.zeros,
     }
     counters = {"calls": 0, "checks": 0}
 
@@ -355,7 +268,7 @@ def _emit(base: LinearProgram) -> tuple[str, dict, dict]:
     for i, st in enumerate(steps):
         if st.dsts is None:
             t = _predict(
-                st.eqn.prim.name,
+                st.eqn.prim,
                 [known.get(s) for s in eff[i]],
                 (st.eqn.outvars[0].aval.dtype.np_dtype,),
             )
@@ -418,79 +331,42 @@ def _emit(base: LinearProgram) -> tuple[str, dict, dict]:
     def emit(stmt: str) -> None:
         lines.append("    " + stmt)
 
-    def specialize(tag: str, name: str, fn: Any, args: list[str], knowns) -> str | None:
-        """Render a call directly against the impl's underlying NumPy C
-        entry point when that is provably bit-identical, else ``None``.
+    def specialize(tag: str, prim, params: dict, args: list[str], knowns, srcs):
+        """The primitive's own source for one non-donating call, when it
+        has one (same kernel, same bits, fewer frames): its ``emit_rule``,
+        else a direct call of the NumPy function its impl is; ``None``
+        otherwise.  Returns the expression and any statement tails (see
+        ``Primitive.emit_rule``).  ``a * b`` on ndarrays runs the same ufunc
+        as ``np.multiply(a, b)`` through the number-protocol slot, ~100 ns
+        cheaper (no argument tuple, no name load), so a ufunc with an
+        ``operator`` is spelled with it."""
+        if prim.emit_rule is not None:
 
-        - ``_UFUNC_IMPLS``: the ops.py impl *is* that ufunc (modulo a
-          wrapper frame / a no-op bool asarray);
-        - ``div``: the impl forces ``dtype=result_type(x, y)`` — for two
-          float operands of one known dtype that is the ufunc's default
-          loop, so plain ``np.divide`` is identical;
-        - ``reduce_sum``/``reduce_max``: ``np.sum``/``np.max`` dispatch to
-          ``np.add.reduce``/``np.maximum.reduce`` (same C reduction, same
-          pairwise order); the impl's explicit ``dtype=x.dtype`` matches
-          the default accumulator for float operands, so the reduction is
-          called directly when the operand dtype is a known float;
-        - ``reshape``/``transpose``: ``np.reshape``/``np.transpose``
-          delegate to the array method with the same static argument.
-        """
-        uf = _UFUNC_IMPLS.get(name)
-        if uf is not None:
-            op = _OPERATOR_OF.get(uf)
-            if op is not None and len(args) == 2:
-                return f"({args[0]} {op} {args[1]})"
-            if uf is np.negative and len(args) == 1:
-                return f"(-{args[0]})"
-            g = f"_f{tag}"
-            env[g] = uf
-            return f"{g}({', '.join(args)})"
-        if name == "div":
-            if (
-                knowns
-                and len(knowns) == 2
-                and knowns[0] is knowns[1]
-                and knowns[0] in _FLOATS
-            ):
-                return f"({args[0]} / {args[1]})"
+            def name(key: str) -> str:
+                return f"_f{tag}" if key == "f" else f"_p{tag}_{key}"
+
+            shapes = [shape.get(s) for s in srcs]
+            out = prim.emit_rule(args, params, knowns, shapes, name)
+            if out is not None:
+                exprs, consts = out
+                env.update(consts)
+                return exprs
+        if prim.numpy_fn is None:
             return None
-        if (
-            name in ("reduce_sum", "reduce_max")
-            and isinstance(fn, partial)
-            and knowns
-            and knowns[0] in _FLOATS
-        ):
-            g = f"_f{tag}"
-            env[g] = np.add.reduce if name == "reduce_sum" else np.maximum.reduce
-            env[f"_p{tag}_axis"] = fn.keywords["axes"]
-            env[f"_p{tag}_kd"] = fn.keywords["keepdims"]
-            return f"{g}({args[0]}, axis=_p{tag}_axis, keepdims=_p{tag}_kd)"
-        if name in ("reshape", "transpose") and isinstance(fn, partial):
-            key = "new_sizes" if name == "reshape" else "perm"
-            g = f"_p{tag}_{key}"
-            env[g] = fn.keywords[key]
-            return f"{args[0]}.{name}({g})"
-        return None
+        op = prim.operator
+        if op is not None:
+            if len(args) == 2:
+                return (f"({args[0]} {op} {args[1]})",)
+            return (f"({op}{args[0]})",)
+        env[f"_f{tag}"] = prim.numpy_fn
+        return (f"_f{tag}({', '.join(args)})",)
 
-    def call_expr(
-        tag: str,
-        fn: Any,
-        args: list[str],
-        out: str | None = None,
-        name: str | None = None,
-        knowns: list | None = None,
-    ) -> str:
+    def call_expr(tag: str, fn: Any, args: list[str], out: str | None = None) -> str:
         """Register ``fn`` in the globals and render one call expression.
 
         ``functools.partial`` wrappers are unwrapped: the raw impl is the
         global and its static params are emitted as keyword arguments over
-        per-site globals, so the generated call pays no wrapper frame.
-        When ``name`` is given (and the call is not a donation), kernel
-        specialization may bind the NumPy C entry point directly."""
-        if out is None and name is not None:
-            sp = specialize(tag, name, fn, args, knowns)
-            if sp is not None:
-                return sp
+        per-site globals, so the generated call pays no wrapper frame."""
         kws: list[str] = []
         if isinstance(fn, partial) and not fn.args:
             for k, val in fn.keywords.items():
@@ -543,99 +419,46 @@ def _emit(base: LinearProgram) -> tuple[str, dict, dict]:
         return expr_of.pop(s) if s in expr_of else use(s)
 
     for idx, (fn, srcs, dst, dsts, dpos, ddt, _, eqn, _) in enumerate(steps):
-        nm = eqn.prim.name
+        prim, tag = eqn.prim, str(idx)
         knowns = [known.get(s) for s in eff[idx]]
         args = [arg(s) for s in eff[idx]]
         if idx not in nested:
-            emit(f"# [{idx}] {nm}")
+            emit(f"# [{idx}] {prim.name}")
         if dsts is not None:
             # multi-result primitive: no stability claim, unpack the results
             counters["calls"] += 1
             targets = ", ".join(raw(d) for d in dsts)
-            emit(f"[{targets}] = {call_expr(str(idx), fn, args)}")
+            emit(f"[{targets}] = {call_expr(tag, fn, args)}")
             for d in dsts:
                 after_produce(d)
         elif idx in dropped:
             # fully elided broadcast: every consumer reads the
             # un-broadcast operand and lets the kernel broadcast natively
             emit("# elided: consumers broadcast natively")
-        elif nm == "shard_constraint" and dpos < 0:
+        elif prim.identity_unpartitioned and dpos < 0:
             # the impl is the identity — a plain alias, no call frame
             emit(f"{raw(dst)} = {args[0]}")
-        elif (
-            nm == "slice"
-            and dpos < 0
-            and isinstance(fn, partial)
-            and not fn.args
-        ):
-            # static strided-1 slice: a precomputed index tuple turns
-            # the impl frame + per-call genexpr into one subscript
-            env[f"_p{idx}_ix"] = tuple(
-                slice(st, li)
-                for st, li in zip(fn.keywords["starts"], fn.keywords["limits"])
-            )
-            counters["calls"] += 1
-            emit(f"{raw(dst)} = {args[0]}[_p{idx}_ix]")
-        elif nm == "take" and dpos < 0:
-            # np.take(x, idx, axis=0) == x.take(idx, 0): same C gather,
-            # no dispatcher frame
-            counters["calls"] += 1
-            emit(f"{raw(dst)} = {args[0]}.take({args[1]}, 0)")
-        elif (
-            nm == "unslice"
-            and dpos < 0
-            and isinstance(fn, partial)
-            and not fn.args
-            and shape.get(eff[idx][0]) is not None
-        ):
-            # adjoint of slice: zeros + one precomputed-setitem — the
-            # embed index only depends on the operand's static shape
-            env[f"_p{idx}_sh"] = tuple(fn.keywords["shape"])
-            env[f"_p{idx}_ix"] = tuple(
-                slice(st, st + dd)
-                for st, dd in zip(fn.keywords["starts"], shape[eff[idx][0]])
-            )
-            counters["calls"] += 2
-            if knowns[0] is not None:
-                env[f"_p{idx}_dt"] = knowns[0]
-                emit(f"{raw(dst)} = _Z(_p{idx}_sh, _p{idx}_dt)")
-            else:
-                emit(f"{raw(dst)} = _Z(_p{idx}_sh, {args[0]}.dtype)")
-            emit(f"{raw(dst)}[_p{idx}_ix] = {args[0]}")
-        elif (
-            nm == "matmul"
-            and dpos < 0
-            and len(eff[idx]) == 2
-            and knowns[0] in _FLOATS
-            and knowns[1] in _FLOATS
-            and len(shape.get(eff[idx][0], ())) == 2
-            and len(shape.get(eff[idx][1], ())) == 2
-        ):
-            # 2-D float matmul: np.dot reaches the same GEMM with a
-            # slightly thinner wrapper than the np.matmul gufunc.  Every
-            # weight GEMM lands here (ops.matmul flattens (..., K) @ (K, N)
-            # to 2-D), dX and dW with transposed-view operands; the
-            # codegen suite pins np.dot == np.matmul bits on all layouts
-            env.setdefault("_dot", np.dot)
-            counters["calls"] += 1
-            emit(f"{raw(dst)} = _dot({args[0]}, {args[1]})")
         else:
-            counters["calls"] += 1
             if dpos >= 0:
                 on = use(srcs[dpos])
-                rhs = call_expr(str(idx), fn, args, out=on)
+                rhs = call_expr(tag, fn, args, out=on)
                 if known.get(srcs[dpos]) is not ddt:
                     env[f"_d{idx}"] = ddt
                     rhs = (
                         f"({rhs} if {on}.dtype is _d{idx}"
-                        f" else {call_expr(str(idx), fn, args)})"
+                        f" else {call_expr(tag, fn, args)})"
                     )
+                exprs = (rhs,)
             else:
-                rhs = call_expr(str(idx), fn, args, name=nm, knowns=knowns)
+                exprs = specialize(tag, prim, eqn.params, args, knowns, eff[idx])
+                exprs = exprs or (call_expr(tag, fn, args),)
+            counters["calls"] += len(exprs)
             if idx in nested:
-                expr_of[dst] = rhs
+                expr_of[dst] = exprs[0]
                 continue
-            emit(f"{raw(dst)} = {rhs}")
+            emit(f"{raw(dst)} = {exprs[0]}")
+            for tail in exprs[1:]:
+                emit(f"{raw(dst)}{tail}")
         if dsts is None and idx not in dropped:
             after_produce(dst)
         for name in frees_after.get(idx, ()):

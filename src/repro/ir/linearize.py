@@ -175,22 +175,13 @@ class LinearProgram:
         for eqn in jaxpr.eqns:
             prim = eqn.prim
             cells = [cell(a) for a in eqn.invars]
-            if (
+            # an identity aliases its operand, and so does a convert whose
+            # storage dtypes coincide (bf16 <-> f32)
+            if len(eqn.invars) == 1 == len(eqn.outvars) and (
                 prim.identity_alias
-                and len(eqn.invars) == 1
-                and len(eqn.outvars) == 1
+                or prim.identity_same_storage
+                and eqn.invars[0].aval.dtype.np_dtype == eqn.outvars[0].aval.dtype.np_dtype
             ):
-                cell_of[id(eqn.outvars[0])] = cells[0]
-                aliased_ids.add(id(eqn.outvars[0]))
-                n_aliased += 1
-                continue
-            if (
-                prim.name == "convert"
-                and eqn.invars[0].aval.dtype.np_dtype
-                == eqn.outvars[0].aval.dtype.np_dtype
-            ):
-                # storage dtypes coincide (bf16 <-> f32): the impl is the
-                # identity on the stored array
                 cell_of[id(eqn.outvars[0])] = cells[0]
                 aliased_ids.add(id(eqn.outvars[0]))
                 n_aliased += 1

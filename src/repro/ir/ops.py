@@ -98,6 +98,28 @@ def unbroadcast(g: ArrayLike, target_shape: tuple[int, ...]) -> ArrayLike:
     return g
 
 
+#: storage dtypes the emission rules below specialise for
+_FLOATS = frozenset({np.dtype(np.float32), np.dtype(np.float16)})
+
+
+def _numpy_entry(fn: Any) -> Any:
+    """``fn`` when it is NumPy's own function (codegen may call it in place
+    of the impl), else ``None``: wrappers, and other libraries' ufuncs such
+    as scipy's ``erf``, keep their impl frame."""
+    return fn if getattr(np, getattr(fn, "__name__", ""), None) is fn else None
+
+
+def _method_emit(method: str, key: str):
+    """Emission rule calling the array method ``method`` with the static
+    param ``key``: ``np.reshape`` / ``np.transpose`` delegate to it."""
+
+    def emit(args, params, knowns, shapes, name):
+        g = name(key)
+        return (f"{args[0]}.{method}({g})",), {g: params[key]}
+
+    return emit
+
+
 # ---------------------------------------------------------------------------
 # constant constructors (plain NumPy; become Literals when traced)
 # ---------------------------------------------------------------------------
@@ -128,15 +150,18 @@ def zeros_like_aval(aval: ShapedArray) -> np.ndarray:
 # elementwise binary ops
 # ---------------------------------------------------------------------------
 
-def _binop(name: str, np_fn, vjp_fn=None, *, bool_out: bool = False, inplace_fn=None) -> Primitive:
+def _binop(name: str, np_fn, vjp_fn=None, *, bool_out=False, inplace_fn=None, operator=None, commutative=False):
     p = Primitive(name)
-    # Fusion/donation hooks for the linear task VM (repro.ir.linearize):
     # every binop is a per-element map over fresh output storage; ops whose
     # impl is exactly a NumPy ufunc also advertise the ufunc for ``out=``
-    # buffer donation.
+    # buffer donation.  Codegen calls the ufunc itself: the comparisons'
+    # bool ``asarray`` is the identity on every non-0-d result
     p.elementwise = True
     p.returns_fresh = True
     p.inplace_fn = inplace_fn
+    p.numpy_fn = _numpy_entry(np_fn)
+    p.operator = operator
+    p.commutative = commutative
 
     @p.def_impl
     def _impl(x, y):
@@ -165,13 +190,23 @@ def _binop(name: str, np_fn, vjp_fn=None, *, bool_out: bool = False, inplace_fn=
     return p
 
 
-add_p = _binop("add", np.add, lambda g, x, y, o: (g, g), inplace_fn=np.add)
-sub_p = _binop("sub", np.subtract, lambda g, x, y, o: (g, neg(g)), inplace_fn=np.subtract)
-mul_p = _binop("mul", np.multiply, lambda g, x, y, o: (mul(g, y), mul(g, x)), inplace_fn=np.multiply)
+add_p = _binop("add", np.add, lambda g, x, y, o: (g, g), inplace_fn=np.add, operator="+", commutative=True)
+sub_p = _binop("sub", np.subtract, lambda g, x, y, o: (g, neg(g)), inplace_fn=np.subtract, operator="-")
+mul_p = _binop(
+    "mul", np.multiply, lambda g, x, y, o: (mul(g, y), mul(g, x)), inplace_fn=np.multiply,
+    operator="*", commutative=True,
+)
 div_p = _binop(
     "div",
     lambda x, y: np.divide(x, y, dtype=np.result_type(x, y) if np.result_type(x, y).kind == "f" else np.float32),
     lambda g, x, y, o: (div(g, y), neg(div(mul(g, o), y))),
+)
+
+
+# the impl forces dtype=result_type(x, y): for two operands of one known
+# float dtype that is the ufunc's default loop, so ``/`` is the same kernel
+div_p.emit_rule = lambda args, params, knowns, shapes, name: (
+    ((f"({args[0]} / {args[1]})",), {}) if knowns[0] is knowns[1] and knowns[0] in _FLOATS else None
 )
 maximum_p = _binop(
     "maximum", np.maximum,
@@ -179,7 +214,7 @@ maximum_p = _binop(
         mul(g, convert(greater_equal(x, y), dtype_of(g))),
         mul(g, convert(less(x, y), dtype_of(g))),
     ),
-    inplace_fn=np.maximum,
+    inplace_fn=np.maximum, commutative=True,
 )
 minimum_p = _binop(
     "minimum", np.minimum,
@@ -187,18 +222,18 @@ minimum_p = _binop(
         mul(g, convert(less_equal(x, y), dtype_of(g))),
         mul(g, convert(greater(x, y), dtype_of(g))),
     ),
-    inplace_fn=np.minimum,
+    inplace_fn=np.minimum, commutative=True,
 )
 # Exponent is treated as a constant (sufficient for x**2 etc.; general
 # d/dy x**y needs log(x) which is undefined for x <= 0).
-pow_p = _binop("pow", np.power, lambda g, x, y, o: (mul(g, mul(y, pow(x, sub(y, 1.0)))), None))
+pow_p = _binop("pow", np.power, lambda g, x, y, o: (mul(g, mul(y, pow(x, sub(y, 1.0)))), None), operator="**")
 
-greater_p = _binop("greater", np.greater, bool_out=True)
-greater_equal_p = _binop("greater_equal", np.greater_equal, bool_out=True)
-less_p = _binop("less", np.less, bool_out=True)
-less_equal_p = _binop("less_equal", np.less_equal, bool_out=True)
-equal_p = _binop("equal", np.equal, bool_out=True)
-not_equal_p = _binop("not_equal", np.not_equal, bool_out=True)
+greater_p = _binop("greater", np.greater, bool_out=True, operator=">")
+greater_equal_p = _binop("greater_equal", np.greater_equal, bool_out=True, operator=">=")
+less_p = _binop("less", np.less, bool_out=True, operator="<")
+less_equal_p = _binop("less_equal", np.less_equal, bool_out=True, operator="<=")
+equal_p = _binop("equal", np.equal, bool_out=True, operator="==")
+not_equal_p = _binop("not_equal", np.not_equal, bool_out=True, operator="!=")
 
 
 def add(x: ArrayLike, y: ArrayLike) -> ArrayLike:
@@ -270,11 +305,13 @@ def not_equal(x: ArrayLike, y: ArrayLike) -> ArrayLike:
 # elementwise unary ops
 # ---------------------------------------------------------------------------
 
-def _unop(name: str, np_fn, vjp_fn=None, *, out_dtype: DType | None = None, inplace_fn=None) -> Primitive:
+def _unop(name: str, np_fn, vjp_fn=None, *, out_dtype: DType | None = None, inplace_fn=None, operator=None):
     p = Primitive(name)
     p.elementwise = True
     p.returns_fresh = True
     p.inplace_fn = inplace_fn
+    p.numpy_fn = _numpy_entry(np_fn)
+    p.operator = operator
 
     @p.def_impl
     def _impl(x):
@@ -292,7 +329,7 @@ def _unop(name: str, np_fn, vjp_fn=None, *, out_dtype: DType | None = None, inpl
     return p
 
 
-neg_p = _unop("neg", np.negative, lambda g, x, o: neg(g), inplace_fn=np.negative)
+neg_p = _unop("neg", np.negative, lambda g, x, o: neg(g), inplace_fn=np.negative, operator="-")
 exp_p = _unop("exp", np.exp, lambda g, x, o: mul(g, o), inplace_fn=np.exp)
 log_p = _unop("log", np.log, lambda g, x, o: div(g, x), inplace_fn=np.log)
 tanh_p = _unop("tanh", np.tanh, lambda g, x, o: mul(g, sub(1.0, mul(o, o))), inplace_fn=np.tanh)
@@ -376,6 +413,7 @@ def logical_not(x: ArrayLike) -> ArrayLike:
 where_p = Primitive("where")
 where_p.elementwise = True
 where_p.returns_fresh = True
+where_p.numpy_fn = np.where
 
 
 @where_p.def_impl
@@ -409,6 +447,8 @@ def where(cond: ArrayLike, x: ArrayLike, y: ArrayLike) -> ArrayLike:
 # additionally elides such same-storage converts by slot aliasing.
 convert_p = Primitive("convert")
 convert_p.elementwise = True
+convert_p.identity_same_storage = True
+convert_p.dtype_rule = "target"
 
 
 @convert_p.def_impl
@@ -470,6 +510,7 @@ def stop_gradient(x: ArrayLike) -> ArrayLike:
 
 matmul_p = Primitive("matmul")
 matmul_p.returns_fresh = True
+matmul_p.numpy_fn = np.matmul
 
 
 @matmul_p.def_impl
@@ -500,6 +541,31 @@ def _matmul_vjp(cts, invals, outvals):
     return [unbroadcast(gx, shape_of(x)), unbroadcast(gy, shape_of(y))]
 
 
+def _matmul_flops(in_avals, out_avals):
+    k = in_avals[0].shape[-1] if in_avals[0].shape else 1
+    return 2.0 * sum(float(a.size) for a in out_avals) * float(k)
+
+
+def _matmul_emit(args, params, knowns, shapes, name):
+    # 2-D float matmul: np.dot reaches the same GEMM with a slightly
+    # thinner wrapper than the np.matmul gufunc.  Every weight GEMM lands
+    # here (``matmul`` flattens (..., K) @ (K, N) to 2-D), dX and dW with
+    # transposed-view operands; the codegen suite pins np.dot == np.matmul
+    # bits on all layouts
+    if (
+        knowns[0] in _FLOATS
+        and knowns[1] in _FLOATS
+        and len(shapes[0] or ()) == 2
+        and len(shapes[1] or ()) == 2
+    ):
+        return (f"_dot({args[0]}, {args[1]})",), {"_dot": np.dot}
+    return None
+
+
+matmul_p.flops_rule = _matmul_flops
+matmul_p.emit_rule = _matmul_emit
+
+
 def matmul(x: ArrayLike, y: ArrayLike) -> ArrayLike:
     """Batched matrix multiply with NumPy semantics (operands >= 2-D).
 
@@ -527,6 +593,8 @@ def swap_last2(x: ArrayLike) -> ArrayLike:
 # ---------------------------------------------------------------------------
 
 reshape_p = Primitive("reshape")
+reshape_p.dtype_rule = 0
+reshape_p.emit_rule = _method_emit("reshape", "new_sizes")
 
 
 @reshape_p.def_impl
@@ -557,6 +625,8 @@ def reshape(x: ArrayLike, new_sizes: Sequence[int]) -> ArrayLike:
 
 
 transpose_p = Primitive("transpose")
+transpose_p.dtype_rule = 0
+transpose_p.emit_rule = _method_emit("transpose", "perm")
 
 
 @transpose_p.def_impl
@@ -586,6 +656,7 @@ def transpose(x: ArrayLike, perm: Sequence[int] | None = None) -> ArrayLike:
 
 
 broadcast_to_p = Primitive("broadcast_to")
+broadcast_to_p.dtype_rule = 0
 
 
 @broadcast_to_p.def_impl
@@ -629,6 +700,7 @@ def squeeze(x: ArrayLike, axis: int) -> ArrayLike:
 
 concatenate_p = Primitive("concatenate")
 concatenate_p.returns_fresh = True
+concatenate_p.dtype_rule = "common"
 
 
 @concatenate_p.def_impl
@@ -677,6 +749,7 @@ def concatenate(xs: Sequence[ArrayLike], axis: int = 0) -> ArrayLike:
 
 
 slice_p = Primitive("slice")
+slice_p.dtype_rule = 0
 
 
 @slice_p.def_impl
@@ -698,6 +771,17 @@ def _slice_vjp(cts, invals, outvals, *, starts, limits):
     return [unslice(cts[0], shape_of(invals[0]), starts)]
 
 
+def _slice_emit(args, params, knowns, shapes, name):
+    # a precomputed index tuple turns the impl frame + per-call genexpr
+    # into one subscript
+    ix = name("ix")
+    idx = tuple(slice(s, l) for s, l in zip(params["starts"], params["limits"]))
+    return (f"{args[0]}[{ix}]",), {ix: idx}
+
+
+slice_p.emit_rule = _slice_emit
+
+
 def slice_(x: ArrayLike, starts: Sequence[int], limits: Sequence[int]) -> ArrayLike:
     """Static strided-1 slice ``x[starts:limits]`` over all dims."""
     return slice_p.bind(x, starts=tuple(int(s) for s in starts), limits=tuple(int(l) for l in limits))
@@ -705,6 +789,7 @@ def slice_(x: ArrayLike, starts: Sequence[int], limits: Sequence[int]) -> ArrayL
 
 unslice_p = Primitive("unslice")
 unslice_p.returns_fresh = True
+unslice_p.dtype_rule = 0
 
 
 @unslice_p.def_impl
@@ -728,6 +813,28 @@ def _unslice_vjp(cts, invals, outvals, *, shape, starts):
     return [slice_(g, starts, limits)]
 
 
+def _unslice_emit(args, params, knowns, shapes, name):
+    # zeros + one precomputed setitem: the embed index depends only on
+    # the operand's static shape
+    if shapes[0] is None:
+        return None
+    sh, ix = name("sh"), name("ix")
+    consts = {
+        "_Z": np.zeros,
+        sh: tuple(params["shape"]),
+        ix: tuple(slice(s, s + d) for s, d in zip(params["starts"], shapes[0])),
+    }
+    if knowns[0] is not None:
+        dt = name("dt")
+        consts[dt] = knowns[0]
+    else:
+        dt = f"{args[0]}.dtype"
+    return (f"_Z({sh}, {dt})", f"[{ix}] = {args[0]}"), consts
+
+
+unslice_p.emit_rule = _unslice_emit
+
+
 def unslice(g: ArrayLike, shape: Sequence[int], starts: Sequence[int]) -> ArrayLike:
     """Embed ``g`` into zeros of ``shape`` at offset ``starts`` (the adjoint
     of :func:`slice_`)."""
@@ -740,6 +847,9 @@ def unslice(g: ArrayLike, shape: Sequence[int], starts: Sequence[int]) -> ArrayL
 
 take_p = Primitive("take")
 take_p.returns_fresh = True
+take_p.dtype_rule = 0
+# np.take(x, idx, axis=0) == x.take(idx, 0): same C gather, no dispatcher
+take_p.emit_rule = lambda args, params, knowns, shapes, name: ((f"{args[0]}.take({args[1]}, 0)",), {})
 
 
 @take_p.def_impl
@@ -767,6 +877,7 @@ def take(x: ArrayLike, indices: ArrayLike) -> ArrayLike:
 
 scatter_add_p = Primitive("scatter_add")
 scatter_add_p.returns_fresh = True
+scatter_add_p.dtype_rule = 1  # the output buffer takes the updates' dtype
 
 
 @scatter_add_p.def_impl
@@ -816,8 +927,25 @@ def iota(size: int, dtype: DType = dtypes.int32) -> ArrayLike:
 # reductions
 # ---------------------------------------------------------------------------
 
+def _reduce_emit(reducer):
+    """Emission rule calling ``reducer`` directly: ``np.sum``/``np.max``
+    dispatch to ``np.add.reduce``/``np.maximum.reduce`` (same C reduction,
+    same pairwise order), and for a float operand the impl's explicit
+    ``dtype=x.dtype`` is the default accumulator."""
+
+    def emit(args, params, knowns, shapes, name):
+        if knowns[0] not in _FLOATS:
+            return None
+        f, ax, kd = name("f"), name("axis"), name("kd")
+        text = f"{f}({args[0]}, axis={ax}, keepdims={kd})"
+        return (text,), {f: reducer, ax: params["axes"], kd: params["keepdims"]}
+
+    return emit
+
+
 reduce_sum_p = Primitive("reduce_sum")
 reduce_sum_p.returns_fresh = True
+reduce_sum_p.emit_rule = _reduce_emit(np.add.reduce)
 
 
 @reduce_sum_p.def_impl
@@ -848,6 +976,7 @@ def reduce_sum(x: ArrayLike, axes: int | Sequence[int] | None = None, keepdims: 
 
 reduce_max_p = Primitive("reduce_max")
 reduce_max_p.returns_fresh = True
+reduce_max_p.emit_rule = _reduce_emit(np.maximum.reduce)
 
 
 @reduce_max_p.def_impl

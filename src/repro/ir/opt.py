@@ -49,10 +49,6 @@ __all__ = [
     "optimize_split",
 ]
 
-#: commutative binops whose IEEE semantics make operand order bitwise
-#: irrelevant (NaN-payload propagation aside), so CSE may canonicalize
-_COMMUTATIVE = frozenset({"add", "mul", "maximum", "minimum"})
-
 #: literals up to this many elements hash by value (dtype, shape, bytes);
 #: larger ones only merge on object identity
 _LIT_KEY_MAX = 256
@@ -86,10 +82,6 @@ def _freeze(value: Any) -> Any:
     return ("id", id(value))
 
 
-def _aval_eq(a, b) -> bool:
-    return a.shape == b.shape and a.dtype == b.dtype
-
-
 @dataclasses.dataclass
 class JaxprOptStats:
     """Rewrite counters for one jaxpr (summed into :class:`OptReport`)."""
@@ -99,15 +91,6 @@ class JaxprOptStats:
     cse_removed: int = 0
     identity_elided: int = 0
     dce_removed: int = 0
-
-
-def _is_identity(eqn: Eqn, elide_sharding: bool) -> bool:
-    if len(eqn.invars) != 1 or len(eqn.outvars) != 1:
-        return False
-    if getattr(eqn.prim, "identity_alias", False):
-        return True
-    # outside the SPMD partitioner, shard_constraint's impl is the identity
-    return elide_sharding and eqn.prim.name == "shard_constraint"
 
 
 def _cse(
@@ -145,17 +128,24 @@ def _cse(
     kept: list[Eqn] = []
     for eqn in jaxpr.eqns:
         ins = [res(a) for a in eqn.invars]
-        if _is_identity(eqn, elide_sharding) and isinstance(ins[0], Var):
-            if _aval_eq(eqn.outvars[0].aval, ins[0].aval):
-                repl[id(eqn.outvars[0])] = ins[0]
-                stats.identity_elided += 1
-                continue
+        prim = eqn.prim
+        if (
+            (prim.identity_alias or (elide_sharding and prim.identity_unpartitioned))
+            and len(ins) == 1 == len(eqn.outvars)
+            and isinstance(ins[0], Var)
+            and eqn.outvars[0].aval == ins[0].aval
+        ):
+            repl[id(eqn.outvars[0])] = ins[0]
+            stats.identity_elided += 1
+            continue
         key = None
         try:
             in_keys = tuple(atom_key(a) for a in ins)
-            if eqn.prim.name in _COMMUTATIVE and len(in_keys) == 2:
+            # IEEE semantics make a commutative op's operand order
+            # bitwise irrelevant (NaN-payload propagation aside)
+            if prim.commutative and len(in_keys) == 2:
                 in_keys = tuple(sorted(in_keys, key=repr))
-            key = (eqn.prim.name, in_keys, _freeze(eqn.params))
+            key = (prim, in_keys, _freeze(eqn.params))
             hash(key)
         except TypeError:
             key = None

@@ -10,6 +10,11 @@ A :class:`Primitive` bundles three rules, mirroring JAX:
   (tracers in, new equations out). This is what lets autodiff be an
   IR-to-IR transform, which the MPMD stage splitter depends on (backward
   ``pipeline_yield`` markers are emitted by a VJP rule like any other op).
+
+Beside the rules it carries the facts the compiler layers need (fusion,
+donation, identity elision, dtype, cost, source emission, sharding), so
+the optimizer, lowering, codegen, autotune and partitioner read one
+object instead of keeping their own lists of op names.
 """
 
 from __future__ import annotations
@@ -24,24 +29,57 @@ registry: dict[str, "Primitive"] = {}
 
 
 class Primitive:
-    """A named operation with pluggable impl / abstract-eval / vjp rules.
+    """A named operation with pluggable impl / abstract-eval / vjp rules,
+    plus the facts every compiler layer reads about it.
+
+    Each fact is set once where the primitive is defined (:mod:`repro.ir.ops`
+    and its ``_binop`` / ``_unop`` factories, :mod:`repro.ir.pipeline`,
+    :mod:`repro.spmd.collectives`); only ``shard_rule`` is attached by its
+    reader.  No layer keys a table on ``name``.
 
     Attributes:
         name: unique op name (also the key in :data:`registry`).
         multiple_results: if True, ``bind`` returns a list of values.
-        elementwise: set by :mod:`repro.ir.ops` on ops whose impl is a pure
-            per-element map; the lowering (:mod:`repro.ir.linearize`)
-            plans single-consumer groups of these as fused groups, which
-            :mod:`repro.ir.codegen` emits as nested expressions.
-        returns_fresh: impl always allocates a new array (never returns a
-            view of an input). Only values produced by fresh ops are
-            eligible as in-place donation targets in the linear VM.
-        inplace_fn: optional NumPy ufunc equivalent of the impl that
-            accepts ``out=``; enables buffer donation when the operand
-            dies at this equation.
-        identity_alias: impl is the identity on its (single) input value
-            (``pipeline_yield``, ``stop_gradient``); the linear VM elides
-            the equation entirely by aliasing slots.
+        elementwise: impl is a pure per-element map.  Linearize fuses
+            single-consumer groups, codegen nests them as expressions.
+            With two or more operands the kernel broadcasts natively:
+            codegen elides a ``broadcast_to`` feeding it and the
+            partitioner merges operand shardings; with one, the
+            partitioner passes the sharding through.
+        returns_fresh: impl always allocates a new array; only such values
+            may be donated in place (linearize).
+        inplace_fn: NumPy ufunc equivalent of the impl accepting ``out=``;
+            enables buffer donation of a dying operand (linearize, codegen).
+        identity_alias: impl is the identity on its one input
+            (``pipeline_yield``, ``stop_gradient``): opt and linearize alias
+            output to input, the partitioner passes the sharding through.
+        identity_unpartitioned: impl is the identity outside the SPMD
+            partitioner (``shard_constraint``): opt elides it when the
+            compile has no inner mesh, codegen emits an alias.
+        identity_same_storage: impl is the identity when input and output
+            share a storage dtype (``convert``, bf16 <-> f32): linearize
+            aliases it.
+        numpy_fn: the NumPy function the impl *is*, modulo a wrapper frame
+            (a ufunc, ``np.where``, ``np.matmul``); codegen calls it.
+        operator: Python operator spelling of ``numpy_fn`` (``"+"``; ``"-"``
+            negates one operand); codegen emits ``(a + b)``.
+        commutative: operand order is bitwise irrelevant; opt's CSE sorts it.
+        dtype_rule: output storage dtype for codegen's static analysis:
+            ``k`` (int) follows operand ``k``; ``"target"`` is the traced
+            dtype (astype); ``"common"`` is the operands' one shared dtype;
+            ``None`` is float closure.
+        flops_rule: ``(in_avals, out_avals) -> float`` for autotune's
+            stage pricing; ``None`` counts one FLOP per output element.
+        emit_rule: ``(args, params, knowns, shapes, name) -> (exprs,
+            consts) | None``, codegen's source for a non-donating call:
+            operand expressions, static params and the operands' known
+            dtypes / shapes in; ``exprs[0]`` is the value expression, any
+            further item a statement completed by the result's name, and
+            ``consts`` binds the globals the text names (``name(key)``
+            mints per-call ones).  ``None`` falls back to ``numpy_fn``,
+            then the impl.
+        shard_rule: the partitioner's rule; ``None`` derives it from
+            ``elementwise`` / ``identity_alias``, or replicates.
     """
 
     def __init__(self, name: str, multiple_results: bool = False):
@@ -56,6 +94,15 @@ class Primitive:
         self.returns_fresh = False
         self.inplace_fn: Callable[..., Any] | None = None
         self.identity_alias = False
+        self.identity_unpartitioned = False
+        self.identity_same_storage = False
+        self.numpy_fn: Callable[..., Any] | None = None
+        self.operator: str | None = None
+        self.commutative = False
+        self.dtype_rule: int | str | None = None
+        self.flops_rule: Callable[..., float] | None = None
+        self.emit_rule: Callable[..., Any] | None = None
+        self.shard_rule: Callable[..., Any] | None = None
         registry[name] = self
 
     # -- rule registration (decorator style) --------------------------------

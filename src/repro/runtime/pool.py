@@ -376,6 +376,10 @@ def _pool_drive(pool_ref) -> None:
         del pool  # drop the strong ref before the next wait
 
 
+#: the BLAS / OpenMP thread-count variables of a spawned rank's budget
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 class ActorPool:
     """A warm mesh of per-rank actor processes serving step submissions.
 
@@ -399,6 +403,11 @@ class ActorPool:
     every pending future carries the failure and later ``submit`` calls
     raise.  Spawn a new pool to continue —
     :class:`~repro.core.api.RemoteMesh` does so automatically.
+
+    Each rank is spawned with a BLAS/OpenMP thread budget of
+    ``max(1, cpu_count // n_actors)``, so the ranks' BLAS pools do not
+    oversubscribe the cores; a ``*_NUM_THREADS`` variable set in the
+    parent's environment wins.
 
     Counters (cumulative over the pool's lifetime):
 
@@ -485,16 +494,26 @@ class ActorPool:
                 if dst != rank:
                     readers[dst][rank], writers[rank][dst] = _pipe(ctx)
         self._procs = []
-        for rank in range(n_actors):
-            p = ctx.Process(
-                target=_pool_worker_main,
-                args=(rank, readers[rank], writers[rank], fault_plan, generation,
-                      self._pool_tag),
-                name=f"mpmd-pool-actor-{rank}",
-                daemon=True,
-            )
-            p.start()
-            self._procs.append(p)
+        # each unset variable gets the budget in this process's environment
+        # around the spawns: a child copies it at start, and unpickling its
+        # arguments loads numpy (and the BLAS) before any worker code runs
+        budget = str(max(1, (os.cpu_count() or 1) // n_actors))
+        unset = [v for v in _THREAD_VARS if v not in os.environ]
+        os.environ.update(dict.fromkeys(unset, budget))
+        try:
+            for rank in range(n_actors):
+                p = ctx.Process(
+                    target=_pool_worker_main,
+                    args=(rank, readers[rank], writers[rank], fault_plan, generation,
+                          self._pool_tag),
+                    name=f"mpmd-pool-actor-{rank}",
+                    daemon=True,
+                )
+                p.start()
+                self._procs.append(p)
+        finally:
+            for v in unset:
+                os.environ.pop(v, None)
         # only a worker may hold the write end of its control pipe: its
         # death is then an end-of-file here.  Every other end stays open
         # in the driver too — the read ends to reclaim what a dead pool

@@ -85,6 +85,8 @@ def _reduce_scatter_abs(xa: ShapedArray, *, axis: str, dim: int, axis_size: int)
 
 
 shard_constraint_p = Primitive("shard_constraint")
+shard_constraint_p.identity_unpartitioned = True
+shard_constraint_p.dtype_rule = 0
 
 
 @shard_constraint_p.def_impl

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable
 
+from repro.ir import ops
 from repro.ir.avals import ShapedArray, broadcast_shapes
 from repro.ir.jaxpr import Atom, Eqn, Jaxpr, Literal, Var
 from repro.spmd import collectives as coll
@@ -29,7 +30,7 @@ from repro.spmd.logical import resolve_names
 from repro.spmd.mesh import Mesh
 from repro.spmd.spec import PSpec, local_shape, merge_specs, replicated
 
-__all__ = ["PartitionedProgram", "partition", "RULES"]
+__all__ = ["PartitionedProgram", "partition"]
 
 
 @dataclasses.dataclass
@@ -70,13 +71,13 @@ class Strategy:
 
 Rule = Callable[[Mesh, list[PSpec], list[ShapedArray], dict], Strategy | None]
 
-RULES: dict[str, Rule] = {}
 
+def _rule(*prims):
+    """Register ``fn`` as the ``shard_rule`` of each primitive."""
 
-def _rule(*names: str):
     def register(fn: Rule) -> Rule:
-        for n in names:
-            RULES[n] = fn
+        for p in prims:
+            p.shard_rule = fn
         return fn
 
     return register
@@ -127,31 +128,30 @@ def _merge_broadcast(mesh: Mesh, in_specs: list[PSpec], in_avals: list[ShapedArr
     return req, out_spec
 
 
-_ELEMENTWISE = (
-    "add", "sub", "mul", "div", "pow", "maximum", "minimum",
-    "greater", "greater_equal", "less", "less_equal", "equal", "not_equal",
-    "where",
-)
-
-
-@_rule(*_ELEMENTWISE)
 def _elementwise_rule(mesh, in_specs, in_avals, params):
     req, out = _merge_broadcast(mesh, in_specs, in_avals)
     return Strategy(req, [out])
 
 
-_UNARY = (
-    "neg", "exp", "log", "tanh", "sqrt", "erf", "sin", "cos", "abs", "sign",
-    "logical_not", "convert", "stop_gradient", "pipeline_yield",
-)
-
-
-@_rule(*_UNARY)
 def _unary_rule(mesh, in_specs, in_avals, params):
     return Strategy([in_specs[0]], [in_specs[0]])
 
 
-@_rule("matmul")
+def _rule_of(prim, n_in: int) -> Rule | None:
+    """``prim``'s sharding rule: the one registered on it, else derived
+    from its facts — an elementwise op of two or more operands merges
+    their shardings by broadcasting, one of one operand (or an identity)
+    passes the sharding through — else ``None`` (replicate)."""
+    if prim.shard_rule is not None:
+        return prim.shard_rule
+    if prim.elementwise and n_in > 1:
+        return _elementwise_rule
+    if prim.elementwise or prim.identity_alias:
+        return _unary_rule
+    return None
+
+
+@_rule(ops.matmul_p)
 def _matmul_rule(mesh, in_specs, in_avals, params):
     xs, ys = in_specs
     xa, ya = in_avals
@@ -226,18 +226,18 @@ def _make_reduce_rule(op: str) -> Rule:
     return rule
 
 
-RULES["reduce_sum"] = _make_reduce_rule("sum")
-RULES["reduce_max"] = _make_reduce_rule("max")
+ops.reduce_sum_p.shard_rule = _make_reduce_rule("sum")
+ops.reduce_max_p.shard_rule = _make_reduce_rule("max")
 
 
-@_rule("transpose")
+@_rule(ops.transpose_p)
 def _transpose_rule(mesh, in_specs, in_avals, params):
     spec = in_specs[0]
     out = PSpec([spec.dims[p] for p in params["perm"]])
     return Strategy([spec], [out])
 
 
-@_rule("broadcast_to")
+@_rule(ops.broadcast_to_p)
 def _broadcast_rule(mesh, in_specs, in_avals, params):
     spec, aval = in_specs[0], in_avals[0]
     shape = params["shape"]
@@ -279,7 +279,7 @@ def _reshape_segments(in_shape, out_shape):
     return segs
 
 
-@_rule("reshape")
+@_rule(ops.reshape_p)
 def _reshape_rule(mesh, in_specs, in_avals, params):
     spec, aval = in_specs[0], in_avals[0]
     new_sizes = params["new_sizes"]
@@ -312,7 +312,7 @@ def _reshape_rule(mesh, in_specs, in_avals, params):
     return Strategy([req], [out], local_params=local)
 
 
-@_rule("concatenate")
+@_rule(ops.concatenate_p)
 def _concat_rule(mesh, in_specs, in_avals, params):
     axis = params["axis"]
     merged: PSpec | None = in_specs[0].with_dim(axis, None)
@@ -324,7 +324,7 @@ def _concat_rule(mesh, in_specs, in_avals, params):
     return Strategy([merged] * len(in_specs), [merged])
 
 
-@_rule("slice")
+@_rule(ops.slice_p)
 def _slice_rule(mesh, in_specs, in_avals, params):
     spec, aval = in_specs[0], in_avals[0]
     starts, limits = params["starts"], params["limits"]
@@ -350,7 +350,7 @@ def _slice_rule(mesh, in_specs, in_avals, params):
     )
 
 
-@_rule("take")
+@_rule(ops.take_p)
 def _take_rule(mesh, in_specs, in_avals, params):
     table_spec, idx_spec = in_specs
     # Vocab dim must be replicated; trailing table dims may stay sharded.
@@ -359,7 +359,7 @@ def _take_rule(mesh, in_specs, in_avals, params):
     return Strategy([req_table, idx_spec], [out])
 
 
-@_rule("scatter_add")
+@_rule(ops.scatter_add_p)
 def _scatter_rule(mesh, in_specs, in_avals, params):
     idx_spec, upd_spec = in_specs
     idx_nd = in_avals[0].ndim
@@ -381,12 +381,12 @@ def _scatter_rule(mesh, in_specs, in_avals, params):
     return Strategy([req_idx, req_upd], [out], local_params=local, post_all_reduce=[post])
 
 
-@_rule("iota")
+@_rule(ops.iota_p)
 def _iota_rule(mesh, in_specs, in_avals, params):
     return Strategy([], [replicated(1)])
 
 
-@_rule("unslice")
+@_rule(ops.unslice_p)
 def _unslice_rule(mesh, in_specs, in_avals, params):
     # Conservative: replicate (appears only in backward of partial slices).
     nd = len(params["shape"])
@@ -499,7 +499,7 @@ def partition(
             builder.env[id(eqn.outvars[0])] = (atom, target)
             continue
 
-        rule = RULES.get(eqn.prim.name)
+        rule = _rule_of(eqn.prim, len(eqn.invars))
         strategy = rule(mesh, cur_specs, global_in_avals, eqn.params) if rule else None
         if strategy is None:
             # Universal fallback: replicate everything. Correctness never

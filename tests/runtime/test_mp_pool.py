@@ -12,6 +12,7 @@ full 10-schedule sweep carries the ``slow`` marker and runs with the
 benchmarks lane.
 """
 
+import os
 import signal
 import threading
 
@@ -229,6 +230,46 @@ class TestWiring:
         assert_bit_identical(want, got)
         assert mesh._mp_pool is not None and mesh._mp_pool is not first_pool
         mesh.close()
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/environ"), reason="reads /proc/<pid>/environ"
+)
+class TestThreadBudget:
+    """Each rank is spawned with its own BLAS/OpenMP thread budget, read
+    back from the worker's environment; a value the user set wins."""
+
+    @staticmethod
+    def _rank_environs(pool):
+        envs = []
+        for pid in pool.pids:
+            with open(f"/proc/{pid}/environ", "rb") as f:
+                items = f.read().decode().split("\0")
+            envs.append(dict(i.split("=", 1) for i in items if "=" in i))
+        return envs
+
+    def test_ranks_get_the_budget_unless_the_user_set_one(self, monkeypatch):
+        from repro.runtime import ActorPool
+        from repro.runtime.pool import _THREAD_VARS
+
+        budget = str(max(1, os.cpu_count() // 2))
+        for var in _THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        with ActorPool(2, watchdog_s=WATCHDOG_S) as pool:
+            for env in self._rank_environs(pool):
+                assert {v: env.get(v) for v in _THREAD_VARS} == dict.fromkeys(
+                    _THREAD_VARS, budget
+                )
+        # the parent's environment is restored after the spawn
+        assert not any(var in os.environ for var in _THREAD_VARS)
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        with ActorPool(2, watchdog_s=WATCHDOG_S) as pool:
+            for env in self._rank_environs(pool):
+                assert env["OPENBLAS_NUM_THREADS"] == "3"
+                assert env["OMP_NUM_THREADS"] == budget
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+        assert "OMP_NUM_THREADS" not in os.environ
 
 
 class TestOptLevelMultiplex:
