@@ -65,18 +65,56 @@ Channels (§4.2's ordering contract)
 Shared-memory transport
     Every message that carries values — a ``run`` command, a ``done``
     report, a transfer, an all-reduce contribution or result — packs its
-    arrays into one :class:`_Slab` (:func:`_encode_buffers`).  A slab of
-    at least ``shm_threshold`` bytes is a ``multiprocessing.shared_memory``
-    segment: the sender copies into a fresh segment and passes only its
-    name through the channel; the receiver attaches, copies out, and
-    unlinks.  A smaller slab is one inline blob.  Ownership is handed
-    over explicitly (the sender unregisters the segment from its
-    resource tracker), so the normal path neither leaks nor
-    double-frees; on an abnormal stop the driver drains the pipes and
-    unlinks whatever was still in flight.  A pool's processes name their
-    segments under the pool's tag, so the driver also unlinks, by name,
-    what a killed process was still writing or had read but not
-    consumed.
+    arrays into one :class:`_Slab` (:func:`_encode_buffers`).  A slab
+    below ``shm_threshold`` bytes is one inline blob pickled through the
+    channel.  A larger one is written into a *slot*: a POSIX
+    shared-memory segment owned by the channel's sender
+    (:class:`_Slots`, one per :class:`_Channel`), whose name, size and
+    sequence number go through the pipe instead of the bytes.
+
+    *Lifetime.*  The receiver maps a slot at its first message and
+    unlinks the name at once, so ``/dev/shm`` holds a segment only while
+    a message naming it is in flight; neither side keeps a file
+    descriptor (:class:`_Map`).  It copies out (``np.array``, or
+    :func:`_resident` at the driver) and then stores the message's
+    sequence number in the slot's 64-byte header.  The sender writes a
+    slot again only when the header holds the number it last wrote
+    there; it never waits for that — a busy slot means another slot of
+    the size, created on first need.  The protocol assumes a
+    store-ordered CPU (x86-64 TSO): the receiver's header store cannot
+    become visible before the loads of its copy-out, and the pipe write
+    (a system call) orders the sender's payload stores before the
+    receiver's loads.  A weakly ordered CPU would need a release fence
+    before the header store, which CPython does not expose.
+
+    *RSS rule: only repeating traffic stays warm.*  A size class
+    (page-rounded bytes) gets a *kept* slot once it appears on the
+    channel in two consecutive submissions (a run on a worker, a
+    ``submit`` at the driver) — the training loop's activations,
+    gradients and reports.  Anything else — a first step's by-value
+    state, a resident miss, a ship, any slab sent without a channel —
+    takes a *one-off* slot: the sender unmaps it after writing, the
+    receiver after its copy-out, as for a plain temporary segment.
+    Kept slots are written least recently used first, so only a slot
+    beyond the in-flight high-water idles; one left idle for a whole
+    submission is retired: the sender unmaps it and names it in the
+    channel's next slab, whose receiver then unmaps it too.  After each
+    write the sender drops the slot from its own page tables
+    (``MADV_DONTNEED``: the pages stay in the segment, which the
+    receiver maps) and faults them back in one call before the next
+    (``MADV_POPULATE_WRITE``), so a slot's pages count once, in its
+    receiver.  So a slot's pages are allocated and zeroed once, not once
+    per message, and what stays mapped is each channel's in-flight
+    high-water of its repeating sizes — one message per channel and
+    size under ``SYNC``, learned as sends outrun receives under
+    ``ASYNC``.
+
+    *Abnormal stop.*  A pool's processes name their slots under the
+    pool's tag.  The driver drains the pipes and unlinks what the
+    messages in them name, unlinks by name what a killed process was
+    still writing or had read but not attached, and unmaps every slot it
+    holds itself — as sender of commands and as receiver of reports
+    (:func:`_release_slots`); a worker's mappings go with its process.
 
 Collectives
     Data-parallel all-reduce is a reduce at the group's lowest rank, its
@@ -122,9 +160,12 @@ not apply (time is measured, not simulated).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import os
 import pickle
+import secrets
 import select
 import struct
 import threading
@@ -180,17 +221,184 @@ _DRIVER = -1
 # ---------------------------------------------------------------------------
 
 
-#: serial part of the segment names this process creates under a prefix.
+#: serial part of the segment names this process creates.
 _SEGMENT_IDS = itertools.count()
 
+#: bytes in front of a slot's arrays; the first 8 hold the receiver's
+#: acknowledgement, the sequence number of the last message it copied out.
+_HEADER = 64
 
-def _new_segment(size: int, prefix: str | None):
+#: segments are sized in whole pages.
+_PAGE = os.sysconf("SC_PAGE_SIZE")
+
+#: ``madvise`` advice (Linux values): fault a range in writable in one
+#: call (a kernel without it faults page by page); drop a range from this
+#: process's page tables (a shared mapping's pages stay in the segment).
+_POPULATE_WRITE = 23
+_DONTNEED = 4
+
+_MAP_FAILED = ctypes.c_void_p(-1).value
+
+
+@functools.cache
+def _libc():
+    """libc's ``mmap`` / ``munmap`` / ``madvise``, bound when the first
+    segment is mapped — an in-process run never loads them."""
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.mmap.restype = ctypes.c_void_p
+    libc.mmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int,
+                          ctypes.c_int, ctypes.c_int, ctypes.c_long)
+    libc.munmap.restype = ctypes.c_int
+    libc.munmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t)
+    libc.madvise.restype = ctypes.c_int
+    libc.madvise.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
+    return libc
+
+
+class _Map:
+    """One shared-memory segment mapped into this process, holding no
+    file descriptor: ``mmap.mmap`` would keep a duplicate of the one
+    ``shm_open`` returns, so the mapping is made with ``mmap(2)`` and the
+    descriptor closed at once.  ``create`` sizes a new segment; otherwise
+    the name is unlinked as soon as it is mapped.
+
+    ``buf`` is the bytes, ``ack`` the header word.  Nothing may hold a
+    view of ``buf`` past :meth:`close`: the transport only makes views
+    to copy in and out.  ``seq`` / ``used`` are the sender's."""
+
+    __slots__ = ("name", "size", "addr", "buf", "ack", "seq", "used")
+
+    def __init__(self, name: str, size: int, create: bool):
+        import _posixshmem
+        import mmap
+
+        flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if create else 0)
+        fd = _posixshmem.shm_open("/" + name, flags, 0o600)
+        try:
+            if create:
+                os.ftruncate(fd, size)
+            addr = _libc().mmap(None, size, mmap.PROT_READ | mmap.PROT_WRITE,
+                              mmap.MAP_SHARED, fd, 0)
+        finally:
+            os.close(fd)
+        if addr in (None, _MAP_FAILED):
+            err = ctypes.get_errno()
+            raise OSError(err, f"mmap of shared memory {name!r}: {os.strerror(err)}")
+        if not create:
+            _posixshmem.shm_unlink("/" + name)
+        self.name, self.size, self.addr = name, size, addr
+        self.buf = np.ctypeslib.as_array((ctypes.c_ubyte * size).from_address(addr))
+        self.ack = self.buf[:8].view(np.uint64)
+        self.seq = self.used = 0
+
+    def free(self) -> bool:
+        """The receiver has copied out the last message written here."""
+        return int(self.ack[0]) == self.seq
+
+    def advise(self, advice: int, nbytes: int) -> None:
+        _libc().madvise(self.addr, nbytes, advice)
+
+    def close(self) -> None:
+        if self.addr is not None:
+            self.buf = self.ack = None
+            _libc().munmap(self.addr, self.size)
+            self.addr = None
+
+
+def _new_segment(size: int, prefix: str | None) -> _Map:
     """A fresh segment named ``{prefix}_{n}`` (``prefix`` is a pool
-    process's, ``{pool tag}_{rank or "d"}``), or at random without one."""
-    from multiprocessing import shared_memory
+    process's, ``{pool tag}_{rank or "d"}``), or under a random
+    ``psm_`` prefix without one."""
+    n = next(_SEGMENT_IDS)
+    return _Map(f"{prefix or 'psm_' + secrets.token_hex(4)}_{n}", size, create=True)
 
-    name = None if prefix is None else f"{prefix}_{next(_SEGMENT_IDS)}"
-    return shared_memory.SharedMemory(name=name, create=True, size=size)
+
+class _Slots:
+    """The slots one channel's sender owns (module docstring,
+    "Shared-memory transport"): kept slots by size class, the sizes seen
+    in this and the previous submission, and the retired names the
+    channel's next slab tells the receiver about.  ``created`` counts
+    segments made; ``begin`` marks a submission."""
+
+    def __init__(self, prefix: str | None = None):
+        self.prefix = prefix
+        self.created = 0
+        self.lock = threading.Lock()  # submitters vs. a closing pool
+        self._sub = 0
+        self._seen: dict[int, int] = {}  # size -> last submission it appeared in
+        self._kept: dict[int, list[_Map]] = {}
+        self._retired: list[str] = []
+
+    def begin(self) -> None:
+        """A submission starts: retire the kept slots the last one left
+        idle (only acknowledged ones — a message may still name a busy
+        slot, and the receiver would unmap it under that message)."""
+        with self.lock:
+            self._sub += 1
+            last = self._sub - 1
+            self._seen = {s: k for s, k in self._seen.items() if k >= last}
+            for size, kept in list(self._kept.items()):
+                for m in [m for m in kept if m.used < last and m.free()]:
+                    kept.remove(m)
+                    self._retired.append(m.name)
+                    m.close()
+                if not kept:
+                    del self._kept[size]
+
+    def acquire(self, need: int) -> _Map:
+        """A slot of at least ``need`` bytes to write the next message
+        into (``seq`` 0: one-off).  Called with the lock held."""
+        size = -(-need // _PAGE) * _PAGE
+        last = self._seen.get(size)
+        self._seen[size] = self._sub
+        kept = self._kept.get(size)
+        if kept is None:
+            if last != self._sub - 1:
+                return self._create(size)
+            kept = self._kept[size] = []
+        # least recently written first: every kept slot of a size is
+        # written each submission that sends at least as many of it, so
+        # only a slot beyond the high-water idles and retires
+        m = next((m for m in kept if m.free()), None)
+        if m is None:
+            m = self._create(size)
+        else:
+            kept.remove(m)
+        kept.append(m)
+        m.seq += 1
+        m.used = self._sub
+        return m
+
+    def take_retired(self) -> tuple:
+        retired, self._retired = tuple(self._retired), []
+        return retired
+
+    def _create(self, size: int) -> _Map:
+        self.created += 1
+        return _new_segment(size, self.prefix)
+
+    def close(self) -> None:
+        with self.lock:
+            for kept in self._kept.values():
+                for m in kept:
+                    m.close()
+            self._kept.clear()
+
+
+#: kept slots this process receives on, by name, mapped at their first
+#: message.  Per process, as mappings are: names are unique across
+#: processes and pools, and the driver's report decoding has no channel
+#: object to hang them on.  The lock keeps a closing pool off a mapping
+#: being copied out.
+_ATTACHED: dict[str, _Map] = {}
+_ATTACHED_LOCK = threading.Lock()
+
+
+def _release_slots(pool_tag: str) -> None:
+    """Unmap every slot under ``pool_tag`` this process receives on."""
+    with _ATTACHED_LOCK:
+        for name in [n for n in _ATTACHED if n.startswith(pool_tag + "_")]:
+            _ATTACHED.pop(name).close()
 
 
 def _reclaim_segments(pool_tag: str) -> None:
@@ -239,24 +447,31 @@ def _resident(view, origin: tuple):
 class _Slab(NamedTuple):
     """The buffers of one message — a ``run`` command, a ``done``
     report, one transfer, one all-reduce contribution or result —
-    arrays packed back to back in one shared-memory segment (``name``)
-    or one inline ``blob``; exactly one of the two is set."""
+    arrays packed back to back in one shared-memory slot (``name``, its
+    ``size`` and the message's ``seq`` in it, 0 for a one-off slot) or
+    one inline ``blob``; exactly one of ``name`` and ``blob`` is set.
+    ``retired`` names the kept slots of the same channel the sender has
+    given up since its previous slab."""
 
     name: str | None
     blob: bytearray | None
     nbytes: int  # array bytes carried (alignment padding not counted)
     table: list  # (uid, offset, shape, dtype, logical nbytes, pinned) per array
     other: dict  # uid -> (value, nbytes, pinned) for values that are not arrays
+    size: int = 0
+    seq: int = 0
+    retired: tuple = ()
 
 
 def _encode_buffers(
     buffers: dict[str, tuple[Any, int, bool]], shm_threshold: int,
-    prefix: str | None = None,
+    slots: _Slots | None = None,
 ) -> _Slab:
     """Every ndarray of ``uid -> (value, nbytes, pinned)`` packed into
-    ONE slab — a shared-memory segment when the slab reaches
-    ``shm_threshold`` bytes, an inline blob below it.  The one codec of
-    the runtime: a transfer is a one-entry slab under its key."""
+    ONE slab — a slot of ``slots`` (the channel's; a one-off slot
+    without) when the slab reaches ``shm_threshold`` bytes, an inline
+    blob below it.  The one codec of the runtime: a transfer is a
+    one-entry slab under its key."""
     table, other, total, payload = [], {}, 0, 0
     for uid, (value, nbytes, pinned) in buffers.items():
         if isinstance(value, np.ndarray) and not value.dtype.hasobject:
@@ -265,39 +480,62 @@ def _encode_buffers(
             payload += value.nbytes
         else:
             other[uid] = (value, nbytes, pinned)
-    shm = None
-    if total >= shm_threshold and total > 0:
-        shm = _new_segment(total, prefix)
-        slab = shm.buf
-    else:
-        slab = bytearray(total)
+    if slots is None:
+        slots = _Slots()
+    with slots.lock:
+        retired = slots.take_retired()
+        if total < shm_threshold or total == 0:
+            blob = bytearray(total)
+            _pack(blob, 0, table, buffers)
+            return _Slab(None, blob, payload, table, other, retired=retired)
+        m = slots.acquire(_HEADER + total)
+        if m.seq:
+            m.advise(_POPULATE_WRITE, _HEADER + total)
+        _pack(m.buf, _HEADER, table, buffers)
+        slab = _Slab(m.name, None, payload, table, other, m.size, m.seq, retired)
+        if m.seq:  # the receiver's mapping holds the pages until the next write
+            m.advise(_DONTNEED, _HEADER + total)
+        else:
+            m.close()
+        return slab
+
+
+def _pack(slab, base: int, table, buffers) -> None:
     for uid, offset, shape, dtype, _, _ in table:
-        np.ndarray(shape, dtype, buffer=slab, offset=offset)[...] = buffers[uid][0]
-    if shm is None:
-        return _Slab(None, slab, payload, table, other)
-    _hand_over(shm)
-    return _Slab(shm.name, None, payload, table, other)
+        np.ndarray(shape, dtype, buffer=slab, offset=base + offset)[...] = buffers[uid][0]
 
 
 def _decode_buffers(enc: _Slab, origin: tuple | None = None) -> dict[str, tuple[Any, int, bool]]:
-    """Inverse of :func:`_encode_buffers` (one map, one unlink).  Arrays
-    are private copies; with ``origin`` (a pool's ``(token, sid, rank)``)
-    each is instead read-only and tagged, see :func:`_resident`."""
+    """Inverse of :func:`_encode_buffers`: copy out, then acknowledge a
+    kept slot or unmap a one-off one.  Arrays are private copies; with
+    ``origin`` (a pool's ``(token, sid, rank)``) each is instead
+    read-only and tagged, see :func:`_resident`."""
     if enc.name is None:
-        return {**enc.other, **_unpack(enc.blob, enc.table, origin)}
-    from multiprocessing import shared_memory
+        out = _unpack(enc.blob, 0, enc.table, origin)
+    else:
+        with _ATTACHED_LOCK:
+            m = _ATTACHED.get(enc.name) or _Map(enc.name, enc.size, create=False)
+            try:
+                out = _unpack(m.buf, _HEADER, enc.table, origin)
+            finally:
+                if enc.seq:
+                    _ATTACHED[enc.name] = m
+                    m.ack[0] = enc.seq  # after the copy-out (docstring: TSO)
+                else:
+                    m.close()
+    if enc.retired:
+        with _ATTACHED_LOCK:
+            for name in enc.retired:
+                m = _ATTACHED.pop(name, None)
+                if m is not None:
+                    m.close()
+    return {**enc.other, **out}
 
-    shm = shared_memory.SharedMemory(name=enc.name)
-    try:
-        return {**enc.other, **_unpack(shm.buf, enc.table, origin)}
-    finally:
-        _unlink(shm)
 
-
-def _unpack(slab, table, origin) -> dict[str, tuple[Any, int, bool]]:
+def _unpack(slab, base: int, table, origin) -> dict[str, tuple[Any, int, bool]]:
     out = {}
     for uid, offset, shape, dtype, nbytes, pinned in table:
-        view = np.ndarray(shape, dtype, buffer=slab, offset=offset)
+        view = np.ndarray(shape, dtype, buffer=slab, offset=base + offset)
         if origin is None or view.nbytes == 0:
             value = np.array(view)
         else:
@@ -306,39 +544,17 @@ def _unpack(slab, table, origin) -> dict[str, tuple[Any, int, bool]]:
     return out
 
 
-def _hand_over(shm) -> None:
-    """Close a freshly written segment and give it to the receiver:
-    without the unregister, the sender's resource tracker would warn
-    about (and destroy) a segment the receiver is responsible for
-    unlinking."""
-    tracked = shm._name  # registered form ("/name" on POSIX)
-    shm.close()
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(tracked, "shared_memory")
-    except Exception:  # pragma: no cover - tracker impl detail
-        pass
-
-
-def _unlink(shm) -> None:
-    shm.close()
-    try:
-        shm.unlink()
-    except FileNotFoundError:  # pragma: no cover - already reclaimed
-        pass
-
-
 def _discard_payload(obj) -> None:
-    """Reclaim every slab nested in ``obj`` — a message that will never
-    be consumed (mismatch bail-out, abnormal stop)."""
+    """Unlink every slot named by a slab nested in ``obj`` — a message
+    that will never be consumed (mismatch bail-out, abnormal stop).  A
+    slot its receiver already attached has no name left to unlink."""
     if isinstance(obj, _Slab):
         if obj.name is not None:  # None: an inline slab owns no segment
-            from multiprocessing import shared_memory
+            import _posixshmem
 
             try:
-                _unlink(shared_memory.SharedMemory(name=obj.name))
-            except Exception:
+                _posixshmem.shm_unlink("/" + obj.name)
+            except OSError:
                 pass
     elif isinstance(obj, (tuple, list, deque)):
         for item in obj:
@@ -355,10 +571,13 @@ def _discard_payload(obj) -> None:
 
 class _Channel:
     """The write end of one directed pair's pipe: ``put`` writes in the
-    calling thread and never blocks (module docstring, "Channels")."""
+    calling thread and never blocks (module docstring, "Channels").
+    ``slots`` are the shared-memory slots its slabs travel in, named
+    under ``prefix``."""
 
-    def __init__(self, conn):
+    def __init__(self, conn, prefix: str | None = None):
         self.conn = conn  # a write-only, non-blocking Connection
+        self.slots = _Slots(prefix)
         self._fd = conn.fileno()
         self._lock = threading.Lock()  # among this process's threads only
         self._backlog: deque = deque()  # frame tails the pipe had no room for
@@ -402,6 +621,7 @@ class _Channel:
         with self._lock:  # not under a flush; an empty backlog is never written
             self._backlog.clear()
             self.conn.close()
+        self.slots.close()
         if _Flusher.instance is not None:
             _Flusher.instance.watched.discard(self)
 
@@ -510,18 +730,16 @@ class _Worker:
     control channel.  ``cmd`` is the command being served
     (:class:`repro.runtime.pool._Run`): its ``sid`` tags every report,
     its ``epoch`` is the driver's monotonic base (``CLOCK_MONOTONIC`` is
-    system-wide).  ``shm_prefix`` names the
-    segments this rank creates (:func:`_new_segment`).
+    system-wide).  Each channel carries its own shared-memory slots
+    (:class:`_Slots`).
     """
 
-    def __init__(self, rank, program, buffers, cmd, inbox, peers, ctrl, faults,
-                 shm_prefix):
+    def __init__(self, rank, program, buffers, cmd, inbox, peers, ctrl, faults):
         self.rank = rank
         self.program = program
         self.sid = cmd.sid
         self.comm_mode = cmd.comm_mode
         self.shm_threshold = cmd.shm_threshold
-        self.shm_prefix = shm_prefix
         self.epoch = cmd.epoch
         self.faults = faults  # RankFaultState for injected chaos (runtime.faults)
         self.inbox = inbox
@@ -573,10 +791,11 @@ class _Worker:
         return (instr.name if isinstance(instr, RunTask) else None), brief(instr)
 
     # -- channel plumbing --------------------------------------------------
-    def slab(self, key, value, nbytes: int) -> _Slab:
-        """One transfer, contribution or result: a one-entry slab."""
+    def slab(self, dst: int, key, value, nbytes: int) -> _Slab:
+        """One transfer, contribution or result for rank ``dst``: a
+        one-entry slab in that channel's slots."""
         return _encode_buffers(
-            {key: (value, nbytes, False)}, self.shm_threshold, self.shm_prefix
+            {key: (value, nbytes, False)}, self.shm_threshold, self.peers[dst].slots
         )
 
     def drain(self, src: int, until_uid: str | None = None) -> None:
@@ -664,6 +883,7 @@ class _Worker:
             if uid not in self.initial_uids
             for buf in [self.store.get(BufferRef(uid))]
         }
+        buffers = _encode_buffers(self.outputs, self.shm_threshold, self.ctrl.slots)
         return {
             "rank": self.rank,
             "pc": self.pc,
@@ -674,7 +894,9 @@ class _Worker:
             "p2p_bytes": self.p2p_bytes,
             "p2p_count": self.p2p_count,
             "peak_bytes": self.store.peak_bytes,
-            "buffers": _encode_buffers(self.outputs, self.shm_threshold, self.shm_prefix),
+            "buffers": buffers,
+            # every segment this process has made so far, this report's included
+            "segments": sum(c.slots.created for c in (self.ctrl, *self.peers.values())),
         }
 
     def exec_task(self, instr: RunTask) -> None:
@@ -713,7 +935,7 @@ class _Worker:
         start = self.now()
         self.peers[instr.dst].put(
             (("data", self.rank),
-             (instr.key, self.slab(instr.key, buf.value, buf.nbytes)))
+             (instr.key, self.slab(instr.dst, instr.key, buf.value, buf.nbytes)))
         )
         self.timeline.append(
             TimelineEvent(
@@ -772,16 +994,15 @@ class _Worker:
                 contribs.append(_decode_buffers(payload)[key][0])
             total = fold_contributions(contribs)
             for r in members:
-                # one slab per member: a shm segment is consumed (copied +
-                # unlinked) by exactly one receiver
-                self.peers[r].put((collres, self.slab(key, total, buf.nbytes)))
+                # one slab per member: a slot belongs to one channel
+                self.peers[r].put((collres, self.slab(r, key, total, buf.nbytes)))
             self.timeline.append(
                 TimelineEvent(
                     root, "allreduce", key, start, self.now(), buf.nbytes
                 )
             )
         else:
-            self.peers[root].put((gather, self.slab(key, buf.value, buf.nbytes)))
+            self.peers[root].put((gather, self.slab(root, key, buf.value, buf.nbytes)))
             with self.blocking(
                 f"allreduce {key!r}", f"all-reduce result for {key!r}"
             ):

@@ -62,18 +62,25 @@ inbox routing, the shared-memory transport) is :mod:`repro.runtime.mp`.
   and a fresh one must be spawned (``RemoteMesh`` does this
   automatically).
 
-- **One slab per message, per-submission shm accounting.**  The arrays
-  of a ``run`` command or a ``done`` report travel as one slab with an
+- **One slab per message, in warm slots.**  The arrays of a ``run``
+  command or a ``done`` report travel as one slab with an
   offset/shape/dtype table (:func:`repro.runtime.mp._encode_buffers`):
-  one ``multiprocessing.shared_memory`` segment at or above
-  ``shm_threshold`` bytes, one inline blob below.  Every segment is
-  consumed within its own submission — inputs when the worker starts
-  the step, in-flight transfers by the pairwise-matching drain, results
-  when the driver receives the report — so a long-lived pool returns to
-  its segment baseline after every step.  Only an abnormal stop (crash,
-  deadlock, forced shutdown) runs the bulk drain-and-unlink reclaim,
-  then unlinks by name every segment left under the pool's tag — those
-  a terminated process was writing, or had read and not yet consumed.
+  one inline blob below ``shm_threshold`` bytes, else a shared-memory
+  *slot* owned by the sending side of that channel — the driver's per
+  rank for commands, each rank's for its reports (see "Shared-memory
+  transport" in :mod:`repro.runtime.mp`).  A size that recurs from one
+  submission to the next keeps its slot, mapped once on both sides and
+  reused once the receiver has acknowledged its copy-out, so a steady
+  training loop creates no segment (:attr:`segment_count` stays put);
+  a one-off slab — the first step's state, a resident miss — is
+  unmapped on both sides after its copy-out, and a kept slot idle for a
+  whole submission is retired, so the pool holds only what repeats.
+  The receiver unlinks a slot's name when it first maps it, so a
+  long-lived pool returns to its ``/dev/shm`` baseline after every step.
+  An abnormal stop (crash, deadlock, forced shutdown) drains the pipes
+  and unlinks what they name, unlinks by name every segment left under
+  the pool's tag — those a terminated process was writing, or had read
+  and not yet attached — and every stop unmaps the driver's slots.
 """
 
 from __future__ import annotations
@@ -118,6 +125,7 @@ from repro.runtime.mp import (
     _merge_results,
     _reclaim_in_flight,
     _reclaim_segments,
+    _release_slots,
 )
 from repro.runtime.store import ObjectStore
 
@@ -165,10 +173,11 @@ def _pool_worker_main(
     ``readers`` / ``writers`` are this rank's ends of its pipes, by the
     rank at the other end (:data:`~repro.runtime.mp._DRIVER` for the
     command and control pipes); ``pool_tag`` prefixes the names of the
-    segments it creates.  One :class:`~repro.runtime.mp._Worker`
-    is built per *run* (fresh posted-receive state; an object store
-    seeded with the command's by-value inputs, the values it references
-    in the previous run's outputs, and the program's shipped constants)
+    shared-memory slots its channels own.  One
+    :class:`~repro.runtime.mp._Worker` is built per *run* (fresh
+    posted-receive state; an object store seeded with the command's
+    by-value inputs, the values it references in the previous run's
+    outputs, and the program's shipped constants)
     over the inbox, peer channels and status thread that live as long
     as this process, so cross-step channel order is exactly the
     concatenation of the per-step orders.
@@ -185,9 +194,9 @@ def _pool_worker_main(
     )
     step_idx = -1
     worker = None  # the run in progress: an exception report reads its pc
-    peers = {dst: _Channel(conn) for dst, conn in writers.items()}
-    ctrl = peers.pop(_DRIVER)
     shm_prefix = None if pool_tag is None else f"{pool_tag}_{rank}"
+    peers = {dst: _Channel(conn, shm_prefix) for dst, conn in writers.items()}
+    ctrl = peers.pop(_DRIVER)
     try:
         inbox = _Inbox(readers)
         status = _Status(rank, ctrl)
@@ -223,6 +232,8 @@ def _pool_worker_main(
                 # injected death leaks no segments
                 faults.begin_step(step_idx, payloads=(cmd.buffers, inbox.buf))
             buffers = _decode_buffers(cmd.buffers)
+            for chan in (ctrl, *peers.values()):
+                chan.slots.begin()
             for uid, (held, nbytes, pinned) in cmd.refs.items():
                 buffers[uid] = (resident[held][0], nbytes, pinned)
             for uid, (value, nbytes) in shipped.constants.items():
@@ -231,8 +242,7 @@ def _pool_worker_main(
             # starts: the high-water mark stays inputs + outputs
             resident = {}
             worker = status.worker = _Worker(
-                rank, shipped.program, buffers, cmd, inbox, peers, ctrl,
-                faults, shm_prefix,
+                rank, shipped.program, buffers, cmd, inbox, peers, ctrl, faults
             )
             del buffers
             result = worker._run_program()
@@ -342,10 +352,12 @@ def _terminate_procs(procs) -> None:
 
 def _cleanup_pipes(read_ends, write_ends, pool_tag: str) -> None:
     """Reclaim the shm payloads still in flight and every segment the
-    dead processes left under ``pool_tag``, then close every pipe end
-    the driver holds."""
+    dead processes left under ``pool_tag``, unmap the report slots, then
+    close every pipe end the driver holds (a command channel unmaps its
+    slots)."""
     _reclaim_in_flight(read_ends)
     _reclaim_segments(pool_tag)
+    _release_slots(pool_tag)
     for end in (*read_ends, *write_ends):
         try:
             end.close()
@@ -421,6 +433,9 @@ class ActorPool:
       step's state) is neither a hit nor a miss.
     - ``input_bytes``: ndarray bytes ``submit`` put into ``run``
       commands; the once-per-program ship is not counted.
+    - ``segment_count``: shared-memory segments the driver and the ranks
+      created (a rank's count arrives with its ``done`` report).  A
+      training loop stops adding to it once its slots are warm.
     """
 
     def __init__(
@@ -467,6 +482,8 @@ class ActorPool:
         self.resident_hits = 0
         self.resident_misses = 0
         self.input_bytes = 0
+        # segments each rank has made, as of its latest report
+        self._rank_segments = [0] * n_actors
         # stamped into every output this pool returns (``_Resident.origin``)
         self._token = object()
         # prefixes the name of every segment this pool's processes create
@@ -487,7 +504,7 @@ class ActorPool:
         self._ctrl = []  # rank -> read end of its control pipe
         for rank in range(n_actors):
             readers[rank][_DRIVER], w = _pipe(ctx)
-            self._cmd.append(_Channel(w))
+            self._cmd.append(_Channel(w, f"{self._pool_tag}_d"))
             r, writers[rank][_DRIVER] = _pipe(ctx)
             self._ctrl.append(r)
             for dst in range(n_actors):
@@ -548,6 +565,13 @@ class ActorPool:
     def pids(self) -> list[int]:
         """Worker process ids, by rank (chaos tests kill these)."""
         return [p.pid for p in self._procs]
+
+    @property
+    def segment_count(self) -> int:
+        """Shared-memory segments the pool's processes have created —
+        the driver's command slots plus each rank's as of its latest
+        report.  Flat once a training loop's slots are warm."""
+        return sum(c.slots.created for c in self._cmd) + sum(self._rank_segments)
 
     @property
     def inflight(self) -> int:
@@ -622,6 +646,8 @@ class ActorPool:
             # the generation each worker holds when it reaches this
             # command: submissions run in sid order on every rank
             for rank in range(self.n_actors):
+                chan = self._cmd[rank]
+                chan.slots.begin()
                 held = (self._token, sid - 1, rank)
                 store = stores[rank]
                 values, refs = {}, {}
@@ -636,10 +662,10 @@ class ActorPool:
                             continue
                         self.resident_misses += 1
                     values[uid] = (buf.value, buf.nbytes, buf.pinned)
-                enc = _encode_buffers(values, self.shm_threshold, f"{self._pool_tag}_d")
+                enc = _encode_buffers(values, self.shm_threshold, chan.slots)
                 self.resident_hits += len(refs)
                 self.input_bytes += enc.nbytes
-                self._cmd[rank].put(
+                chan.put(
                     (_CMD,
                      _Run(sid, key, enc, refs, comm_mode, self.shm_threshold, epoch))
                 )
@@ -767,6 +793,7 @@ class ActorPool:
                 result["buffers"], origin=(self._token, sid, rank)
             )
             self._pcs[rank] = result["pc"]
+            self._rank_segments[rank] = result["segments"]
             self._states.pop(rank, None)
             completed = None
             with self._lock:

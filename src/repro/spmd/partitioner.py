@@ -361,24 +361,17 @@ def _take_rule(mesh, in_specs, in_avals, params):
 
 @_rule(ops.scatter_add_p)
 def _scatter_rule(mesh, in_specs, in_avals, params):
-    idx_spec, upd_spec = in_specs
+    _, upd_spec = in_specs
     idx_nd = in_avals[0].ndim
-    # Require indices replicated; updates' leading (index-shaped) dims
-    # sharded => partial contributions per device => all-reduce.
-    req_idx = replicated(idx_nd)
-    req_upd_lead = [None] * idx_nd
-    post = []
-    for d in range(idx_nd):
-        if upd_spec.dims[d] is not None:
-            # gathering would also be correct; reducing is cheaper
-            req_upd_lead[d] = None
+    # Indices replicated; updates sharded on the index dims are gathered
+    # there, so every device scatters all of them into its out rows; the
+    # trailing (feature) dims keep their sharding, as the output's do.
     trailing = list(upd_spec.dims[idx_nd:])
-    req_upd = PSpec(req_upd_lead + trailing)
+    req_upd = PSpec([None] * idx_nd + trailing)
     out = PSpec([None] + trailing)
-    shape = params["shape"]
     local = dict(params, shape=local_shape(
-        ShapedArray(tuple(shape), in_avals[1].dtype), out, mesh))
-    return Strategy([req_idx, req_upd], [out], local_params=local, post_all_reduce=[post])
+        ShapedArray(tuple(params["shape"]), in_avals[1].dtype), out, mesh))
+    return Strategy([replicated(idx_nd), req_upd], [out], local_params=local)
 
 
 @_rule(ops.iota_p)

@@ -12,7 +12,10 @@ and the driver thread of ``repro.runtime.pool``):
 (c) the watchdog still names every stuck actor's program counter and
     blocked channel although a wait is no longer announced when it
     starts, and a healthy loop sends the driver no status at all;
-(d) what a worker wrote before dying is read before its death is acted on.
+(d) what a worker wrote before dying is read before its death is acted on;
+(e) a repeating slab rides a warm shared-memory slot: once a loop's
+    sizes have recurred, no message creates a segment, and a slot left
+    idle is unmapped on both sides.
 
 Every test runs under a hard SIGALRM cap: a transport test that hangs
 must fail by its own cap, not by the CI job's.
@@ -46,11 +49,16 @@ from repro.runtime import (
     WorkerDiedError,
 )
 from repro.runtime.faults import KILL_EXIT_CODE
+from repro.runtime import mp
 from repro.runtime.mp import (
     _HEARTBEAT_S,
     _Channel,
+    _Slots,
+    _decode_buffers,
+    _discard_payload,
     _encode_buffers,
     _reclaim_in_flight,
+    _release_slots,
 )
 from repro.runtime.pool import _pipe
 from repro.runtime.store import ObjectStore
@@ -522,3 +530,161 @@ class TestReportThenDie:
         finally:
             pool.shutdown()
         assert _settle_to(baseline) <= baseline
+
+
+# -- (e) warm slots ------------------------------------------------------------
+
+
+def _segments_made() -> int:
+    """How many segment names this process has drawn so far (reading
+    the counter draws one more, which the difference of two reads
+    cancels)."""
+    return next(mp._SEGMENT_IDS)
+
+
+class TestWarmSlots:
+    #: one submission's slabs on one channel, all written before the
+    #: receiver copies any out: sizes alternate, three of the small one
+    #: and two of the large one are in flight at once
+    PATTERN = [4 << 10, 96 << 10, 4 << 10, 96 << 10, 4 << 10]
+
+    def _submission(self, slots, sizes, fill):
+        slots.begin()
+        encs = [
+            _encode_buffers({"k": (np.full(n // 4, fill + i, np.float32), n, False)}, 1, slots)
+            for i, n in enumerate(sizes)
+        ]
+        for i, enc in enumerate(encs):
+            got = _decode_buffers(enc)["k"][0]
+            assert got.shape == (sizes[i] // 4,) and (got == fill + i).all()
+        return encs
+
+    def test_warm_transfers_create_only_the_high_water(self):
+        """The first submission writes one-off slots, the second the
+        kept ones — the in-flight high-water of each size, 3 + 2 — and
+        200 warm transfers after them create no segment and write only
+        those five; ``/dev/shm`` is at baseline after every submission."""
+        tag = "psm_ring" + os.urandom(4).hex()
+        slots, baseline = _Slots(tag), _shm_count()
+        try:
+            first = _segments_made()
+            self._submission(slots, self.PATTERN, 0)
+            assert slots.created == len(self.PATTERN)  # one-off: nothing kept
+            self._submission(slots, self.PATTERN, 10)
+            warm = _segments_made()
+            assert warm - first - 1 == 2 * len(self.PATTERN)
+            names = set()
+            for sub in range(200 // len(self.PATTERN)):
+                encs = self._submission(slots, self.PATTERN, 100 * sub)
+                names |= {e.name for e in encs}
+                assert all(e.seq > 0 for e in encs)
+                assert _shm_count() <= baseline
+            assert _segments_made() - warm - 1 == 0
+            assert len(names) == len(self.PATTERN)
+            assert set(mp._ATTACHED) >= names
+        finally:
+            slots.close()
+            _release_slots(tag)
+        assert not any(n.startswith(tag) for n in mp._ATTACHED)
+
+    def test_idle_slots_retire_and_the_receiver_unmaps_them(self):
+        """A size that stops recurring: its kept slots sit out one whole
+        submission, the next slab on the channel names them, and the
+        receiver drops its mappings — what stays mapped is what repeats."""
+        tag = "psm_ring" + os.urandom(4).hex()
+        slots = _Slots(tag)
+        small = [n for n in self.PATTERN if n < 1 << 16]
+        try:
+            for sub in range(3):
+                encs = self._submission(slots, self.PATTERN, sub)
+            large = {e.name for e, n in zip(encs, self.PATTERN) if n >= 1 << 16}
+            assert len(large) == 2 and large <= set(mp._ATTACHED)
+            idle = self._submission(slots, small, 0)  # the large size sits out
+            assert all(e.retired == () for e in idle)
+            after = self._submission(slots, small, 0)
+            assert set(after[0].retired) == large
+            assert not large & set(mp._ATTACHED)
+            assert slots.created == 2 * len(self.PATTERN)
+        finally:
+            slots.close()
+            _release_slots(tag)
+
+    def test_concurrent_writers_never_overwrite_an_unread_slot(self):
+        """More writers than cores share one channel's slots, beginning
+        submissions as they go, while a slow reader copies out: every
+        value arrives as written — no slot is written again before its
+        receiver acknowledged it — and what the reader finally holds is
+        released with the pool tag."""
+        import queue
+
+        tag = "psm_ring" + os.urandom(4).hex()
+        slots, inbox = _Slots(tag), queue.Queue()
+        n_writers, n_each, sizes = 6, 60, (8 << 10, 20 << 10)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def writer(w):
+                for i in range(n_each):
+                    if i % 4 == 0:
+                        slots.begin()
+                    n = sizes[i % 2]
+                    value = np.full(n // 4, w * 1000 + i, np.float32)
+                    inbox.put((w * 1000 + i, _encode_buffers({"k": (value, n, False)}, 1, slots)))
+
+            threads = [threading.Thread(target=writer, args=(w,)) for w in range(n_writers)]
+            for t in threads:
+                t.start()
+            for k in range(n_writers * n_each):
+                want, enc = inbox.get(timeout=30)
+                got = _decode_buffers(enc)["k"][0]
+                assert got.min() == got.max() == want
+                if k % 25 == 0:
+                    time.sleep(0.002)  # let writers run ahead of the reader
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+            while not inbox.empty():  # a failed run leaves no segment behind
+                _discard_payload(inbox.get_nowait()[1])
+            slots.close()
+            _release_slots(tag)
+        assert not any(n.startswith(tag) for n in mp._ATTACHED)
+
+    def test_mid_shaped_loop_creates_no_segment_once_warm(self):
+        """``gpt_mid_mp2``'s shape (``Interleaved1F1B(2, 2)``, 128 KiB
+        activations and 512 KiB inputs and reports over shared memory):
+        after three warm steps, twenty more create no segment at the
+        driver or any rank, and stay bit-identical to the event engine.
+        Under ``SYNC`` a sender waits for its receiver's copy-out, so the
+        in-flight high-water — and with it the slot count — does not
+        depend on timing; ``ASYNC`` learns it as sends outrun receives."""
+        ts, params, batch = make_problem(4, n_mbs=4, mbsz=128, d=256)
+        params = {k: v * 0.1 for k, v in params.items()}  # 23 stable steps
+        schedule = core.Interleaved1F1B(2, 2)
+        ev = core.RemoteMesh((2,), comm_mode=CommMode.SYNC).distributed(
+            ts, schedule=schedule
+        )
+        want = params
+        for _ in range(23):
+            want, _ = ev(want, batch)
+        mesh = core.RemoteMesh(
+            (2,), engine="mp", comm_mode=CommMode.SYNC, codegen_actor=True,
+            mp_watchdog_s=WATCHDOG_S,
+        )
+        baseline = _shm_count()
+        try:
+            step = mesh.distributed(ts, schedule=schedule)
+            got = params
+            for _ in range(3):
+                got, _ = step(got, batch)
+            pool = mesh._mp_pool
+            warm = pool.segment_count
+            assert warm > 0
+            for _ in range(20):
+                got, _ = step(got, batch)
+                assert _shm_count() <= baseline
+            assert pool.segment_count == warm
+            assert_bit_identical(want, got)
+        finally:
+            mesh.close()

@@ -514,7 +514,7 @@ class TestRespawnHygiene:
         segment written for a message it never sent, or named by one it
         had read but not consumed — carries the pool's tag, and the
         failure reclaim unlinks it by name."""
-        from repro.runtime.mp import _hand_over, _new_segment
+        from repro.runtime.mp import _new_segment
 
         baseline = _shm_count()
         pool = ActorPool(1, watchdog_s=WATCHDOG_S)
@@ -522,7 +522,7 @@ class TestRespawnHygiene:
             fut = pool.submit(_one_rank_program(_long_sleep), _one_rank_stores())
             # the worker's own unsent transfer, and a driver slab it holds
             for who in ("0", "d"):
-                _hand_over(_new_segment(64, f"{pool._pool_tag}_{who}"))
+                _new_segment(64, f"{pool._pool_tag}_{who}").close()
             assert _shm_count() == baseline + 2
             os.kill(pool.pids[0], signal.SIGKILL)
             with pytest.raises(RuntimeError, match="died without reporting"):
@@ -656,3 +656,71 @@ class TestResidencyLifecycle:
                 np.testing.assert_array_equal(got, value)
             else:
                 assert got == value
+
+
+def _slot_maps(pid: int, pool_tag: str) -> list[str]:
+    """Names of the shared-memory segments under ``pool_tag`` that
+    process ``pid`` has mapped.  Each is ``(deleted)``: a receiver
+    unlinks a slot's name when it first maps it."""
+    with open(f"/proc/{pid}/maps") as f:
+        lines = [l.rstrip() for l in f if f"/dev/shm/{pool_tag}_" in l]
+    assert all(l.endswith(" (deleted)") for l in lines), lines
+    return sorted(l.split()[-2].rsplit("/", 1)[1] for l in lines)
+
+
+class TestSlotMappings:
+    def test_mappings_stay_flat_and_go_with_the_pool(self, monkeypatch):
+        """``gpt_mid_mp2``'s shape under ``SYNC`` (a deterministic
+        in-flight high-water, see ``test_mp_channel.py``): the first
+        step's by-value state rides one-off slots that no process maps
+        once it is copied out; from the third step on every process
+        maps the same number of slots; a ``kill -9`` leaves the driver
+        mapping nothing of the dead pool, and ``close()`` nothing of the
+        respawned one."""
+        from repro.runtime import FaultPlan
+        import repro.runtime.pool as pool_mod
+
+        sent = []
+        encode = pool_mod._encode_buffers
+
+        def recording(*args):
+            sent.append(encode(*args))
+            return sent[-1]
+
+        monkeypatch.setattr(pool_mod, "_encode_buffers", recording)
+        ts, params, batch = make_problem(4, n_mbs=4, mbsz=128, d=256)
+        params = {k: v * 0.1 for k, v in params.items()}
+        baseline = _shm_count()
+        mesh = core.RemoteMesh(
+            (2,), engine="mp", comm_mode=CommMode.SYNC, codegen_actor=True,
+            mp_watchdog_s=WATCHDOG_S, fault_plan=FaultPlan(kill_rank=1, at_step=6),
+        )
+        me = os.getpid()
+        try:
+            step = mesh.distributed(ts, schedule=core.Interleaved1F1B(2, 2))
+            got, counts = params, []
+            for i in range(6):
+                got, _ = step(got, batch)
+                pool = mesh._mp_pool
+                maps = {pid: _slot_maps(pid, pool._pool_tag) for pid in (me, *pool.pids)}
+                if i == 0:
+                    by_value = [e for e in sent if e.name is not None]
+                    assert len(by_value) == 2 and all(e.seq == 0 for e in by_value)
+                    by_value = {e.name for e in by_value}
+                assert not by_value & set().union(*maps.values())
+                counts.append({pid: len(names) for pid, names in maps.items()})
+            assert counts[2:] == [counts[2]] * 4
+            assert all(counts[2].values())
+            dead = mesh._mp_pool
+            with pytest.raises(RuntimeError, match="died without reporting"):
+                step(got, batch)
+            for _ in range(3):  # the respawned pool warms its own slots
+                got, _ = step(got, batch)
+            pool = mesh._mp_pool
+            assert pool is not dead and _slot_maps(me, pool._pool_tag)
+            assert dead._stop.wait(timeout=30)  # set once the failure is cleaned up
+            assert _slot_maps(me, dead._pool_tag) == []
+        finally:
+            mesh.close()
+        assert _slot_maps(me, pool._pool_tag) == []
+        assert _settle_to(baseline) <= baseline

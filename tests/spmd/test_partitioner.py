@@ -214,6 +214,22 @@ class TestReshardingAndFallback:
         out = spmd.SpmdExecutor(mesh).run(prog, [X])[0]
         np.testing.assert_allclose(out, ops.unslice(X, (8, 6), (2, 0)))
 
+    def test_scatter_gathers_updates_sharded_on_index_dims(self):
+        idx = np.array([[0, 3], [3, 1]], np.int64)
+        upd = rng(8).randn(2, 2, 4).astype(np.float32)
+
+        def f(idx, upd):
+            return ops.scatter_add(idx, upd, (5, 4))
+
+        jaxpr, _, _ = ir.trace(f, idx, upd)
+        mesh = spmd.Mesh([("data", 2)])
+        prog = spmd.partition(jaxpr, mesh, in_specs=[(None, None), ("batch", None, None)],
+                              rules={"batch": "data"})
+        assert [e.prim.name for e in prog.local_jaxpr.eqns] == ["all_gather", "scatter_add"]
+        assert prog.out_specs[0].dims == (None, None)
+        out = spmd.SpmdExecutor(mesh).run(prog, [idx, upd])[0]
+        np.testing.assert_allclose(out, f(idx, upd))
+
     def test_reduce_over_sharded_dim_allreduces(self):
         r = rng(5)
         X = r.randn(8, 4).astype(np.float32)
