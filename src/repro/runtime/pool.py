@@ -17,6 +17,12 @@ inbox routing, the shared-memory transport) is :mod:`repro.runtime.mp`.
   thread that waits for it (:class:`repro.runtime.mp._Channel`), and the
   pool owns no lock or semaphore that crosses a process boundary.
 
+- **Spawn defaults.**  Each rank starts with a BLAS/OpenMP thread
+  budget of ``cpu_count // n_actors`` and a glibc heap that keeps the
+  pages its warm steps' numpy temporaries reuse instead of trimming and
+  re-faulting them every task (:func:`_spawn_defaults`; a variable the
+  user set wins, and the driver keeps the user's allocator).
+
 - **Ship once.**  A program set — with its compile-time constants — is
   pickled to the workers a single time and cached worker-side under a
   program key; every later submission of the same programs sends only
@@ -388,8 +394,17 @@ def _pool_drive(pool_ref) -> None:
         del pool  # drop the strong ref before the next wait
 
 
-#: the BLAS / OpenMP thread-count variables of a spawned rank's budget
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+#: held while a pool's spawn defaults are in this process's environment, so
+#: one pool's restore cannot strip another's before its ranks start
+_SPAWN_LOCK = threading.Lock()
+
+
+def _spawn_defaults(n_actors: int) -> dict[str, str]:
+    """What a rank's environment gets unless the user set it; see :class:`ActorPool`."""
+    budget = str(max(1, (os.cpu_count() or 1) // n_actors))
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {**dict.fromkeys(threads, budget), "MALLOC_MMAP_THRESHOLD_": str(4 << 20),
+            "MALLOC_TRIM_THRESHOLD_": str(16 << 20)}
 
 
 class ActorPool:
@@ -416,10 +431,14 @@ class ActorPool:
     raise.  Spawn a new pool to continue —
     :class:`~repro.core.api.RemoteMesh` does so automatically.
 
-    Each rank is spawned with a BLAS/OpenMP thread budget of
-    ``max(1, cpu_count // n_actors)``, so the ranks' BLAS pools do not
-    oversubscribe the cores; a ``*_NUM_THREADS`` variable set in the
-    parent's environment wins.
+    Each rank is spawned with ``OPENBLAS`` / ``OMP`` / ``MKL_NUM_THREADS``
+    = ``max(1, cpu_count // n_actors)``, so the ranks' BLAS pools do not
+    oversubscribe the cores, and glibc's ``MALLOC_MMAP_THRESHOLD_`` = 4 MiB
+    and ``MALLOC_TRIM_THRESHOLD_`` = 16 MiB, so its heap keeps the pages
+    of the numpy temporaries a warm step frees and takes again instead of
+    page-faulting them in every task (arrays of 4 MiB or more still go
+    back to the OS).  A variable set in the parent's environment wins,
+    and the parent's own environment and allocator are left as they were.
 
     Counters (cumulative over the pool's lifetime):
 
@@ -511,26 +530,27 @@ class ActorPool:
                 if dst != rank:
                     readers[dst][rank], writers[rank][dst] = _pipe(ctx)
         self._procs = []
-        # each unset variable gets the budget in this process's environment
-        # around the spawns: a child copies it at start, and unpickling its
-        # arguments loads numpy (and the BLAS) before any worker code runs
-        budget = str(max(1, (os.cpu_count() or 1) // n_actors))
-        unset = [v for v in _THREAD_VARS if v not in os.environ]
-        os.environ.update(dict.fromkeys(unset, budget))
-        try:
-            for rank in range(n_actors):
-                p = ctx.Process(
-                    target=_pool_worker_main,
-                    args=(rank, readers[rank], writers[rank], fault_plan, generation,
-                          self._pool_tag),
-                    name=f"mpmd-pool-actor-{rank}",
-                    daemon=True,
-                )
-                p.start()
-                self._procs.append(p)
-        finally:
-            for v in unset:
-                os.environ.pop(v, None)
+        # each unset default is in this process's environment only around the
+        # spawns: a child copies it at start, before its allocator and the
+        # BLAS (which unpickling its arguments loads) read it
+        with _SPAWN_LOCK:
+            unset = {k: v for k, v in _spawn_defaults(n_actors).items()
+                     if k not in os.environ}
+            os.environ.update(unset)
+            try:
+                for rank in range(n_actors):
+                    p = ctx.Process(
+                        target=_pool_worker_main,
+                        args=(rank, readers[rank], writers[rank], fault_plan,
+                              generation, self._pool_tag),
+                        name=f"mpmd-pool-actor-{rank}",
+                        daemon=True,
+                    )
+                    p.start()
+                    self._procs.append(p)
+            finally:
+                for k in unset:
+                    os.environ.pop(k, None)
         # only a worker may hold the write end of its control pipe: its
         # death is then an end-of-file here.  Every other end stays open
         # in the driver too — the read ends to reclaim what a dead pool

@@ -24,7 +24,7 @@ from typing import Callable
 
 from repro.ir import ops
 from repro.ir.avals import ShapedArray, broadcast_shapes
-from repro.ir.jaxpr import Atom, Eqn, Jaxpr, Literal, Var
+from repro.ir.jaxpr import Atom, Eqn, Jaxpr, Literal, Var, dce
 from repro.spmd import collectives as coll
 from repro.spmd.logical import resolve_names
 from repro.spmd.mesh import Mesh
@@ -397,6 +397,7 @@ class _Builder:
         self.mesh = mesh
         self.eqns: list[Eqn] = []
         self.env: dict[int, tuple[Atom, PSpec]] = {}  # id(global var) -> (local atom, spec)
+        self.producer: dict[int, Eqn] = {}  # id(local var) -> the eqn that made it
 
     def lookup(self, atom: Atom) -> tuple[Atom, PSpec]:
         if isinstance(atom, Literal):
@@ -406,6 +407,7 @@ class _Builder:
     def emit(self, prim, in_atoms: list[Atom], out_avals: list[ShapedArray], params: dict) -> list[Var]:
         outs = [Var(av) for av in out_avals]
         self.eqns.append(Eqn(prim, list(in_atoms), outs, params))
+        self.producer.update(dict.fromkeys(map(id, outs), self.eqns[-1]))
         return outs
 
     def reshard(self, atom: Atom, cur: PSpec, target: PSpec, global_aval: ShapedArray) -> Atom:
@@ -425,7 +427,8 @@ class _Builder:
                     coll.all_gather_p, [atom], [local_av],
                     dict(axis=axis, dim=dim, axis_size=size),
                 )
-        # 2) split every dim that must become sharded
+        # 2) split every dim that must become sharded; a dim that a
+        # broadcast_to created is broadcast straight to the shard instead
         for dim, axis in enumerate(target.dims):
             if axis is not None and cur.dims[dim] is None:
                 size = mesh.axis_size(axis)
@@ -433,10 +436,14 @@ class _Builder:
                 if size == 1:
                     continue
                 local_av = ShapedArray(local_shape(global_aval, cur, mesh), global_aval.dtype)
-                [atom] = self.emit(
-                    coll.mesh_split_p, [atom], [local_av],
-                    dict(axis=axis, dim=dim, axis_size=size),
-                )
+                src = self.producer.get(id(atom))
+                if src is not None and src.prim is ops.broadcast_to_p and all(
+                    i in (1, o) for i, o in zip(src.invars[0].aval.shape[::-1], local_av.shape[::-1])
+                ):
+                    prim, ins, params = ops.broadcast_to_p, src.invars, dict(src.params, shape=local_av.shape)
+                else:
+                    prim, ins, params = coll.mesh_split_p, [atom], dict(axis=axis, dim=dim, axis_size=size)
+                [atom] = self.emit(prim, ins, [local_av], params)
         return atom
 
 
@@ -539,5 +546,7 @@ def partition(
         out_atoms.append(atom)
         out_specs.append(spec)
 
-    local_jaxpr = Jaxpr(local_invars, builder.eqns, out_atoms)
+    # drop the global-shape broadcasts that reshard replaced by local ones
+    local_jaxpr = dce(Jaxpr(local_invars, builder.eqns, out_atoms),
+                      keep_effects=lambda e: e.prim is not ops.broadcast_to_p)
     return PartitionedProgram(local_jaxpr, mesh, norm_in, out_specs)

@@ -15,6 +15,7 @@ benchmarks lane.
 import os
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ import pytest
 from repro import core, ir
 from repro.ir import nn, ops, pipeline_yield
 from repro.runtime import CommMode
+from repro.runtime.pool import _spawn_defaults
 from tests.core.test_linear_backend import GALLERY, assert_bit_identical, make_problem
 
 HARD_TIMEOUT_S = 300
@@ -232,44 +234,137 @@ class TestWiring:
         mesh.close()
 
 
+def _rank_environs(pids):
+    """Each rank's environment as it started.  A spawn-context child is
+    forked, then execs the interpreter, and until the exec its
+    ``/proc/<pid>/environ`` is the parent's initial one: wait for the
+    exec (its command line carries ``--multiprocessing-fork``) first."""
+    envs = []
+    for pid in pids:
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            with open(f"/proc/{pid}/cmdline", "rb") as f:
+                if b"--multiprocessing-fork" in f.read():
+                    break
+            time.sleep(0.01)
+        with open(f"/proc/{pid}/environ", "rb") as f:
+            items = f.read().decode().split("\0")
+        envs.append(dict(i.split("=", 1) for i in items if "=" in i))
+    return envs
+
+
 @pytest.mark.skipif(
     not os.path.exists("/proc/self/environ"), reason="reads /proc/<pid>/environ"
 )
-class TestThreadBudget:
-    """Each rank is spawned with its own BLAS/OpenMP thread budget, read
-    back from the worker's environment; a value the user set wins."""
+class TestSpawnDefaults:
+    """Each rank is spawned with the pool's environment defaults — the
+    BLAS/OpenMP thread budget and glibc's heap thresholds — read back
+    from the worker's environment; a value the user set wins, and the
+    parent's environment is as it was after every spawn."""
 
-    @staticmethod
-    def _rank_environs(pool):
-        envs = []
-        for pid in pool.pids:
-            with open(f"/proc/{pid}/environ", "rb") as f:
-                items = f.read().decode().split("\0")
-            envs.append(dict(i.split("=", 1) for i in items if "=" in i))
-        return envs
-
-    def test_ranks_get_the_budget_unless_the_user_set_one(self, monkeypatch):
-        from repro.runtime import ActorPool
-        from repro.runtime.pool import _THREAD_VARS
-
-        budget = str(max(1, os.cpu_count() // 2))
-        for var in _THREAD_VARS:
+    @pytest.fixture
+    def defaults(self, monkeypatch):
+        table = _spawn_defaults(2)
+        for var in table:
             monkeypatch.delenv(var, raising=False)
-        with ActorPool(2, watchdog_s=WATCHDOG_S) as pool:
-            for env in self._rank_environs(pool):
-                assert {v: env.get(v) for v in _THREAD_VARS} == dict.fromkeys(
-                    _THREAD_VARS, budget
-                )
-        # the parent's environment is restored after the spawn
-        assert not any(var in os.environ for var in _THREAD_VARS)
+        return table
 
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    def test_the_table(self, defaults):
+        budget = str(max(1, os.cpu_count() // 2))
+        assert defaults == {
+            "OPENBLAS_NUM_THREADS": budget, "OMP_NUM_THREADS": budget,
+            "MKL_NUM_THREADS": budget, "MALLOC_MMAP_THRESHOLD_": str(4 << 20),
+            "MALLOC_TRIM_THRESHOLD_": str(16 << 20),
+        }
+
+    @pytest.mark.parametrize("user_var", [None, *sorted(_spawn_defaults(2))])
+    def test_ranks_get_the_defaults_unless_the_user_set_one(
+        self, defaults, monkeypatch, user_var
+    ):
+        from repro.runtime import ActorPool
+
+        want = dict(defaults)
+        if user_var is not None:
+            monkeypatch.setenv(user_var, "3")
+            want[user_var] = "3"
+        before = dict(os.environ)
         with ActorPool(2, watchdog_s=WATCHDOG_S) as pool:
-            for env in self._rank_environs(pool):
-                assert env["OPENBLAS_NUM_THREADS"] == "3"
-                assert env["OMP_NUM_THREADS"] == budget
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
-        assert "OMP_NUM_THREADS" not in os.environ
+            assert dict(os.environ) == before
+            for env in _rank_environs(pool.pids):
+                assert {v: env.get(v) for v in want} == want
+        assert dict(os.environ) == before
+
+    def test_a_respawn_after_kill_gets_the_defaults(self, defaults):
+        ts, params, batch = make_problem(2, n_mbs=4)
+        mesh = _mesh(core.OneFOneB(2), "mp")
+        try:
+            step = mesh.distributed(ts, schedule=core.OneFOneB(2))
+            step(params, batch)
+            dead = mesh._mp_pool
+            os.kill(dead.pids[1], signal.SIGKILL)
+            deadline = time.monotonic() + 30.0
+            while dead.alive() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            step(params, batch)  # transparently respawns
+            assert mesh._mp_pool is not dead
+            for env in _rank_environs(mesh._mp_pool.pids):
+                assert {v: env.get(v) for v in defaults} == defaults
+        finally:
+            mesh.close()
+        assert not any(var in os.environ for var in defaults)
+
+    def test_concurrent_spawns_do_not_strip_each_others_defaults(
+        self, defaults, monkeypatch
+    ):
+        """Pool B starts spawning while pool A's defaults are in the
+        environment, and its ranks start only after A has restored it:
+        without one lock over edit, spawn and restore, B finds A's
+        values, sets none of its own, and its ranks start without them."""
+        import multiprocessing.context as mpc
+
+        from repro.runtime import ActorPool
+
+        real_start = mpc.SpawnProcess.start
+        a_spawning, b_spawning, a_done = (threading.Event() for _ in range(3))
+
+        def start(proc):
+            if threading.current_thread().name == "pool-b":
+                b_spawning.set()
+                a_done.wait(timeout=30)
+            elif not a_spawning.is_set():
+                a_spawning.set()
+                b_spawning.wait(timeout=2)  # B blocks on the lock instead
+            real_start(proc)
+
+        monkeypatch.setattr(mpc.SpawnProcess, "start", start)
+        pools, errors = {}, []
+
+        def spawn(name, after=None):
+            try:
+                pools[name] = ActorPool(2, watchdog_s=WATCHDOG_S)
+            except BaseException as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+            finally:
+                if after is not None:
+                    after.set()
+
+        a = threading.Thread(target=spawn, args=("a", a_done), name="pool-a")
+        b = threading.Thread(target=spawn, args=("b",), name="pool-b")
+        a.start()
+        try:
+            assert a_spawning.wait(timeout=30)
+            b.start()
+            a.join(timeout=60)
+            b.join(timeout=60)
+            assert not errors and set(pools) == {"a", "b"}
+            for name, pool in sorted(pools.items()):
+                for rank, env in enumerate(_rank_environs(pool.pids)):
+                    got = {v: env.get(v) for v in defaults}
+                    assert got == defaults, (name, rank)
+        finally:
+            for pool in pools.values():
+                pool.shutdown()
+        assert not any(var in os.environ for var in defaults)
 
 
 class TestOptLevelMultiplex:

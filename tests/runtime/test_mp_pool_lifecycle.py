@@ -724,3 +724,54 @@ class TestSlotMappings:
             mesh.close()
         assert _slot_maps(me, pool._pool_tag) == []
         assert _settle_to(baseline) <= baseline
+
+
+def _minor_faults(pid: int) -> int:
+    """Minor page faults of process ``pid`` so far (``/proc/<pid>/stat``
+    field 10, counted after the parenthesised command name)."""
+    with open(f"/proc/{pid}/stat") as f:
+        return int(f.read().rsplit(")", 1)[1].split()[7])
+
+
+def _rss_kib(pid: int) -> int:
+    with open(f"/proc/{pid}/status") as f:
+        return next(int(l.split()[1]) for l in f if l.startswith("VmRSS:"))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc/<pid>")
+class TestWarmHeap:
+    #: minor faults a warm rank-step may take.  The spawn-time heap
+    #: defaults measured 990–1 050 (nearly all of them the kept report
+    #: slot's page drop and re-populate); glibc's dynamic thresholds,
+    #: which trim and re-fault the numpy temporaries inside every task,
+    #: 3 400–3 800.
+    FAULT_BOUND = 2000
+    #: VmRSS a rank may gain over 200 warm steps: a heap that no longer
+    #: trims keeps its high-water mark, it does not grow past it.
+    RSS_GROWTH_KIB = 2048
+
+    def test_warm_steps_stop_faulting_and_rss_stays_flat(self):
+        """The benchmark's ``gpt_mid_mp2`` after 3 warm steps: each rank
+        takes fewer than ``FAULT_BOUND`` minor faults a step over the
+        next 20, and its VmRSS over 200 steps grows by less than
+        ``RSS_GROWTH_KIB``."""
+        from benchmarks.e2e.workloads import WORKLOADS, build
+
+        built = build(WORKLOADS["gpt_mid_mp2"], seed=0)
+        state, batches = built.state, built.batches
+        try:
+            for i in range(3):
+                state, _ = built.step_fn(state, batches[i % len(batches)])
+            pids = built.mesh._mp_pool.pids
+            rss = [_rss_kib(pid) for pid in pids]
+            faults = [_minor_faults(pid) for pid in pids]
+            for i in range(3, 203):
+                state, _ = built.step_fn(state, batches[i % len(batches)])
+                if i == 22:
+                    per_step = [(_minor_faults(pid) - f) / 20 for pid, f in zip(pids, faults)]
+                    assert max(per_step) < self.FAULT_BOUND, per_step
+            assert built.mesh._mp_pool.pids == pids  # one pool throughout
+            growth = [_rss_kib(pid) - r for pid, r in zip(pids, rss)]
+            assert max(growth) < self.RSS_GROWTH_KIB, growth
+        finally:
+            built.mesh.close()

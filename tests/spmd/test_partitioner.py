@@ -142,17 +142,17 @@ class TestGradientCollectives:
     @pytest.mark.parametrize(
         "mesh_axes,collectives",
         [
-            ([("data", 2), ("model", 1)],
-             ["all_reduce", "mesh_split"] + ["all_reduce"] * 3),
+            ([("data", 2), ("model", 1)], ["all_reduce"] * 4),
             ([("data", 1), ("model", 2)], ["all_reduce"] * 3),
-            ([("data", 2), ("model", 2)],
-             ["all_reduce"] * 2 + ["mesh_split"] + ["all_reduce"] * 5),
+            ([("data", 2), ("model", 2)], ["all_reduce"] * 7),
         ],
     )
     def test_3d_dense_layer_training_step(self, mesh_axes, collectives):
         # (B, S, K) @ (K, N) traces as reshape -> 2-D GEMM -> reshape: the
         # reshape rule must carry the batch sharding through the merged
-        # leading dim, so the collectives are those of the batched form
+        # leading dim, so the collectives are those of the batched form.
+        # The loss seed is broadcast straight to each device's batch
+        # shard, not to the global batch and then split
         r = rng(2)
         X = r.randn(4, 6, 8).astype(np.float32)
         params = {
@@ -173,6 +173,11 @@ class TestGradientCollectives:
             rules=RULES,
         )
         assert _collective_names(prog) == collectives
+        batch = 4 // mesh.axis_size("data")
+        assert [
+            (e.invars[0].aval.shape, e.outvars[0].aval.shape)
+            for e in prog.local_jaxpr.eqns if e.prim is ops.broadcast_to_p
+        ] == [((1, 1, 1), (batch, 6, 8))]
         outs = spmd.SpmdExecutor(mesh).run(prog, [params["w1"], params["w2"], X])
         l, g = ir.value_and_grad(loss)(params, X)
         np.testing.assert_allclose(outs[0], l, rtol=1e-4)
