@@ -29,6 +29,7 @@ from repro.ir.pytree import tree_flatten, tree_unflatten
 from repro.runtime.clock import CostModel
 from repro.runtime.executor import CommMode, ExecutionResult, MpmdExecutor
 from repro.runtime.instructions import BufferRef
+from repro.runtime.store import RemoteArray
 
 __all__ = ["RemoteMesh", "StepFunction"]
 
@@ -58,7 +59,14 @@ class RemoteMesh:
             the first step, programs ship once, and every later step
             reuses them until :meth:`close` — the step after that starts
             cold again.  Each step submits its run with the mesh's
-            ``comm_mode`` and waits for the result.
+            ``comm_mode`` and waits for the result.  Its outputs are
+            read-only :class:`~repro.runtime.store.RemoteArray` handles:
+            the state a training loop feeds back stays on the ranks and
+            goes back to them as a reference, and ``np.asarray`` reads a
+            handle.  :meth:`close` reads every live handle first; a rank
+            that crashes loses the state nobody read, unless
+            ``recovery`` is set (its snapshots read the state before
+            each snapshot step).
         mp_watchdog_s: ``engine="mp"`` only — seconds of no worker
             progress before the driver reports a deadlock.
         mp_shm_threshold: ``engine="mp"`` only — ndarray bytes at which
@@ -171,7 +179,8 @@ class RemoteMesh:
         return pool
 
     def close(self) -> None:
-        """Shut down the mesh's actor pool (if one is warm).
+        """Shut down the mesh's actor pool (if one is warm), after reading
+        every output handle still alive, so each stays readable.
 
         Idempotent; the mesh stays usable — the next ``engine="mp"`` step
         simply spawns a fresh pool.  An unclosed mesh cleans up via GC
@@ -272,7 +281,7 @@ class StepFunction:
         self._out_tree = None
         self._shape_key = None
         self._fused = None  # (compiled, MeshDriver, out_keys) cache
-        self._executor = None
+        self._peaks: list[int] | None = None  # per-actor store peaks, last call
 
     # -- compilation -----------------------------------------------------------
     def _compile(self, args: tuple, flat: list, in_tree) -> None:
@@ -332,9 +341,11 @@ class StepFunction:
     def __call__(self, *args: Any) -> Any:
         flat, in_tree = tree_flatten(args)
         # recompile on a changed shape or dtype, read off the leaves (a
-        # non-array leaf is keyed by its type); avals are built in _compile
+        # non-array leaf is keyed by its type; an ``engine="mp"`` output
+        # handle like the array it stands for); avals are built in _compile
         shape_key = [
-            (x.shape, x.dtype) if isinstance(x, np.ndarray) else type(x) for x in flat
+            (x.shape, x.dtype) if isinstance(x, (np.ndarray, RemoteArray)) else type(x)
+            for x in flat
         ]
         if self.compiled is None or shape_key != self._shape_key:
             self._compile(args, flat, in_tree)
@@ -374,7 +385,9 @@ class StepFunction:
                 replica * P + rank for replica in range(dp) for rank in ranks
             ]
         self.last_result = executor.execute(compiled.programs, wake_order=wake_order)
-        self._executor = executor
+        # the peaks, not the executor: its stores would pin this call's
+        # inputs and outputs until the next call
+        self._peaks = [s.peak_bytes for s in executor.stores]
 
         outs = []
         for src in compiled.output_sources:
@@ -391,15 +404,21 @@ class StepFunction:
         """Where this call's inputs go: yields ``((replica·P + actor,
         uid), value, nbytes, constant)`` for every placed input — a batch
         input split ``dp`` ways along the microbatch-size axis, anything
-        else replicated — and every compile-time constant."""
+        else replicated — and every compile-time constant.  On
+        ``engine="mp"`` an output handle is placed as it is: the pool
+        sends it as a reference where its rank holds it."""
         P = self.mesh.n_pipeline_actors
         dp = compiled.dp_size
+        keep_handles = self.mesh.engine == "mp"
         for k, placements in enumerate(compiled.input_placements):
             if not placements:
                 continue
-            value = np.asarray(flat[k])
+            value = flat[k]
+            split = dp > 1 and k in compiled.batch_input_indices
+            if split or not (keep_handles and type(value) is RemoteArray):
+                value = np.asarray(value)
             nbytes = self._input_nbytes[k]
-            if dp > 1 and k in compiled.batch_input_indices:
+            if split:
                 if value.shape[1] % dp != 0:
                     raise ValueError(
                         f"microbatch size {value.shape[1]} not divisible by dp={dp}"
@@ -450,7 +469,7 @@ class StepFunction:
             visits=driver.n_instructions,
             repolls=0,
         )
-        self._executor = None
+        self._peaks = None
 
         outs = []
         it = iter(fetched)
@@ -469,12 +488,12 @@ class StepFunction:
         """Peak object-store occupancy of the last call, per actor."""
         if self.last_result is None:
             raise RuntimeError("call the step function first")
-        if self._executor is None:
+        if self._peaks is None:
             raise RuntimeError(
                 "codegen_actor=True skips the object stores; peak-memory "
                 "accounting needs an unfused run"
             )
-        return [s.peak_bytes for s in self._executor.stores]
+        return list(self._peaks)
 
     def __repr__(self) -> str:
         status = "compiled" if self.compiled is not None else "uncompiled"

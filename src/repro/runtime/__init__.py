@@ -43,14 +43,13 @@ from repro.runtime.faults import (
     WedgeRank,
 )
 from repro.runtime.mp import DEFAULT_SHM_THRESHOLD, DEFAULT_WATCHDOG_S
-from repro.runtime.pool import ActorPool, PoolFuture
 from repro.runtime.recovery import (
     RankFailure,
     RecoveryPolicy,
     ResilientStepFunction,
     is_recoverable,
 )
-from repro.runtime.store import Buffer, ObjectStore
+from repro.runtime.store import Buffer, ObjectStore, RemoteArray
 
 __all__ = [
     "DEFAULT_SHM_THRESHOLD", "DEFAULT_WATCHDOG_S",
@@ -65,5 +64,14 @@ __all__ = [
     "ExecutionResult", "TimelineEvent", "WaitStat", "ENGINES",
     "BufferRef", "Instruction", "RunTask", "Send", "Recv", "Delete",
     "Accumulate", "AllReduce", "Bundled",
-    "Buffer", "ObjectStore",
+    "Buffer", "ObjectStore", "RemoteArray",
 ]
+
+
+def __getattr__(name: str):
+    # the pool driver loads ``multiprocessing``: only an mp run needs it
+    if name in ("ActorPool", "PoolFuture"):
+        from repro.runtime import pool
+
+        return getattr(pool, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -75,39 +75,38 @@ Shared-memory transport
     *Lifetime.*  The receiver maps a slot at its first message and
     unlinks the name at once, so ``/dev/shm`` holds a segment only while
     a message naming it is in flight; neither side keeps a file
-    descriptor (:class:`_Map`).  It copies out (``np.array``, or
-    :func:`_resident` at the driver) and then stores the message's
-    sequence number in the slot's 64-byte header.  The sender writes a
-    slot again only when the header holds the number it last wrote
-    there; it never waits for that — a busy slot means another slot of
-    the size, created on first need.  The protocol assumes a
-    store-ordered CPU (x86-64 TSO): the receiver's header store cannot
-    become visible before the loads of its copy-out, and the pipe write
-    (a system call) orders the sender's payload stores before the
-    receiver's loads.  A weakly ordered CPU would need a release fence
+    descriptor (:class:`_Map`).  It copies out (``np.array``) and then
+    stores the message's sequence number in the slot's 64-byte header.
+    The sender writes a slot again only when the header holds the
+    number it last wrote there; it never waits for that — a busy slot
+    means another slot of the size, created on first need.  The
+    protocol assumes a store-ordered CPU (x86-64 TSO): the receiver's
+    header store cannot become visible before the loads of its
+    copy-out, and the pipe write (a system call) orders the sender's
+    payload stores before the receiver's loads.  A weakly ordered CPU would need a release fence
     before the header store, which CPython does not expose.
 
     *RSS rule: only repeating traffic stays warm.*  A size class
     (page-rounded bytes) gets a *kept* slot once it appears on the
     channel in two consecutive submissions (a run on a worker, a
     ``submit`` at the driver) — the training loop's activations,
-    gradients and reports.  Anything else — a first step's by-value
-    state, a resident miss, a ship, any slab sent without a channel —
+    gradients and what its reports still carry.  Anything else — a
+    first step's by-value state and its report, a resident miss, a
+    fetch of held values, a ship, any slab sent without a channel —
     takes a *one-off* slot: the sender unmaps it after writing, the
     receiver after its copy-out, as for a plain temporary segment.
     Kept slots are written least recently used first, so only a slot
     beyond the in-flight high-water idles; one left idle for a whole
     submission is retired: the sender unmaps it and names it in the
-    channel's next slab, whose receiver then unmaps it too.  After each
-    write the sender drops the slot from its own page tables
-    (``MADV_DONTNEED``: the pages stay in the segment, which the
-    receiver maps) and faults them back in one call before the next
-    (``MADV_POPULATE_WRITE``), so a slot's pages count once, in its
-    receiver.  So a slot's pages are allocated and zeroed once, not once
-    per message, and what stays mapped is each channel's in-flight
-    high-water of its repeating sizes — one message per channel and
-    size under ``SYNC``, learned as sends outrun receives under
-    ``ASYNC``.
+    channel's next slab, whose receiver then unmaps it too.  So a
+    slot's pages are allocated and zeroed once, not once per message,
+    and what stays mapped is each channel's in-flight high-water of its
+    repeating sizes — one message per channel and size under ``SYNC``,
+    learned as sends outrun receives under ``ASYNC`` — its pages
+    counted in both processes that map it.  The state a warm step feeds
+    back stays on its rank (:mod:`repro.runtime.pool`, "Step state
+    stays on the ranks"), so reports are small (0 / 64 KiB a warm
+    ``gpt_mid_mp2`` step) and the kept slots are transfer-sized.
 
     *Abnormal stop.*  A pool's processes name their slots under the
     pool's tag.  The driver drains the pipes and unlinks what the
@@ -231,27 +230,19 @@ _HEADER = 64
 #: segments are sized in whole pages.
 _PAGE = os.sysconf("SC_PAGE_SIZE")
 
-#: ``madvise`` advice (Linux values): fault a range in writable in one
-#: call (a kernel without it faults page by page); drop a range from this
-#: process's page tables (a shared mapping's pages stay in the segment).
-_POPULATE_WRITE = 23
-_DONTNEED = 4
-
 _MAP_FAILED = ctypes.c_void_p(-1).value
 
 
 @functools.cache
 def _libc():
-    """libc's ``mmap`` / ``munmap`` / ``madvise``, bound when the first
-    segment is mapped — an in-process run never loads them."""
+    """libc's ``mmap`` / ``munmap``, bound when the first segment is
+    mapped — an in-process run never loads them."""
     libc = ctypes.CDLL(None, use_errno=True)
     libc.mmap.restype = ctypes.c_void_p
     libc.mmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int,
                           ctypes.c_int, ctypes.c_int, ctypes.c_long)
     libc.munmap.restype = ctypes.c_int
     libc.munmap.argtypes = (ctypes.c_void_p, ctypes.c_size_t)
-    libc.madvise.restype = ctypes.c_int
-    libc.madvise.argtypes = (ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int)
     return libc
 
 
@@ -294,9 +285,6 @@ class _Map:
     def free(self) -> bool:
         """The receiver has copied out the last message written here."""
         return int(self.ack[0]) == self.seq
-
-    def advise(self, advice: int, nbytes: int) -> None:
-        _libc().madvise(self.addr, nbytes, advice)
 
     def close(self) -> None:
         if self.addr is not None:
@@ -420,30 +408,6 @@ def _reclaim_segments(pool_tag: str) -> None:
 _SLAB_ALIGN = 64
 
 
-class _Resident(np.ndarray):
-    """Private owner of one pool output's bytes (see :func:`_resident`)."""
-
-    origin = None
-
-
-def _resident(view, origin: tuple):
-    """A read-only copy of ``view`` that remembers where a pool worker
-    still holds the same value.
-
-    The array handed to the user is a plain ``ndarray`` over a private
-    owner whose ``origin`` is ``(pool token, submission id, rank, uid)``:
-    the worker keeps the value under ``uid`` until its next run starts,
-    so :meth:`ActorPool.submit` can send a reference instead of the
-    bytes.  Nothing can write through the user's array, so what the
-    worker holds and what the user sees never diverge; any view or copy
-    the user derives has another ``base`` and travels by value."""
-    owner = _Resident(view.shape, view.dtype)
-    owner[...] = view
-    owner.flags.writeable = False
-    owner.origin = origin
-    return np.ndarray(view.shape, view.dtype, buffer=owner)
-
-
 class _Slab(NamedTuple):
     """The buffers of one message — a ``run`` command, a ``done``
     report, one transfer, one all-reduce contribution or result —
@@ -489,13 +453,9 @@ def _encode_buffers(
             _pack(blob, 0, table, buffers)
             return _Slab(None, blob, payload, table, other, retired=retired)
         m = slots.acquire(_HEADER + total)
-        if m.seq:
-            m.advise(_POPULATE_WRITE, _HEADER + total)
         _pack(m.buf, _HEADER, table, buffers)
         slab = _Slab(m.name, None, payload, table, other, m.size, m.seq, retired)
-        if m.seq:  # the receiver's mapping holds the pages until the next write
-            m.advise(_DONTNEED, _HEADER + total)
-        else:
+        if not m.seq:
             m.close()
         return slab
 
@@ -505,18 +465,16 @@ def _pack(slab, base: int, table, buffers) -> None:
         np.ndarray(shape, dtype, buffer=slab, offset=base + offset)[...] = buffers[uid][0]
 
 
-def _decode_buffers(enc: _Slab, origin: tuple | None = None) -> dict[str, tuple[Any, int, bool]]:
-    """Inverse of :func:`_encode_buffers`: copy out, then acknowledge a
-    kept slot or unmap a one-off one.  Arrays are private copies; with
-    ``origin`` (a pool's ``(token, sid, rank)``) each is instead
-    read-only and tagged, see :func:`_resident`."""
+def _decode_buffers(enc: _Slab) -> dict[str, tuple[Any, int, bool]]:
+    """Inverse of :func:`_encode_buffers`: copy out into private arrays,
+    then acknowledge a kept slot or unmap a one-off one."""
     if enc.name is None:
-        out = _unpack(enc.blob, 0, enc.table, origin)
+        out = _unpack(enc.blob, 0, enc.table)
     else:
         with _ATTACHED_LOCK:
             m = _ATTACHED.get(enc.name) or _Map(enc.name, enc.size, create=False)
             try:
-                out = _unpack(m.buf, _HEADER, enc.table, origin)
+                out = _unpack(m.buf, _HEADER, enc.table)
             finally:
                 if enc.seq:
                     _ATTACHED[enc.name] = m
@@ -532,16 +490,12 @@ def _decode_buffers(enc: _Slab, origin: tuple | None = None) -> dict[str, tuple[
     return {**enc.other, **out}
 
 
-def _unpack(slab, base: int, table, origin) -> dict[str, tuple[Any, int, bool]]:
-    out = {}
-    for uid, offset, shape, dtype, nbytes, pinned in table:
-        view = np.ndarray(shape, dtype, buffer=slab, offset=base + offset)
-        if origin is None or view.nbytes == 0:
-            value = np.array(view)
-        else:
-            value = _resident(view, (*origin, uid))
-        out[uid] = (value, nbytes, pinned)
-    return out
+def _unpack(slab, base: int, table) -> dict[str, tuple[Any, int, bool]]:
+    return {
+        uid: (np.array(np.ndarray(shape, dtype, buffer=slab, offset=base + offset)),
+              nbytes, pinned)
+        for uid, offset, shape, dtype, nbytes, pinned in table
+    }
 
 
 def _discard_payload(obj) -> None:
@@ -741,6 +695,7 @@ class _Worker:
         self.comm_mode = cmd.comm_mode
         self.shm_threshold = cmd.shm_threshold
         self.epoch = cmd.epoch
+        self.keep = cmd.keep  # outputs that stay here instead of going home
         self.faults = faults  # RankFaultState for injected chaos (runtime.faults)
         self.inbox = inbox
         self.peers = peers  # rank -> the _Channel to that rank
@@ -875,15 +830,22 @@ class _Worker:
         self.pc = len(self.program)
         finish = self.now()
         # the driver already holds every placed input; what the program
-        # produced goes home as one slab and stays here as ``outputs``
-        # (the pool worker keeps it as its resident generation)
+        # produced stays here as ``outputs`` (the pool worker holds it for
+        # the driver), and what the command did not ask to keep also goes
+        # home as one slab; a kept array sends only its shape and dtype
         self.outputs = {
             uid: (buf.value, buf.nbytes, buf.pinned)
             for uid in self.store.live_refs()
             if uid not in self.initial_uids
             for buf in [self.store.get(BufferRef(uid))]
         }
-        buffers = _encode_buffers(self.outputs, self.shm_threshold, self.ctrl.slots)
+        kept, home = [], {}
+        for uid, (value, nbytes, pinned) in self.outputs.items():
+            if uid in self.keep and isinstance(value, np.ndarray):
+                kept.append((uid, value.shape, value.dtype.str, nbytes, pinned))
+            else:
+                home[uid] = (value, nbytes, pinned)
+        buffers = _encode_buffers(home, self.shm_threshold, self.ctrl.slots)
         return {
             "rank": self.rank,
             "pc": self.pc,
@@ -895,6 +857,7 @@ class _Worker:
             "p2p_count": self.p2p_count,
             "peak_bytes": self.store.peak_bytes,
             "buffers": buffers,
+            "kept": kept,
             # every segment this process has made so far, this report's included
             "segments": sum(c.slots.created for c in (self.ctrl, *self.peers.values())),
         }

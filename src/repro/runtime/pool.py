@@ -31,19 +31,31 @@ inbox routing, the shared-memory transport) is :mod:`repro.runtime.mp`.
   warm mesh.  The pickling happens inside the first :meth:`submit`, so a
   program that is not pickle-clean raises there and the pool lives on.
 
-- **Resident step state.**  A worker keeps what its previous run
-  produced until its next run starts.  :meth:`submit` sends an input as
-  a *reference* (a uid, no bytes) when the value is an output the same
-  rank produced in the immediately preceding submission of this pool —
-  the training loop ``state, loss = step(state, batch)`` — and by value
-  otherwise: the first step, a state object kept from an older step, a
-  value another rank or another pool produced, a submission that raced a
-  concurrent submitter, a respawned pool.  Outputs come back read-only,
-  each over a private owner that records where it is resident
-  (:func:`repro.runtime.mp._resident`), so a reference can never stand
-  for bytes the user has since changed.  :attr:`resident_hits`,
-  :attr:`resident_misses` and :attr:`input_bytes` count what the cache
-  did.
+- **Step state stays on the ranks.**  Every array output of a
+  submission comes back as a read-only
+  :class:`~repro.runtime.store.RemoteArray` handle (shape, dtype and
+  aval without a fetch; ``np.asarray`` reads it).  A rank keeps an
+  output instead of sending it home when the traffic says it will be
+  fed back: its previous generation — the same output of the previous
+  submission — came back to this rank by reference and to no rank by
+  value.  That is the loop-carried weights and Adam moments of
+  ``state, loss = step(state, batch)``; the losses, anything another
+  rank reads (a tied embedding), and the whole first step still come
+  home in the ``done`` report.  The rank holds a kept value until the
+  driver drops its handle — the release rides the next command to the
+  rank — and an output that went home until its next run starts.
+  Reading an unread handle pulls it, with every other unread handle of
+  its rank and submission, in one round trip (``_Fetch``);
+  :meth:`shutdown` pulls all of them first, so they stay readable
+  after the pool; a handle lost unread with its pool raises
+  :class:`~repro.runtime.executor.PoolClosedError` naming its rank and
+  uid (``RemoteMesh(recovery=...)`` snapshots pull the state first).
+  :meth:`submit` sends an input as a *reference* (a key, no bytes)
+  whenever its rank holds the value; by value otherwise — fresh data,
+  another rank's or another pool's output (pulled first), a value that
+  went home more than one submission ago.  :attr:`resident_hits`,
+  :attr:`resident_misses`, :attr:`input_bytes` and :attr:`held` count
+  what the cache did.
 
 - **Step stream.**  :meth:`submit` enqueues a step — per-rank input
   buffers, the program key and the run's ``comm_mode`` — and returns a
@@ -78,7 +90,7 @@ inbox routing, the shared-memory transport) is :mod:`repro.runtime.mp`.
   submission to the next keeps its slot, mapped once on both sides and
   reused once the receiver has acknowledged its copy-out, so a steady
   training loop creates no segment (:attr:`segment_count` stays put);
-  a one-off slab — the first step's state, a resident miss — is
+  a one-off slab — the first step's state, a resident miss, a fetch — is
   unmapped on both sides after its copy-out, and a kept slot idle for a
   whole submission is retired, so the pool holds only what repeats.
   The receiver unlinks a slot's name when it first maps it, so a
@@ -98,10 +110,13 @@ import threading
 import time
 import traceback
 import weakref
+from collections import deque
 from multiprocessing.connection import wait as _wait
 from typing import Any, NamedTuple, Sequence
 
 import multiprocessing as _mp
+
+import numpy as np
 
 from repro.runtime.executor import (
     CommMismatchError,
@@ -120,7 +135,6 @@ from repro.runtime.mp import (
     _SPAWN_GRACE_S,
     _Channel,
     _Inbox,
-    _Resident,
     _Slab,
     _Status,
     _Worker,
@@ -133,7 +147,7 @@ from repro.runtime.mp import (
     _reclaim_segments,
     _release_slots,
 )
-from repro.runtime.store import ObjectStore
+from repro.runtime.store import ObjectStore, RemoteArray
 
 __all__ = ["ActorPool", "PoolFuture"]
 
@@ -159,10 +173,21 @@ class _Run(NamedTuple):
     sid: int
     key: str
     buffers: _Slab  # the inputs sent by value
-    refs: dict  # uid -> (uid in the worker's resident generation, nbytes, pinned)
+    refs: dict  # uid -> ((sid, uid) the worker holds, nbytes, pinned)
     comm_mode: CommMode
     shm_threshold: int
     epoch: float
+    keep: frozenset = frozenset()  # output uids that stay on the rank
+    release: tuple = ()  # (sid, uid) of held values whose handles are gone
+
+
+class _Fetch(NamedTuple):
+    """Send home the held values ``keys``; answered by a ``fetched`` report."""
+
+    fid: int
+    keys: tuple  # (sid, uid) per value
+    release: tuple
+    shm_threshold: int
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +207,8 @@ def _pool_worker_main(
     shared-memory slots its channels own.  One
     :class:`~repro.runtime.mp._Worker` is built per *run* (fresh
     posted-receive state; an object store seeded with the command's
-    by-value inputs, the values it references in the previous run's
-    outputs, and the program's shipped constants)
+    by-value inputs, the values it references among those this rank
+    holds, and the program's shipped constants)
     over the inbox, peer channels and status thread that live as long
     as this process, so cross-step channel order is exactly the
     concatenation of the per-step orders.
@@ -208,10 +233,12 @@ def _pool_worker_main(
         status = _Status(rank, ctrl)
         status.start()
         programs: dict[str, _Ship] = {}
-        # what the previous run produced, uid -> (value, nbytes, pinned):
-        # the one generation a later command may reference instead of
-        # carrying the bytes again
-        resident: dict[str, tuple] = {}
+        # what this rank holds for the driver, (sid, uid) -> (value, nbytes,
+        # pinned), so a later command can name it instead of carrying its
+        # bytes: a kept output until the driver drops its handle, and an
+        # output that went home until the next run starts
+        held: dict[tuple, tuple] = {}
+        home: list[tuple] = []  # the keys of the latter
         ctrl.put(("hello", rank))
         while True:
             cmd = inbox.get(_CMD, _DRIVER)
@@ -220,6 +247,14 @@ def _pool_worker_main(
             if isinstance(cmd, bytes):  # a _Ship, pickled by _ensure_shipped
                 ship = pickle.loads(cmd)
                 programs[ship.key] = ship
+                continue
+            for key in cmd.release:
+                held.pop(key, None)
+            if isinstance(cmd, _Fetch):
+                values = {key: held[key] for key in cmd.keys}
+                ctrl.put(("fetched", cmd.fid,
+                          _encode_buffers(values, cmd.shm_threshold, ctrl.slots)))
+                del values
                 continue
             sid = cmd.sid
             shipped = programs.get(cmd.key)
@@ -240,13 +275,14 @@ def _pool_worker_main(
             buffers = _decode_buffers(cmd.buffers)
             for chan in (ctrl, *peers.values()):
                 chan.slots.begin()
-            for uid, (held, nbytes, pinned) in cmd.refs.items():
-                buffers[uid] = (resident[held][0], nbytes, pinned)
+            for uid, (key, nbytes, pinned) in cmd.refs.items():
+                buffers[uid] = (held[key][0], nbytes, pinned)
             for uid, (value, nbytes) in shipped.constants.items():
                 buffers[uid] = (value, nbytes, True)
-            # what the command did not reference goes before the run
-            # starts: the high-water mark stays inputs + outputs
-            resident = {}
+            # what went home and the command did not reference goes before
+            # the run starts: the high-water mark stays inputs + outputs
+            for key in home:
+                held.pop(key, None)
             worker = status.worker = _Worker(
                 rank, shipped.program, buffers, cmd, inbox, peers, ctrl, faults
             )
@@ -260,8 +296,11 @@ def _pool_worker_main(
                     step_idx, payloads=(result["buffers"], inbox.buf),
                     flush=peers.values(),
                 )
+            kept = {uid for uid, *_ in result["kept"]}
+            home = [(sid, uid) for uid in worker.outputs if uid not in kept]
+            held.update(((sid, uid), v) for uid, v in worker.outputs.items())
+            result["held"] = len(held)
             ctrl.put(("sub", sid, ("done", rank, result)))
-            resident = worker.outputs
             worker = result = None  # the run's inputs and its report
     except _WorkerStop:
         pass  # error already reported, or the driver is gone; so is the pool
@@ -337,6 +376,63 @@ class _Submission:
         self.stores = stores
         self.future = future
         self.results: dict[int, dict] = {}
+
+
+class _Generation:
+    """What one rank produced in one submission, as the driver sees it:
+    the :attr:`RemoteArray._source <repro.runtime.store.RemoteArray>` of
+    each of its output handles.  ``unread`` are the handles whose value
+    the rank still holds and nobody has pulled yet."""
+
+    __slots__ = ("pool", "rank", "sid", "unread", "__weakref__")
+
+    def __init__(self, pool: "ActorPool", rank: int, sid: int):
+        self.pool = weakref.ref(pool)
+        self.rank = rank
+        self.sid = sid
+        self.unread: dict[str, weakref.ref] = {}
+
+    def pull(self, handle: RemoteArray):
+        pool = self.pool()
+        if pool is None:
+            raise _lost(self, handle.uid, "its pool was dropped unclosed")
+        pool._pull([self])
+        return handle._value
+
+    def release(self, uid: str) -> None:
+        """``uid``'s handle is gone: the rank may drop the value (called
+        from ``RemoteArray.__del__``, on any thread, so it takes no lock)."""
+        self.unread.pop(uid, None)
+        pool = self.pool()
+        if pool is not None:
+            pool._released[self.rank].append((self.sid, uid))
+
+
+def _read_only(value: np.ndarray) -> np.ndarray:
+    """A view nothing can write through: its owner is read-only, so the
+    view's flag cannot be set back."""
+    value.flags.writeable = False
+    return value.view()
+
+
+def _lost(gen: _Generation, uid: str, why) -> PoolClosedError:
+    return PoolClosedError(
+        f"engine='mp' output {uid!r} of actor {gen.rank} (submission "
+        f"{gen.sid}) was never pulled and is lost with its pool ({why}); "
+        "np.asarray it before the pool closes, or set a RecoveryPolicy"
+    )
+
+
+class _Fetching:
+    """One outstanding :class:`_Fetch`: the handles it fills."""
+
+    __slots__ = ("gen", "handles", "event", "exc")
+
+    def __init__(self, gen: _Generation, handles: list):
+        self.gen = gen
+        self.handles = handles
+        self.event = threading.Event()
+        self.exc: BaseException | None = None
 
 
 def _terminate_procs(procs) -> None:
@@ -445,11 +541,11 @@ class ActorPool:
     - ``ship_count``: program sets actually pickled to the workers.
     - ``submit_count``: submissions accepted.
     - ``resident_hits``: input buffers sent as a reference to a value the
-      worker still held from its previous run.
-    - ``resident_misses``: input buffers that a pool had returned earlier
-      but that travelled by value again — a stale generation, another
-      rank's or another pool's output.  Fresh data (a batch, the first
-      step's state) is neither a hit nor a miss.
+      worker held: one it kept, or one of its previous run's outputs.
+    - ``resident_misses``: output handles that travelled by value — one
+      that went home more than a submission ago, another rank's or
+      another pool's output.  Fresh data (a batch, the first step's
+      state) is neither a hit nor a miss.
     - ``input_bytes``: ndarray bytes ``submit`` put into ``run``
       commands; the once-per-program ship is not counted.
     - ``segment_count``: shared-memory segments the driver and the ranks
@@ -484,6 +580,7 @@ class ActorPool:
         self._next_sid = 0
         self._failure: BaseException | None = None
         self._closing = False
+        self._stopping = False  # the ranks were told to exit: an exit is no death
         self._closed = False
         self._stop = threading.Event()
 
@@ -503,8 +600,15 @@ class ActorPool:
         self.input_bytes = 0
         # segments each rank has made, as of its latest report
         self._rank_segments = [0] * n_actors
-        # stamped into every output this pool returns (``_Resident.origin``)
-        self._token = object()
+        # values each rank holds for the driver, as of its latest report
+        self._rank_held = [0] * n_actors
+        # per rank, (sid, uid) of kept values whose handles are gone; they
+        # ride the next command to the rank (appended from any thread)
+        self._released = [deque() for _ in range(n_actors)]
+        # generations with kept outputs, for close() to pull what is unread
+        self._generations: weakref.WeakSet = weakref.WeakSet()
+        self._fetches: dict[int, _Fetching] = {}
+        self._next_fid = 0
         # prefixes the name of every segment this pool's processes create
         # (``mp._new_segment``), so an abnormal stop unlinks them by name
         self._pool_tag = f"psm_{secrets.token_hex(4)}"
@@ -594,6 +698,14 @@ class ActorPool:
         return sum(c.slots.created for c in self._cmd) + sum(self._rank_segments)
 
     @property
+    def held(self) -> list[int]:
+        """Values each rank holds for the driver, as of its latest report:
+        every output the rank kept whose handle is still alive (or whose
+        release has not reached it yet), plus its last run's outputs
+        that went home."""
+        return list(self._rank_held)
+
+    @property
     def inflight(self) -> int:
         """Submissions accepted but not yet completed."""
         with self._lock:
@@ -647,6 +759,15 @@ class ActorPool:
             raise ValueError(
                 f"expected {self.n_actors} programs, got {len(programs)}"
             )
+        # a value held by another rank, or by another pool, comes here
+        # first, outside the lock: the rank's answer is read by the driver
+        # thread, which takes the lock to merge a finished submission
+        for rank, store in enumerate(stores or ()):
+            for uid in store.live_refs():
+                value = store.get(BufferRef(uid)).value
+                if (type(value) is RemoteArray and value._value is None
+                        and not self._holds(value, rank)):
+                    np.asarray(value)
         with self._lock:
             self._check_accepting()
             if stores is None:
@@ -663,33 +784,58 @@ class ActorPool:
             self.submit_count += 1
             self._last_progress = time.monotonic()
             epoch = time.monotonic()
-            # the generation each worker holds when it reaches this
-            # command: submissions run in sid order on every rank
-            for rank in range(self.n_actors):
-                chan = self._cmd[rank]
-                chan.slots.begin()
-                held = (self._token, sid - 1, rank)
-                store = stores[rank]
+            # each worker runs submissions in sid order, so when it reaches
+            # this command it holds its kept outputs and what went home from
+            # submission sid - 1 (that one's outputs are the "previous
+            # generation": what the traffic below says about them decides
+            # which of this run's outputs stay on the rank)
+            plans, passed, shipped = [], [set() for _ in stores], set()
+            for rank, store in enumerate(stores):
                 values, refs = {}, {}
                 for uid in store.live_refs():
                     if uid in constants[rank]:
                         continue  # the worker has it since the ship
                     buf = store.get(BufferRef(uid))
-                    owner = getattr(buf.value, "base", None)
-                    if isinstance(owner, _Resident):
-                        if owner.origin[:3] == held:
-                            refs[uid] = (owner.origin[3], buf.nbytes, buf.pinned)
+                    value = buf.value
+                    if type(value) is RemoteArray:
+                        gen = value._source
+                        if self._holds(value, rank) and (value._kept or gen.sid == sid - 1):
+                            refs[uid] = ((gen.sid, value.uid), buf.nbytes, buf.pinned)
+                            if gen.sid == sid - 1:
+                                passed[rank].add(value.uid)
                             continue
                         self.resident_misses += 1
-                    values[uid] = (buf.value, buf.nbytes, buf.pinned)
+                        if gen.pool() is self and gen.sid == sid - 1:
+                            shipped.add((gen.rank, value.uid))
+                        value = np.asarray(value)
+                    values[uid] = (value, buf.nbytes, buf.pinned)
+                plans.append((values, refs))
+            for rank, (values, refs) in enumerate(plans):
+                chan = self._cmd[rank]
+                chan.slots.begin()
                 enc = _encode_buffers(values, self.shm_threshold, chan.slots)
                 self.resident_hits += len(refs)
                 self.input_bytes += enc.nbytes
+                # an output stays on the rank when its previous generation
+                # came back to this rank by reference and to no rank by value
+                keep = frozenset(u for u in passed[rank] if (rank, u) not in shipped)
                 chan.put(
                     (_CMD,
-                     _Run(sid, key, enc, refs, comm_mode, self.shm_threshold, epoch))
+                     _Run(sid, key, enc, refs, comm_mode, self.shm_threshold, epoch,
+                          keep, self._take_released(rank)))
                 )
         return future
+
+    def _holds(self, handle: RemoteArray, rank: int) -> bool:
+        """Whether ``handle``'s value came from ``rank`` of this pool."""
+        gen = handle._source
+        return gen.rank == rank and gen.pool() is self
+
+    def _take_released(self, rank: int) -> tuple:
+        released, out = self._released[rank], []
+        while released:
+            out.append(released.popleft())
+        return tuple(out)
 
     def _check_accepting(self) -> None:
         if self._failure is not None:
@@ -767,7 +913,7 @@ class ActorPool:
         proc = self._procs[rank]
         self._waiting.pop(conn, None)
         self._waiting.pop(proc.sentinel, None)
-        if self._closing or self._closed or self._failure is not None:
+        if self._stopping or self._closed or self._failure is not None:
             return False
         proc.join(timeout=5.0)
         self._fail(WorkerDiedError(
@@ -785,6 +931,17 @@ class ActorPool:
         elif kind == "sub":
             _, sid, inner = msg
             return self._handle_sub(sid, inner)
+        elif kind == "fetched":
+            _, fid, slab = msg
+            values = _decode_buffers(slab)
+            with self._lock:
+                fetch = self._fetches.pop(fid, None)
+            if fetch is None:  # failed already: its waiter has been told
+                return False
+            for handle in fetch.handles:
+                handle._value = _read_only(values[(fetch.gen.sid, handle.uid)][0])
+                fetch.gen.unread.pop(handle.uid, None)
+            fetch.event.set()
         else:  # pragma: no cover - future-proofing
             self._fail(RuntimeError(f"unknown pool control message {msg!r}"))
             return True
@@ -809,11 +966,10 @@ class ActorPool:
             _, rank, result = inner
             # decoded as each report lands, not at merge: rank 0's slab
             # is copied out while rank 1 is still finishing
-            result["buffers"] = _decode_buffers(
-                result["buffers"], origin=(self._token, sid, rank)
-            )
+            result["buffers"] = self._outputs(rank, sid, result)
             self._pcs[rank] = result["pc"]
             self._rank_segments[rank] = result["segments"]
+            self._rank_held[rank] = result["held"]
             self._states.pop(rank, None)
             completed = None
             with self._lock:
@@ -845,6 +1001,52 @@ class ActorPool:
             self._fail(exc)
             return True
         return False
+
+    def _outputs(self, rank: int, sid: int, result: dict) -> dict:
+        """A ``done`` report's outputs, uid -> (value, nbytes, pinned), with
+        every array a :class:`RemoteArray`: a read-only copy of what came
+        home, or a handle to what the rank kept."""
+        gen = _Generation(self, rank, sid)
+        out = _decode_buffers(result["buffers"])
+        for uid, (value, nbytes, pinned) in out.items():
+            if isinstance(value, np.ndarray):
+                value = RemoteArray(value.shape, value.dtype, uid, gen, _read_only(value))
+                out[uid] = (value, nbytes, pinned)
+        for uid, shape, dtype, nbytes, pinned in result["kept"]:
+            handle = RemoteArray(shape, np.dtype(dtype), uid, gen)
+            gen.unread[uid] = weakref.ref(handle)
+            out[uid] = (handle, nbytes, pinned)
+        if result["kept"]:
+            self._generations.add(gen)
+        return out
+
+    def _pull(self, generations, deadline: float | None = None) -> None:
+        """Bring home every unread handle of ``generations``: one fetch per
+        generation, all sent before any is waited for (until ``deadline``,
+        a ``time.monotonic()`` value, when given)."""
+        pending = []
+        with self._lock:
+            for gen in generations:
+                handles = [h for h in (r() for r in list(gen.unread.values()))
+                           if h is not None and h._value is None]
+                if not handles:
+                    continue
+                if self._failure is not None or self._closed:
+                    raise _lost(gen, handles[0].uid, self._failure or "it was shut down")
+                fid = self._next_fid
+                self._next_fid += 1
+                fetch = self._fetches[fid] = _Fetching(gen, handles)
+                self._cmd[gen.rank].put((_CMD, _Fetch(
+                    fid, tuple((gen.sid, h.uid) for h in handles),
+                    self._take_released(gen.rank), self.shm_threshold,
+                )))
+                pending.append(fetch)
+        for fetch in pending:
+            wait = None if deadline is None else max(0.0, deadline - time.monotonic())
+            if not fetch.event.wait(wait):
+                raise _lost(fetch.gen, fetch.handles[0].uid, "no answer before shutdown")
+            if fetch.exc is not None:
+                raise fetch.exc
 
     def _maybe_fail_watchdog(self) -> bool:
         with self._lock:
@@ -880,29 +1082,49 @@ class ActorPool:
             self._subs.clear()
         for sub in pending:
             sub.future._finish(exc=exc)
+        self._fail_fetches(exc)
         _terminate_procs(self._procs)
         _cleanup_pipes(*self._pipe_ends, self._pool_tag)
         self._stop.set()
 
+    def _fail_fetches(self, why) -> None:
+        with self._lock:
+            fetches = list(self._fetches.values())
+            self._fetches.clear()
+        for fetch in fetches:
+            fetch.exc = _lost(fetch.gen, fetch.handles[0].uid, why)
+            fetch.event.set()
+
     def shutdown(self, timeout: float = 30.0) -> None:
         """Gracefully stop the pool.
 
-        Pending submissions run to completion first (the shutdown command
-        queues behind them on each worker's command pipe); workers then
-        exit, processes are joined (terminated past ``timeout``), and the
-        pipes are drained and closed.  Idempotent, and safe to call on a
-        pool that already died.
+        Pending submissions run to completion first, then every output
+        handle still unread is pulled home (so it stays readable after
+        the pool is gone); workers then exit, processes are joined
+        (terminated past ``timeout``), and the pipes are drained and
+        closed.  Idempotent, and safe to call on a pool that already died
+        — its unread handles raise :class:`PoolClosedError`.
         """
         with self._lock:
             if self._closed:
                 return
-            already_dead = self._failure is not None
             self._closing = True
+            pending = [sub.future for sub in self._subs.values()]
+        deadline = time.monotonic() + timeout
+        if threading.current_thread() is not self._driver:
+            for future in pending:
+                future._event.wait(max(0.0, deadline - time.monotonic()))
+            try:
+                self._pull(list(self._generations), deadline)
+            except PoolClosedError:
+                pass  # died meanwhile, or too slow: the handles say so
+        with self._lock:
+            already_dead = self._failure is not None
             if not already_dead:
+                self._stopping = True
                 for chan in self._cmd:
                     chan.put((_CMD, None))
         if not already_dead:
-            deadline = time.monotonic() + timeout
             for p in self._procs:
                 p.join(timeout=max(0.0, deadline - time.monotonic()))
             _terminate_procs(self._procs)
@@ -924,6 +1146,7 @@ class ActorPool:
             exc = PoolClosedError("ActorPool was shut down before completion")
             for sub in leftover:
                 sub.future._finish(exc=exc)
+        self._fail_fetches("it was shut down")
         _cleanup_pipes(*self._pipe_ends, self._pool_tag)
         self._finalizer.detach()
 

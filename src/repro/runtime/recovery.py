@@ -19,7 +19,9 @@ machine::
 
 - **Snapshot.**  Before step ``i`` (every ``snapshot_every`` steps) the
   program-owned state — the first argument of the functional step, by
-  convention ``(state, batch) -> (state, loss)`` — is written through
+  convention ``(state, batch) -> (state, loss)`` — is pulled home (an
+  ``engine="mp"`` state is :class:`~repro.runtime.store.RemoteArray`
+  handles whose values its ranks hold) and written through
   :func:`repro.models.checkpoint.save_checkpoint` (atomic: tmp +
   rename), optionally on a background thread so training does not stall
   on the disk.  The last ``keep`` snapshots are retained.
@@ -76,12 +78,16 @@ import time
 import weakref
 from typing import Any
 
+import numpy as np
+
+from repro.ir.pytree import tree_flatten, tree_unflatten
 from repro.models.checkpoint import (
     CheckpointError,
     load_checkpoint,
     save_checkpoint,
 )
 from repro.runtime.executor import DeadlockError, PoolClosedError, WorkerDiedError
+from repro.runtime.store import RemoteArray
 
 __all__ = [
     "RecoveryPolicy",
@@ -257,6 +263,12 @@ class ResilientStepFunction:
         if step in self._snapshots:  # retry of a step already snapshotted
             return
         self._join_snapshot()
+        # an engine="mp" state comes home before the step is submitted:
+        # should a rank die in it, what the rank held would be lost
+        leaves, tree = tree_flatten(state)
+        state = tree_unflatten(tree, [
+            np.asarray(x) if isinstance(x, RemoteArray) else x for x in leaves
+        ])
         path = self._dir / f"snap-{step:08d}.npz"
         seq = self.snapshots_written
         self.snapshots_written += 1

@@ -11,9 +11,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Any
 
+import numpy as np
+
 from repro.runtime.instructions import BufferRef
 
-__all__ = ["Buffer", "ObjectStore", "fold_contributions"]
+__all__ = ["Buffer", "ObjectStore", "RemoteArray", "fold_contributions"]
 
 
 @dataclasses.dataclass
@@ -108,6 +110,58 @@ class ObjectStore:
     def live_refs(self) -> list[str]:
         """Uids of all live buffers (diagnostics)."""
         return sorted(self._buffers)
+
+
+class RemoteArray:
+    """A read-only handle to one array an ``engine="mp"`` step returned.
+
+    ``shape``, ``dtype`` and ``aval`` are known without a fetch.  The value is either already in this process
+    (its rank sent it home with the run's report) or still on the rank,
+    which keeps it until the driver drops this handle; then
+    ``np.asarray(handle)`` pulls it, together with every other unread
+    handle of the same rank and submission, in one round trip, and it
+    stays here.  The array ``np.asarray`` returns is read-only, so what
+    the rank holds and what the caller sees never diverge; a view or copy
+    of it is an ordinary array.
+
+    ``source`` is the pool's record of the run (rank, submission) that
+    produced the value; it pulls and releases.  A handle the pool lost
+    unread raises :class:`~repro.runtime.executor.PoolClosedError`.
+    """
+
+    __slots__ = ("shape", "dtype", "uid", "_value", "_source", "_kept", "__weakref__")
+
+    def __init__(self, shape, dtype, uid: str, source: Any, value: Any = None):
+        self.shape = tuple(shape)
+        self.dtype = dtype
+        self.uid = uid
+        self._source = source
+        self._value = value
+        #: the rank holds the value for this handle (it did not come home)
+        self._kept = value is None
+
+    @property
+    def aval(self):
+        from repro.ir.avals import ShapedArray
+        from repro.ir.dtypes import canonicalize_dtype
+
+        return ShapedArray(self.shape, canonicalize_dtype(self.dtype))
+
+    def __array__(self, dtype=None, copy=None):
+        value = self._value
+        if value is None:
+            value = self._source.pull(self)
+        if dtype is not None and np.dtype(dtype) != value.dtype:
+            return value.astype(dtype)
+        return value.copy() if copy else value
+
+    def __repr__(self) -> str:
+        where = "here" if self._value is not None else "on its rank"
+        return f"RemoteArray(shape={self.shape}, dtype={self.dtype}, {where})"
+
+    def __del__(self):
+        if getattr(self, "_kept", False):
+            self._source.release(self.uid)
 
 
 def fold_contributions(values: list) -> Any:

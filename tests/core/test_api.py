@@ -1,5 +1,7 @@
 """Driver API tests: RemoteMesh validation, StepFunction compile caching."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -119,3 +121,18 @@ class TestStepFunctionCaching:
         assert step.last_result is not None
         assert step.last_result.p2p_count > 0
         assert len(step.peak_bytes_per_actor) == 2
+
+    def test_step_keeps_no_input_alive(self):
+        """A step keeps its per-actor peaks, not its executor, whose stores
+        would pin every placed input until the next call: an input the
+        caller dropped is gone as soon as the call that read it returns."""
+        train_step, params, batch = _problem()
+        step = core.RemoteMesh((2,)).distributed(train_step, schedule=core.OneFOneB(2))
+        step(params, batch)
+        peaks = step.peak_bytes_per_actor
+        fresh = {k: v.copy() for k, v in params.items()}
+        gone = weakref.ref(fresh["w0"])
+        step(fresh, batch)
+        del fresh
+        assert gone() is None
+        assert step.peak_bytes_per_actor == peaks

@@ -22,7 +22,7 @@ import pytest
 
 from repro import core, ir
 from repro.ir import nn, ops, pipeline_yield
-from repro.runtime import CommMode
+from repro.runtime import CommMode, RemoteArray
 from repro.runtime.pool import _spawn_defaults
 from tests.core.test_linear_backend import GALLERY, assert_bit_identical, make_problem
 
@@ -412,27 +412,36 @@ class TestResidency:
     """Step state stays on its worker: what is a reference, what falls
     back to by-value, and that neither changes a bit."""
 
-    def test_returned_arrays_are_read_only(self):
+    def test_outputs_are_read_only_handles(self):
+        """Every output is a :class:`RemoteArray`: its shape, dtype and
+        aval need no fetch, and the array it yields cannot be written."""
         ts, params, batch = make_problem(2, n_mbs=4)
         mesh = _mesh(core.OneFOneB(2), "mp")
         try:
             new, loss = mesh.distributed(ts, schedule=core.OneFOneB(2))(params, batch)
-            for arr in [*new.values(), loss]:
+            for handle in [*new.values(), loss]:
+                assert type(handle) is RemoteArray
+                arr = np.asarray(handle)
                 assert type(arr) is np.ndarray
+                assert (handle.shape, handle.dtype) == (arr.shape, arr.dtype)
+                assert handle.aval == ir.abstractify(arr)
                 with pytest.raises(ValueError, match="read-only"):
                     arr[...] = 0
                 with pytest.raises(ValueError):
                     arr.setflags(write=True)
+                with pytest.raises(TypeError):
+                    handle[...] = 0
         finally:
             mesh.close()
         # ordinary driver-side memory: still readable after the pool is gone
         assert all(np.isfinite(v).all() for v in new.values())
 
-    def test_derived_and_stale_state_travels_by_value(self):
-        """Only the array the pool returned, fed to the very next
-        submission, is a reference.  A state kept from step k and passed
-        again at step k+5, and views or copies of the current state, go
-        by value — and give the event engine's bits."""
+    def test_derived_and_stale_state(self):
+        """A kept state is a reference however old it is; what came home
+        is one only for the very next submission.  A state kept from step
+        k and passed again at step k+5 is a hit; the first step's state,
+        which came home, is a miss six steps later; views and copies are
+        fresh data — and every one gives the event engine's bits."""
         schedule = core.OneFOneB(2)
         ts, params, batch = make_problem(2, n_mbs=4)
         ev = core.RemoteMesh((2,)).distributed(
@@ -449,23 +458,31 @@ class TestResidency:
             pool = mesh._mp_pool
             assert (pool.resident_hits, pool.resident_misses) == (6 * len(params), 0)
 
-            want_old, got_old = kept[1]  # produced by step 0, now 6 steps stale
+            want_old, got_old = kept[2]  # produced by step 1, kept on its ranks
+            assert all(v._kept for v in got_old.values())
             assert_bit_identical(ev(want_old, batch), step(got_old, batch))
-            assert (pool.resident_hits, pool.resident_misses) == (12, len(params))
+            assert (pool.resident_hits, pool.resident_misses) == (7 * len(params), 0)
 
-            # the current state: a miss too, the worker has since moved on
+            want_old, got_old = kept[1]  # produced by step 0: it came home
+            assert not any(v._kept for v in got_old.values())
+            assert_bit_identical(ev(want_old, batch), step(got_old, batch))
+            assert (pool.resident_hits, pool.resident_misses) == (7 * len(params), len(params))
+
+            # the current state: still held, still a reference
             want, got = ev(want, batch)[0], step(got, batch)[0]
             assert_bit_identical(want, got)
-            assert pool.resident_misses == 2 * len(params)
+            assert pool.resident_hits == 8 * len(params)
 
-            # views and copies carry no stamp: fresh data, not misses
+            # views and copies are plain arrays: fresh data, not misses
             hits = pool.resident_hits
-            derived = {k: (v[:] if k == "w0" else v.copy()) for k, v in got.items()}
+            derived = {k: (np.asarray(v)[:] if k == "w0" else np.array(v))
+                       for k, v in got.items()}
+            assert all(type(v) is np.ndarray for v in derived.values())
             direct = step(got, batch)
             assert_bit_identical(direct, step(derived, batch))
             assert_bit_identical(ev(want, batch), direct)
             assert pool.resident_hits == hits + len(params)
-            assert pool.resident_misses == 2 * len(params)
+            assert pool.resident_misses == len(params)
         finally:
             mesh.close()
 
@@ -628,3 +645,176 @@ class TestResidency:
             assert pool.resident_hits + pool.resident_misses == fed_back
         finally:
             mesh.close()
+
+
+class TestHandles:
+    """The output handle's contract: what a rank holds for the driver,
+    when it lets go, and what a read costs."""
+
+    def _loop(self, n_steps, **mesh_kw):
+        schedule = core.OneFOneB(2)
+        ts, params, batch = make_problem(2, n_mbs=4)
+        mesh = _mesh(schedule, "mp", **mesh_kw)
+        return mesh, mesh.distributed(ts, schedule=schedule), params, batch
+
+    def test_held_values_return_to_baseline(self):
+        """Over 50 steps each rank holds two generations — the state the
+        step read and the state it wrote — and once the driver drops its
+        handles the rank is back to what the first step left."""
+        mesh, step, params, batch = self._loop(50)
+        try:
+            state, _ = step(params, batch)
+            pool = mesh._mp_pool
+            baseline = pool.held  # the first step's outputs, all sent home
+            counts = []
+            for _ in range(50):
+                state, loss = step(state, batch)
+                counts.append(pool.held)
+            assert counts[1:] == [counts[1]] * 49
+            assert all(c > b for c, b in zip(counts[1], baseline))
+            host = {k: np.array(v) for k, v in state.items()}
+            del state, loss
+            step(host, batch)  # carries the releases; nothing to keep
+            assert pool.held == baseline
+        finally:
+            mesh.close()
+
+    def test_every_live_handle_is_readable_after_close(self):
+        """``close()`` pulls what nobody read: handles of every step,
+        unread until after the pool is gone, hold the event engine's
+        bits."""
+        schedule = core.OneFOneB(2)
+        ts, params, batch = make_problem(2, n_mbs=4)
+        ev = core.RemoteMesh((2,)).distributed(ts, schedule=schedule, task_backend="linear")
+        mesh, step, _, _ = self._loop(4)
+        want, got = [(params, None)], [(params, None)]
+        try:
+            for _ in range(4):
+                want.append(ev(want[-1][0], batch))
+                got.append(step(got[-1][0], batch))
+            assert all(v._value is None for v in got[-1][0].values())
+        finally:
+            mesh.close()
+        for w, g in zip(want[1:], got[1:]):
+            assert_bit_identical(w, g)
+
+    def test_handle_lost_with_its_pool_names_rank_and_uid(self):
+        """A rank killed before anyone read what it held: each handle
+        raises :class:`PoolClosedError` naming its rank and uid."""
+        from repro.runtime import PoolClosedError
+
+        mesh, step, params, batch = self._loop(2)
+        try:
+            state = params
+            for _ in range(2):
+                state, _ = step(state, batch)
+            pool = mesh._mp_pool
+            assert all(v._value is None for v in state.values())
+            os.kill(pool.pids[1], signal.SIGKILL)
+            assert pool._stop.wait(timeout=30)
+            for handle in state.values():
+                rank = handle._source.rank
+                with pytest.raises(PoolClosedError, match=rf"{handle.uid!r} of actor {rank}"):
+                    np.asarray(handle)
+        finally:
+            mesh.close()
+
+    def test_one_fetch_pulls_its_rank_and_submission(self):
+        """Reading one handle brings home every unread handle of the same
+        rank and submission in one round trip, and no other."""
+        mesh, step, params, batch = self._loop(2)
+        try:
+            state = params
+            for _ in range(2):
+                state, _ = step(state, batch)
+            pool = mesh._mp_pool
+            by_rank = {}
+            for handle in state.values():
+                by_rank.setdefault(handle._source.rank, []).append(handle)
+            assert sorted(by_rank) == [0, 1]
+            first, *rest = by_rank[0]
+            fetches = pool._next_fid
+            np.asarray(first)
+            assert pool._next_fid == fetches + 1
+            assert all(h._value is not None for h in by_rank[0])
+            assert all(h._value is None for h in by_rank[1])
+            for h in rest:
+                np.asarray(h)
+            assert pool._next_fid == fetches + 1
+            for h in by_rank[1]:
+                np.asarray(h)
+            assert pool._next_fid == fetches + 2
+        finally:
+            mesh.close()
+
+    def test_state_from_step_k_is_a_reference_at_k_plus_5(self):
+        """A state kept from step k and passed again at step k+5 is still
+        on its ranks: a reference, only the batch travels."""
+        schedule = core.OneFOneB(2)
+        ts, params, batch = make_problem(2, n_mbs=4)
+        ev = core.RemoteMesh((2,)).distributed(ts, schedule=schedule, task_backend="linear")
+        mesh, step, _, _ = self._loop(7)
+        try:
+            want = got = params
+            for k in range(7):
+                if k == 2:
+                    kept = (want, got)
+                want, got = ev(want, batch)[0], step(got, batch)[0]
+            pool = mesh._mp_pool
+            hits, misses, sent = pool.resident_hits, pool.resident_misses, pool.input_bytes
+            assert_bit_identical(ev(kept[0], batch), step(kept[1], batch))
+            assert pool.resident_hits == hits + len(params)
+            assert pool.resident_misses == misses
+            assert pool.input_bytes - sent == sum(a.nbytes for a in batch)
+        finally:
+            mesh.close()
+
+    def test_in_process_step_loads_no_pool(self):
+        """The handle type and the lazy pool import: ``import repro`` and
+        an in-process step load neither ``multiprocessing`` nor the pool."""
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "import repro\n"
+            "from repro import core\n"
+            "from tests.core.test_linear_backend import make_problem\n"
+            "ts, params, batch = make_problem(2, n_mbs=4)\n"
+            "core.RemoteMesh((2,)).distributed(ts, schedule=core.OneFOneB(2))(params, batch)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')"
+            " or m == 'repro.runtime.pool'))\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([os.path.join(root, "src"), root])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], cwd=root, env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_gpt_mid_mp2_sends_only_the_tied_embedding_by_value(self):
+        """The benchmark's ``gpt_mid_mp2``: each warm step has exactly one
+        by-value state input, the tied embedding, which rank 1 updates
+        and both ranks read, so it comes home; every other state output
+        stays on its rank, and the losses come home."""
+        from benchmarks.e2e.workloads import WORKLOADS, build
+
+        built = build(WORKLOADS["gpt_mid_mp2"], seed=0)
+        state, batches = built.state, built.batches
+        try:
+            for i in range(2):
+                state, _ = built.step_fn(state, batches[i])
+            pool = built.mesh._mp_pool
+            for i in range(2, 5):
+                misses = pool.resident_misses
+                state, losses = built.step_fn(state, batches[i % len(batches)])
+                assert pool.resident_misses == misses + 1
+                leaves = [x for x in ir.tree_flatten(state)[0] if type(x) is RemoteArray]
+                home = [x for x in leaves if not x._kept]
+                assert [x.shape for x in home] == [state.params["wte"].shape]
+                assert home[0] is state.params["wte"] and home[0]._source.rank == 1
+                assert len(leaves) - len(home) > 100
+                assert type(losses) is RemoteArray and not losses._kept
+        finally:
+            built.mesh.close()

@@ -539,10 +539,10 @@ class TestResidencyLifecycle:
 
     def test_kill_while_next_command_holds_references(self):
         """Rank 1 dies on receiving step 2's command, which refers to the
-        step-1 outputs only that worker held.  The user's arrays are
-        ordinary driver memory: the respawned pool's first step ships
-        them by value and matches the event engine; the step after it is
-        all references again."""
+        step-1 outputs only that worker held.  Pulled home before the
+        kill, the user's arrays are ordinary driver memory: the respawned
+        pool's first step ships them by value and matches the event
+        engine; the step after it is all references again."""
         from repro.runtime import FaultPlan
 
         ts, params, batch = make_problem(2, n_mbs=4)
@@ -564,6 +564,8 @@ class TestResidencyLifecycle:
                 got, _ = step(got, batch)
             dead = mesh._mp_pool
             assert dead.resident_hits == len(params)
+            for handle in got.values():  # a host copy of what the ranks hold
+                np.asarray(handle)
             with pytest.raises(RuntimeError, match="died without reporting"):
                 step(got, batch)
             assert dead.resident_hits == 2 * len(params)  # the lost command
@@ -712,6 +714,8 @@ class TestSlotMappings:
             assert counts[2:] == [counts[2]] * 4
             assert all(counts[2].values())
             dead = mesh._mp_pool
+            for handle in got.values():  # a host copy of what the ranks hold
+                np.asarray(handle)
             with pytest.raises(RuntimeError, match="died without reporting"):
                 step(got, batch)
             for _ in range(3):  # the respawned pool warms its own slots
