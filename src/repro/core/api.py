@@ -17,7 +17,7 @@ actor per step".
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,7 +59,9 @@ class RemoteMesh:
             the first step, programs ship once, and every later step
             reuses them until :meth:`close` — the step after that starts
             cold again.  Each step submits its run with the mesh's
-            ``comm_mode`` and waits for the result.  Its outputs are
+            ``comm_mode`` and waits for the result; the caller's leaves
+            go into the run commands through a placement plan bound at
+            compile time, with no driver-side object store.  Its outputs are
             read-only :class:`~repro.runtime.store.RemoteArray` handles:
             the state a training loop feeds back stays on the ranks and
             goes back to them as a reference, and ``np.asarray`` reads a
@@ -322,20 +324,7 @@ class StepFunction:
             optimize=self.optimize,
         )
         self._out_tree = out_tree
-        # logical size of every placed input, fixed with the shapes the
-        # program was compiled for (see _placements)
-        self._input_nbytes = {
-            k: abstractify(flat[k]).nbytes
-            for k, placed in enumerate(self.compiled.input_placements)
-            if placed
-        }
-        # compile-time constants: the same placements (see _placements) every step
-        self._constants = [
-            ((replica * self.mesh.n_pipeline_actors + actor, uid),
-             np.asarray(lit.value), lit.aval.nbytes, True)
-            for actor, uid, lit in self.compiled.literal_placements
-            for replica in range(dp)
-        ]
+        self._plan = _Plan.bind(self.compiled, flat, self.mesh.n_pipeline_actors)
 
     # -- execution ---------------------------------------------------------------
     def __call__(self, *args: Any) -> Any:
@@ -356,21 +345,15 @@ class StepFunction:
         if self.mesh.codegen_actor and self.mesh.engine != "mp":
             return self._call_fused(compiled, flat)
 
-        mp_pool = None
         if self.mesh.engine == "mp":
-            mp_pool = self.mesh._acquire_mp_pool(compiled.n_actors)
+            return self._call_mp(compiled, flat)
         executor = MpmdExecutor(
             compiled.n_actors,
             cost_model=self.mesh.cost_model,
             comm_mode=self.mesh.comm_mode,
             engine=self.mesh.engine,
-            mp_pool=mp_pool,
-            mp_program_key=compiled.program_key,
         )
-
-        P = self.mesh.n_pipeline_actors
-        dp = compiled.dp_size
-        for (actor, uid), value, nbytes, constant in self._placements(compiled, flat):
+        for (actor, uid), value, nbytes, constant in self._placements(flat):
             executor.place(
                 actor, BufferRef(uid), value, nbytes, pinned=True, constant=constant
             )
@@ -380,57 +363,69 @@ class StepFunction:
         # across data-parallel groups)
         wake_order = None
         if compiled.schedule_ir is not None:
+            P = self.mesh.n_pipeline_actors
             ranks = compiled.schedule_ir.initial_ready_ranks()
             wake_order = [
-                replica * P + rank for replica in range(dp) for rank in ranks
+                replica * P + rank for replica in range(compiled.dp_size) for rank in ranks
             ]
         self.last_result = executor.execute(compiled.programs, wake_order=wake_order)
         # the peaks, not the executor: its stores would pin this call's
         # inputs and outputs until the next call
         self._peaks = [s.peak_bytes for s in executor.stores]
 
-        outs = []
-        for src in compiled.output_sources:
-            if src[0] == "literal":
-                outs.append(src[1])
-            elif src[0] == "input":
-                outs.append(flat[src[1]])
-            else:
-                _, actor, uid = src
-                outs.append(executor.fetch(actor, BufferRef(uid)))
-        return tree_unflatten(self._out_tree, outs)
+        return self._outputs(compiled.output_sources, flat,
+                             lambda actor, uid: executor.fetch(actor, BufferRef(uid)))
 
-    def _placements(self, compiled: CompiledStep, flat: list):
-        """Where this call's inputs go: yields ``((replica·P + actor,
-        uid), value, nbytes, constant)`` for every placed input — a batch
-        input split ``dp`` ways along the microbatch-size axis, anything
-        else replicated — and every compile-time constant.  On
-        ``engine="mp"`` an output handle is placed as it is: the pool
-        sends it as a reference where its rank holds it."""
-        P = self.mesh.n_pipeline_actors
-        dp = compiled.dp_size
-        keep_handles = self.mesh.engine == "mp"
-        for k, placements in enumerate(compiled.input_placements):
-            if not placements:
-                continue
+    def _call_mp(self, compiled: CompiledStep, flat: list) -> Any:
+        """``engine="mp"``: leaves to run commands and reports to outputs
+        through the plan, with no driver-side store.  An output handle is
+        placed as it is (a reference where its rank holds it)."""
+        plan = self._plan
+        inputs = [{} for _ in range(compiled.n_actors)]
+        for k, targets, nbytes, split in plan.inputs:
             value = flat[k]
-            split = dp > 1 and k in compiled.batch_input_indices
-            if split or not (keep_handles and type(value) is RemoteArray):
-                value = np.asarray(value)
-            nbytes = self._input_nbytes[k]
             if split:
-                if value.shape[1] % dp != 0:
-                    raise ValueError(
-                        f"microbatch size {value.shape[1]} not divisible by dp={dp}"
-                    )
-                shards = np.split(value, dp, axis=1)
-                nbytes //= dp
-            else:
-                shards = [value] * dp
-            for replica, shard in enumerate(shards):
-                for actor, uid in placements:
-                    yield (replica * P + actor, uid), shard, nbytes, False
-        yield from self._constants
+                shards = np.split(np.asarray(value), compiled.dp_size, axis=1)
+                for replica, rank, uid in targets:
+                    inputs[rank][uid] = (shards[replica], nbytes, True, False)
+                continue
+            if type(value) is not RemoteArray:
+                value = np.asarray(value)
+            entry = (value, nbytes, True, False)
+            for _, rank, uid in targets:
+                inputs[rank][uid] = entry
+        for rank, uid, entry in plan.constants:
+            inputs[rank][uid] = entry
+
+        pool = self.mesh._acquire_mp_pool(compiled.n_actors)
+        future = pool.submit(
+            compiled.programs, inputs, comm_mode=self.mesh.comm_mode,
+            program_key=compiled.program_key,
+        )
+        self.last_result = future.result()
+        self._peaks = future.peak_bytes
+        outputs = future.outputs
+        return self._outputs(plan.outputs, flat, lambda rank, uid: outputs[rank][uid][0])
+
+    def _outputs(self, sources, flat: list, read) -> Any:
+        """The caller's output tree: per source a literal, one of this
+        call's leaves, or ``read(rank, uid)``."""
+        return tree_unflatten(self._out_tree, [
+            src[1] if src[0] == "literal" else flat[src[1]] if src[0] == "input"
+            else read(*src[1:]) for src in sources
+        ])
+
+    def _placements(self, flat: list):
+        """``((rank, uid), value, nbytes, constant)`` of every placed input
+        and constant, for the in-process engines."""
+        dp = self.compiled.dp_size
+        for k, targets, nbytes, split in self._plan.inputs:
+            value = np.asarray(flat[k])
+            shards = np.split(value, dp, axis=1) if split else [value] * dp
+            for replica, rank, uid in targets:
+                yield (rank, uid), shards[replica], nbytes, False
+        for rank, uid, (value, nbytes, _, _) in self._plan.constants:
+            yield (rank, uid), value, nbytes, True
 
     def _call_fused(self, compiled: CompiledStep, flat: list) -> Any:
         """``codegen_actor=True`` in-process fast path: run the whole mesh's
@@ -440,9 +435,7 @@ class StepFunction:
 
         from repro.runtime.actorgen import fuse_mesh
 
-        placed = {
-            key: value for key, value, _, _ in self._placements(compiled, flat)
-        }
+        placed = {key: value for key, value, _, _ in self._placements(flat)}
         cached = self._fused
         if cached is None or cached[0] is not compiled:
             out_keys = [
@@ -471,16 +464,8 @@ class StepFunction:
         )
         self._peaks = None
 
-        outs = []
         it = iter(fetched)
-        for src in compiled.output_sources:
-            if src[0] == "literal":
-                outs.append(src[1])
-            elif src[0] == "input":
-                outs.append(flat[src[1]])
-            else:
-                outs.append(next(it))
-        return tree_unflatten(self._out_tree, outs)
+        return self._outputs(compiled.output_sources, flat, lambda *_: next(it))
 
     # -- diagnostics ------------------------------------------------------------
     @property
@@ -498,3 +483,40 @@ class StepFunction:
     def __repr__(self) -> str:
         status = "compiled" if self.compiled is not None else "uncompiled"
         return f"StepFunction({self.train_step.__name__}, {status})"
+
+
+class _Plan(NamedTuple):
+    """Where a compiled step's inputs go and its outputs come from, bound
+    once per compile; ``rank`` is ``replica · P + actor``.  ``inputs``:
+    ``(flat index, ((replica, rank, uid), ...), nbytes, split)`` per
+    placed input (a ``split`` batch leaf sends each replica its shard
+    along the microbatch-size axis; ``nbytes`` is per shard).
+    ``constants``: ``(rank, uid, (value, nbytes, True, True))``.
+    ``outputs``: ``compiled.output_sources`` with a constant the program
+    returns unchanged as a ``("literal", value)``: the rest of a
+    ``("buffer", rank, uid)`` a rank produced."""
+
+    inputs: list
+    constants: list
+    outputs: list
+
+    @classmethod
+    def bind(cls, compiled: CompiledStep, flat: list, P: int) -> "_Plan":
+        dp = compiled.dp_size
+        inputs = []
+        for k, placements in enumerate(compiled.input_placements):
+            if placements:
+                split = dp > 1 and k in compiled.batch_input_indices
+                targets = tuple((replica, replica * P + actor, uid)
+                                for replica in range(dp) for actor, uid in placements)
+                nbytes = abstractify(flat[k]).nbytes // (dp if split else 1)
+                inputs.append((k, targets, nbytes, split))
+        constants = [
+            (replica * P + actor, uid, (np.asarray(lit.value), lit.aval.nbytes, True, True))
+            for actor, uid, lit in compiled.literal_placements
+            for replica in range(dp)
+        ]
+        fixed = {(rank, uid): entry[0] for rank, uid, entry in constants}
+        outputs = [("literal", fixed[src[1:]]) if src[0] == "buffer" and src[1:] in fixed
+                   else src for src in compiled.output_sources]
+        return cls(inputs, constants, outputs)

@@ -191,15 +191,6 @@ class TimelineEvent:
     nbytes: int = 0
     meta: dict = dataclasses.field(default_factory=dict)
 
-    def __reduce__(self):
-        # positional: an mp worker's report carries hundreds of events,
-        # and the default per-instance state dict doubles their pickle cost
-        return (
-            TimelineEvent,
-            (self.actor, self.kind, self.name, self.start, self.end,
-             self.nbytes, self.meta),
-        )
-
 
 @dataclasses.dataclass
 class WaitStat:
@@ -235,7 +226,8 @@ class ExecutionResult:
 
     Attributes:
         makespan: virtual completion time (max over actors).
-        timeline: all recorded events (sorted by start).
+        timeline: all recorded events (sorted by start); an
+            ``engine="mp"`` result builds it on first read.
         actor_finish: per-actor completion times.
         p2p_bytes: total bytes moved point-to-point.
         p2p_count: number of point-to-point transfers.
@@ -885,8 +877,6 @@ class MpmdExecutor:
             (its watchdog / shm settings apply).  Without one, every
             :meth:`execute` runs on a default pool of its own that lives
             for that call — a cold start each time.
-        mp_program_key: advisory cache-key prefix for the pool's
-            worker-side program cache (diagnostics only).
     """
 
     def __init__(
@@ -896,7 +886,6 @@ class MpmdExecutor:
         comm_mode: CommMode = CommMode.ASYNC,
         engine: str = "event",
         mp_pool: Any = None,
-        mp_program_key: str | None = None,
     ):
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -918,7 +907,6 @@ class MpmdExecutor:
         self.comm_mode = comm_mode
         self.engine = engine
         self.mp_pool = mp_pool
-        self.mp_program_key = mp_program_key
         self.stores = [ObjectStore(i) for i in range(n_actors)]
 
     # -- store management (driver-facing) -------------------------------------
@@ -934,24 +922,6 @@ class MpmdExecutor:
     def fetch(self, actor: int, ref: BufferRef) -> Any:
         """Read a buffer's payload from an actor."""
         return self.stores[actor].get(ref).value
-
-    def delete(self, actor: int, ref: BufferRef) -> None:
-        """Driver-side delete (used between steps for retired state)."""
-        store = self.stores[actor]
-        buf = store.get(ref)
-        buf.pinned = False
-        store.delete(ref)
-
-    def rename(self, actor: int, src: BufferRef, dst: BufferRef) -> None:
-        """Move a buffer to a new uid without copying (state hand-over
-        between training steps)."""
-        store = self.stores[actor]
-        buf = store.get(src)
-        pinned = buf.pinned
-        buf.pinned = False
-        value, nbytes = buf.value, buf.nbytes
-        store.delete(src)
-        store.put(dst, value, nbytes, pinned=pinned)
 
     # -- execution --------------------------------------------------------------
     def execute(
@@ -1019,13 +989,18 @@ class MpmdExecutor:
     def _execute_on(self, pool, programs) -> ExecutionResult:
         """Submit to the process mesh and wait: the one-step one-result
         contract of :meth:`execute` on a runtime that streams steps."""
-        future = pool.submit(
-            programs,
-            self.stores,
-            comm_mode=self.comm_mode,
-            program_key=self.mp_program_key,
-        )
-        return future.result()
+        inputs = [
+            {uid: (b.value, b.nbytes, b.pinned, b.constant) for uid, b in s._buffers.items()}
+            for s in self.stores
+        ]
+        future = pool.submit(programs, inputs, comm_mode=self.comm_mode)
+        result = future.result()
+        for store, outputs, peak in zip(self.stores, future.outputs, future.peak_bytes):
+            for uid, (value, nbytes, pinned) in outputs.items():
+                if BufferRef(uid) not in store:
+                    store.put(BufferRef(uid), value, nbytes, pinned=pinned)
+            store.peak_bytes = max(store.peak_bytes, peak)
+        return result
 
     # -- scheduling loops --------------------------------------------------------
     def _drive_event(

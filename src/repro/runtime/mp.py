@@ -145,7 +145,8 @@ Watchdog reports
 
 The merged :class:`~repro.runtime.executor.ExecutionResult`
 (:func:`_merge_results`) carries the real wall-clock timeline
-(per-instruction intervals with their stage / unit ``meta``), the
+(per-instruction intervals with their stage / unit ``meta``; a rank
+reports plain tuples and the driver builds the events on first read), the
 per-resource wait profile, per-actor finish times, and summed scheduler
 counters — exactly the shape
 :meth:`CostModel.from_result <repro.core.autotune.CostModel.from_result>`
@@ -711,7 +712,9 @@ class _Worker:
 
         self.pending_by_src: dict[int, deque[Recv]] = {}
         self.pending_uid_src: dict[str, int] = {}
-        self.timeline: list[TimelineEvent] = []
+        #: ``(actor, kind, name, start, end, nbytes, pc)`` per event, in
+        #: start order; the driver makes the events (:class:`_PackedResult`)
+        self.timeline: list[tuple] = []
         self.wait_profile: dict[str, WaitStat] = {}
         self.visits = 0
         self.p2p_bytes = 0
@@ -786,9 +789,7 @@ class _Worker:
             self.p2p_bytes += nbytes
             self.p2p_count += 1
             end = self.now()
-            self.timeline.append(
-                TimelineEvent(self.rank, "recv", key, t0, end, nbytes)
-            )
+            self.timeline.append((self.rank, "recv", key, t0, end, nbytes, self.pc))
             if self.comm_mode is CommMode.SYNC:
                 self.peers[src].put((("ack", self.rank), key))
             if until_uid is None or rec.ref.uid == until_uid:
@@ -881,12 +882,7 @@ class _Worker:
         else:
             for ref, nb in zip(instr.out_refs, out_nbytes):
                 self.store.put(ref, None, nb)
-        end = self.now()
-        self.timeline.append(
-            TimelineEvent(
-                self.rank, "task", instr.name, start, end, meta=dict(instr.meta)
-            )
-        )
+        self.timeline.append((self.rank, "task", instr.name, start, self.now(), 0, self.pc))
 
     def exec_send(self, instr: Send) -> None:
         self.require(instr.ref)
@@ -901,9 +897,7 @@ class _Worker:
              (instr.key, self.slab(instr.dst, instr.key, buf.value, buf.nbytes)))
         )
         self.timeline.append(
-            TimelineEvent(
-                self.rank, "send", instr.key, start, self.now(), buf.nbytes
-            )
+            (self.rank, "send", instr.key, start, self.now(), buf.nbytes, self.pc)
         )
         if self.comm_mode is CommMode.SYNC:
             with self.blocking(
@@ -931,9 +925,7 @@ class _Worker:
         start = self.now()
         for acc, value in instr.pairs:
             self.store.accumulate(acc, value, instr.delete_value)
-        self.timeline.append(
-            TimelineEvent(self.rank, "accum", instr.name, start, start)
-        )
+        self.timeline.append((self.rank, "accum", instr.name, start, start, 0, self.pc))
 
     def exec_allreduce(self, instr: AllReduce) -> None:
         """A reduce at the group's lowest rank, its own rendezvous
@@ -960,9 +952,7 @@ class _Worker:
                 # one slab per member: a slot belongs to one channel
                 self.peers[r].put((collres, self.slab(r, key, total, buf.nbytes)))
             self.timeline.append(
-                TimelineEvent(
-                    root, "allreduce", key, start, self.now(), buf.nbytes
-                )
+                (root, "allreduce", key, start, self.now(), buf.nbytes, self.pc)
             )
         else:
             self.peers[root].put((gather, self.slab(root, key, buf.value, buf.nbytes)))
@@ -1070,25 +1060,16 @@ def _reclaim_in_flight(conns: Sequence[Any]) -> None:
             pos += n
 
 
-def _merge_results(
-    results: dict[int, dict], stores: Sequence[ObjectStore], n: int
-) -> ExecutionResult:
-    """Merge per-worker reports into one :class:`ExecutionResult`.
-
-    New live buffers (each report's ``"buffers"``, already decoded by
-    the driver loop that received it) and the peak-memory statistic land
-    back in the driver-side ``stores``; the wall-clock timeline is
-    rebased to the first executed instruction.
-    :class:`~repro.runtime.pool.ActorPool` calls this once per completed
-    submission.
-    """
-    timeline: list[TimelineEvent] = []
-    wait_profile: dict[str, WaitStat] = {}
+def _merge_results(results: dict[int, dict], programs, n: int) -> ExecutionResult:
+    """Merge one submission's per-worker reports: counters and wait
+    profiles summed, each rank's packed events kept for
+    :class:`_PackedResult`."""
+    events, wait_profile = [], {}
     actor_finish = [0.0] * n
     visits = p2p_bytes = p2p_count = 0
     for rank in range(n):
         res = results[rank]
-        timeline.extend(res["timeline"])
+        events.append(res["timeline"])
         actor_finish[rank] = res["finish"]
         visits += res["visits"]
         p2p_bytes += res["p2p_bytes"]
@@ -1099,29 +1080,17 @@ def _merge_results(
             agg.total += stat.total
             for r, t in stat.by_rank.items():
                 agg.by_rank[r] = agg.by_rank.get(r, 0.0) + t
-        store = stores[rank]
-        for uid, (value, nbytes, pinned) in res["buffers"].items():
-            ref = BufferRef(uid)
-            if ref not in store:
-                store.put(ref, value, nbytes, pinned=pinned)
-        store.peak_bytes = max(store.peak_bytes, res["peak_bytes"])
 
     # rebase to the first executed instruction: what precedes it (the
     # command's pipe hop and decode; on a fresh pool spawn + import,
     # hundreds of ms per worker) is driver overhead, not part of the
     # program's measured makespan — callers timing the whole dispatch
-    # still see it on their own wall clock
-    t0 = min((e.start for e in timeline), default=0.0)
-    if t0 > 0.0:
-        for e in timeline:
-            e.start -= t0
-            e.end -= t0
-        actor_finish = [max(0.0, t - t0) for t in actor_finish]
-
-    timeline.sort(key=lambda e: (e.start, e.actor, e.end, e.kind, e.name))
-    return ExecutionResult(
+    # still see it on their own wall clock.  A rank records in start order
+    t0 = max(0.0, min((ev[0][3] for ev in events if ev), default=0.0))
+    actor_finish = [max(0.0, t - t0) for t in actor_finish] if t0 else actor_finish
+    result = _PackedResult(
         makespan=max(actor_finish) if actor_finish else 0.0,
-        timeline=timeline,
+        timeline=None,
         actor_finish=actor_finish,
         p2p_bytes=p2p_bytes,
         p2p_count=p2p_count,
@@ -1130,6 +1099,31 @@ def _merge_results(
         repolls=0,
         wait_profile=wait_profile,
     )
+    result._packed = (events, programs, t0)
+    return result
+
+
+class _PackedResult(ExecutionResult):
+    """An ``engine="mp"`` result whose :attr:`timeline` is built on first
+    read: rebased, a task's ``meta`` copied from its instruction, sorted
+    as the in-process engines sort."""
+
+    @property
+    def timeline(self) -> list[TimelineEvent]:
+        if self._timeline is None:
+            events, programs, t0 = self._packed
+            self._timeline = [
+                TimelineEvent(actor, kind, name, start - t0, end - t0, nbytes,
+                              dict(program[pc].meta) if kind == "task" else {})
+                for program, packed in zip(programs, events)
+                for actor, kind, name, start, end, nbytes, pc in packed
+            ]
+            self._timeline.sort(key=lambda e: (e.start, e.actor, e.end, e.kind, e.name))
+        return self._timeline
+
+    @timeline.setter
+    def timeline(self, events) -> None:
+        self._timeline = events
 
 
 def _deadlock_error(stuck_ranks, all_ranks, states, pcs, watchdog_s) -> DeadlockError:

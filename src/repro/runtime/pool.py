@@ -23,11 +23,12 @@ inbox routing, the shared-memory transport) is :mod:`repro.runtime.mp`.
   re-faulting them every task (:func:`_spawn_defaults`; a variable the
   user set wins, and the driver keeps the user's allocator).
 
-- **Ship once.**  A program set — with its compile-time constants — is
-  pickled to the workers a single time and cached worker-side under a
-  program key; every later submission of the same programs sends only
-  the key (:attr:`ship_count` counts actual shipments, so tests can
-  assert the cache hit).  Many independent compiled steps multiplex one
+- **Ship once.**  A program set — with its compile-time constants, the
+  inputs its first :meth:`submit` marks ``constant`` — is pickled to the
+  workers a single time and cached worker-side under a program key;
+  every later submission of the same programs sends only the key and
+  none of those inputs (:attr:`ship_count` counts actual shipments, so
+  tests can assert the cache hit).  Many independent compiled steps multiplex one
   warm mesh.  The pickling happens inside the first :meth:`submit`, so a
   program that is not pickle-clean raises there and the pool lives on.
 
@@ -57,9 +58,11 @@ inbox routing, the shared-memory transport) is :mod:`repro.runtime.mp`.
   :attr:`resident_misses`, :attr:`input_bytes` and :attr:`held` count
   what the cache did.
 
-- **Step stream.**  :meth:`submit` enqueues a step — per-rank input
-  buffers, the program key and the run's ``comm_mode`` — and returns a
-  :class:`PoolFuture` immediately.  Workers execute submissions in FIFO
+- **Step stream.**  :meth:`submit` enqueues a step — one mapping of
+  placed inputs per rank, walked once (no driver-side object store),
+  the program key and the run's ``comm_mode`` — and returns a
+  :class:`PoolFuture` immediately; the finished future holds each
+  rank's outputs.  Workers execute submissions in FIFO
   order but are not barrier-synchronised across ranks: rank 0 can start
   step N+1's program (warmup) while rank P-1 is still finishing step N
   (cooldown), because cross-step messages queue behind cross-rank FIFO
@@ -112,7 +115,7 @@ import traceback
 import weakref
 from collections import deque
 from multiprocessing.connection import wait as _wait
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import multiprocessing as _mp
 
@@ -126,7 +129,7 @@ from repro.runtime.executor import (
     WorkerDiedError,
     WorkerTaskError,
 )
-from repro.runtime.instructions import BufferRef, Instruction
+from repro.runtime.instructions import Instruction
 from repro.runtime.mp import (
     DEFAULT_SHM_THRESHOLD,
     DEFAULT_WATCHDOG_S,
@@ -147,7 +150,7 @@ from repro.runtime.mp import (
     _reclaim_segments,
     _release_slots,
 )
-from repro.runtime.store import ObjectStore, RemoteArray
+from repro.runtime.store import RemoteArray
 
 __all__ = ["ActorPool", "PoolFuture"]
 
@@ -329,13 +332,16 @@ class PoolFuture:
 
     ``result()`` blocks for the merged
     :class:`~repro.runtime.executor.ExecutionResult` (or re-raises the
-    submission's failure).  ``stores`` are the driver-side object stores
-    the result's new buffers were merged into.
+    submission's failure).  Once it succeeded, ``outputs[rank]`` is what
+    rank produced, ``uid -> (value, nbytes, pinned)`` with every array a
+    :class:`~repro.runtime.store.RemoteArray`, and ``peak_bytes[rank]``
+    its store's peak (``None`` before).
     """
 
-    def __init__(self, sub_id: int, stores: Sequence[ObjectStore]):
+    def __init__(self, sub_id: int):
         self.sub_id = sub_id
-        self.stores = stores
+        self.outputs: list[dict] | None = None
+        self.peak_bytes: list[int] | None = None
         self._event = threading.Event()
         self._result: ExecutionResult | None = None
         self._exc: BaseException | None = None
@@ -369,11 +375,11 @@ class PoolFuture:
 
 
 class _Submission:
-    __slots__ = ("sid", "stores", "future", "results")
+    __slots__ = ("sid", "programs", "future", "results")
 
-    def __init__(self, sid: int, stores, future: PoolFuture):
+    def __init__(self, sid: int, programs, future: PoolFuture):
         self.sid = sid
-        self.stores = stores
+        self.programs = programs
         self.future = future
         self.results: dict[int, dict] = {}
 
@@ -728,7 +734,7 @@ class ActorPool:
     def submit(
         self,
         programs: Sequence[Sequence[Instruction]],
-        stores: Sequence[ObjectStore] | None = None,
+        inputs: Sequence[Mapping[str, tuple]],
         *,
         comm_mode: CommMode = CommMode.ASYNC,
         program_key: str | None = None,
@@ -739,12 +745,10 @@ class ActorPool:
             programs: one instruction stream per rank.  The same *object*
                 submitted again hits the worker-side program cache (no
                 re-pickle); distinct objects are shipped under fresh keys.
-            stores: driver-side object stores holding the placed inputs
-                (fresh ones are created when omitted — read them back via
-                ``future.stores``).  New live buffers merge into them when
-                the step completes.
-                Buffers placed as ``constant`` belong to the programs,
-                not the step: the values present the first time this
+            inputs: per rank, ``uid -> (value, nbytes, pinned, constant)``
+                of the buffers placed there (the run's outputs come back
+                in ``future.outputs``).  A ``constant`` belongs to the
+                programs, not the step: those present the first time this
                 ``programs`` object is submitted travel with the ship
                 message, and no ``run`` command carries those uids again.
             comm_mode: point-to-point semantics of this step's run.
@@ -755,32 +759,45 @@ class ActorPool:
             RuntimeError: the pool is shut down or died (worker crash,
                 deadlock, protocol error — the cause is embedded).
         """
-        if len(programs) != self.n_actors:
-            raise ValueError(
-                f"expected {self.n_actors} programs, got {len(programs)}"
-            )
-        # a value held by another rank, or by another pool, comes here
-        # first, outside the lock: the rank's answer is read by the driver
-        # thread, which takes the lock to merge a finished submission
-        for rank, store in enumerate(stores or ()):
-            for uid in store.live_refs():
-                value = store.get(BufferRef(uid)).value
-                if (type(value) is RemoteArray and value._value is None
-                        and not self._holds(value, rank)):
-                    np.asarray(value)
+        n = self.n_actors
+        if len(programs) != n or len(inputs) != n:
+            raise ValueError(f"expected {n} programs and input mappings, got "
+                             f"{len(programs)} and {len(inputs)}")
+        entry = self._program_keys.get(id(programs))
+        shipped = None if entry is None else entry[2]
+        # one walk over the inputs, outside the lock: a value held by
+        # another rank or pool is pulled here (the driver thread reads the
+        # answer and takes the lock to finish a submission).  Whether a
+        # handle that came home is still held depends on the sid below
+        plans, consts = [], [{} for _ in range(n)]
+        for rank, placed in enumerate(inputs):
+            values, refs, home, pulled = {}, {}, [], []
+            for uid, (value, nbytes, pinned, constant) in placed.items():
+                if constant:
+                    if shipped is None:
+                        consts[rank][uid] = (value, nbytes)
+                        continue
+                    if uid in shipped[rank]:
+                        continue  # the worker has it since the ship
+                if type(value) is RemoteArray:
+                    gen = value._source
+                    if gen.rank == rank and gen.pool() is self:
+                        if value._kept:
+                            refs[uid] = ((gen.sid, value.uid), nbytes, pinned)
+                        else:
+                            home.append((uid, value, nbytes, pinned))
+                        continue
+                    pulled.append((gen, value.uid))
+                    value = np.asarray(value)
+                values[uid] = (value, nbytes, pinned)
+            plans.append((values, refs, home, pulled))
         with self._lock:
             self._check_accepting()
-            if stores is None:
-                stores = [ObjectStore(i) for i in range(self.n_actors)]
-            elif len(stores) != self.n_actors:
-                raise ValueError(
-                    f"expected {self.n_actors} stores, got {len(stores)}"
-                )
-            key, constants = self._ensure_shipped(programs, program_key, stores)
+            key, shipped = self._ensure_shipped(programs, program_key, consts)
             sid = self._next_sid
             self._next_sid += 1
-            future = PoolFuture(sid, stores)
-            self._subs[sid] = _Submission(sid, stores, future)
+            future = PoolFuture(sid)
+            self._subs[sid] = _Submission(sid, programs, future)
             self.submit_count += 1
             self._last_progress = time.monotonic()
             epoch = time.monotonic()
@@ -789,47 +806,35 @@ class ActorPool:
             # submission sid - 1 (that one's outputs are the "previous
             # generation": what the traffic below says about them decides
             # which of this run's outputs stay on the rank)
-            plans, passed, shipped = [], [set() for _ in stores], set()
-            for rank, store in enumerate(stores):
-                values, refs = {}, {}
-                for uid in store.live_refs():
-                    if uid in constants[rank]:
-                        continue  # the worker has it since the ship
-                    buf = store.get(BufferRef(uid))
-                    value = buf.value
-                    if type(value) is RemoteArray:
-                        gen = value._source
-                        if self._holds(value, rank) and (value._kept or gen.sid == sid - 1):
-                            refs[uid] = ((gen.sid, value.uid), buf.nbytes, buf.pinned)
-                            if gen.sid == sid - 1:
-                                passed[rank].add(value.uid)
-                            continue
-                        self.resident_misses += 1
-                        if gen.pool() is self and gen.sid == sid - 1:
-                            shipped.add((gen.rank, value.uid))
-                        value = np.asarray(value)
-                    values[uid] = (value, buf.nbytes, buf.pinned)
-                plans.append((values, refs))
-            for rank, (values, refs) in enumerate(plans):
+            prev = sid - 1
+            by_value = {(gen.rank, uid) for plan in plans for gen, uid in plan[3]
+                        if gen.sid == prev and gen.pool() is self}
+            for rank, (values, refs, home, pulled) in enumerate(plans):
+                for uid in consts[rank].keys() - shipped[rank]:  # shipped by another thread
+                    values[uid] = (*consts[rank][uid], True)
+                misses = len(pulled)
+                for uid, value, nbytes, pinned in home:
+                    if value._source.sid == prev:
+                        refs[uid] = ((prev, value.uid), nbytes, pinned)
+                    else:
+                        misses += 1
+                        values[uid] = (value._value, nbytes, pinned)
                 chan = self._cmd[rank]
                 chan.slots.begin()
                 enc = _encode_buffers(values, self.shm_threshold, chan.slots)
                 self.resident_hits += len(refs)
+                self.resident_misses += misses
                 self.input_bytes += enc.nbytes
                 # an output stays on the rank when its previous generation
                 # came back to this rank by reference and to no rank by value
-                keep = frozenset(u for u in passed[rank] if (rank, u) not in shipped)
+                keep = frozenset(u for (s, u), _, _ in refs.values()
+                                 if s == prev and (rank, u) not in by_value)
                 chan.put(
                     (_CMD,
                      _Run(sid, key, enc, refs, comm_mode, self.shm_threshold, epoch,
                           keep, self._take_released(rank)))
                 )
         return future
-
-    def _holds(self, handle: RemoteArray, rank: int) -> bool:
-        """Whether ``handle``'s value came from ``rank`` of this pool."""
-        gen = handle._source
-        return gen.rank == rank and gen.pool() is self
 
     def _take_released(self, rank: int) -> tuple:
         released, out = self._released[rank], []
@@ -845,10 +850,11 @@ class ActorPool:
         if self._closing or self._closed:
             raise RuntimeError("ActorPool is shut down; spawn a new pool")
 
-    def _ensure_shipped(self, programs, program_key: str | None, stores):
-        """Ship ``programs`` — with the constants placed in ``stores`` —
-        to every worker unless already cached there.  Returns the cache
-        key and, per rank, the uids that went with the ship.
+    def _ensure_shipped(self, programs, program_key: str | None, consts):
+        """Ship ``programs`` — with the constants ``consts[rank]``, uid ->
+        (value, nbytes) — to every worker unless already cached there.
+        Returns the cache key and, per rank, the uids that went with the
+        ship.
 
         Every rank's :class:`_Ship` is pickled before any of them is
         sent: a program that is not pickle-clean raises here with no
@@ -859,13 +865,10 @@ class ActorPool:
             return entry[0], entry[2]
         base = "prog" if program_key is None else str(program_key)
         key = f"{base}#{self.ship_count}"
-        shipped, blobs = [], []
-        for rank, store in enumerate(stores):
-            held = ((uid, store.get(BufferRef(uid))) for uid in store.live_refs())
-            consts = {uid: (b.value, b.nbytes) for uid, b in held if b.constant}
-            shipped.append(frozenset(consts))
+        blobs = []
+        for rank, mine in enumerate(consts):
             try:
-                blobs.append(pickle.dumps(_Ship(key, list(programs[rank]), consts)))
+                blobs.append(pickle.dumps(_Ship(key, list(programs[rank]), mine)))
             except Exception as e:
                 raise TypeError(
                     f"engine='mp' could not ship actor {rank}'s program to a "
@@ -874,6 +877,7 @@ class ActorPool:
                 ) from e
         for chan, blob in zip(self._cmd, blobs):
             chan.put((_CMD, blob))
+        shipped = [frozenset(mine) for mine in consts]
         # the strong reference pins the object so its id stays unique
         self._program_keys[pid] = (key, programs, shipped)
         self.ship_count += 1
@@ -979,16 +983,18 @@ class ActorPool:
                     if len(sub.results) == self.n_actors:
                         completed = self._subs.pop(sid)
             if completed is not None:
+                results, future = completed.results, completed.future
                 try:
-                    merged = _merge_results(
-                        completed.results, completed.stores, self.n_actors
-                    )
+                    merged = _merge_results(results, completed.programs, self.n_actors)
                 except BaseException as e:
                     self._fail(e)
                     # out of ``_subs`` already, so ``_fail`` did not finish it
-                    completed.future._finish(exc=e)
+                    future._finish(exc=e)
                     return True
-                completed.future._finish(result=merged)
+                reports = [results[r] for r in range(self.n_actors)]
+                future.outputs = [r["buffers"] for r in reports]
+                future.peak_bytes = [r["peak_bytes"] for r in reports]
+                future._finish(result=merged)
         elif kind == "error":
             _, rank, pc, err_kind, text, task, instruction = inner
             if err_kind == "mismatch":

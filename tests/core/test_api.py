@@ -80,8 +80,9 @@ class TestStepFunctionCaching:
         step(params, batch)
         first = step.compiled
         placed = [k for k, p in enumerate(first.input_placements) if p]
-        assert placed and sorted(step._input_nbytes) == placed
-        assert step._input_nbytes[placed[0]] == 4 * 4 * 4  # w0: 4x4 float32
+        sizes = {k: nbytes for k, _, nbytes, _ in step._plan.inputs}
+        assert placed and sorted(sizes) == placed
+        assert sizes[placed[0]] == 4 * 4 * 4  # w0: 4x4 float32
         # same shapes and dtypes in fresh arrays: no recompile
         step({k: v.copy() for k, v in params.items()}, tuple(b.copy() for b in batch))
         assert step.compiled is first

@@ -61,7 +61,6 @@ from repro.runtime.mp import (
     _release_slots,
 )
 from repro.runtime.pool import _pipe
-from repro.runtime.store import ObjectStore
 from tests.core.test_linear_backend import assert_bit_identical, make_problem
 from tests.runtime.test_mp_pool_lifecycle import _settle_to, _shm_count
 
@@ -134,12 +133,13 @@ def _flood_programs():
                 fn=_checksum, meta={"out_nbytes": [8 * len(names)]}),
         Send(BufferRef("reply"), dst=0, key="reply"),
     ]
-    stores = [ObjectStore(0), ObjectStore(1)]
     fills = [-1.0, *map(float, range(N_FLOOD)), -2.0]
-    for n, s, fill in zip(names, sizes, fills):
-        stores[0].put(BufferRef(n), np.full(s // 4, fill, np.float32), s)
-    stores[1].put(BufferRef("x"), np.zeros(4, np.float32), 16)
-    return [p0, p1], stores, np.array(fills)
+    inputs = [
+        {n: (np.full(s // 4, fill, np.float32), s, False, False)
+         for n, s, fill in zip(names, sizes, fills)},
+        {"x": (np.zeros(4, np.float32), 16, False, False)},
+    ]
+    return [p0, p1], inputs, np.array(fills)
 
 
 class TestNeverBlocks:
@@ -207,7 +207,12 @@ class TestNeverBlocks:
             for t in threads:
                 t.join(timeout=30)
                 assert not t.is_alive()
-            assert nxt == [n_each] * n_writers and not chan._backlog
+            assert nxt == [n_each] * n_writers
+            # a writer pops a frame only after its write returned, so the
+            # reader can hold the last frame while the flusher still lists
+            # it: the lock waits that write-and-pop out
+            with chan._lock:
+                assert not chan._backlog
         finally:
             sys.setswitchinterval(old)
             chan.close()
@@ -238,11 +243,12 @@ class TestNeverBlocks:
         before the receiver's task ends (it did not wait for pipe space);
         in both modes the step completes and every message arrives in
         order (the pairwise key check would raise otherwise)."""
-        programs, stores, fills = _flood_programs()
+        programs, inputs, fills = _flood_programs()
         pool = ActorPool(2, watchdog_s=WATCHDOG_S, shm_threshold=1 << 30)
         try:
-            res = pool.submit(programs, stores, comm_mode=mode).result(timeout=60)
-            np.testing.assert_array_equal(stores[0].get(BufferRef("out")).value, fills + 1.0)
+            fut = pool.submit(programs, inputs, comm_mode=mode)
+            res = fut.result(timeout=60)
+            np.testing.assert_array_equal(fut.outputs[0]["out"][0], fills + 1.0)
             sends = [e for e in res.timeline if e.kind == "send" and e.actor == 0]
             busy = next(e for e in res.timeline if e.name == "busy")
             assert len(sends) == N_FLOOD + 2
@@ -294,12 +300,10 @@ def _one_rank(fn, nbytes=1 << 20):
     program = [[RunTask("t", [BufferRef("x")], [BufferRef("y")], fn=fn,
                         meta={"out_nbytes": [nbytes]})]]
 
-    def stores():
-        s = ObjectStore(0)
-        s.put(BufferRef("x"), np.zeros(nbytes // 4, np.float32), nbytes)
-        return [s]
+    def inputs():
+        return [{"x": (np.zeros(nbytes // 4, np.float32), nbytes, False, False)}]
 
-    return program, stores
+    return program, inputs
 
 
 _CYCLES_SCRIPT = '''
@@ -351,17 +355,17 @@ class TestNoOrphanedState:
         (the dead rank's pipe takes what fits, the backlog the rest) and
         the future fails with the typed error; once the death is known,
         ``submit`` raises instead."""
-        program, stores = _one_rank(_long_sleep)
+        program, inputs = _one_rank(_long_sleep)
         pool = ActorPool(1, watchdog_s=WATCHDOG_S, shm_threshold=1 << 30)
         try:
-            first = pool.submit(program, stores())
+            first = pool.submit(program, inputs())
             time.sleep(0.5)  # the step is inside its sleep
             with pool._lock:  # the driver thread cannot fail the pool yet
                 os.kill(pool.pids[0], signal.SIGKILL)
                 time.sleep(0.3)  # it has read end-of-file and wants the lock
                 assert not pool.closed
                 t0 = time.monotonic()
-                raced = [pool.submit(program, stores()) for _ in range(2)]
+                raced = [pool.submit(program, inputs()) for _ in range(2)]
                 assert time.monotonic() - t0 < 5.0
             for fut in (first, *raced):
                 exc = fut.exception(timeout=30)
@@ -369,7 +373,7 @@ class TestNoOrphanedState:
                 assert (exc.rank, exc.exitcode) == (0, -signal.SIGKILL)
                 assert "died without reporting" in str(exc)
             with pytest.raises(PoolClosedError, match="ActorPool is dead") as err:
-                pool.submit(program, stores())
+                pool.submit(program, inputs())
             assert isinstance(err.value.__cause__, WorkerDiedError)
         finally:
             pool.shutdown()
@@ -510,23 +514,22 @@ class TestReportThenDie:
         killed at the top of the next, already queued step) still has that
         report merged — end-of-file is acted on only after the pipe is
         drained — and the step it never ran fails with the typed error."""
-        program, stores = _one_rank(_add_one, nbytes=1 << 10)
+        program, inputs = _one_rank(_add_one, nbytes=1 << 10)
         pool = ActorPool(
             1, watchdog_s=WATCHDOG_S, fault_plan=FaultPlan(kill_rank=0, at_step=1)
         )
         baseline = _shm_count()
         try:
-            first, second = stores(), stores()
-            done = pool.submit(program, first)
-            lost = pool.submit(program, second)
+            done = pool.submit(program, inputs())
+            lost = pool.submit(program, inputs())
             done.result(timeout=60)
             np.testing.assert_array_equal(
-                first[0].get(BufferRef("y")).value, np.ones(256, np.float32)
+                done.outputs[0]["y"][0], np.ones(256, np.float32)
             )
             exc = lost.exception(timeout=60)
             assert isinstance(exc, WorkerDiedError)
             assert (exc.rank, exc.exitcode) == (0, KILL_EXIT_CODE)
-            assert BufferRef("y") not in second[0]
+            assert lost.outputs is None
         finally:
             pool.shutdown()
         assert _settle_to(baseline) <= baseline

@@ -294,7 +294,7 @@ class TestChannelContract:
             "price_schedule": lambda kw: price_schedule(core.OneFOneB(2), 2, None, **kw),
             # argument binding fails before the body runs: no pool is spawned
             "ActorPool": lambda kw: ActorPool.__init__(None, 1, **kw),
-            "ActorPool.submit": lambda kw: ActorPool.submit(None, [], **kw),
+            "ActorPool.submit": lambda kw: ActorPool.submit(None, [], [], **kw),
         }
         with pytest.raises(TypeError, match=keyword):
             calls[call]({keyword: True})

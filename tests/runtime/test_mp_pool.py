@@ -31,7 +31,7 @@ HARD_TIMEOUT_S = 300
 #: far above any healthy schedule's silence, far below the SIGALRM cap.
 WATCHDOG_S = 60.0
 
-SUBSET = [s for s in GALLERY if s.name in ("1F1B", "ZB-H1", "Interleaved(v=2)")]
+SUBSET = [s for s in GALLERY if s.name in ("OneFOneB", "ZB-H1", "Interleaved1F1B(v=2)")]
 
 
 @pytest.fixture(autouse=True)
@@ -536,11 +536,12 @@ class TestResidency:
         finally:
             mesh.close()
 
-    def test_constant_loop_output_is_fetched_from_the_driver_store(self):
+    def test_constant_loop_output_is_returned_by_the_plan(self):
         """The gradient of a weight the loss never reads is a compile-time
         constant that is also a step output.  It ships once with the
         program — no ``run`` command carries it — yet the step still
-        returns it, every time."""
+        returns it, every time: the placement plan hands it back as a
+        literal instead of looking for it among the ranks' outputs."""
         r = np.random.RandomState(3)
         batch = tuple(r.randn(4, 6, 8).astype(np.float32) for _ in range(2))
         params = {f"w{i}": (r.randn(8, 8) * 0.3).astype(np.float32) for i in range(2)}
@@ -818,3 +819,139 @@ class TestHandles:
                 assert type(losses) is RemoteArray and not losses._kept
         finally:
             built.mesh.close()
+
+
+class _Counted(tuple):
+    """A placed-input entry that counts how often it is unpacked."""
+
+    def __iter__(self):
+        self.reads = getattr(self, "reads", 0) + 1
+        return super().__iter__()
+
+
+class TestDriverPath:
+    """A warm ``engine="mp"`` step goes from the caller's leaves to the
+    run commands and back with no driver-side store or executor, and
+    holds on to nothing of the call it served.  (dp = 2 on this path:
+    ``TestResidency::test_data_parallel_replicas_receive_values``.)"""
+
+    def _step(self):
+        schedule = core.OneFOneB(2)
+        ts, params, batch = make_problem(2, n_mbs=4)
+        mesh = _mesh(schedule, "mp")
+        return mesh, mesh.distributed(ts, schedule=schedule), params, batch
+
+    def test_warm_step_builds_no_store_or_executor(self, monkeypatch):
+        from repro.runtime import executor, store
+
+        mesh, step, params, batch = self._step()
+        try:
+            state, _ = step(params, batch)
+            built = []
+            for cls in (store.ObjectStore, store.Buffer, executor.MpmdExecutor):
+                init = cls.__init__
+
+                def counted(self, *args, _init=init, **kw):
+                    built.append(type(self).__name__)
+                    _init(self, *args, **kw)
+
+                monkeypatch.setattr(cls, "__init__", counted)
+            for _ in range(3):
+                state, loss = step(state, batch)
+            assert built == []
+            assert np.isfinite(np.asarray(loss)).all()
+        finally:
+            mesh.close()
+
+    def test_dropped_output_handle_dies_after_the_next_call(self):
+        """Neither the step function, its ``last_result`` nor the pool
+        keeps a call's outputs or inputs alive once the caller let go."""
+        import weakref
+
+        mesh, step, params, batch = self._step()
+        try:
+            state, loss = step(params, batch)
+            state, loss = step(state, batch)
+            dropped = [weakref.ref(loss), *(weakref.ref(v) for v in state.values())]
+            assert all(type(r()) is RemoteArray for r in dropped)
+            state, loss = step(state, batch)
+            assert [r() for r in dropped] == [None] * len(dropped)
+        finally:
+            mesh.close()
+
+    def test_submit_reads_each_placed_input_once(self, monkeypatch):
+        """Every entry of the caller's mappings — constants, batch, state
+        by value or as a reference — is unpacked exactly once a step."""
+        from repro.runtime.pool import ActorPool
+
+        submit, seen = ActorPool.submit, []
+
+        def counting(pool, programs, inputs, **kw):
+            inputs = [{uid: _Counted(e) for uid, e in mine.items()} for mine in inputs]
+            seen.append(inputs)
+            return submit(pool, programs, inputs, **kw)
+
+        monkeypatch.setattr(ActorPool, "submit", counting)
+        mesh, step, params, batch = self._step()
+        try:
+            state = params
+            for _ in range(3):  # the ship, state that came home, kept state
+                state, _ = step(state, batch)
+        finally:
+            mesh.close()
+        reads = [[getattr(e, "reads", 0) for mine in inputs for e in mine.values()] for inputs in seen]
+        assert len(reads) == 3 and all(r == [1] * len(r) for r in reads)
+        assert {type(e[0]) for e in seen[-1][0].values()} >= {RemoteArray, np.ndarray}
+
+
+class TestPackedTimeline:
+    """An mp result's timeline, built on first read from the ranks'
+    packed tuples, is the event engine's: the same events, the same
+    order rule, the same replay table and JSON."""
+
+    @pytest.mark.parametrize("schedule", SUBSET, ids=lambda s: s.name)
+    def test_same_events_as_the_event_engine(self, schedule):
+        import json
+
+        from repro.runtime import ExecutionResult
+
+        ts, params, batch = make_problem(4, n_mbs=8)
+        ev = _mesh(schedule, "event").distributed(ts, schedule=schedule, task_backend="linear")
+        ev(params, batch)
+        mesh = _mesh(schedule, "mp")
+        try:
+            step = mesh.distributed(ts, schedule=schedule)
+            step(params, batch)
+            got = step.last_result
+        finally:
+            mesh.close()
+        want = ev.last_result
+
+        def events(result):
+            return sorted(
+                (e.actor, e.kind, e.name, e.nbytes, json.dumps(e.meta, sort_keys=True, default=str))
+                for e in result.timeline
+            )
+
+        timeline = got.timeline
+        assert timeline is got.timeline  # built once
+        assert events(got) == events(want)
+        order = [(e.start, e.actor, e.end, e.kind, e.name) for e in timeline]
+        assert order == sorted(order) and order[0][0] == 0.0
+        assert got.makespan == max(got.actor_finish) >= max(e.end for e in timeline)
+
+        text = got.to_json()
+        assert ExecutionResult.from_json(text).to_json() == text
+
+        def voted(result):
+            return sorted({
+                (e.meta["stage"], e.meta.get("unit", e.meta.get("kind")))
+                for e in result.timeline
+                if e.kind == "task" and "stage" in e.meta
+                and e.meta.get("phase", "loop") == "loop"
+            })
+
+        assert voted(got) == voted(want) != []
+        cost = core.CostModel.from_result(got, schedule.n_stages)
+        assert len(cost.fwd) == len(cost.bwd) == schedule.n_stages
+        assert all(t > 0 for t in (*cost.fwd, *cost.bwd))

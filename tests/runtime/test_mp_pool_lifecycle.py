@@ -32,7 +32,6 @@ from repro.runtime import (
     is_recoverable,
 )
 from repro.runtime.instructions import brief
-from repro.runtime.store import ObjectStore
 from tests.core.test_linear_backend import assert_bit_identical, make_problem
 
 HARD_TIMEOUT_S = 300
@@ -80,12 +79,10 @@ def _one_rank_program(fn):
     ]
 
 
-def _one_rank_stores(value=None):
-    store = ObjectStore(0)
+def _one_rank_inputs(value=None):
     if value is None:
         value = np.arange(8, dtype=np.float32)
-    store.put(BufferRef("x"), value, 32)
-    return [store]
+    return [{"x": (value, 32, False, False)}]
 
 
 def _shm_count() -> int:
@@ -116,9 +113,9 @@ class TestReuse:
         with ActorPool(1, watchdog_s=WATCHDOG_S) as pool:
             progs = _one_rank_program(_double)
             for i in range(5):
-                stores = _one_rank_stores(np.full(8, float(i), np.float32))
-                pool.submit(progs, stores).result(timeout=60)
-                got = stores[0].get(BufferRef("y")).value
+                fut = pool.submit(progs, _one_rank_inputs(np.full(8, float(i), np.float32)))
+                fut.result(timeout=60)
+                got = fut.outputs[0]["y"][0]
                 np.testing.assert_array_equal(got, np.full(8, 2.0 * i))
             assert pool.ship_count == 1
             assert pool.submit_count == 5
@@ -156,7 +153,7 @@ class TestReuse:
         with ActorPool(1, watchdog_s=WATCHDOG_S) as pool:
             progs = _one_rank_program(_sleepy)
             t0 = time.monotonic()
-            futs = [pool.submit(progs, _one_rank_stores()) for _ in range(3)]
+            futs = [pool.submit(progs, _one_rank_inputs()) for _ in range(3)]
             submit_elapsed = time.monotonic() - t0
             assert submit_elapsed < 0.5  # submission never waits on execution
             assert pool.inflight == 3
@@ -172,10 +169,10 @@ class TestWatchdog:
         the next step."""
         with ActorPool(1, watchdog_s=2.0) as pool:
             progs = _one_rank_program(_double)
-            pool.submit(progs, _one_rank_stores()).result(timeout=60)
+            pool.submit(progs, _one_rank_inputs()).result(timeout=60)
             time.sleep(3.0)  # > watchdog_s, zero control traffic
             assert pool.alive()
-            pool.submit(progs, _one_rank_stores()).result(timeout=60)
+            pool.submit(progs, _one_rank_inputs()).result(timeout=60)
             assert pool.alive()
 
     def test_stuck_submission_fails_pending_futures(self):
@@ -187,9 +184,8 @@ class TestWatchdog:
         ]
         pool = ActorPool(2, watchdog_s=3.0)
         try:
-            stores = [ObjectStore(0), ObjectStore(1)]
-            stores[0].put(BufferRef("x"), np.zeros(4, np.float32), 16)
-            fut = pool.submit(progs, stores, comm_mode=CommMode.SYNC)
+            inputs = [{"x": (np.zeros(4, np.float32), 16, False, False)}, {}]
+            fut = pool.submit(progs, inputs, comm_mode=CommMode.SYNC)
             with pytest.raises(DeadlockError) as err:
                 fut.result(timeout=120)
             msg = str(err.value)
@@ -199,7 +195,7 @@ class TestWatchdog:
             assert "program counters" in msg
             assert pool.closed
             with pytest.raises(RuntimeError, match="dead"):
-                pool.submit(progs, [ObjectStore(0), ObjectStore(1)])
+                pool.submit(progs, [{}, {}])
         finally:
             pool.shutdown()
 
@@ -261,8 +257,8 @@ class TestChaos:
         pool = ActorPool(1, watchdog_s=WATCHDOG_S)
         try:
             progs = _one_rank_program(_long_sleep)
-            fut1 = pool.submit(progs, _one_rank_stores())
-            fut2 = pool.submit(progs, _one_rank_stores())
+            fut1 = pool.submit(progs, _one_rank_inputs())
+            fut2 = pool.submit(progs, _one_rank_inputs())
             time.sleep(0.5)  # let the first step start its sleep
             os.kill(pool.pids[0], signal.SIGKILL)
             with pytest.raises(RuntimeError, match="died without reporting"):
@@ -272,7 +268,7 @@ class TestChaos:
             assert "exitcode" in str(exc)
             assert pool.closed and not pool.alive()
             with pytest.raises(RuntimeError, match="dead"):
-                pool.submit(progs, _one_rank_stores())
+                pool.submit(progs, _one_rank_inputs())
         finally:
             pool.shutdown()
 
@@ -290,11 +286,11 @@ class TestChaos:
         pool = ActorPool(1, watchdog_s=WATCHDOG_S)
         try:
             progs = _one_rank_program(_double)
-            fut = pool.submit(progs, _one_rank_stores())
+            fut = pool.submit(progs, _one_rank_inputs())
             with pytest.raises(RuntimeError, match="merge exploded"):
                 fut.result(timeout=30)
             with pytest.raises(PoolClosedError):
-                pool.submit(progs, _one_rank_stores())
+                pool.submit(progs, _one_rank_inputs())
         finally:
             pool.shutdown()
 
@@ -324,7 +320,7 @@ class TestChaos:
         pool = ActorPool(1, watchdog_s=WATCHDOG_S)
         try:
             progs = _one_rank_program(_raise_boom)
-            fut = pool.submit(progs, _one_rank_stores())
+            fut = pool.submit(progs, _one_rank_inputs())
             with pytest.raises(RuntimeError, match="boom") as err:
                 fut.result(timeout=60)
             assert "actor 0 failed at [0]" in str(err.value)
@@ -404,13 +400,13 @@ class TestChaos:
         with ActorPool(1, watchdog_s=WATCHDOG_S) as pool:
             bad = _one_rank_program(lambda vals: [vals[0] * 2.0])
             with pytest.raises(TypeError, match="pickle-clean") as err:
-                pool.submit(bad, _one_rank_stores())
+                pool.submit(bad, _one_rank_inputs())
             assert "actor 0" in str(err.value)
             assert pool.alive() and pool.inflight == 0 and pool.ship_count == 0
-            stores = _one_rank_stores()
-            pool.submit(_one_rank_program(_double), stores).result(timeout=60)
+            fut = pool.submit(_one_rank_program(_double), _one_rank_inputs())
+            fut.result(timeout=60)
             np.testing.assert_array_equal(
-                stores[0].get(BufferRef("y")).value,
+                fut.outputs[0]["y"][0],
                 np.arange(8, dtype=np.float32) * 2.0,
             )
             assert pool.ship_count == 1
@@ -426,20 +422,19 @@ class TestShutdown:
         to completion before the workers exit."""
         pool = ActorPool(1, watchdog_s=WATCHDOG_S)
         progs = _one_rank_program(_sleepy)
-        stores = _one_rank_stores()
-        fut = pool.submit(progs, stores)
+        fut = pool.submit(progs, _one_rank_inputs())
         pool.shutdown()
         res = fut.result(timeout=1.0)  # already merged during shutdown
         assert res.engine == "mp"
         np.testing.assert_array_equal(
-            stores[0].get(BufferRef("y")).value,
+            fut.outputs[0]["y"][0],
             np.arange(8, dtype=np.float32) + 1.0,
         )
 
     def test_shutdown_idempotent_and_context_manager(self):
         pool = ActorPool(1, watchdog_s=WATCHDOG_S)
         with pool:
-            pool.submit(_one_rank_program(_double), _one_rank_stores()).result(
+            pool.submit(_one_rank_program(_double), _one_rank_inputs()).result(
                 timeout=60
             )
         pool.shutdown()  # second call is a no-op
@@ -519,7 +514,7 @@ class TestRespawnHygiene:
         baseline = _shm_count()
         pool = ActorPool(1, watchdog_s=WATCHDOG_S)
         try:
-            fut = pool.submit(_one_rank_program(_long_sleep), _one_rank_stores())
+            fut = pool.submit(_one_rank_program(_long_sleep), _one_rank_inputs())
             # the worker's own unsent transfer, and a driver slab it holds
             for who in ("0", "d"):
                 _new_segment(64, f"{pool._pool_tag}_{who}").close()
