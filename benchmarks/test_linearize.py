@@ -9,11 +9,13 @@ Three execution tiers for the same lowered stage tasks:
   source (PR 7 — dispatch only at guaranteed impl-call sites).
 
 The acceptance gate rides on the *deployed* steady state: a full
-pipeline step with ``task_backend="codegen"`` under whole-actor fusion
-(``codegen_actor=True`` merges every actor's instruction stream into one
-generated driver) must be faster wall-clock than the ``"linear"``
-reference backend on the stock event engine by more than the run's own
-spread, bit-identical outputs included.  The two steps are sampled
+pipeline step with ``task_backend="codegen"`` must be faster wall-clock
+than the ``"linear"`` reference backend on the stock event engine by
+more than the run's own spread, bit-identical outputs included.  Both
+meshes run their warm steps through the same whole-mesh driver (every
+warm ``engine="event"`` call merges every actor's instruction stream
+into one generated function; ``codegen_actor=True`` has no effect), so
+the gate compares the task payloads under one driver; it is unchanged.  The two steps are sampled
 alternately and compared pair by pair: ``median(fused) + 1.5 * IQR <
 median(linear_event)`` in units of the fused step, i.e. ``median(r) -
 1.5 * IQR(r) > 1`` over the paired ratios ``r = linear_event / fused``,
@@ -181,8 +183,8 @@ def test_backend_matrix_and_step_wallclock_floor(results_dir):
     )
 
     # ---- step-level wall-clock: deployed steady state (the floor) -------
-    # linear backend on the stock event engine vs codegen backend with the
-    # whole-actor fused driver — same schedule, same inputs, bit-identical.
+    # linear backend vs codegen backend, warm steps of both through the
+    # whole-mesh driver — same schedule, same inputs, bit-identical.
     mesh_lin = core.RemoteMesh((CFG.n_stages,))
     step_lin = mesh_lin.distributed(train_step, task_backend="linear")
     mesh_cg = core.RemoteMesh((CFG.n_stages,), codegen_actor=True)

@@ -107,9 +107,9 @@ def dump_codegen() -> None:
 
     Shows both fusion layers on a small demo: the per-task source one
     ``CodegenProgram`` exec-compiles from a lowered ``LinearProgram``
-    (``task_backend="codegen"``), and the whole-mesh driver the in-process
-    engine runs under ``codegen_actor=True`` (send/recv pairs collapsed
-    into local rebinds)."""
+    (``task_backend="codegen"``), and the whole-mesh driver every warm
+    ``engine="event"`` step runs (send/recv pairs collapsed into local
+    rebinds)."""
     import numpy as np
 
     from repro import core, ir

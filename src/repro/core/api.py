@@ -85,23 +85,14 @@ class RemoteMesh:
             workers (kill / wedge / drop / delay / corrupt-checkpoint),
             gated on the pool generation so a fault fires exactly once
             even across respawns.  Testing hook; ``None`` costs nothing.
-        codegen_actor: whole-mesh loop fusion (the companion of
-            ``task_backend="codegen"``, which fuses *within* a task):
-            when the whole mesh lives in one process, every actor's
-            instruction stream is merged into ONE exec-compiled driver
-            per compiled step (:func:`repro.runtime.actorgen.fuse_mesh`)
-            — send/recv pairs become local rebinds, so steady-state
-            dispatch is O(task calls), not O(instructions).  The fused
-            driver produces bit-identical values but no virtual-time
-            timeline or wait profile (``step_fn.last_result`` carries a
-            synthetic summary with ``engine="fused"``), so the flag
-            refuses to combine with a ``cost_model``.  On
-            ``engine="mp"`` the flag is accepted and has no effect: every
-            rank runs the worker's one instruction loop.  (The per-rank
-            generated driver it used to select measured no faster — ten
-            alternating pairs of the ``gpt_mid_mp2`` benchmark workload,
-            median ``step_ms`` 59.58 vs 59.54 ref-ms, inside the
-            spread.)
+        codegen_actor: accepted and has no effect on any engine.  Every
+            in-process ``engine="event"`` step after the first of a
+            compiled step runs the whole-mesh driver of
+            :func:`repro.runtime.actorgen.fuse_mesh` (one exec-compiled
+            function, send/recv pairs as local rebinds) and reports the
+            first step's event-engine result, so ``cost_model`` applies
+            on every in-process step; ``engine="mp"`` ranks run the
+            worker's one instruction loop.
     """
 
     def __init__(
@@ -136,13 +127,6 @@ class RemoteMesh:
                 "engine='mp' measures real wall-clock time; virtual cost "
                 "models only apply to the in-process engines"
             )
-        if codegen_actor and cost_model is not None:
-            raise ValueError(
-                "codegen_actor=True fuses away the per-instruction loop, so "
-                "no virtual-time timeline is produced; drop the cost_model "
-                "or the fusion flag"
-            )
-        self.codegen_actor = bool(codegen_actor)
         self.cost_model = cost_model
         self.comm_mode = comm_mode
         self.engine = engine
@@ -223,8 +207,7 @@ class RemoteMesh:
         each task jaxpr lowers once into a slot-indexed
         :class:`~repro.ir.linearize.LinearProgram` and is emitted as
         straight-line Python source, exec-compiled once —
-        :class:`~repro.ir.codegen.CodegenProgram`; pairs with the mesh's
-        ``codegen_actor`` whole-mesh fusion), ``"linear"`` (the slot VM
+        :class:`~repro.ir.codegen.CodegenProgram`), ``"linear"`` (the slot VM
         over the same program; bit-identical, the reference codegen is
         differential-tested against), or ``"interpret"`` (the
         tree-walking reference).
@@ -282,7 +265,10 @@ class StepFunction:
         self.last_result: ExecutionResult | None = None
         self._out_tree = None
         self._shape_key = None
-        self._fused = None  # (compiled, MeshDriver, out_keys) cache
+        # (compiled, ExecutionResult, peaks) of a compiled step's first
+        # event run, and (compiled, MeshDriver) that replays it warm
+        self._record = None
+        self._fused = None
         self._peaks: list[int] | None = None  # per-actor store peaks, last call
 
     # -- compilation -----------------------------------------------------------
@@ -342,11 +328,10 @@ class StepFunction:
         compiled = self.compiled
         assert compiled is not None
 
-        if self.mesh.codegen_actor and self.mesh.engine != "mp":
-            return self._call_fused(compiled, flat)
-
         if self.mesh.engine == "mp":
             return self._call_mp(compiled, flat)
+        if self._record is not None and self._record[0] is compiled:
+            return self._call_fused(compiled, flat)
         executor = MpmdExecutor(
             compiled.n_actors,
             cost_model=self.mesh.cost_model,
@@ -372,6 +357,11 @@ class StepFunction:
         # the peaks, not the executor: its stores would pin this call's
         # inputs and outputs until the next call
         self._peaks = [s.peak_bytes for s in executor.stores]
+        if self.mesh.engine == "event":
+            # besides values, a run depends only on the programs, the
+            # placements, the cost model and the comm mode: warm calls
+            # replay it (a run that raised never gets here)
+            self._record = (compiled, self.last_result, self._peaks)
 
         return self._outputs(compiled.output_sources, flat,
                              lambda actor, uid: executor.fetch(actor, BufferRef(uid)))
@@ -428,44 +418,18 @@ class StepFunction:
             yield (rank, uid), value, nbytes, True
 
     def _call_fused(self, compiled: CompiledStep, flat: list) -> Any:
-        """``codegen_actor=True`` in-process fast path: run the whole mesh's
-        step through one exec-compiled driver (:mod:`repro.runtime.actorgen`),
-        skipping the instruction-level engine entirely."""
-        import time
-
+        """A warm ``engine="event"`` call: the whole mesh's step runs through
+        one exec-compiled driver (:mod:`repro.runtime.actorgen`), built on
+        the first warm call, and reports the recorded event run."""
         from repro.runtime.actorgen import fuse_mesh
 
         placed = {key: value for key, value, _, _ in self._placements(flat)}
-        cached = self._fused
-        if cached is None or cached[0] is not compiled:
-            out_keys = [
-                (src[1], src[2])
-                for src in compiled.output_sources
-                if src[0] == "buffer"
-            ]
-            driver = fuse_mesh(compiled.programs, out_keys, list(placed))
-            cached = self._fused = (compiled, driver, out_keys)
-        _, driver, out_keys = cached
-
-        t0 = time.perf_counter()
-        fetched = driver(placed)
-        wall = time.perf_counter() - t0
-        # synthetic summary: the fused driver trades the virtual-time
-        # timeline for dispatch — makespan here is real wall-clock
-        self.last_result = ExecutionResult(
-            makespan=wall,
-            timeline=[],
-            actor_finish=[wall] * compiled.n_actors,
-            p2p_bytes=driver.p2p_bytes,
-            p2p_count=driver.p2p_count,
-            engine="fused",
-            visits=driver.n_instructions,
-            repolls=0,
-        )
-        self._peaks = None
-
-        it = iter(fetched)
-        return self._outputs(compiled.output_sources, flat, lambda *_: next(it))
+        if self._fused is None or self._fused[0] is not compiled:
+            out_keys = [src[1:] for src in compiled.output_sources if src[0] == "buffer"]
+            self._fused = (compiled, fuse_mesh(compiled.programs, out_keys, list(placed)))
+        fetched = iter(self._fused[1](placed))
+        _, self.last_result, self._peaks = self._record
+        return self._outputs(compiled.output_sources, flat, lambda *_: next(fetched))
 
     # -- diagnostics ------------------------------------------------------------
     @property
@@ -473,11 +437,6 @@ class StepFunction:
         """Peak object-store occupancy of the last call, per actor."""
         if self.last_result is None:
             raise RuntimeError("call the step function first")
-        if self._peaks is None:
-            raise RuntimeError(
-                "codegen_actor=True skips the object stores; peak-memory "
-                "accounting needs an unfused run"
-            )
         return list(self._peaks)
 
     def __repr__(self) -> str:

@@ -67,8 +67,23 @@ _LEAF_DEF = TreeDef(_LEAF)
 _NONE_DEF = TreeDef(_NONE)
 
 
-def _is_namedtuple(x: object) -> bool:
-    return isinstance(x, tuple) and hasattr(type(x), "_fields")
+def _node_kind(cls: type) -> tuple[str, Any]:
+    """``(kind, fields)`` of a node of type ``cls``: every probe is a
+    property of the type, so :data:`_KINDS` caches it per type."""
+    if cls is type(None):
+        return _NONE, None
+    if dataclasses.is_dataclass(cls):
+        return "dataclass", tuple(f.name for f in dataclasses.fields(cls))
+    if issubclass(cls, tuple):
+        return ("namedtuple" if hasattr(cls, "_fields") else "tuple"), None
+    if issubclass(cls, list):
+        return "list", None
+    if issubclass(cls, dict):
+        return "dict", None
+    return _LEAF, None
+
+
+_KINDS: dict[type, tuple[str, Any]] = {}
 
 
 def tree_flatten(tree: Any) -> tuple[list[Any], TreeDef]:
@@ -81,25 +96,24 @@ def _flatten_into(node: Any, leaves: list[Any]) -> TreeDef:
     # a module-level recursion, not a closure over ``leaves``: a local
     # function that calls itself is a reference cycle, which would keep
     # every leaf of every call alive until the cycle collector runs
-    if node is None:
+    cls = type(node)
+    kind = _KINDS.get(cls)
+    if kind is None:
+        kind = _KINDS[cls] = _node_kind(cls)
+    kind, fields = kind
+    if kind is _LEAF:
+        leaves.append(node)
+        return _LEAF_DEF
+    if kind is _NONE:
         return _NONE_DEF
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        fields = tuple(f.name for f in dataclasses.fields(node))
-        kids = tuple(_flatten_into(getattr(node, f), leaves) for f in fields)
-        return TreeDef("dataclass", (type(node), fields), kids)
-    if _is_namedtuple(node):
-        kids = tuple(_flatten_into(c, leaves) for c in node)
-        return TreeDef("namedtuple", type(node), kids)
-    if isinstance(node, tuple):
-        return TreeDef("tuple", None, tuple(_flatten_into(c, leaves) for c in node))
-    if isinstance(node, list):
-        return TreeDef("list", None, tuple(_flatten_into(c, leaves) for c in node))
-    if isinstance(node, dict):
+    if kind == "dict":
         keys = tuple(sorted(node.keys(), key=repr))
-        kids = tuple(_flatten_into(node[k], leaves) for k in keys)
-        return TreeDef("dict", keys, kids)
-    leaves.append(node)
-    return _LEAF_DEF
+        return TreeDef(kind, keys, tuple([_flatten_into(node[k], leaves) for k in keys]))
+    if kind == "dataclass":
+        kids = tuple([_flatten_into(getattr(node, f), leaves) for f in fields])
+        return TreeDef(kind, (cls, fields), kids)
+    kids = tuple([_flatten_into(c, leaves) for c in node])
+    return TreeDef(kind, cls if kind == "namedtuple" else None, kids)
 
 
 def tree_unflatten(treedef: TreeDef, leaves: Iterable[Any]) -> Any:

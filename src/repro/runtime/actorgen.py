@@ -4,11 +4,13 @@ The codegen task backend (:mod:`repro.ir.codegen`) removes per-equation
 dispatch *inside* one stage task; what remains of a steady-state step is
 the engine's instruction loop itself — one Python-level dispatch (plus
 store, arrival and timeline bookkeeping) per instruction per microbatch.
-When the whole mesh lives in one process (``RemoteMesh(codegen_actor=True)``
-on an in-process engine), :func:`fuse_mesh` freezes that loop too, the
-same way the task backend freezes a jaxpr: walk the per-actor instruction
-streams once, emit straight-line Python source, ``exec``-compile it, and
-run the generated driver on every subsequent step.
+When the whole mesh lives in one process, :func:`fuse_mesh` freezes that
+loop too, the same way the task backend freezes a jaxpr: walk the
+per-actor instruction streams once, emit straight-line Python source,
+``exec``-compile it, and run the generated driver on every subsequent
+step: on ``engine="event"``, ``StepFunction`` (:mod:`repro.core.api`)
+runs a compiled step's first call on the event engine and every later
+one through this driver.
 
 All actors' programs are merged into ONE driver function in global
 data-dependency order: a matched send/recv pair collapses into a local
@@ -17,11 +19,13 @@ locals, deletes become ``= None`` and accumulates become
 ``acc = acc + v``.  Steady-state dispatch is O(task calls), and
 point-to-point transfers cost nothing at all.  Values are bit-identical
 to the event engine (same payload callables, same operand objects, same
-all-reduce fold order); what the fused driver deliberately does *not*
-produce is the virtual-time timeline and wait profile — introspection is
-the price of fusion, so the flag refuses to combine with a
-``cost_model``.  The emitted text is kept as ``MeshDriver.source`` for
-inspection, mirroring ``CodegenProgram.source``.
+all-reduce fold order).  The driver itself keeps no timeline, wait
+profile or store peaks: those depend only on the programs, placements,
+cost model and comm mode, so the step function reports the ones its
+first event run recorded.  The emitted text is kept as
+``MeshDriver.source`` and registered with :mod:`linecache`, so a
+traceback through the driver shows the line of the task that raised
+(``# <task name>``), mirroring ``CodegenProgram.source``.
 
 ``engine="mp"`` has no generated driver: every rank runs
 :meth:`repro.runtime.mp._Worker._run_program`.
@@ -29,6 +33,8 @@ inspection, mirroring ``CodegenProgram.source``.
 
 from __future__ import annotations
 
+import itertools
+import linecache
 from typing import Any, Sequence
 
 from repro.runtime.instructions import (
@@ -44,6 +50,8 @@ from repro.runtime.instructions import (
 )
 
 __all__ = ["FusionError", "MeshDriver", "fuse_mesh"]
+
+_fresh = itertools.count()
 
 
 class FusionError(RuntimeError):
@@ -64,22 +72,16 @@ class MeshDriver:
         n_instructions: instructions fused away across all programs.
         n_tasks: RunTask payload calls the driver makes per step.
         p2p_count: send/recv pairs collapsed into local rebinds.
-        p2p_bytes: their total payload bytes (from the compiler's size
-            hints), reported in the synthetic
-            :class:`~repro.runtime.executor.ExecutionResult`.
     """
 
-    __slots__ = (
-        "_fn", "source", "n_instructions", "n_tasks", "p2p_count", "p2p_bytes",
-    )
+    __slots__ = ("_fn", "source", "n_instructions", "n_tasks", "p2p_count")
 
-    def __init__(self, fn, source, n_instructions, n_tasks, p2p_count, p2p_bytes):
+    def __init__(self, fn, source, n_instructions, n_tasks, p2p_count):
         self._fn = fn
         self.source = source
         self.n_instructions = n_instructions
         self.n_tasks = n_tasks
         self.p2p_count = p2p_count
-        self.p2p_bytes = p2p_bytes
 
     def __call__(self, placed: dict) -> list:
         return self._fn(placed)
@@ -176,7 +178,6 @@ def fuse_mesh(
     n_instructions = sum(len(p) for p in programs)
     n_tasks = 0
     p2p_count = 0
-    p2p_bytes = 0
     remaining = n_instructions
     progress = True
     while remaining and progress:
@@ -247,7 +248,6 @@ def fuse_mesh(
                     )
                     avail.add((dst, recv.ref.uid))
                     p2p_count += 1
-                    p2p_bytes += recv.nbytes
                 elif isinstance(instr, Recv):
                     # delivery happens at the paired send; just wait for it
                     if (a, instr.ref.uid) not in avail:
@@ -326,9 +326,10 @@ def fuse_mesh(
     rets = ", ".join(names[key] for key in outputs)
     lines.append(f"    return [{rets}]")
     source = "def _driver(_in):\n" + "\n".join(lines) + "\n"
-    code = compile(source, "<fused-mesh>", "exec")
-    exec(code, env)
-    return MeshDriver(
-        env["_driver"], source, n_instructions, n_tasks, p2p_count, p2p_bytes
+    filename = f"<repro.actorgen:{next(_fresh)}>"
+    exec(compile(source, filename, "exec"), env)
+    linecache.cache[filename] = (
+        len(source), None, source.splitlines(keepends=True), filename,
     )
+    return MeshDriver(env["_driver"], source, n_instructions, n_tasks, p2p_count)
 

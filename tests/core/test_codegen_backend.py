@@ -1,9 +1,9 @@
 """Differential suite: ``task_backend="codegen"`` vs ``"linear"``.
 
 The codegen backend exec-compiles each lowered ``LinearProgram`` into one
-straight-line Python function; the whole-mesh variant
-(``codegen_actor=True`` on an in-process engine) additionally fuses the
-engine's instruction loop into one generated driver.  Both must be
+straight-line Python function; every warm ``engine="event"`` step
+additionally fuses the engine's instruction loop into one generated
+whole-mesh driver.  Both must be
 *bit-identical* to the linear VM — same values, same dtypes — for every
 schedule in the gallery, for data-parallel execution, and through the
 ``engine="mp"`` pool.  Same differential pattern as the
@@ -60,18 +60,22 @@ class TestGalleryEquivalence:
 
     @pytest.mark.parametrize("schedule", GALLERY, ids=lambda s: s.name)
     def test_fused_actor_driver_bit_identical(self, schedule):
-        """codegen_actor=True replaces the event engine's instruction loop
-        with one exec-compiled whole-mesh driver — values must not move."""
+        """A warm call replaces the event engine's instruction loop with one
+        exec-compiled whole-mesh driver — values must not move, and the
+        call reports the first call's event-engine result."""
         ts, params, batch = make_problem(4, n_mbs=8)
         ref = core.RemoteMesh((schedule.n_actors,)).distributed(
             ts, schedule=schedule, task_backend="linear"
         )(params, batch)
-        mesh = core.RemoteMesh((schedule.n_actors,), codegen_actor=True)
+        mesh = core.RemoteMesh((schedule.n_actors,))
         step = mesh.distributed(ts, schedule=schedule, task_backend="codegen")
-        for _ in range(2):  # steady state reuses the cached driver
+        assert_bit_identical(ref, step(params, batch))
+        first = step.last_result
+        for _ in range(2):  # the first warm call builds the driver, then reuses it
             assert_bit_identical(ref, step(params, batch))
-        assert step.last_result.engine == "fused"
-        assert step.last_result.repolls == 0
+            assert step._fused[0] is step.compiled
+        assert step.last_result is first
+        assert first.engine == "event" and first.repolls == 0
 
     def test_data_parallel_bit_identical(self):
         ts, params, batch = make_problem(2, n_mbs=4, mbsz=8)
@@ -90,10 +94,11 @@ class TestGalleryEquivalence:
         ref = core.RemoteMesh((2, 2)).distributed(
             ts, schedule=core.OneFOneB(2), task_backend="linear"
         )(params, batch)
-        step = core.RemoteMesh((2, 2), codegen_actor=True).distributed(
+        step = core.RemoteMesh((2, 2)).distributed(
             ts, schedule=core.OneFOneB(2), task_backend="codegen"
         )
-        assert_bit_identical(ref, step(params, batch))
+        for _ in range(2):  # an event run, then the fused driver
+            assert_bit_identical(ref, step(params, batch))
 
 
 class TestProgramBehaviour:
@@ -287,8 +292,7 @@ class TestMpEngine:
     def test_pool_codegen_actor_accepted_without_effect(self):
         """codegen_actor=True on mp: every rank still runs the worker's
         instruction loop — same values, a per-instruction wall-clock
-        timeline (the in-process fused driver has none) and a plain
-        program key."""
+        timeline and a plain program key."""
         ts, params, batch = make_problem(4, n_mbs=4)
         ref = core.RemoteMesh((4,)).distributed(
             ts, schedule=core.OneFOneB(4), task_backend="linear"
@@ -326,20 +330,30 @@ class TestMpEngine:
             mesh.close()
 
 
-class TestFusionGuards:
-    def test_cost_model_refused(self):
-        from repro.runtime.clock import CostModel
+class TestFusedWarmStep:
+    """``codegen_actor`` selects nothing: a cost model and the store peaks
+    are reported on every in-process step, warm ones included."""
 
-        with pytest.raises(ValueError, match="codegen_actor"):
-            core.RemoteMesh(
-                (2,), codegen_actor=True, cost_model=CostModel()
-            )
+    def test_codegen_actor_accepts_a_cost_model(self):
+        from repro.runtime.clock import LinearCost
 
-    def test_peak_bytes_needs_unfused_run(self):
+        ts, params, batch = make_problem(2, n_mbs=4)
+        mesh = core.RemoteMesh(
+            (2,), codegen_actor=True, cost_model=LinearCost(dispatch=1e-6, p2p_latency=1e-6)
+        )
+        step = mesh.distributed(ts, schedule=core.OneFOneB(2), task_backend="codegen")
+        for _ in range(2):
+            step(params, batch)
+        assert step._fused[0] is step.compiled
+        assert step.last_result.makespan > 0 and step.last_result.timeline
+
+    def test_peak_bytes_on_a_warm_step(self):
         ts, params, batch = make_problem(2, n_mbs=4)
         step = core.RemoteMesh((2,), codegen_actor=True).distributed(
             ts, schedule=core.OneFOneB(2), task_backend="codegen"
         )
         step(params, batch)
-        with pytest.raises(RuntimeError, match="unfused"):
-            step.peak_bytes_per_actor
+        peaks = step.peak_bytes_per_actor
+        step(params, batch)
+        assert step._fused[0] is step.compiled
+        assert step.peak_bytes_per_actor == peaks and min(peaks) > 0

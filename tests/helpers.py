@@ -1,5 +1,7 @@
-"""Shared test helpers: finite-difference gradient checking and the
-static invariants of a compiled step's instruction programs."""
+"""Shared test helpers: finite-difference gradient checking, the static
+invariants of a compiled step's instruction programs, a fresh
+event-engine run of a step's programs, and a count of the executors and
+stores a step builds."""
 
 from __future__ import annotations
 
@@ -8,9 +10,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.ir import tree_flatten, tree_unflatten, value_and_grad
+from repro.runtime import Buffer, MpmdExecutor, ObjectStore
 from repro.runtime.instructions import (
     Accumulate,
     AllReduce,
+    BufferRef,
     Bundled,
     Delete,
     Recv,
@@ -18,7 +22,10 @@ from repro.runtime.instructions import (
     Send,
 )
 
-__all__ = ["numeric_grad", "check_grads", "rng", "check_program", "payload"]
+__all__ = [
+    "numeric_grad", "check_grads", "rng", "check_program", "payload", "event_run",
+    "count_constructions",
+]
 
 
 def rng(seed: int = 0) -> np.random.RandomState:
@@ -78,6 +85,40 @@ def payload(fn):
     """A task's own payload, whether or not it runs behind a ``Bundled``
     adaptor."""
     return fn.fn if isinstance(fn, Bundled) else fn
+
+
+def event_run(step, *args):
+    """Run ``step``'s compiled programs once on a fresh event-engine
+    :class:`MpmdExecutor` under the mesh's cost model and comm mode, with
+    ``args`` placed as ``step`` places them: ``(outputs, result, peaks)``."""
+    compiled, mesh = step.compiled, step.mesh
+    flat, _ = tree_flatten(args)
+    ex = MpmdExecutor(compiled.n_actors, cost_model=mesh.cost_model, comm_mode=mesh.comm_mode)
+    for (actor, uid), value, nbytes, constant in step._placements(flat):
+        ex.place(actor, BufferRef(uid), value, nbytes, pinned=True, constant=constant)
+    ranks = compiled.schedule_ir.initial_ready_ranks() if compiled.schedule_ir else []
+    P = mesh.n_pipeline_actors
+    wake = [replica * P + r for replica in range(compiled.dp_size) for r in ranks]
+    result = ex.execute(compiled.programs, wake_order=wake or None)
+    outputs = step._outputs(
+        compiled.output_sources, flat, lambda actor, uid: ex.fetch(actor, BufferRef(uid))
+    )
+    return outputs, result, [s.peak_bytes for s in ex.stores]
+
+
+def count_constructions(monkeypatch) -> list[str]:
+    """The class names of the ``ObjectStore`` / ``Buffer`` /
+    ``MpmdExecutor`` instances built from now on, in order."""
+    built: list[str] = []
+    for cls in (ObjectStore, Buffer, MpmdExecutor):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, **kw):
+            built.append(type(self).__name__)
+            _init(self, *args, **kw)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
 
 
 #: loop outputs nothing reads (a gradient the update ignores, a

@@ -1,6 +1,7 @@
 """Unit tests for the minimal pytree utilities."""
 
 import collections
+import dataclasses
 import gc
 import weakref
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.ir import tree_flatten, tree_leaves, tree_map, tree_structure, tree_unflatten
+from repro.ir.pytree import TreeDef
 
 Point = collections.namedtuple("Point", ["x", "y"])
 
@@ -94,3 +96,74 @@ class TestStructure:
     def test_structure_equality(self):
         assert tree_structure({"a": 1}) == tree_structure({"a": 99})
         assert tree_structure([1]) != tree_structure((1,))
+
+
+@dataclasses.dataclass
+class State:
+    params: dict
+    step: int
+    extra: object = None
+
+
+class Pair(tuple):
+    pass
+
+
+class Items(list):
+    pass
+
+
+class Table(dict):
+    pass
+
+
+class Marked(np.ndarray):
+    pass
+
+
+def generic_flatten(node, leaves):
+    """The flatten walk with every probe made on the node itself."""
+    if node is None:
+        return TreeDef("none")
+    if dataclasses.is_dataclass(node) and not isinstance(node, type):
+        fields = tuple(f.name for f in dataclasses.fields(node))
+        kids = tuple(generic_flatten(getattr(node, f), leaves) for f in fields)
+        return TreeDef("dataclass", (type(node), fields), kids)
+    if isinstance(node, tuple) and hasattr(type(node), "_fields"):
+        return TreeDef("namedtuple", type(node), tuple(generic_flatten(c, leaves) for c in node))
+    if isinstance(node, tuple):
+        return TreeDef("tuple", None, tuple(generic_flatten(c, leaves) for c in node))
+    if isinstance(node, list):
+        return TreeDef("list", None, tuple(generic_flatten(c, leaves) for c in node))
+    if isinstance(node, dict):
+        keys = tuple(sorted(node.keys(), key=repr))
+        return TreeDef("dict", keys, tuple(generic_flatten(node[k], leaves) for k in keys))
+    leaves.append(node)
+    return TreeDef("leaf")
+
+
+class TestKindCache:
+    def test_same_treedef_and_leaves_as_the_generic_walk(self):
+        """Node kinds are decided once per type; the treedef and the leaf
+        order are those of a walk that probes every node."""
+        marked = np.arange(3.0).view(Marked)
+        tree = (
+            State(
+                params=Table(b=Items([1, None, Pair((2, 3))]), a=Point(marked, {"z": 4})),
+                step=5,
+                extra=[State({}, 6), (), Pair(()), Items(), Table(), None],
+            ),
+            State,  # a dataclass type is a leaf, not a node
+            [np.float32(7), "s"],
+        )
+        for _ in range(2):  # the second walk reads every kind from the cache
+            leaves, td = tree_flatten(tree)
+            want_leaves = []
+            want = generic_flatten(tree, want_leaves)
+            assert td == want and repr(td) == repr(want)
+            assert len(leaves) == len(want_leaves)
+            assert all(a is b for a, b in zip(leaves, want_leaves))
+        assert type(leaves[0]) is Marked
+        out = tree_unflatten(td, leaves)
+        assert isinstance(out[0], State) and isinstance(out[0].params["a"], Point)
+        assert tree_structure(out) == td

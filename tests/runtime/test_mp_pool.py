@@ -25,6 +25,7 @@ from repro.ir import nn, ops, pipeline_yield
 from repro.runtime import CommMode, RemoteArray
 from repro.runtime.pool import _spawn_defaults
 from tests.core.test_linear_backend import GALLERY, assert_bit_identical, make_problem
+from tests.helpers import count_constructions
 
 HARD_TIMEOUT_S = 300
 
@@ -842,20 +843,10 @@ class TestDriverPath:
         return mesh, mesh.distributed(ts, schedule=schedule), params, batch
 
     def test_warm_step_builds_no_store_or_executor(self, monkeypatch):
-        from repro.runtime import executor, store
-
         mesh, step, params, batch = self._step()
         try:
             state, _ = step(params, batch)
-            built = []
-            for cls in (store.ObjectStore, store.Buffer, executor.MpmdExecutor):
-                init = cls.__init__
-
-                def counted(self, *args, _init=init, **kw):
-                    built.append(type(self).__name__)
-                    _init(self, *args, **kw)
-
-                monkeypatch.setattr(cls, "__init__", counted)
+            built = count_constructions(monkeypatch)
             for _ in range(3):
                 state, loss = step(state, batch)
             assert built == []
