@@ -214,7 +214,7 @@ def test_backend_matrix_and_step_wallclock_floor(results_dir):
         f"({t_step_cg * 1e3:.2f} ms vs {t_step_lin * 1e3:.2f} ms)"
     )
 
-    driver = step_cg._fused[1]
+    driver = step_cg._record[4]
     gstats = cg.stats
     record = {
         "model": "mini-GPT 4L/4stages d=32",

@@ -240,6 +240,10 @@ class StepFunction:
         last_result: the :class:`ExecutionResult` (timeline, makespan, P2P
             stats) of the most recent call.
         compiled: the underlying :class:`CompiledStep` after first call.
+
+    On ``engine="event"`` warm calls replay a compiled step's first event
+    run through the fused driver until a recompile or an assignment to
+    ``compiled.programs`` (the list is not watched for in-place edits).
     """
 
     def __init__(
@@ -265,10 +269,9 @@ class StepFunction:
         self.last_result: ExecutionResult | None = None
         self._out_tree = None
         self._shape_key = None
-        # (compiled, ExecutionResult, peaks) of a compiled step's first
-        # event run, and (compiled, MeshDriver) that replays it warm
+        # engine="event": (compiled, programs, ExecutionResult, peaks,
+        # MeshDriver or None until the first warm call) of the first run
         self._record = None
-        self._fused = None
         self._peaks: list[int] | None = None  # per-actor store peaks, last call
 
     # -- compilation -----------------------------------------------------------
@@ -330,8 +333,9 @@ class StepFunction:
 
         if self.mesh.engine == "mp":
             return self._call_mp(compiled, flat)
-        if self._record is not None and self._record[0] is compiled:
-            return self._call_fused(compiled, flat)
+        record = self._record
+        if record and record[0] is compiled and record[1] is compiled.programs:
+            return self._call_fused(record, flat)
         executor = MpmdExecutor(
             compiled.n_actors,
             cost_model=self.mesh.cost_model,
@@ -361,7 +365,7 @@ class StepFunction:
             # besides values, a run depends only on the programs, the
             # placements, the cost model and the comm mode: warm calls
             # replay it (a run that raised never gets here)
-            self._record = (compiled, self.last_result, self._peaks)
+            self._record = (compiled, compiled.programs, self.last_result, self._peaks, None)
 
         return self._outputs(compiled.output_sources, flat,
                              lambda actor, uid: executor.fetch(actor, BufferRef(uid)))
@@ -417,18 +421,19 @@ class StepFunction:
         for rank, uid, (value, nbytes, _, _) in self._plan.constants:
             yield (rank, uid), value, nbytes, True
 
-    def _call_fused(self, compiled: CompiledStep, flat: list) -> Any:
+    def _call_fused(self, record: tuple, flat: list) -> Any:
         """A warm ``engine="event"`` call: the whole mesh's step runs through
         one exec-compiled driver (:mod:`repro.runtime.actorgen`), built on
         the first warm call, and reports the recorded event run."""
         from repro.runtime.actorgen import fuse_mesh
 
+        compiled, programs, self.last_result, self._peaks, driver = record
         placed = {key: value for key, value, _, _ in self._placements(flat)}
-        if self._fused is None or self._fused[0] is not compiled:
+        if driver is None:
             out_keys = [src[1:] for src in compiled.output_sources if src[0] == "buffer"]
-            self._fused = (compiled, fuse_mesh(compiled.programs, out_keys, list(placed)))
-        fetched = iter(self._fused[1](placed))
-        _, self.last_result, self._peaks = self._record
+            driver = fuse_mesh(programs, out_keys, list(placed))
+            self._record = record[:4] + (driver,)
+        fetched = iter(driver(placed))
         return self._outputs(compiled.output_sources, flat, lambda *_: next(fetched))
 
     # -- diagnostics ------------------------------------------------------------

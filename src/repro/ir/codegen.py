@@ -507,13 +507,15 @@ class CodegenProgram:
         code = compile(source, filename, "exec")
         exec(code, env)
         self._fn = env["program"]
-        # make tracebacks into generated code show real source lines
+        # make tracebacks into generated code show real source lines, for
+        # as long as the generated function lives
         linecache.cache[filename] = (
             len(source),
             None,
             source.splitlines(keepends=True),
             filename,
         )
+        weakref.finalize(self._fn, linecache.cache.pop, filename, None)
         self.n_instructions = self.program.n_instructions
         self.stats = dict(self.program.stats)
         self.stats["codegen_calls_per_run"] = counters["calls"] + counters["checks"]

@@ -23,9 +23,10 @@ all-reduce fold order).  The driver itself keeps no timeline, wait
 profile or store peaks: those depend only on the programs, placements,
 cost model and comm mode, so the step function reports the ones its
 first event run recorded.  The emitted text is kept as
-``MeshDriver.source`` and registered with :mod:`linecache`, so a
-traceback through the driver shows the line of the task that raised
-(``# <task name>``), mirroring ``CodegenProgram.source``.
+``MeshDriver.source`` and registered with :mod:`linecache` for as
+long as the driver lives, so a traceback through it shows the line of
+the task that raised (``# <task name>``), mirroring
+``CodegenProgram.source``.
 
 ``engine="mp"`` has no generated driver: every rank runs
 :meth:`repro.runtime.mp._Worker._run_program`.
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import linecache
+import weakref
 from typing import Any, Sequence
 
 from repro.runtime.instructions import (
@@ -331,5 +333,8 @@ def fuse_mesh(
     linecache.cache[filename] = (
         len(source), None, source.splitlines(keepends=True), filename,
     )
-    return MeshDriver(env["_driver"], source, n_instructions, n_tasks, p2p_count)
+    fn = env["_driver"]
+    # the entry lives as long as the driver
+    weakref.finalize(fn, linecache.cache.pop, filename, None)
+    return MeshDriver(fn, source, n_instructions, n_tasks, p2p_count)
 

@@ -22,7 +22,7 @@ from repro.runtime import CommMode
 from repro.runtime.instructions import Recv, RunTask, Send
 from tests.core.test_compile import phase_tasks
 from tests.core.test_linear_backend import assert_bit_identical
-from tests.helpers import payload
+from tests.helpers import fused_driver, payload
 
 HARD_TIMEOUT_S = 300
 
@@ -208,13 +208,18 @@ class TestCrossActorPostPhase:
         schedule = core.OneFOneB(3)
 
         def run(task_backend, **mesh_kw):
+            """Two calls that agree; on the event engine the second runs
+            the fused driver."""
             mesh = core.RemoteMesh((3,), **mesh_kw)
             try:
-                return mesh.distributed(
-                    train_step, schedule=schedule, task_backend=task_backend
-                )(params, batch)
+                step = mesh.distributed(train_step, schedule=schedule, task_backend=task_backend)
+                first = step(params, batch)
+                second = step(params, batch)
             finally:
                 mesh.close()
+            assert_bit_identical(first, second)
+            assert (fused_driver(step) is not None) == (mesh.engine == "event")
+            return second
 
         want = run("interpret")
         eager = train_step(params, batch)
@@ -224,7 +229,6 @@ class TestCrossActorPostPhase:
 
         assert_bit_identical(want, run("linear"))
         assert_bit_identical(want, run("codegen"))
-        assert_bit_identical(want, run("codegen", codegen_actor=True))
         for comm_mode in (CommMode.SYNC, CommMode.ASYNC):
             assert_bit_identical(
                 want,

@@ -28,7 +28,7 @@ from tests.core.test_linear_backend import (
     assert_bit_identical,
     make_problem,
 )
-from tests.helpers import payload
+from tests.helpers import fused_driver, payload
 
 HARD_TIMEOUT_S = 300
 
@@ -73,7 +73,7 @@ class TestGalleryEquivalence:
         first = step.last_result
         for _ in range(2):  # the first warm call builds the driver, then reuses it
             assert_bit_identical(ref, step(params, batch))
-            assert step._fused[0] is step.compiled
+            assert fused_driver(step) is not None
         assert step.last_result is first
         assert first.engine == "event" and first.repolls == 0
 
@@ -99,6 +99,7 @@ class TestGalleryEquivalence:
         )
         for _ in range(2):  # an event run, then the fused driver
             assert_bit_identical(ref, step(params, batch))
+        assert fused_driver(step) is not None
 
 
 class TestProgramBehaviour:
@@ -344,7 +345,7 @@ class TestFusedWarmStep:
         step = mesh.distributed(ts, schedule=core.OneFOneB(2), task_backend="codegen")
         for _ in range(2):
             step(params, batch)
-        assert step._fused[0] is step.compiled
+        assert fused_driver(step) is not None
         assert step.last_result.makespan > 0 and step.last_result.timeline
 
     def test_peak_bytes_on_a_warm_step(self):
@@ -355,5 +356,5 @@ class TestFusedWarmStep:
         step(params, batch)
         peaks = step.peak_bytes_per_actor
         step(params, batch)
-        assert step._fused[0] is step.compiled
+        assert fused_driver(step) is not None
         assert step.peak_bytes_per_actor == peaks and min(peaks) > 0

@@ -38,7 +38,7 @@ from repro.runtime.instructions import (
 )
 from tests.core.test_clusters import _gpt_small_adam
 from tests.core.test_linear_backend import GALLERY, assert_bit_identical, make_problem
-from tests.helpers import check_program, event_run, rng
+from tests.helpers import check_program, fused_driver, rng
 
 HARD_TIMEOUT_S = 300
 
@@ -369,11 +369,10 @@ class TestBenchmarkStepStructure:
         ref(state, batch)
         assert not bundle_refs(ref.compiled.programs)
         ref.compiled.programs = per_buffer(ref.compiled.programs)
-        values, result, peaks = event_run(ref, state, batch)
-        assert_bit_identical(values, got)
-        assert step.peak_bytes_per_actor == peaks
-        assert step.last_result.p2p_count == result.p2p_count
-        assert step.last_result.p2p_bytes == result.p2p_bytes
+        assert_bit_identical(ref(state, batch), got)  # new programs: an event run
+        assert step.peak_bytes_per_actor == ref.peak_bytes_per_actor
+        assert step.last_result.p2p_count == ref.last_result.p2p_count
+        assert step.last_result.p2p_bytes == ref.last_result.p2p_bytes
         n, n_ref = (sum(map(len, s.compiled.programs)) for s in (step, ref))
         assert 3 * n < n_ref
 
@@ -383,7 +382,7 @@ class TestBenchmarkStepStructure:
         step = core.RemoteMesh((4,)).distributed(train_step)
         for _ in range(2):  # the second call is warm and runs the driver
             assert_bit_identical(step(state, batch), want)
-        _, driver = step._fused
+        driver = fused_driver(step)
         programs = step.compiled.programs
         assert any(isinstance(i.fn, Bundled) for p in programs for i in p if isinstance(i, RunTask))
         # every call site is a task's own payload: no wrapper in between,
@@ -477,8 +476,7 @@ class TestValuesAcrossBackendsAndEngines:
             train_step, schedule=schedule, task_backend="interpret"
         )(params, batch)
         meshes = {
-            "event": dict(),
-            "fused": dict(codegen_actor=True),
+            "event": dict(),  # the first call's event run, then the fused driver
             "mp": dict(engine="mp", mp_watchdog_s=30.0),
         }
         for name, kwargs in meshes.items():
@@ -486,8 +484,10 @@ class TestValuesAcrossBackendsAndEngines:
             try:
                 for backend in ("interpret", "linear", "codegen"):
                     step = mesh.distributed(train_step, schedule=schedule, task_backend=backend)
-                    assert_bit_identical(step(params, batch), want)
+                    for _ in range(2):
+                        assert_bit_identical(step(params, batch), want)
                     assert bundle_refs(step.compiled.programs), (name, backend)
+                    assert (fused_driver(step) is not None) == (name == "event")
             finally:
                 mesh.close()
 

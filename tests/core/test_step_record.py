@@ -10,19 +10,27 @@ Checked here against a fresh event-engine run of the same programs and
 placements (``tests.helpers.event_run``), across the schedule gallery,
 two cost models and both comm modes; ``engine="roundrobin"`` (the
 reference) is not recorded, a run that raised records nothing, and a
-recompile records again.
+recompile or new programs record again.  The generated source a
+traceback shows lives as long as the generated function.
 """
 
+import gc
+import importlib
+import linecache
 import traceback
 
 import numpy as np
 import pytest
 
 from repro import core
+from repro.ir.linearize import RecentPins
 from repro.runtime import CommMode, DeadlockError, LinearCost
 from repro.runtime.instructions import RunTask
 from tests.core.test_linear_backend import GALLERY, assert_bit_identical, make_problem
-from tests.helpers import count_constructions, event_run
+from tests.helpers import count_constructions, event_run, fused_driver
+
+# the module: ``repro.ir.codegen`` as an attribute is the function
+codegen_mod = importlib.import_module("repro.ir.codegen")
 
 COST_MODELS = [
     pytest.param(None, id="default"),
@@ -46,7 +54,7 @@ class TestReplay:
         state = params
         for _ in range(3):
             state, _ = step(state, batch)
-        assert step._fused[0] is step.compiled
+        assert fused_driver(step) is not None
         values, result, peaks = event_run(step, state, batch)
         assert_bit_identical(step(state, batch), values)
         assert step.last_result == result
@@ -59,7 +67,7 @@ class TestReplay:
         step(params, batch)
         values, result, peaks = event_run(step, params, batch)
         assert_bit_identical(step(params, batch), values)
-        assert step._fused[0] is step.compiled
+        assert fused_driver(step) is not None
         assert (step.last_result, step.peak_bytes_per_actor) == (result, peaks)
 
     def test_warm_step_constructs_no_executor(self, monkeypatch):
@@ -83,7 +91,7 @@ class TestReplay:
             step(params, batch)
             results.append(step.last_result)
         assert built.count("MpmdExecutor") == 3
-        assert step._record is None and step._fused is None
+        assert step._record is None
         assert [r.engine for r in results] == ["roundrobin"] * 3
         assert len({id(r) for r in results}) == 3
 
@@ -115,6 +123,24 @@ class TestReplay:
         assert (step.last_result, step.peak_bytes_per_actor) == (result, peaks)
 
 
+    def test_new_programs_record_again(self, monkeypatch):
+        """The record is keyed on the programs too: a step whose
+        ``compiled.programs`` is replaced runs the new ones on the event
+        engine once, then fuses them."""
+        ts, params, batch = make_problem(4, n_mbs=4)
+        step = core.RemoteMesh((4,)).distributed(ts, schedule=core.OneFOneB(4))
+        want = step(params, batch)
+        step(params, batch)
+        old = fused_driver(step)
+        step.compiled.programs = [list(p) for p in step.compiled.programs]
+        built = count_constructions(monkeypatch)
+        for n in (1, 1):
+            assert_bit_identical(step(params, batch), want)
+            assert built.count("MpmdExecutor") == n
+        assert fused_driver(step) not in (None, old)
+        assert step._record[1] is step.compiled.programs
+
+
 class TestDriverTraceback:
     def test_payload_error_shows_its_task_line(self):
         """A payload that raises on a warm step is reported at its own line
@@ -134,3 +160,26 @@ class TestDriverTraceback:
         assert len(frames) == 1
         assert frames[0].filename.startswith("<repro.actorgen:")
         assert frames[0].line.endswith(f"# {task.name}")
+
+    def test_generated_source_goes_with_its_function(self, monkeypatch):
+        """The linecache entries of a fused driver and of a codegen payload
+        are removed when the function dies, so recompiling a step for new
+        shapes does not pile them up."""
+        monkeypatch.setattr(codegen_mod, "_recent", RecentPins())
+        ts, params, _ = make_problem(2, n_mbs=4)
+        step = core.RemoteMesh((2,)).distributed(ts, schedule=core.OneFOneB(2))
+        before = set(linecache.cache)
+        drivers = []
+        for mbsz in (2, 4, 6, 8):
+            _, _, batch = make_problem(2, n_mbs=4, mbsz=mbsz)
+            for _ in range(2):
+                step(params, batch)
+            drivers.append(fused_driver(step)._fn.__code__.co_filename)
+        gc.collect()
+        assert [f in linecache.cache for f in drivers] == [False] * 3 + [True]
+        made = {f for f in set(linecache.cache) - before if f.startswith("<repro.codegen:")}
+        assert made
+        del step
+        codegen_mod._recent.clear()  # this test's pins: the programs' last holder
+        gc.collect()
+        assert not (made | set(drivers)) & set(linecache.cache)

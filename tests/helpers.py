@@ -24,7 +24,7 @@ from repro.runtime.instructions import (
 
 __all__ = [
     "numeric_grad", "check_grads", "rng", "check_program", "payload", "event_run",
-    "count_constructions",
+    "fused_driver", "count_constructions",
 ]
 
 
@@ -104,6 +104,16 @@ def event_run(step, *args):
         compiled.output_sources, flat, lambda actor, uid: ex.fetch(actor, BufferRef(uid))
     )
     return outputs, result, [s.peak_bytes for s in ex.stores]
+
+
+def fused_driver(step):
+    """The whole-mesh driver a warm ``engine="event"`` call of ``step``
+    runs, or ``None`` while its calls have not built one for the current
+    compiled programs."""
+    record, compiled = step._record, step.compiled
+    if record is None or record[0] is not compiled or record[1] is not compiled.programs:
+        return None
+    return record[4]
 
 
 def count_constructions(monkeypatch) -> list[str]:
